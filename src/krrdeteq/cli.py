@@ -17,10 +17,13 @@ import sys
 
 from .deteq import deterministic_equivalents
 from .harness import (
-    CURVE_COLUMNS,
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
+    _curve_row,
+    check_entries,
+    check_fields,
+    check_nonnegative,
     emit_results,
     run_experiment,
 )
@@ -65,60 +68,34 @@ def _default_threads(value) -> int:
     return max(int(env), 1) if env else 1
 
 
-def _run_deteq(args) -> int:
-    with open(args.config) as handle:
-        doc = json.load(handle)
-    spectrum, alignment, noise = model_from_json(
-        json.dumps({k: doc[k] for k in ("blocks", "alignment", "residual_energy", "noise_variance") if k in doc})
-    )
+MODEL_FIELDS = ("blocks", "alignment", "residual_energy", "noise_variance")
+DETEQ_FIELDS = MODEL_FIELDS + ("lambda", "n", "n_grid", "seed", "output_path")
+
+
+def _run_deteq(doc, seed: int | None) -> ExperimentResult:
+    """Closed-form prediction rows for a model document, one per n; no sampling."""
+    check_fields(doc, DETEQ_FIELDS, "deteq")
+    for key in ("blocks", "alignment"):
+        if key not in doc:
+            raise ConfigError(f"deteq config requires {key!r}")
+    if "n" not in doc and "n_grid" not in doc:
+        raise ConfigError("deteq config requires 'n' or 'n_grid'")
+    spectrum, alignment, noise = model_from_json(json.dumps({k: doc[k] for k in MODEL_FIELDS if k in doc}))
     lam = float(doc.get("lambda", 0.0))
-    n_grid = [int(v) for v in doc.get("n_grid", [])] or [int(doc["n"])]
-    seed = int(doc.get("seed", 0)) if args.seed is None else args.seed
+    check_nonnegative("lambda", lam)
+    n_grid = check_entries(doc.get("n_grid") or [doc.get("n")], int, "n_grid (or [n])")
+    seed = doc.get("seed", 0) if seed is None else seed
     rows = []
-    failed = 0
     for n in n_grid:
         try:
             pred = deterministic_equivalents(
                 ModelSpec(n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=noise)
             )
-            rows.append(
-                {
-                    "kind": "deteq",
-                    "n": n,
-                    "lambda": lam,
-                    "prediction": pred.risk,
-                    "empirical_mean": math.nan,
-                    "empirical_std": math.nan,
-                    "reps": 0,
-                    "seed": seed,
-                    "lambda_star": pred.effective.lambda_star,
-                    "upsilon2": pred.effective.upsilon2,
-                    "status": "ok",
-                }
-            )
+            prediction, eff, status = pred.risk, pred.effective, "ok"
         except Exception as exc:
-            failed += 1
-            rows.append(
-                {
-                    "kind": "deteq",
-                    "n": n,
-                    "lambda": lam,
-                    "prediction": math.nan,
-                    "empirical_mean": math.nan,
-                    "empirical_std": math.nan,
-                    "reps": 0,
-                    "seed": seed,
-                    "lambda_star": math.nan,
-                    "upsilon2": math.nan,
-                    "status": f"error: {type(exc).__name__}: {exc}",
-                }
-            )
-    result = ExperimentResult(rows, "curve", n_failed=failed)
-    out = args.out or doc.get("output_path")
-    if out is None:
-        raise ConfigError("no output path: pass --out or set output_path in the config")
-    emit_results(result, args.format, out)
-    return 2 if failed else 0
+            prediction, eff, status = math.nan, None, f"error: {type(exc).__name__}: {exc}"
+        rows.append(_curve_row("deteq", 0, seed, n, lam, prediction, (), eff, status))
+    return ExperimentResult(rows, "curve")
 
 
 def main(argv=None) -> int:
@@ -131,13 +108,16 @@ def main(argv=None) -> int:
             return 1
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "deteq":
-            return _run_deteq(args)
         with open(args.config) as handle:
-            config = ExperimentConfig.from_json(handle.read(), kind=SUBCOMMAND_KIND[args.command])
-        config = config.with_overrides(seed=args.seed, threads=_default_threads(args.threads))
-        result = run_experiment(config)
-        out = args.out or config.output_path
+            doc = json.load(handle)
+        if args.command == "deteq":
+            result = _run_deteq(doc, args.seed)
+            out = args.out or doc.get("output_path")
+        else:
+            config = ExperimentConfig.from_dict(doc, kind=SUBCOMMAND_KIND[args.command])
+            config = config.with_overrides(seed=args.seed, threads=_default_threads(args.threads))
+            result = run_experiment(config)
+            out = args.out or config.output_path
         if out is None:
             raise ConfigError("no output path: pass --out or set output_path in the config")
         emit_results(result, args.format, out)
@@ -145,7 +125,7 @@ def main(argv=None) -> int:
             print(f"{result.n_failed} row(s) failed; see status column", file=sys.stderr)
             return 2
         return 0
-    except (ConfigError, SpectrumError, FileNotFoundError, json.JSONDecodeError, KeyError, ValueError) as exc:
+    except (ConfigError, SpectrumError, OSError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

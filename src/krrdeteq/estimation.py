@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deteq import DetEquivalents, deterministic_equivalents
+from .deteq import deterministic_equivalents
 from .krr import GramMatrix, KrrError
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
@@ -146,15 +146,3 @@ def plugin_risk_curve(
         out.append((n, deterministic_equivalents(model).risk))
     return out
 
-
-def plugin_equivalents(
-    est: EstimatedDecomposition,
-    n: int,
-    lam: float,
-    noise_variance: float,
-    truncation: int | None = None,
-    noise_correction: bool = True,
-) -> DetEquivalents:
-    """Full prediction bundle at one n (same construction as the risk curve)."""
-    model = decomposition_to_model(est, n, lam, noise_variance, truncation, noise_correction)
-    return deterministic_equivalents(model)

@@ -9,16 +9,15 @@ concentrate on the predictions as n grows.
 
 from __future__ import annotations
 
-import csv
+import functools
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .deteq import solve_effective_reg
-from .seeds import derive_rng
+from .seeds import derive_rng, map_tasks
 from .spectrum import Spectrum, SpectrumError
 
 __all__ = [
@@ -29,7 +28,6 @@ __all__ = [
     "empirical_functionals",
     "deterministic_functionals",
     "convergence_probe",
-    "probe_to_csv",
 ]
 
 # primal (p x p) factorization up to this aspect ratio, dual (n x n) beyond
@@ -203,7 +201,8 @@ def functional_report(sample: FeatureSample, lam: float, a) -> FunctionalReport:
     return FunctionalReport(phi=phi, psi=psi, rel_err=rel)
 
 
-def _probe_task(spectrum, n, lam, a_choice, seed, n_index, rep):
+def _probe_task(spectrum, lam, a_choice, seed, task):
+    n_index, n, rep = task
     rng = derive_rng(seed, 101, n_index, rep)
     sample = sample_gaussian_features(spectrum, n, rng)
     p = spectrum.total_rank
@@ -241,16 +240,8 @@ def convergence_probe(
     if reps < 1:
         raise SpectrumError("reps must be a positive integer")
     tasks = [(i, n, rep) for i, n in enumerate(n_grid) for rep in range(reps)]
-
-    def run(task):
-        i, n, rep = task
-        return task, _probe_task(spectrum, n, lam, a_choice, seed, i, rep)
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = dict(pool.map(run, tasks))
-    else:
-        results = dict(map(run, tasks))
+    probe = functools.partial(_probe_task, spectrum, lam, a_choice, seed)
+    results = dict(zip(tasks, map_tasks(tasks, probe, threads)))
 
     rows = []
     for i, n in enumerate(n_grid):
@@ -270,21 +261,3 @@ def convergence_probe(
             )
     return rows
 
-
-def probe_to_csv(rows: list[dict], path) -> None:
-    columns = ["n", "functional_index", "median_rel_err", "q25", "q75", "reps", "seed"]
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(columns)
-        for row in rows:
-            writer.writerow(
-                [
-                    row["n"],
-                    row["functional_index"],
-                    repr(float(row["median_rel_err"])),
-                    repr(float(row["q25"])),
-                    repr(float(row["q75"])),
-                    row["reps"],
-                    row["seed"],
-                ]
-            )

@@ -9,20 +9,19 @@ worker count.  Failures are recorded per row and the remaining rows complete.
 from __future__ import annotations
 
 import csv
+import dataclasses
 import hashlib
 import json
 import math
-import time
 import warnings
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
 
 from . import estimation, functionals, krr, sphere
 from .deteq import deterministic_equivalents
-from .seeds import derive_rng
+from .seeds import derive_rng, map_tasks
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, nu_diagnostic
 
 __all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "emit_results", "CURVE_COLUMNS"]
@@ -42,11 +41,55 @@ CURVE_COLUMNS = [
 ]
 PROBE_COLUMNS = ["n", "functional_index", "median_rel_err", "q25", "q75", "reps", "seed"]
 
-KINDS = ("gaussian_curve", "sphere_curve", "gcv_sweep", "functional_probe", "estimate_and_predict")
+_NUMBER = (int, float)
+_NULL = type(None)
+# JSON type of every config field any subcommand reads; booleans match none of them
+FIELD_TYPES = {
+    "kind": str, "reps": int, "seed": int, "threads": int, "output_path": (str, _NULL),
+    "noise_variance": _NUMBER, "lambda": _NUMBER, "n_grid": list, "lambda_grid": list, "n": int,
+    "spectrum": (dict, _NULL), "target": (dict, _NULL), "d": int, "gap": _NUMBER, "levels": int,
+    "energies": (dict, _NULL), "a_choice": str, "holdout": int, "truncation": (int, _NULL),
+    "blocks": list, "alignment": list, "residual_energy": _NUMBER,
+}
+COMMON_FIELDS = ("kind", "reps", "seed", "threads", "output_path")
+# the fields each kind's runner reads, besides COMMON_FIELDS
+KIND_FIELDS = {
+    "gaussian_curve": ("spectrum", "target", "noise_variance", "lambda", "n_grid"),
+    "sphere_curve": ("d", "levels", "gap", "energies", "noise_variance", "lambda", "n_grid"),
+    "gcv_sweep": ("spectrum", "target", "noise_variance", "n", "lambda_grid"),
+    "functional_probe": ("spectrum", "lambda", "n_grid", "a_choice"),
+    "estimate_and_predict": ("spectrum", "target", "noise_variance", "holdout", "lambda", "n_grid", "truncation"),
+}
 
 
 class ConfigError(ValueError):
     """Malformed experiment configuration."""
+
+
+def _is_json(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+def check_fields(doc, allowed, what: str) -> None:
+    """Reject a non-object config, fields outside ``allowed`` and fields of the wrong JSON type."""
+    if not isinstance(doc, dict):
+        raise ConfigError("config must be a JSON object")
+    for key, value in doc.items():
+        if key not in allowed:
+            raise ConfigError(f"field {key!r} does not apply to {what}")
+        if not _is_json(value, FIELD_TYPES[key]):
+            raise ConfigError(f"field {key!r} has the wrong JSON type ({type(value).__name__})")
+
+
+def check_entries(values, types, name: str) -> tuple:
+    if not isinstance(values, (list, tuple)) or not all(_is_json(v, types) for v in values):
+        raise ConfigError(f"{name} must be a list of JSON {'integers' if types is int else 'numbers'}")
+    return tuple(values)
+
+
+def check_nonnegative(name: str, value) -> None:
+    if not (math.isfinite(value) and value >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -74,10 +117,13 @@ class ExperimentConfig:
     threads: int = 1
 
     def __post_init__(self):
-        if self.kind not in KINDS:
+        if self.kind not in KIND_FIELDS:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        check_nonnegative("lambda", self.lam)
+        for lam in self.lambda_grid:
+            check_nonnegative("every lambda_grid entry", lam)
         if self.kind in ("gaussian_curve", "sphere_curve", "functional_probe", "estimate_and_predict"):
             grid = list(self.n_grid)
             if not grid or sorted(grid) != grid or len(set(grid)) != len(grid):
@@ -93,30 +139,28 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, doc: dict, kind: str | None = None) -> "ExperimentConfig":
-        doc = dict(doc)
+        """Parse a JSON config document; anything malformed raises ConfigError."""
+        if not isinstance(doc, dict):
+            raise ConfigError("config must be a JSON object")
         if kind is not None:
-            found = doc.setdefault("kind", kind)
+            found = doc.get("kind", kind)
             if found != kind:
                 raise ConfigError(f"config kind {found!r} does not match requested {kind!r}")
-        known = {f for f in cls.__dataclass_fields__}
-        alias = {"lambda": "lam"}
-        kwargs: dict[str, Any] = {}
-        for key, value in doc.items():
-            key = alias.get(key, key)
-            if key not in known:
-                raise ConfigError(f"unknown config field {key!r}")
-            kwargs[key] = value
+            doc = {**doc, "kind": kind}
+        found = doc.get("kind")
+        if not isinstance(found, str) or found not in KIND_FIELDS:
+            raise ConfigError(f"unknown experiment kind {found!r}")
+        check_fields(doc, COMMON_FIELDS + KIND_FIELDS[found], found)
+        kwargs: dict[str, Any] = {("lam" if key == "lambda" else key): value for key, value in doc.items()}
         if "n_grid" in kwargs:
-            kwargs["n_grid"] = tuple(int(v) for v in kwargs["n_grid"])
+            kwargs["n_grid"] = check_entries(kwargs["n_grid"], int, "n_grid")
         if "lambda_grid" in kwargs:
-            kwargs["lambda_grid"] = tuple(float(v) for v in kwargs["lambda_grid"])
-        if "energies" in kwargs and kwargs["energies"] is not None:
-            kwargs["energies"] = {int(k): float(v) for k, v in kwargs["energies"].items()}
+            grid = check_entries(kwargs["lambda_grid"], _NUMBER, "lambda_grid")
+            kwargs["lambda_grid"] = tuple(float(v) for v in grid)
+        if kwargs.get("energies") is not None:
+            values = check_entries(tuple(kwargs["energies"].values()), _NUMBER, "energies")
+            kwargs["energies"] = {int(k): float(v) for k, v in zip(kwargs["energies"], values)}
         return cls(**kwargs)
-
-    @classmethod
-    def from_json(cls, text: str, kind: str | None = None) -> "ExperimentConfig":
-        return cls.from_dict(json.loads(text), kind=kind)
 
     def canonical_json(self) -> str:
         doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
@@ -130,23 +174,20 @@ class ExperimentConfig:
         return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def with_overrides(self, seed: int | None = None, threads: int | None = None) -> "ExperimentConfig":
-        doc = json.loads(self.canonical_json())
-        doc["energies"] = self.energies
-        if seed is not None:
-            doc["seed"] = int(seed)
-        if threads is not None:
-            doc["threads"] = int(threads)
-        return ExperimentConfig(**{**doc, "n_grid": tuple(doc["n_grid"]), "lambda_grid": tuple(doc["lambda_grid"])})
+        changes = {"seed": seed, "threads": threads}
+        return dataclasses.replace(self, **{k: v for k, v in changes.items() if v is not None})
 
 
 @dataclass
 class ExperimentResult:
-    """Rows plus provenance; ``schema`` selects the emission column set."""
+    """Result rows; ``schema`` selects the emission column set."""
 
     rows: list[dict]
     schema: str  # "curve" | "probe"
-    meta: dict = field(default_factory=dict)
-    n_failed: int = 0
+
+    @property
+    def n_failed(self) -> int:
+        return sum(row.get("status", "ok") != "ok" for row in self.rows)
 
 
 def _build_spectrum(doc: dict | None) -> Spectrum:
@@ -154,9 +195,12 @@ def _build_spectrum(doc: dict | None) -> Spectrum:
         raise ConfigError("experiment requires a 'spectrum' entry")
     kind = doc.get("kind", "power_law")
     if kind == "power_law":
-        return Spectrum.power_law(float(doc["exponent"]), int(doc["size"]))
+        exponent, size = doc.get("exponent"), doc.get("size")
+        if not (_is_json(exponent, _NUMBER) and _is_json(size, int)):
+            raise ConfigError("a power_law spectrum needs a number 'exponent' and an integer 'size'")
+        return Spectrum.power_law(float(exponent), size)
     if kind == "blocks":
-        return Spectrum.from_blocks(doc["blocks"])
+        return Spectrum.from_blocks(doc.get("blocks") or [])
     raise ConfigError(f"unknown spectrum kind {kind!r}")
 
 
@@ -172,7 +216,7 @@ def _build_beta(doc: dict | None, spectrum: Spectrum, seed: int) -> np.ndarray:
         beta = rng.standard_normal(p)
         return beta / np.linalg.norm(beta)
     if kind == "energies":
-        values = np.asarray(doc["values"], dtype=float)
+        values = np.asarray(check_entries(doc.get("values", ()), _NUMBER, "target values"), dtype=float)
         if values.size != spectrum.n_blocks:
             raise ConfigError("target energies must have one entry per spectrum block")
         # spread block energy uniformly over its eigendirections
@@ -206,19 +250,19 @@ def _diagnostic_nu(spectrum: Spectrum, n: int, lam: float) -> float:
         return math.nan
 
 
-def _curve_row(config, n, lam, prediction, values, eff, status="ok", nu=math.nan) -> dict:
+def _curve_row(kind, reps, seed, n, lam, prediction, values, eff, status="ok", nu=math.nan) -> dict:
     values = [v for v in values if math.isfinite(v)]
     mean = float(np.mean(values)) if values else math.nan
     std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0 if values else math.nan
     return {
-        "kind": config.kind,
+        "kind": kind,
         "n": n,
         "lambda": lam,
         "prediction": prediction,
         "empirical_mean": mean,
         "empirical_std": std,
-        "reps": config.reps,
-        "seed": config.seed,
+        "reps": reps,
+        "seed": seed,
         "lambda_star": eff.lambda_star if eff is not None else math.nan,
         "upsilon2": eff.upsilon2 if eff is not None else math.nan,
         "nu": nu,
@@ -226,14 +270,50 @@ def _curve_row(config, n, lam, prediction, values, eff, status="ok", nu=math.nan
     }
 
 
-def _map_tasks(tasks, worker, threads):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
+def _prediction_rows(config, points, model_at, values, errors) -> ExperimentResult:
+    """One row per (n, lam) point: the risk of ``model_at(n, lam)`` beside the
+    point's empirical values and its first replication error (or None)."""
+    rows = []
+    for (n, lam), point_values, error in zip(points, values, errors):
+        try:
+            model = model_at(n, lam)
+            pred = deterministic_equivalents(model)
+            prediction, eff = pred.risk, pred.effective
+            nu = _diagnostic_nu(model.spectrum, n, lam)
+            status = "ok" if error is None else "error: " + error
+        except Exception as exc:
+            prediction, eff, nu = math.nan, None, math.nan
+            status = f"error: {type(exc).__name__}: {exc}"
+        rows.append(
+            _curve_row(config.kind, config.reps, config.seed, n, lam, prediction, point_values, eff, status, nu)
+        )
+    return ExperimentResult(rows, "curve")
 
 
-def _run_gaussian_curve(config: ExperimentConfig) -> ExperimentResult:
+def _run_curve(config, tag, simulate, model_at) -> ExperimentResult:
+    """Curve over ``config.n_grid``: replication ``rep`` at grid index ``i`` is
+    ``simulate(n, derive_rng(seed, tag, i, rep))``; one that raises gives nan."""
+
+    def one_rep(task):
+        i, n, rep = task
+        try:
+            return simulate(n, derive_rng(config.seed, tag, i, rep)), None
+        except Exception as exc:  # record-and-continue
+            return math.nan, f"{type(exc).__name__}: {exc}"
+
+    tasks = [(i, n, r) for i, n in enumerate(config.n_grid) for r in range(config.reps)]
+    outcomes = map_tasks(tasks, one_rep, config.threads)
+    per_n = [outcomes[i : i + config.reps] for i in range(0, len(outcomes), config.reps)]
+    values = [[value for value, _ in point] for point in per_n]
+    errors = [next((error for _, error in point if error), None) for point in per_n]
+    points = [(n, config.lam) for n in config.n_grid]
+    return _prediction_rows(config, points, model_at, values, errors)
+
+
+def _gaussian_problem(config: ExperimentConfig):
+    """Setup shared by the Gaussian-feature kinds: ``draw(n, rng) -> (sample, y)``,
+    ``linear_risk(n, rng)``, the exact test error of one fit at ``config.lam``,
+    and ``model_at(n, lam)``, the true spectral model."""
     spectrum = _build_spectrum(config.spectrum)
     beta = _build_beta(config.target, spectrum, config.seed)
     theta = beta / np.sqrt(spectrum.expand())
@@ -241,43 +321,23 @@ def _run_gaussian_curve(config: ExperimentConfig) -> ExperimentResult:
     noise = NoiseModel(config.noise_variance)
     sigma = math.sqrt(config.noise_variance)
 
-    def one_rep(task):
-        n_index, n, rep = task
-        rng = derive_rng(config.seed, 1, n_index, rep)
-        try:
-            sample = functionals.sample_gaussian_features(spectrum, n, rng)
-            y = sample.matrix @ theta + sigma * rng.standard_normal(n)
-            return task, krr.test_error_linear_exact(
-                sample, theta, y, config.lam, config.noise_variance
-            ), None
-        except Exception as exc:  # record-and-continue
-            return task, math.nan, f"{type(exc).__name__}: {exc}"
+    def draw(n, rng):
+        sample = functionals.sample_gaussian_features(spectrum, n, rng)
+        return sample, sample.matrix @ theta + sigma * rng.standard_normal(n)
 
-    tasks = [(i, n, r) for i, n in enumerate(config.n_grid) for r in range(config.reps)]
-    outcomes = _map_tasks(tasks, one_rep, config.threads)
-    by_n: dict[int, list] = {n: [] for n in config.n_grid}
-    errors: dict[int, list[str]] = {n: [] for n in config.n_grid}
-    for (_, n, _), value, err in outcomes:
-        by_n[n].append(value)
-        if err:
-            errors[n].append(err)
+    def linear_risk(n, rng):
+        sample, y = draw(n, rng)
+        return krr.test_error_linear_exact(sample, theta, y, config.lam, config.noise_variance)
 
-    rows, failed = [], 0
-    for n in config.n_grid:
-        try:
-            pred = deterministic_equivalents(
-                ModelSpec(n=n, lam=config.lam, spectrum=spectrum, alignment=alignment, noise=noise)
-            )
-            prediction, eff = pred.risk, pred.effective
-            nu = _diagnostic_nu(spectrum, n, config.lam)
-            status = "ok" if not errors[n] else "error: " + errors[n][0]
-        except Exception as exc:
-            prediction, eff, nu = math.nan, None, math.nan
-            status = f"error: {type(exc).__name__}: {exc}"
-        if status != "ok":
-            failed += 1
-        rows.append(_curve_row(config, n, config.lam, prediction, by_n[n], eff, status, nu))
-    return ExperimentResult(rows, "curve", n_failed=failed)
+    def model_at(n, lam):
+        return ModelSpec(n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=noise)
+
+    return draw, linear_risk, model_at
+
+
+def _run_gaussian_curve(config: ExperimentConfig) -> ExperimentResult:
+    _, linear_risk, model_at = _gaussian_problem(config)
+    return _run_curve(config, 1, linear_risk, model_at)
 
 
 def _run_sphere_curve(config: ExperimentConfig) -> ExperimentResult:
@@ -289,60 +349,26 @@ def _run_sphere_curve(config: ExperimentConfig) -> ExperimentResult:
     noise = NoiseModel(config.noise_variance)
     sigma = math.sqrt(config.noise_variance)
 
-    def one_rep(task):
-        n_index, n, rep = task
-        rng = derive_rng(config.seed, 2, n_index, rep)
-        try:
-            points = sphere.sample_sphere(config.d, n, rng)
-            gram = krr.GramMatrix(kernel.gram(points))
-            y = target(points) + sigma * rng.standard_normal(n)
-            fit = krr.fit_krr(gram, y, config.lam)
-            return task, sphere.exact_sphere_risk(
-                fit, kernel, target, config.noise_variance, points
-            ), None
-        except Exception as exc:
-            return task, math.nan, f"{type(exc).__name__}: {exc}"
+    def simulate(n, rng):
+        points = sphere.sample_sphere(config.d, n, rng)
+        gram = krr.GramMatrix(kernel.gram(points))
+        y = target(points) + sigma * rng.standard_normal(n)
+        fit = krr.fit_krr(gram, y, config.lam)
+        return sphere.exact_sphere_risk(fit, kernel, target, config.noise_variance, points)
 
-    tasks = [(i, n, r) for i, n in enumerate(config.n_grid) for r in range(config.reps)]
-    outcomes = _map_tasks(tasks, one_rep, config.threads)
-    by_n: dict[int, list] = {n: [] for n in config.n_grid}
-    errors: dict[int, list[str]] = {n: [] for n in config.n_grid}
-    for (_, n, _), value, err in outcomes:
-        by_n[n].append(value)
-        if err:
-            errors[n].append(err)
+    def model_at(n, lam):
+        return sphere.sphere_spectrum(kernel, target, noise, n, lam)
 
-    rows, failed = [], 0
-    for n in config.n_grid:
-        try:
-            model = sphere.sphere_spectrum(kernel, target, noise, n, config.lam)
-            pred = deterministic_equivalents(model)
-            prediction, eff = pred.risk, pred.effective
-            nu = _diagnostic_nu(model.spectrum, n, config.lam)
-            status = "ok" if not errors[n] else "error: " + errors[n][0]
-        except Exception as exc:
-            prediction, eff, nu = math.nan, None, math.nan
-            status = f"error: {type(exc).__name__}: {exc}"
-        if status != "ok":
-            failed += 1
-        rows.append(_curve_row(config, n, config.lam, prediction, by_n[n], eff, status, nu))
-    return ExperimentResult(rows, "curve", n_failed=failed)
+    return _run_curve(config, 2, simulate, model_at)
 
 
 def _run_gcv_sweep(config: ExperimentConfig) -> ExperimentResult:
-    spectrum = _build_spectrum(config.spectrum)
-    beta = _build_beta(config.target, spectrum, config.seed)
-    theta = beta / np.sqrt(spectrum.expand())
-    alignment = Alignment(_block_energies(spectrum, beta))
-    noise = NoiseModel(config.noise_variance)
-    sigma = math.sqrt(config.noise_variance)
+    draw, _, model_at = _gaussian_problem(config)
     n = config.n
 
     def one_rep(rep):
         try:
-            rng = derive_rng(config.seed, 3, rep)
-            sample = functionals.sample_gaussian_features(spectrum, n, rng)
-            y = sample.matrix @ theta + sigma * rng.standard_normal(n)
+            sample, y = draw(n, derive_rng(config.seed, 3, rep))
             gram = krr.GramMatrix(sample.matrix @ sample.matrix.T)
         except Exception:  # record-and-continue: the whole replication fails
             return [math.nan] * len(config.lambda_grid)
@@ -354,24 +380,9 @@ def _run_gcv_sweep(config: ExperimentConfig) -> ExperimentResult:
                 values.append(math.nan)
         return values
 
-    sweeps = np.array(_map_tasks(list(range(config.reps)), one_rep, config.threads))
-    rows, failed = [], 0
-    for j, lam in enumerate(config.lambda_grid):
-        column = sweeps[:, j]
-        try:
-            pred = deterministic_equivalents(
-                ModelSpec(n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=noise)
-            )
-            prediction, eff = pred.risk, pred.effective
-            nu = _diagnostic_nu(spectrum, n, lam)
-            status = "ok" if np.all(np.isfinite(column)) else "error: gcv failed in some replications"
-        except Exception as exc:
-            prediction, eff, nu = math.nan, None, math.nan
-            status = f"error: {type(exc).__name__}: {exc}"
-        if status != "ok":
-            failed += 1
-        rows.append(_curve_row(config, n, lam, prediction, list(column), eff, status, nu))
-    return ExperimentResult(rows, "curve", n_failed=failed)
+    columns = np.array(map_tasks(range(config.reps), one_rep, config.threads)).T
+    errors = [None if np.all(np.isfinite(c)) else "gcv failed in some replications" for c in columns]
+    return _prediction_rows(config, [(n, lam) for lam in config.lambda_grid], model_at, columns, errors)
 
 
 def _run_functional_probe(config: ExperimentConfig) -> ExperimentResult:
@@ -389,58 +400,16 @@ def _run_functional_probe(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_estimate_and_predict(config: ExperimentConfig) -> ExperimentResult:
-    spectrum = _build_spectrum(config.spectrum)
-    beta = _build_beta(config.target, spectrum, config.seed)
-    theta = beta / np.sqrt(spectrum.expand())
-    sigma = math.sqrt(config.noise_variance)
+    draw, linear_risk, _ = _gaussian_problem(config)
+    holdout, y_holdout = draw(config.holdout, derive_rng(config.seed, 4))
+    est = estimation.estimate_spectrum(krr.GramMatrix(holdout.matrix @ holdout.matrix.T), y_holdout)
 
-    rng = derive_rng(config.seed, 4)
-    holdout = functionals.sample_gaussian_features(spectrum, config.holdout, rng)
-    y_holdout = holdout.matrix @ theta + sigma * rng.standard_normal(config.holdout)
-    est = estimation.estimate_spectrum(
-        krr.GramMatrix(holdout.matrix @ holdout.matrix.T), y_holdout
-    )
+    def model_at(n, lam):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            return estimation.decomposition_to_model(est, n, lam, config.noise_variance, config.truncation)
 
-    def one_rep(task):
-        n_index, n, rep = task
-        rng = derive_rng(config.seed, 5, n_index, rep)
-        try:
-            sample = functionals.sample_gaussian_features(spectrum, n, rng)
-            y = sample.matrix @ theta + sigma * rng.standard_normal(n)
-            return task, krr.test_error_linear_exact(
-                sample, theta, y, config.lam, config.noise_variance
-            ), None
-        except Exception as exc:
-            return task, math.nan, f"{type(exc).__name__}: {exc}"
-
-    tasks = [(i, n, r) for i, n in enumerate(config.n_grid) for r in range(config.reps)]
-    outcomes = _map_tasks(tasks, one_rep, config.threads)
-    by_n: dict[int, list] = {n: [] for n in config.n_grid}
-    errors: dict[int, list[str]] = {n: [] for n in config.n_grid}
-    for (_, n, _), value, err in outcomes:
-        by_n[n].append(value)
-        if err:
-            errors[n].append(err)
-
-    rows, failed = [], 0
-    for n in config.n_grid:
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore")
-                model = estimation.decomposition_to_model(
-                    est, n, config.lam, config.noise_variance, config.truncation
-                )
-            pred = deterministic_equivalents(model)
-            prediction, eff = pred.risk, pred.effective
-            nu = _diagnostic_nu(model.spectrum, n, config.lam)
-            status = "ok" if not errors[n] else "error: " + errors[n][0]
-        except Exception as exc:
-            prediction, eff, nu = math.nan, None, math.nan
-            status = f"error: {type(exc).__name__}: {exc}"
-        if status != "ok":
-            failed += 1
-        rows.append(_curve_row(config, n, config.lam, prediction, by_n[n], eff, status, nu))
-    return ExperimentResult(rows, "curve", n_failed=failed)
+    return _run_curve(config, 5, linear_risk, model_at)
 
 
 _RUNNERS = {
@@ -459,13 +428,7 @@ def run_experiment(config: ExperimentConfig) -> ExperimentResult:
     the result is independent of thread count.  Row failures are recorded in
     the status column and the remaining rows complete.
     """
-    result = _RUNNERS[config.kind](config)
-    result.meta = {
-        "config_hash": config.config_hash(),
-        "seed": config.seed,
-        "created_unix": time.time(),  # provenance only; never emitted to files
-    }
-    return result
+    return _RUNNERS[config.kind](config)
 
 
 def _format_cell(value) -> str:

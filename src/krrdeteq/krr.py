@@ -401,7 +401,3 @@ def read_labels_binary(path) -> np.ndarray:
 
 def gram_from_csv(path) -> GramMatrix:
     return GramMatrix(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2))
-
-
-def labels_from_csv(path) -> np.ndarray:
-    return np.loadtxt(path, delimiter=",", dtype=float, ndmin=1).ravel()

@@ -8,9 +8,11 @@ stream.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng"]
+__all__ = ["derive_seed", "derive_rng", "map_tasks"]
 
 _MASK = (1 << 64) - 1
 
@@ -33,3 +35,11 @@ def derive_seed(seed: int, *keys: int) -> int:
 def derive_rng(seed: int, *keys: int) -> np.random.Generator:
     """Philox generator keyed by the derived stream id (counter-based)."""
     return np.random.Generator(np.random.Philox(key=derive_seed(seed, *keys)))
+
+
+def map_tasks(tasks, worker, threads: int) -> list:
+    """``[worker(t) for t in tasks]`` in task order, on ``threads`` threads when > 1."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(worker, tasks))
+    return [worker(task) for task in tasks]

@@ -69,13 +69,13 @@ class Spectrum:
     @classmethod
     def from_blocks(cls, blocks) -> "Spectrum":
         """Build from an iterable of ``(eigenvalue, multiplicity)`` pairs."""
-        blocks = list(blocks)
-        if not blocks:
-            raise SpectrumError("spectrum must contain at least one block")
-        return cls(
-            values=np.array([b[0] for b in blocks], dtype=float),
-            multiplicities=np.array([b[1] for b in blocks], dtype=np.int64),
-        )
+        try:
+            blocks = list(blocks)
+            values = np.array([b[0] for b in blocks], dtype=float)
+            multiplicities = np.array([b[1] for b in blocks], dtype=np.int64)
+        except (TypeError, LookupError, OverflowError) as exc:
+            raise SpectrumError(f"blocks must be (eigenvalue, multiplicity) pairs: {exc}") from None
+        return cls(values=values, multiplicities=multiplicities)
 
     @classmethod
     def power_law(cls, exponent: float, size: int) -> "Spectrum":
@@ -328,7 +328,11 @@ def model_to_json(spectrum: Spectrum, alignment: Alignment, noise: NoiseModel) -
 def model_from_json(text: str) -> tuple[Spectrum, Alignment, NoiseModel]:
     doc = json.loads(text)
     spectrum = Spectrum.from_blocks(doc["blocks"])
-    alignment = Alignment(np.asarray(doc["alignment"], dtype=float), doc.get("residual_energy", 0.0))
+    try:
+        energies = np.asarray(doc["alignment"], dtype=float)
+    except TypeError as exc:
+        raise SpectrumError(f"alignment must be a list of numbers: {exc}") from None
+    alignment = Alignment(energies, doc.get("residual_energy", 0.0))
     noise = NoiseModel(doc.get("noise_variance", 0.0))
     if not alignment.matches(spectrum):
         raise SpectrumError("alignment length must equal the number of spectrum blocks")

@@ -31,7 +31,6 @@ __all__ = [
     "SphereKernel",
     "SphereTarget",
     "dim_spherical",
-    "gegenbauer_eval",
     "kernel_from_gaps",
     "kernel_eigencoeffs",
     "sample_sphere",
@@ -160,10 +159,6 @@ class GegenbauerBasis:
 @lru_cache(maxsize=32)
 def _cached_basis(d: int, kmax: int) -> GegenbauerBasis:
     return GegenbauerBasis(d=d, kmax=kmax)
-
-
-def gegenbauer_eval(basis: GegenbauerBasis, k: int, t) -> np.ndarray:
-    return basis.eval(k, t)
 
 
 @dataclass(frozen=True)

@@ -1,9 +1,41 @@
+import contextlib
+import io
 import json
+import math
+import os
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import krrdeteq
 from krrdeteq.cli import main
+from krrdeteq.harness import FIELD_TYPES, KIND_FIELDS
+
+SUBCOMMANDS = ("simulate", "sphere", "gcv-sweep", "probe-functionals", "estimate", "deteq")
+POWER_LAW = {"kind": "power_law", "exponent": 2.0, "size": 30}
+SIMULATE = {"kind": "gaussian_curve", "spectrum": POWER_LAW, "n_grid": [8], "lambda": 0.1}
+SPHERE = {"kind": "sphere_curve", "d": 10, "gap": 8.0, "levels": 2, "n_grid": [8], "lambda": 0.0}
+GCV = {"kind": "gcv_sweep", "spectrum": POWER_LAW, "noise_variance": 0.1, "n": 12, "lambda_grid": [0.1, 1.0]}
+PROBE = {"kind": "functional_probe", "spectrum": POWER_LAW, "lambda": 0.5, "n_grid": [5], "reps": 2}
+ESTIMATE = {"kind": "estimate_and_predict", "spectrum": POWER_LAW, "holdout": 40, "n_grid": [8], "lambda": 0.05}
+DETEQ = {
+    "blocks": [[1.0, 30]],
+    "alignment": [1.0],
+    "residual_energy": 0.0,
+    "noise_variance": 0.0,
+    "lambda": 0.0,
+    "n_grid": [10, 50],  # rank 30 <= 50: the second row fails
+}
+RANK_ERROR = (
+    '"error: SpectrumError: lambda = 0 requires spectrum rank > n, '
+    'otherwise the effective-regularization fixed point has no positive solution"'
+)
 
 
 def write_config(tmp_path, doc, name="config.json"):
@@ -205,3 +237,138 @@ class TestExperimentCommands:
         )
         out = tmp_path / "c.csv"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
+
+
+def without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
+class TestConfigValidation:
+    @pytest.mark.parametrize(
+        "command,doc,needle",
+        [
+            ("simulate", [1, 2], "JSON object"),
+            ("deteq", [1, 2], "JSON object"),
+            ("simulate", {**SIMULATE, "reps": "3"}, "'reps'"),
+            ("simulate", {**SIMULATE, "lambda": -0.1}, "lambda"),
+            ("simulate", {**SIMULATE, "lambda": math.inf}, "lambda"),
+            ("simulate", {**SIMULATE, "lambda": math.nan}, "lambda"),
+            ("gcv-sweep", {**GCV, "lambda_grid": [-0.1, 1.0]}, "lambda_grid"),
+            ("simulate", {**SIMULATE, "gap": 8.0}, "'gap'"),
+            ("simulate", {**SIMULATE, "holdout": 100}, "'holdout'"),
+            ("deteq", without(DETEQ, "alignment"), "'alignment'"),
+            ("deteq", without(DETEQ, "blocks"), "'blocks'"),
+            ("deteq", without(DETEQ, "n_grid"), "'n'"),
+            ("deteq", {**DETEQ, "lambda": -1}, "lambda"),
+        ],
+    )
+    def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, doc, needle):
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "rows.csv"
+        assert main([command, "--config", str(config), "--out", str(out)]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
+        assert not out.exists()
+
+
+# Any JSON value, built mostly from config field names and kind names so that
+# documents reach the field checks; every size is at most 50.
+_WORDS = sorted(KIND_FIELDS) + ["power_law", "blocks", "random_unit", "energies", "identity", "rank_one"]
+_KEYS = st.sampled_from(sorted(FIELD_TYPES) + ["exponent", "size", "values"]) | st.text(max_size=3)
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers(-5, 50)
+    | st.floats(-50, 50)
+    | st.sampled_from([math.inf, -math.inf, math.nan])
+    | st.sampled_from(_WORDS)
+    | st.text(max_size=4)
+)
+_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=5) | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=12,
+)
+
+
+VALID = dict(zip(SUBCOMMANDS, (SIMULATE, SPHERE, GCV, PROBE, ESTIMATE, DETEQ)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    command=st.sampled_from(SUBCOMMANDS),
+    doc=st.dictionaries(_KEYS, _VALUES, max_size=8) | _VALUES,
+    on_valid=st.booleans(),
+)
+def test_any_json_document_exits_0_1_or_2(command, doc, on_valid):
+    if on_valid and isinstance(doc, dict):
+        doc = {**VALID[command], **doc}  # a valid config with some fields replaced
+    with tempfile.TemporaryDirectory() as tmp:
+        config = os.path.join(tmp, "config.json")
+        with open(config, "w") as handle:
+            json.dump(doc, handle)
+        with contextlib.redirect_stderr(io.StringIO()):
+            code = main([command, "--config", config, "--out", os.path.join(tmp, "rows.csv")])
+    assert code in (0, 1, 2)
+
+
+class TestRowFormat:
+    """Failure rows hold only inputs, nan and the status text, so their bytes do not depend on BLAS."""
+
+    def test_deteq_failure_row_and_stderr(self, tmp_path, capsys):
+        config = write_config(tmp_path, DETEQ)
+        out = tmp_path / "pred.csv"
+        assert main(["deteq", "--config", str(config), "--out", str(out)]) == 2
+        assert out.read_text().splitlines()[2] == "deteq,50,0.0,nan,nan,nan,0,0,nan,nan," + RANK_ERROR
+        assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
+
+    def test_simulate_failure_row(self, tmp_path):
+        # lambda = 0 with rank 2 < n = 5: the prediction fails, and every fit
+        # fails its rank check because of the 1e-300 eigenvalue
+        doc = {
+            "kind": "gaussian_curve",
+            "spectrum": {"kind": "blocks", "blocks": [[1.0, 1], [1e-300, 1]]},
+            "target": {"kind": "energies", "values": [1.0, 0.0]},
+            "n_grid": [5],
+            "lambda": 0.0,
+            "reps": 2,
+        }
+        config = write_config(tmp_path, doc)
+        out = tmp_path / "curve.csv"
+        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
+        assert out.read_text().splitlines()[1] == "gaussian_curve,5,0.0,nan,nan,nan,2,0,nan,nan," + RANK_ERROR
+
+
+BENCH = Path(__file__).resolve().parents[1] / "bench"
+# one small config per benchmark workload, keyed by workload name
+SPAN_CONFIGS = {"gcv-sweep": GCV, "sphere-curve": SPHERE, "deteq-grid": DETEQ, "probe-identity": PROBE}
+# runs one workload's subcommand with the benchmark's tracer installed, as bench/child.py does
+SPAN_SCRIPT = """
+import json, sys
+import krrdeteq.cli as cli
+import tracing, workloads
+name, config, out = sys.argv[1:]
+tracer = tracing.Tracer()
+tracing.install(tracer)
+tracer.wrap("cli.main", cli.main)([workloads.WORKLOADS[name].subcommand, "--config", config, "--out", out])
+fired = {span[0] for span in tracer.spans}
+print(json.dumps([s for s in workloads.WORKLOADS[name].spans if s not in fired]))
+"""
+
+
+@pytest.mark.parametrize("workload", sorted(SPAN_CONFIGS))
+def test_benchmark_spans_fire(tmp_path, workload):
+    """Every span the benchmark declares for a workload is still called by the CLI."""
+    config = write_config(tmp_path, SPAN_CONFIGS[workload])
+    src = str(Path(krrdeteq.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(BENCH)]), "OPENBLAS_NUM_THREADS": "1"}
+    proc = subprocess.run(
+        [sys.executable, "-c", SPAN_SCRIPT, workload, str(config), str(tmp_path / "rows.csv")],
+        env=env,
+        cwd=tmp_path,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == []

@@ -11,9 +11,9 @@ from krrdeteq.functionals import (
     deterministic_functionals,
     empirical_functionals,
     functional_report,
-    probe_to_csv,
     sample_gaussian_features,
 )
+from krrdeteq.harness import ExperimentResult, emit_results
 from krrdeteq.spectrum import Spectrum, SpectrumError
 
 
@@ -170,7 +170,7 @@ class TestConvergenceProbe:
         s = Spectrum.power_law(2.0, 20)
         rows = convergence_probe(s, [5], 0.5, reps=2, seed=1)
         path = tmp_path / "probe.csv"
-        probe_to_csv(rows, path)
+        emit_results(ExperimentResult(rows, "probe"), "csv", path)
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,functional_index,median_rel_err,q25,q75,reps,seed"
         assert len(lines) == 5
