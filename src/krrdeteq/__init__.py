@@ -18,6 +18,7 @@ from .deteq import (
 from .estimation import EstimatedDecomposition, estimate_spectrum, plugin_risk_curve
 from .functionals import (
     FeatureSample,
+    IdentityMatrix,
     RiskMatrix,
     convergence_probe,
     deterministic_functionals,

@@ -48,7 +48,9 @@ def _add_common(sub):
     sub.add_argument("--config", required=True, help="path to the experiment JSON config")
     sub.add_argument("--out", default=None, help="output path (overrides config output_path)")
     sub.add_argument("--format", choices=("csv", "json"), default="csv")
-    sub.add_argument("--threads", type=int, default=None, help="worker count (default: KRRDETEQ_THREADS or 1)")
+    sub.add_argument(
+        "--threads", type=int, default=None, help="worker count (default: KRRDETEQ_THREADS, else config threads, else 1)"
+    )
     sub.add_argument("--seed", type=int, default=None, help="root seed (overrides config)")
 
 
@@ -61,11 +63,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _default_threads(value) -> int:
-    if value is not None:
-        return max(int(value), 1)
-    env = os.environ.get("KRRDETEQ_THREADS")
-    return max(int(env), 1) if env else 1
+def _threads_override(value) -> int | None:
+    """--threads, else KRRDETEQ_THREADS; None leaves the config's own threads (default 1)."""
+    if value is None:
+        value = os.environ.get("KRRDETEQ_THREADS") or None
+    return None if value is None else max(int(value), 1)
 
 
 MODEL_FIELDS = ("blocks", "alignment", "residual_energy", "noise_variance")
@@ -115,7 +117,7 @@ def main(argv=None) -> int:
             out = args.out or doc.get("output_path")
         else:
             config = ExperimentConfig.from_dict(doc, kind=SUBCOMMAND_KIND[args.command])
-            config = config.with_overrides(seed=args.seed, threads=_default_threads(args.threads))
+            config = config.with_overrides(seed=args.seed, threads=_threads_override(args.threads))
             result = run_experiment(config)
             out = args.out or config.output_path
         if out is None:

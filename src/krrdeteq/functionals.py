@@ -15,6 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotri
 
 from .deteq import solve_effective_reg
 from .seeds import derive_rng, map_tasks
@@ -24,6 +25,7 @@ __all__ = [
     "FeatureSample",
     "FunctionalReport",
     "RiskMatrix",
+    "IdentityMatrix",
     "sample_gaussian_features",
     "empirical_functionals",
     "deterministic_functionals",
@@ -32,6 +34,8 @@ __all__ = [
 
 # primal (p x p) factorization up to this aspect ratio, dual (n x n) beyond
 PRIMAL_RATIO = 4
+# rows (or columns) per block when R is mirrored or reduced, which bounds the temporaries
+_BLOCK = 256
 
 
 @dataclass(frozen=True)
@@ -77,6 +81,13 @@ class RiskMatrix:
 
 
 @dataclass(frozen=True)
+class IdentityMatrix:
+    """The size x size identity test matrix, kept structured: no p x p array is formed for it."""
+
+    size: int
+
+
+@dataclass(frozen=True)
 class FunctionalReport:
     """Empirical values, predictions, and relative errors for one sample."""
 
@@ -94,20 +105,71 @@ def sample_gaussian_features(spectrum: Spectrum, n: int, seed) -> FeatureSample:
     return FeatureSample(matrix=z * sqrt_sigma, covariance=spectrum, seed=seed_val)
 
 
-def _symmetrize(a: np.ndarray) -> np.ndarray:
-    a = np.asarray(a, dtype=float)
-    return 0.5 * (a + a.T)
+def _check_test_matrix(a, p: int):
+    """``a`` as a RiskMatrix, IdentityMatrix or dense float array; SpectrumError unless it is p x p."""
+    if isinstance(a, RiskMatrix):
+        shape = (a.beta.size, a.beta.size)
+    elif isinstance(a, IdentityMatrix):
+        shape = (a.size, a.size)
+    else:
+        a = np.asarray(a, dtype=float)
+        shape = a.shape
+    if shape != (p, p):
+        raise SpectrumError("test matrix dimension mismatch")
+    return a
+
+
+def _mirror_lower(r: np.ndarray) -> np.ndarray:
+    """Copy the lower triangle of square ``r`` onto its upper triangle in place, a column block at a time."""
+    p = r.shape[0]
+    for j0 in range(0, p, _BLOCK):
+        j1 = min(j0 + _BLOCK, p)
+        diag = r[j0:j1, j0:j1]
+        upper = np.triu_indices(j1 - j0, 1)
+        diag[upper] = diag.T[upper]
+        r[j0:j1, j1:] = r[j1:, j0:j1].T
+    return r
 
 
 def _resolvent(x: np.ndarray, lam: float) -> np.ndarray:
-    """R = (X^T X + lam)^-1, via p x p Cholesky or the n x n dual form."""
+    """R = (X^T X + lam)^-1; R is the only p x p array formed here.
+
+    Primal (p <= PRIMAL_RATIO n): Cholesky of X^T X + lam, inverted in place by
+    LAPACK potri.  Dual: (I - X^T (X X^T + lam)^-1 X) / lam, built in place.
+    """
     n, p = x.shape
     if p <= PRIMAL_RATIO * n:
-        factor = cho_factor(x.T @ x + lam * np.eye(p), lower=True)
-        return cho_solve(factor, np.eye(p))
-    factor = cho_factor(x @ x.T + lam * np.eye(n), lower=True)
-    gx = cho_solve(factor, x)
-    return (np.eye(p) - x.T @ gx) / lam
+        gram = x.T @ x
+        gram.ravel()[:: p + 1] += lam
+        # gram is symmetric: its transpose is the same matrix in the Fortran
+        # order LAPACK overwrites without a copy
+        factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True)
+        r, info = dpotri(factor, lower=lower, overwrite_c=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potri failed with info {info}")
+        return _mirror_lower(r).T
+    gram = x @ x.T
+    gram.ravel()[:: n + 1] += lam
+    gx = cho_solve(cho_factor(gram, lower=True, overwrite_a=True), x)
+    r = x.T @ gx
+    np.negative(r, out=r)
+    r.ravel()[:: p + 1] += 1.0
+    r /= lam
+    return r
+
+
+def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """(sum_ij s_i r_ij^2, sum_ij s_i s_j r_ij^2), one row block at a time.
+
+    For symmetric R these are Tr(S R^2) and ||S^1/2 R S^1/2||_F^2.
+    """
+    first = second = 0.0
+    for i0 in range(0, r.shape[0], _BLOCK):
+        sq = np.square(r[i0 : i0 + _BLOCK])
+        s = sigma[i0 : i0 + _BLOCK]
+        first += float(s @ sq.sum(axis=1))
+        second += float(s @ (sq @ sigma))
+    return first, second
 
 
 def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, float, float, float]:
@@ -116,13 +178,15 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi1 = Tr(A S^1/2 R S^1/2)          phi2 = Tr((X^T X / n) R)
     phi3 = Tr(A S^1/2 R S R S^1/2)      phi4 = Tr(A S^1/2 R (X^T X / n) R S^1/2)
 
-    ``a`` is a dense symmetric p.s.d. array or a RiskMatrix.  phi4 uses
-    X^T X = (X^T X + lam) - lam, so only R and R^2 contractions are needed.
+    ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
+    phi4 uses X^T X = (X^T X + lam) - lam, so only R and R^2 contractions are
+    needed.
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
     x = sample.matrix
     n, p = x.shape
+    a = _check_test_matrix(a, p)
     sigma = sample.covariance.expand()
     sqrt_sigma = np.sqrt(sigma)
 
@@ -131,30 +195,22 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi2 = (p - lam * float(np.trace(r))) / n
 
     if isinstance(a, RiskMatrix):
-        if a.beta.size != p:
-            raise SpectrumError("test matrix dimension mismatch")
         u = a.beta / sqrt_sigma
         ru = r @ u
         phi1 = float(u @ ru)
         phi3 = float(np.dot(sigma, ru * ru))
         phi4 = (phi1 - lam * float(ru @ ru)) / n
+    elif isinstance(a, IdentityMatrix):
+        phi1 = float(np.dot(sigma, np.diagonal(r)))
+        tr_sr2, phi3 = _weighted_squares(r, sigma)  # Tr(S R^2), Tr(M^2) with M = S^1/2 R S^1/2
+        phi4 = (phi1 - lam * tr_sr2) / n
     else:
-        a = _symmetrize(a)
-        if a.shape != (p, p):
-            raise SpectrumError("test matrix dimension mismatch")
         m = sqrt_sigma[:, None] * r * sqrt_sigma[None, :]
-        if np.count_nonzero(a) == 0:
-            return 0.0, phi2, 0.0, 0.0
-        if np.array_equal(a, np.eye(p)):
-            phi1 = float(np.trace(m))
-            phi3 = float((m * m).sum())  # Tr(M^2) = ||M||_F^2, M symmetric
-            tr_ar2 = float(((sqrt_sigma[:, None] * r) ** 2).sum())  # Tr(S R^2)
-        else:
-            am = a @ m
-            phi1 = float(np.trace(am))
-            phi3 = float((am * m.T).sum())  # Tr(A M M)
-            sa = sqrt_sigma[:, None] * a * sqrt_sigma[None, :]
-            tr_ar2 = float(((sa @ r) * r).sum())  # Tr(S^1/2 A S^1/2 R R)
+        am = a @ m
+        phi1 = float(np.trace(am))
+        phi3 = float((am * m.T).sum())  # Tr(A M M)
+        sa = sqrt_sigma[:, None] * a * sqrt_sigma[None, :]
+        tr_ar2 = float(((sa @ r) * r).sum())  # Tr(S^1/2 A S^1/2 R R)
         phi4 = (phi1 - lam * tr_ar2) / n
     for name, val in (("phi1", phi1), ("phi2", phi2), ("phi3", phi3), ("phi4", phi4)):
         if not math.isfinite(val):
@@ -176,18 +232,15 @@ def deterministic_functionals(
     sigma = spectrum.expand()
     denom = 1.0 - eff.upsilon2
     psi2 = eff.upsilon1
+    a = _check_test_matrix(a, sigma.size)
     if isinstance(a, RiskMatrix):
-        if a.beta.size != sigma.size:
-            raise SpectrumError("test matrix dimension mismatch")
         b2 = a.beta**2
         psi1 = float(np.sum(b2 / (sigma * (mu * sigma + lam))))
         psi3 = float(np.sum(b2 / (mu * sigma + lam) ** 2)) / denom
         psi4 = float(np.sum(b2 / (sigma + ls) ** 2)) / (n * n * denom)
     else:
-        a = _symmetrize(a)
-        if a.shape != (sigma.size, sigma.size):
-            raise SpectrumError("test matrix dimension mismatch")
-        diag_a = np.diag(a)
+        # only the diagonal of A enters; Tr(A D) = Tr(A^T D) for diagonal D
+        diag_a = np.ones(sigma.size) if isinstance(a, IdentityMatrix) else np.diagonal(a)
         psi1 = float(np.dot(diag_a, sigma / (mu * sigma + lam)))
         psi3 = float(np.dot(diag_a, sigma**2 / (mu * sigma + lam) ** 2)) / denom
         psi4 = float(np.dot(diag_a, sigma**2 / (sigma + ls) ** 2)) / (n * n * denom)
@@ -206,14 +259,14 @@ def _probe_task(spectrum, lam, a_choice, seed, task):
     rng = derive_rng(seed, 101, n_index, rep)
     sample = sample_gaussian_features(spectrum, n, rng)
     p = spectrum.total_rank
-    if a_choice == "identity":
-        a = np.eye(p)
+    if isinstance(a_choice, (np.ndarray, RiskMatrix, IdentityMatrix)):
+        a = a_choice
+    elif a_choice == "identity":
+        a = IdentityMatrix(p)
     elif a_choice == "rank_one":
         beta = np.zeros(p)
         beta[0] = 1.0
         a = RiskMatrix(beta)
-    elif isinstance(a_choice, (np.ndarray, RiskMatrix)):
-        a = a_choice
     else:
         raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
     return functional_report(sample, lam, a).rel_err

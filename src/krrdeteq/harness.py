@@ -121,6 +121,8 @@ class ExperimentConfig:
             raise ConfigError(f"unknown experiment kind {self.kind!r}")
         if self.reps < 1:
             raise ConfigError("reps must be >= 1")
+        if self.threads < 1:
+            raise ConfigError("threads must be >= 1")
         check_nonnegative("lambda", self.lam)
         for lam in self.lambda_grid:
             check_nonnegative("every lambda_grid entry", lam)

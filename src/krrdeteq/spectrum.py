@@ -50,7 +50,9 @@ class Spectrum:
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
-        mults = np.asarray(self.multiplicities, dtype=np.int64)
+        raw = np.asarray(self.multiplicities)
+        with np.errstate(invalid="ignore"):  # nan, inf and huge floats cast to garbage, rejected below
+            mults = raw.astype(np.int64, copy=False)
         if values.ndim != 1 or mults.ndim != 1 or values.size != mults.size:
             raise SpectrumError("values and multiplicities must be matching 1-d sequences")
         if values.size == 0:
@@ -59,6 +61,8 @@ class Spectrum:
             raise SpectrumError("eigenvalues must be finite and strictly positive")
         if np.any(values[1:] > values[:-1] * (1 + 1e-15)):
             raise SpectrumError("eigenvalues must be nonincreasing across blocks")
+        if not np.array_equal(mults, raw):
+            raise SpectrumError("multiplicities must be integers")
         if np.any(mults < 1):
             raise SpectrumError("multiplicities must be positive integers")
         object.__setattr__(self, "values", values)
@@ -72,10 +76,9 @@ class Spectrum:
         try:
             blocks = list(blocks)
             values = np.array([b[0] for b in blocks], dtype=float)
-            multiplicities = np.array([b[1] for b in blocks], dtype=np.int64)
+            return cls(values=values, multiplicities=np.asarray([b[1] for b in blocks]))
         except (TypeError, LookupError, OverflowError) as exc:
             raise SpectrumError(f"blocks must be (eigenvalue, multiplicity) pairs: {exc}") from None
-        return cls(values=values, multiplicities=multiplicities)
 
     @classmethod
     def power_law(cls, exponent: float, size: int) -> "Spectrum":

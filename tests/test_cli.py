@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import krrdeteq
+import krrdeteq.cli as cli
 from krrdeteq.cli import main
 from krrdeteq.harness import FIELD_TYPES, KIND_FIELDS
 
@@ -238,6 +239,29 @@ class TestExperimentCommands:
         out = tmp_path / "c.csv"
         assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
 
+    @pytest.mark.parametrize(
+        "config_threads,env,flag,expected",
+        [
+            (None, None, None, 1),
+            (2, None, None, 2),
+            (2, "3", None, 3),
+            (2, "3", "1", 1),
+        ],
+    )
+    def test_threads_precedence(self, tmp_path, monkeypatch, config_threads, env, flag, expected):
+        """--threads, then KRRDETEQ_THREADS, then the config's threads, then 1."""
+        seen = []
+        run = cli.run_experiment
+        monkeypatch.setattr(cli, "run_experiment", lambda config: seen.append(config.threads) or run(config))
+        if env is None:
+            monkeypatch.delenv("KRRDETEQ_THREADS", raising=False)
+        else:
+            monkeypatch.setenv("KRRDETEQ_THREADS", env)
+        doc = SIMULATE if config_threads is None else {**SIMULATE, "threads": config_threads}
+        argv = ["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "c.csv")]
+        assert main(argv + (["--threads", flag] if flag else [])) == 0
+        assert seen == [expected]
+
 
 def without(doc, *keys):
     return {k: v for k, v in doc.items() if k not in keys}
@@ -260,6 +284,8 @@ class TestConfigValidation:
             ("deteq", without(DETEQ, "blocks"), "'blocks'"),
             ("deteq", without(DETEQ, "n_grid"), "'n'"),
             ("deteq", {**DETEQ, "lambda": -1}, "lambda"),
+            ("deteq", {**DETEQ, "blocks": [[1.0, 2.7]]}, "multiplicities must be integers"),
+            ("simulate", {**SIMULATE, "threads": 0}, "threads"),
         ],
     )
     def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, doc, needle):

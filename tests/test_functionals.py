@@ -6,7 +6,9 @@ import pytest
 from krrdeteq.deteq import solve_effective_reg
 from krrdeteq.functionals import (
     FeatureSample,
+    IdentityMatrix,
     RiskMatrix,
+    _resolvent,
     convergence_probe,
     deterministic_functionals,
     empirical_functionals,
@@ -100,6 +102,27 @@ class TestEmpiricalFunctionals:
         dual = (np.trace(a @ np.diag(s.expand())) - np.trace(a @ s_half @ x.T @ g @ x @ s_half)) / lam
         assert phi1 == pytest.approx(dual, rel=1e-8)
 
+    @pytest.mark.parametrize("n,p", [(12, 5), (100, 300), (4, 40), (20, 300)])  # primal x2, dual x2
+    def test_identity_matrix_matches_dense_oracle(self, rng, n, p):
+        s = Spectrum.power_law(1.3, p)
+        sample = sample_gaussian_features(s, n, rng)
+        phi = empirical_functionals(sample, 0.7, IdentityMatrix(p))
+        ref = reference_functionals(sample.matrix, s.expand(), 0.7, np.eye(p))
+        np.testing.assert_allclose(phi, ref, rtol=1e-9)
+        np.testing.assert_allclose(phi, empirical_functionals(sample, 0.7, np.eye(p)), rtol=1e-12)
+
+    @pytest.mark.parametrize("n,p", [(12, 5), (100, 300), (700, 600)])
+    def test_primal_resolvent_is_exact_symmetric_inverse(self, rng, n, p):
+        # p = 300 and 600 span two and three mirror blocks
+        x = rng.standard_normal((n, p))
+        r = _resolvent(x, 0.3)
+        assert np.array_equal(r, r.T)
+        np.testing.assert_allclose(r, np.linalg.inv(x.T @ x + 0.3 * np.eye(p)), rtol=1e-10, atol=1e-13)
+
+    def test_dual_resolvent_matches_inverse(self, rng):
+        x = rng.standard_normal((10, 60))
+        np.testing.assert_allclose(_resolvent(x, 0.3), np.linalg.inv(x.T @ x + 0.3 * np.eye(60)), rtol=1e-9, atol=1e-12)
+
     def test_rejects_bad_inputs(self, rng):
         s = Spectrum.power_law(1.0, 4)
         sample = sample_gaussian_features(s, 3, rng)
@@ -109,6 +132,9 @@ class TestEmpiricalFunctionals:
             empirical_functionals(sample, 1.0, np.eye(5))
         with pytest.raises(SpectrumError):
             FeatureSample(matrix=np.zeros((2, 3)), covariance=Spectrum.power_law(1.0, 4))
+        for a in (IdentityMatrix(5), RiskMatrix(np.ones(5)), np.eye(4)[:, :3]):
+            with pytest.raises(SpectrumError, match="dimension mismatch"):
+                empirical_functionals(sample, 1.0, a)
 
 
 class TestDeterministicFunctionals:
@@ -117,6 +143,27 @@ class TestDeterministicFunctionals:
         psi = deterministic_functionals(s, 100, 1.0, np.eye(200))
         ls = (101 + math.sqrt(10601)) / 200
         assert psi[1] == pytest.approx(1 - 1 / (100 * ls), rel=1e-10)
+
+    def test_identity_matrix_equals_dense_identity(self):
+        s = Spectrum.power_law(1.5, 300)
+        for n, lam in ((50, 0.2), (500, 1e-3)):
+            psi = deterministic_functionals(s, n, lam, IdentityMatrix(300))
+            np.testing.assert_allclose(psi, deterministic_functionals(s, n, lam, np.eye(300)), rtol=1e-14)
+
+    def test_dense_matrix_reads_only_its_diagonal(self, rng):
+        s = Spectrum.power_law(2.0, 12)
+        b = rng.standard_normal((12, 12))
+        a = b @ b.T
+        skew = np.triu(rng.standard_normal((12, 12)), 1)
+        expected = deterministic_functionals(s, 6, 0.3, np.diag(np.diag(a)))
+        assert deterministic_functionals(s, 6, 0.3, a) == expected
+        assert deterministic_functionals(s, 6, 0.3, a + skew) == expected
+
+    def test_rejects_size_mismatch(self):
+        s = Spectrum.power_law(2.0, 12)
+        for a in (IdentityMatrix(11), RiskMatrix(np.ones(13)), np.eye(12)[:, :11], np.ones(12)):
+            with pytest.raises(SpectrumError, match="dimension mismatch"):
+                deterministic_functionals(s, 6, 0.3, a)
 
     def test_zero_matrix(self):
         s = Spectrum.from_blocks([(1.0, 10)])
@@ -158,6 +205,13 @@ class TestConvergenceProbe:
         for row in rows1:
             assert set(row) == {"n", "functional_index", "median_rel_err", "q25", "q75", "reps", "seed"}
             assert row["q25"] <= row["median_rel_err"] <= row["q75"]
+
+    def test_identity_choice_matches_dense_identity(self):
+        s = Spectrum.power_law(2.0, 30)
+        rows = convergence_probe(s, [5, 10], 0.5, a_choice="identity", reps=3, seed=4)
+        dense = convergence_probe(s, [5, 10], 0.5, a_choice=np.eye(30), reps=3, seed=4)
+        for row, ref in zip(rows, dense):
+            assert row["median_rel_err"] == pytest.approx(ref["median_rel_err"], rel=1e-9)
 
     def test_rank_one_choice_runs(self):
         s = Spectrum.power_law(2.0, 30)

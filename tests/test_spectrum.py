@@ -40,6 +40,18 @@ class TestSpectrumType:
         with pytest.raises(SpectrumError):
             Spectrum(np.array([1.0]), np.array([0]))
 
+    @pytest.mark.parametrize("mult", [2.7, 0.5, math.nan, math.inf, 1e30])
+    def test_rejects_non_integral_multiplicity(self, mult):
+        with pytest.raises(SpectrumError, match="integers"):
+            Spectrum.from_blocks([(2.0, 3), (1.0, mult)])
+        with pytest.raises(SpectrumError, match="integers"):
+            Spectrum(np.array([1.0]), np.array([mult]))
+
+    def test_integral_float_multiplicity_accepted(self):
+        s = Spectrum.from_blocks([(2.0, 3.0), (1.0, 2)])
+        assert s.multiplicities.dtype == np.int64
+        assert s.multiplicities.tolist() == [3, 2]
+
     def test_head_tail_traces_match_expanded(self, rng):
         s = random_spectrum(rng)
         expanded = s.expand()
