@@ -31,7 +31,6 @@ __all__ = [
 
 RESIDUAL_RTOL = 1e-12
 DENOM_FLOOR = 1e-12
-MAX_BISECT = 200
 MAX_NEWTON = 50
 
 
@@ -77,81 +76,49 @@ class DetEquivalents:
         return json.dumps(doc, sort_keys=True)
 
 
-def _defect(spectrum: Spectrum, n: int, lam: float, ls: float) -> float:
-    t1, _ = trace_resolvents(spectrum, ls)
-    return n - lam / ls - t1
-
-
-def _solve_fixed_point(spectrum: Spectrum | None, n: int, lam: float) -> EffectiveReg:
-    """Safeguarded bisection + Newton on the monotone defect function.
-
-    ``spectrum`` may be None (empty top part of a truncated model), in which
-    case the root is exactly lam / n.
-    """
+def _check_problem(n: int, lam: float) -> None:
     if not (math.isfinite(lam) and lam >= 0):
         raise SpectrumError("regularization must be finite and nonnegative")
     if n < 1:
         raise SpectrumError("n must be a positive integer")
-    if spectrum is None:
-        if lam <= 0:
-            raise FixedPointError("no positive fixed point: empty spectrum and lambda = 0")
-        ls = lam / n
-        return EffectiveReg(ls, lam / ls, 0.0, 0.0, 0.0)
 
-    trace = spectrum.trace
+
+def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
+    """Solve the effective-regularization fixed point for (n, spectrum, lam).
+
+    The defect g(s) = n - lam/s - sum_k m_k xi_k/(xi_k + s) is increasing and
+    concave in s, so Newton's method started left of the root rises
+    monotonically to it and never overshoots.  The start is lam/n (where
+    g = -T1 < 0), or 1e-300 * trace/n when lam = 0.  Each step is taken
+    relative to s, s *= 1 - g / (s g'(s)), which stays finite for subnormal
+    lam.  The iteration stops once |g| <= 1e-14 * n or the step no longer
+    moves s; the returned root carries the certificate |residual| <= 1e-12 * n
+    and its Upsilons from the same evaluation, or FixedPointError is raised.
+    """
+    _check_problem(n, lam)
     if lam == 0 and spectrum.total_rank <= n:
         raise FixedPointError(
             f"no positive fixed point: lambda = 0 with rank {spectrum.total_rank} <= n = {n}"
         )
-
-    lo = lam / n if lam > 0 else 1e-300 * trace / n
-    hi = (lam + trace) / n
     tol = RESIDUAL_RTOL * n
-
-    # g is strictly increasing with g(lo) <= 0 <= g(hi)
-    g = lambda ls: _defect(spectrum, n, lam, ls)
-    a, b = lo, hi
-    ls = 0.5 * (a + b)
-    best, best_res = ls, abs(g(ls))
-    for _ in range(MAX_BISECT):
-        val = g(ls)
-        if abs(val) < best_res:
-            best, best_res = ls, abs(val)
-        if abs(val) <= tol:
-            break
-        if val < 0:
-            a = ls
-        else:
-            b = ls
-        ls = 0.5 * (a + b)
-
-    # Newton polish inside the certified bracket
-    ls = best
+    # lam/n underflows to 0 for the smallest subnormal lam
+    nxt = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
     for _ in range(MAX_NEWTON):
-        val = g(ls)
-        if abs(val) < best_res:
-            best, best_res = ls, abs(val)
-        if abs(val) <= 0.01 * tol:
+        ls = nxt
+        t1, t2 = trace_resolvents(spectrum, ls)
+        residual = n - lam / ls - t1
+        if abs(residual) <= 0.01 * tol:
             break
-        # g'(ls) = lam/ls^2 + sum_k m_k xi_k/(xi_k+ls)^2 > 0
-        slope = lam / ls**2 + float(
+        # s g'(s) = lam/s + s sum_k m_k xi_k/(xi_k+s)^2 > 0
+        scaled_slope = lam / ls + ls * float(
             np.dot(spectrum.multiplicities, spectrum.values / (spectrum.values + ls) ** 2)
         )
-        step = val / slope
-        nxt = ls - step
-        if not (a < nxt < b):
-            nxt = 0.5 * (a + b)
-        if val < 0:
-            a = ls
-        else:
-            b = ls
-        ls = nxt
-
-    ls = best
-    residual = g(ls)
+        nxt = ls * (1.0 - residual / scaled_slope)
+        # no progress, or a step past 0 from a start right of a root below 5e-324
+        if nxt == ls or not nxt > 0:
+            break
     if abs(residual) > tol:
         raise FixedPointError(f"fixed point did not converge: residual {residual:.3e}")
-    t1, t2 = trace_resolvents(spectrum, ls)
     return EffectiveReg(
         lambda_star=ls,
         mu_star=lam / ls,
@@ -159,16 +126,6 @@ def _solve_fixed_point(spectrum: Spectrum | None, n: int, lam: float) -> Effecti
         upsilon2=t2 / n,
         residual=residual,
     )
-
-
-def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
-    """Solve the effective-regularization fixed point for (n, spectrum, lam).
-
-    The root is bracketed in [lam/n, (lam + trace)/n] where the monotone
-    defect provably changes sign; the returned certificate satisfies
-    |defect| <= 1e-12 * n.
-    """
-    return _solve_fixed_point(spectrum, n, lam)
 
 
 def isotropic_effective_reg(xi: float, p: int, n: int, lam: float) -> float:
@@ -250,7 +207,14 @@ def truncated_effective_reg(spectrum: Spectrum, m: int, n: int, lam: float) -> E
         raise SpectrumError(f"m = {m} outside [0, total rank = {spectrum.total_rank}]")
     head, _ = spectrum.split(m)
     lam_plus = lam + spectrum.tail_trace(m)
-    return _solve_fixed_point(head, n, lam_plus)
+    if head is not None:
+        return solve_effective_reg(head, n, lam_plus)
+    # empty head: n - lam_plus / ls = 0
+    _check_problem(n, lam_plus)
+    if lam_plus == 0:
+        raise FixedPointError("no positive fixed point: empty spectrum and lambda = 0")
+    ls = lam_plus / n
+    return EffectiveReg(ls, lam_plus / ls, 0.0, 0.0, 0.0)
 
 
 def truncated_risk_deteq(spec: ModelSpec, m: int) -> float:

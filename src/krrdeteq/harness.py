@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import csv
 import dataclasses
-import hashlib
 import json
 import math
 import warnings
@@ -163,17 +162,6 @@ class ExperimentConfig:
             values = check_entries(tuple(kwargs["energies"].values()), _NUMBER, "energies")
             kwargs["energies"] = {int(k): float(v) for k, v in zip(kwargs["energies"], values)}
         return cls(**kwargs)
-
-    def canonical_json(self) -> str:
-        doc = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        doc["n_grid"] = list(self.n_grid)
-        doc["lambda_grid"] = list(self.lambda_grid)
-        if self.energies is not None:
-            doc["energies"] = {str(k): v for k, v in sorted(self.energies.items())}
-        return json.dumps(doc, sort_keys=True)
-
-    def config_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()[:16]
 
     def with_overrides(self, seed: int | None = None, threads: int | None = None) -> "ExperimentConfig":
         changes = {"seed": seed, "threads": threads}

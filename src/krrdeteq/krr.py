@@ -3,14 +3,13 @@
 All solvers work from the n x n Gram matrix.  Ridge fits at lam > 0 use a
 fresh Cholesky factorization per lambda; the ridgeless path (lam = 0) goes
 through an eigendecomposition with an explicit full-rank check, matching the
-minimum-norm interpolation reading of lambda -> 0.  An eigendecomposition
-based sweep is available as a fast path over lambda grids and is tested for
-agreement with the direct path.
+minimum-norm interpolation reading of lambda -> 0.  ``linear_sweep`` reuses
+one eigendecomposition across a lambda grid for linear features and is tested
+for agreement with the per-lambda direct path.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 import struct
 from dataclasses import dataclass, field
@@ -26,8 +25,7 @@ __all__ = [
     "empirical_stieltjes",
     "gcv",
     "gcv_argmin",
-    "lambda_sweep",
-    "sweep_to_csv",
+    "linear_sweep",
     "test_error_linear_exact",
     "test_error_monte_carlo",
     "write_gram_binary",
@@ -228,34 +226,8 @@ def _sweep_eig(gram: GramMatrix, y: np.ndarray, grid) -> list[dict]:
     return rows
 
 
-def lambda_sweep(gram: GramMatrix, y: np.ndarray, lambda_grid, method: str = "direct") -> list[dict]:
-    """Per-lambda GCV / train error / Stieltjes rows over a grid.
-
-    method="direct" refactorizes at every lambda; method="eig" reuses one
-    eigendecomposition and evaluates each lambda in O(n).
-    """
-    y = np.asarray(y, dtype=float).ravel()
-    grid = [float(v) for v in lambda_grid]
-    if method == "eig":
-        return _sweep_eig(gram, y, grid)
-    if method != "direct":
-        raise KrrError(f"unknown sweep method {method!r}")
-    rows = []
-    for lam in grid:
-        row = {"lambda": lam}
-        try:
-            fit = fit_krr(gram, y, lam)
-            row["gcv"] = gcv(gram, y, lam)
-            row["train_error"] = train_error(fit, y)
-            row["stieltjes"] = empirical_stieltjes(gram, lam) if lam > 0 else math.nan
-        except (KrrError, np.linalg.LinAlgError):
-            row.update({"gcv": math.nan, "train_error": math.nan, "stieltjes": math.nan})
-        rows.append(row)
-    return rows
-
-
 def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0) -> list[dict]:
-    """lambda_sweep plus the exact linear-feature test error per lambda.
+    """GCV, train error, Stieltjes value and exact linear-feature test error per lambda.
 
     One Gram eigendecomposition serves the whole grid; primal coefficients
     come from theta_hat = X^T alpha(lambda) and the test error includes the
@@ -279,23 +251,6 @@ def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0
         diff = theta_star - x.T @ alpha
         row["test_error"] = float(np.dot(sigma, diff * diff)) + float(noise_variance)
     return rows
-
-
-def sweep_to_csv(rows: list[dict], path) -> None:
-    """Write sweep rows with the fixed column set, including test error when present."""
-    with open(path, "w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(["lambda", "gcv", "train_error", "stieltjes", "test_error_if_available"])
-        for row in rows:
-            writer.writerow(
-                [
-                    repr(float(row["lambda"])),
-                    repr(float(row["gcv"])),
-                    repr(float(row["train_error"])),
-                    repr(float(row["stieltjes"])),
-                    repr(float(row.get("test_error", math.nan))),
-                ]
-            )
 
 
 def test_error_linear_exact(sample, theta_star, y, lam: float, noise_variance: float) -> float:

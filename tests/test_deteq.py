@@ -3,7 +3,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
+from krrdeteq import deteq
 from krrdeteq.deteq import (
     FixedPointError,
     deterministic_equivalents,
@@ -12,7 +14,7 @@ from krrdeteq.deteq import (
     truncated_effective_reg,
     truncated_risk_deteq,
 )
-from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, tail_rank
+from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, tail_rank, trace_resolvents
 
 from conftest import random_spectrum
 
@@ -20,6 +22,18 @@ from conftest import random_spectrum
 def certificate(spectrum, n, lam, eff):
     t1 = float(np.dot(spectrum.multiplicities, spectrum.values / (spectrum.values + eff.lambda_star)))
     return n - lam / eff.lambda_star - t1 if lam > 0 else n - t1
+
+
+def brentq_root(spectrum, n, lam):
+    """Reference root of the defect, summed exactly with fsum, by Brent's method."""
+    terms = [(float(v), int(m)) for v, m in zip(spectrum.values, spectrum.multiplicities)]
+
+    def defect(s):
+        return math.fsum([n, -lam / s] + [-m * v / (v + s) for v, m in terms])
+
+    lo = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
+    hi = 2 * (lam + spectrum.trace) / n  # defect(hi) >= n/2 - T1(hi) >= 0
+    return brentq(defect, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=2000)
 
 
 class TestFixedPoint:
@@ -50,6 +64,50 @@ class TestFixedPoint:
             assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
             assert lam / n <= eff.lambda_star <= (lam + s.trace) / n * (1 + 1e-12)
             assert 0.0 <= eff.upsilon2 <= eff.upsilon1 <= 1.0 + 1e-12
+
+    def test_brentq_oracle_random(self, rng):
+        for _ in range(60):
+            s = random_spectrum(rng)
+            n = int(rng.integers(1, 500))
+            lam = float(rng.uniform(0.0, 10.0)) if rng.uniform() < 0.8 else 0.0
+            if lam == 0.0 and s.total_rank <= n:
+                lam = 1e-3
+            eff = solve_effective_reg(s, n, lam)
+            assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-310, 5e-324, 1e300])
+    @pytest.mark.parametrize("n", [1, 10, 100, 1000])
+    def test_brentq_oracle_power_law_extreme_lambda(self, n, lam):
+        # subnormal lam: the step relative to s must stay finite
+        s = Spectrum.power_law(1.5, 3000)
+        eff = solve_effective_reg(s, n, lam)
+        assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10)
+        assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
+        assert abs(eff.residual) <= 1e-12 * n
+
+    def test_subnormal_lambda_root_at_or_below_smallest_float(self):
+        # rank 3: the root 5e-324/(n - 3) is the smallest float at n = 4 and below it at n = 10
+        s = Spectrum.from_blocks([(1.0, 3)])
+        assert solve_effective_reg(s, 4, 5e-324).lambda_star == 5e-324
+        with pytest.raises(FixedPointError, match="did not converge"):
+            solve_effective_reg(s, 10, 5e-324)
+
+    def test_resolvent_evaluations_per_solve(self, monkeypatch):
+        calls = []
+
+        def counted(spectrum, s):
+            calls.append(s)
+            return trace_resolvents(spectrum, s)
+
+        monkeypatch.setattr(deteq, "trace_resolvents", counted)
+        s = Spectrum.power_law(2.0, 20_000)
+        per_solve = []
+        for n in sorted({int(round(v)) for v in np.geomspace(10, 1e4, 16)}):
+            calls.clear()
+            solve_effective_reg(s, n, 1e-3)
+            per_solve.append(len(calls))
+        assert np.mean(per_solve) <= 12
+        assert max(per_solve) <= 30
 
     def test_ridgeless_needs_excess_rank(self):
         with pytest.raises(FixedPointError, match="no positive fixed point"):
@@ -177,10 +235,24 @@ class TestTruncatedModel:
         assert trunc.lambda_star == pytest.approx(full.lambda_star, rel=1e-12)
 
     def test_empty_cut_closed_form(self):
+        # m = 0 leaves no head: the root is (lam + trace) / n, also at lam = 0
         s = Spectrum.from_blocks([(1.0, 7), (0.25, 3)])
-        n, lam = 4, 0.5
-        trunc = truncated_effective_reg(s, 0, n, lam)
-        assert trunc.lambda_star == pytest.approx((lam + s.trace) / n, rel=1e-14)
+        n = 4
+        for lam in (0.5, 0.0):
+            trunc = truncated_effective_reg(s, 0, n, lam)
+            assert trunc.lambda_star == pytest.approx((lam + s.trace) / n, rel=1e-14)
+            assert (trunc.upsilon1, trunc.upsilon2, trunc.residual) == (0.0, 0.0, 0.0)
+
+    def test_empty_cut_rejects_bad_n(self):
+        with pytest.raises(SpectrumError):
+            truncated_effective_reg(Spectrum.from_blocks([(1.0, 3)]), 0, 0, 0.5)
+
+    def test_full_cut_ridgeless_rank_check(self):
+        s = Spectrum.from_blocks([(1.0, 7), (0.25, 3)])
+        with pytest.raises(FixedPointError, match="no positive fixed point"):
+            truncated_effective_reg(s, s.total_rank, 10, 0.0)
+        eff = truncated_effective_reg(s, s.total_rank, 4, 0.0)
+        assert eff.lambda_star == solve_effective_reg(s, 4, 0.0).lambda_star
 
     def test_two_scale_instance_and_bound(self):
         s = Spectrum.from_blocks([(1.0, 50), (0.01, 10000)])

@@ -12,11 +12,9 @@ from krrdeteq.krr import (
     gcv,
     gcv_argmin,
     gram_from_csv,
-    lambda_sweep,
     linear_sweep,
     read_gram_binary,
     read_labels_binary,
-    sweep_to_csv,
     train_error,
     write_gram_binary,
     write_labels_binary,
@@ -194,14 +192,17 @@ class TestGcvArgmin:
 
 class TestSweeps:
     def test_eig_matches_direct(self, rng):
-        gram = random_spd_gram(rng, 12)
-        y = rng.standard_normal(12)
-        grid = [1e-3, 0.1, 1.0, 25.0]
-        direct = lambda_sweep(gram, y, grid, method="direct")
-        fast = lambda_sweep(gram, y, grid, method="eig")
-        for a, b in zip(direct, fast):
-            for key in ("gcv", "train_error", "stieltjes"):
-                assert a[key] == pytest.approx(b[key], rel=1e-8)
+        spectrum = Spectrum.power_law(1.5, 40)
+        sample = sample_gaussian_features(spectrum, 12, rng)
+        theta = rng.standard_normal(40)
+        y = sample.matrix @ theta + 0.1 * rng.standard_normal(12)
+        gram = GramMatrix(sample.matrix @ sample.matrix.T)
+        rows = linear_sweep(sample, theta, y, [1e-3, 0.1, 1.0, 25.0])
+        for row in rows:
+            lam = row["lambda"]
+            assert row["gcv"] == pytest.approx(gcv(gram, y, lam), rel=1e-8)
+            assert row["train_error"] == pytest.approx(train_error(fit_krr(gram, y, lam), y), rel=1e-8)
+            assert row["stieltjes"] == pytest.approx(empirical_stieltjes(gram, lam), rel=1e-8)
 
     def test_linear_sweep_matches_pointwise(self, rng):
         spectrum = Spectrum.power_law(1.5, 40)
@@ -213,20 +214,6 @@ class TestSweeps:
         for row in rows:
             direct = exact_linear_risk(sample, theta, y, row["lambda"], 0.01)
             assert row["test_error"] == pytest.approx(direct, rel=1e-8)
-
-    def test_sweep_csv(self, tmp_path, rng):
-        gram = random_spd_gram(rng, 6)
-        y = rng.standard_normal(6)
-        rows = lambda_sweep(gram, y, [0.1, 1.0])
-        path = tmp_path / "sweep.csv"
-        sweep_to_csv(rows, path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "lambda,gcv,train_error,stieltjes,test_error_if_available"
-        assert len(lines) == 3
-
-    def test_unknown_method(self, rng):
-        with pytest.raises(KrrError):
-            lambda_sweep(GramMatrix(np.eye(2)), np.ones(2), [1.0], method="qr")
 
 
 class TestLinearTestError:
