@@ -31,7 +31,10 @@ __all__ = [
 
 RESIDUAL_RTOL = 1e-12
 DENOM_FLOOR = 1e-12
-MAX_NEWTON = 50
+# From far left of the root, g grows about like log s on spectra spread over
+# many decades and each step multiplies s by only (1 + remaining log-distance):
+# a climb over the whole double range takes about 250 steps.
+MAX_NEWTON = 500
 
 
 class FixedPointError(ArithmeticError):
@@ -109,9 +112,11 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
         residual = n - lam / ls - t1
         if abs(residual) <= 0.01 * tol:
             break
-        # s g'(s) = lam/s + s sum_k m_k xi_k/(xi_k+s)^2 > 0
-        scaled_slope = lam / ls + ls * float(
-            np.dot(spectrum.multiplicities, spectrum.values / (spectrum.values + ls) ** 2)
+        # s g'(s) = lam/s + sum_k m_k xi_k s/(xi_k+s)^2 > 0, as a product of two
+        # ratios in [0, 1]: squaring xi_k + s would underflow for tiny xi_k and s
+        shifted = spectrum.values + ls
+        scaled_slope = lam / ls + float(
+            np.dot(spectrum.multiplicities, (spectrum.values / shifted) * (ls / shifted))
         )
         nxt = ls * (1.0 - residual / scaled_slope)
         # no progress, or a step past 0 from a start right of a root below 5e-324

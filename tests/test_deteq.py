@@ -85,6 +85,27 @@ class TestFixedPoint:
         assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
         assert abs(eff.residual) <= 1e-12 * n
 
+    @pytest.mark.parametrize("lam", [0.0, 1e-300])
+    def test_brentq_oracle_tiny_eigenvalue_block(self, lam):
+        # xi = 1e-200 next to s ~ 1e-300: (xi + s)^2 underflows to 0 in the slope
+        s = Spectrum.from_blocks([(1.0, 50), (1e-200, 5)])
+        eff = solve_effective_reg(s, 10, lam)
+        assert eff.lambda_star == pytest.approx(brentq_root(s, 10, lam), rel=1e-10)
+        assert eff.lambda_star == pytest.approx(4.0, rel=1e-10)
+        assert abs(eff.residual) <= 1e-12 * 10
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-100, 1e-300, 5e-324])
+    @pytest.mark.parametrize("blocks", [range(1, 301), range(1, 501), range(-1000, 1075)])
+    def test_brentq_oracle_geometric_spectrum(self, blocks, lam):
+        # log-uniform eigenvalues 2^-j: the climb from the start multiplies s by
+        # only (1 + remaining log-distance) per step; the last range spans every
+        # positive double and is the longest climb (about 250 steps)
+        s = Spectrum.from_blocks([(2.0**-j, 1) for j in blocks])
+        for n in (10, 100):
+            eff = solve_effective_reg(s, n, lam)
+            assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10)
+            assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
+
     def test_subnormal_lambda_root_at_or_below_smallest_float(self):
         # rank 3: the root 5e-324/(n - 3) is the smallest float at n = 4 and below it at n = 10
         s = Spectrum.from_blocks([(1.0, 3)])
