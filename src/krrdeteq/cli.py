@@ -70,8 +70,9 @@ def _threads_override(value) -> int | None:
     return None if value is None else max(int(value), 1)
 
 
-MODEL_FIELDS = ("blocks", "alignment", "residual_energy", "noise_variance")
-DETEQ_FIELDS = MODEL_FIELDS + ("lambda", "n", "n_grid", "seed", "output_path")
+DETEQ_FIELDS = (
+    "blocks", "alignment", "residual_energy", "noise_variance", "lambda", "n", "n_grid", "seed", "output_path"
+)
 
 
 def _run_deteq(doc, seed: int | None) -> ExperimentResult:
@@ -82,7 +83,7 @@ def _run_deteq(doc, seed: int | None) -> ExperimentResult:
             raise ConfigError(f"deteq config requires {key!r}")
     if "n" not in doc and "n_grid" not in doc:
         raise ConfigError("deteq config requires 'n' or 'n_grid'")
-    spectrum, alignment, noise = model_from_json(json.dumps({k: doc[k] for k in MODEL_FIELDS if k in doc}))
+    spectrum, alignment, noise = model_from_json(doc)
     lam = float(doc.get("lambda", 0.0))
     check_nonnegative("lambda", lam)
     n_grid = check_entries(doc.get("n_grid") or [doc.get("n")], int, "n_grid (or [n])")

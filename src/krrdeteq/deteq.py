@@ -7,11 +7,13 @@ nonnegative solution of
 
 Everything else (test risk, bias, variance, training error, Stieltjes
 transform) is an explicit function of lambda_star and the spectral sums.
+The sums over blocks use np.einsum, not np.dot: threaded BLAS splits long
+dot products across threads, which would make the results depend on the
+BLAS thread count.
 """
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -67,17 +69,6 @@ class DetEquivalents:
     train: float
     effective: EffectiveReg
 
-    def to_json(self) -> str:
-        doc = {
-            "s_n": self.stieltjes,
-            "B_n": self.bias,
-            "V_n": self.variance,
-            "R_n": self.risk,
-            "L_n": self.train,
-            "lambda_star": self.effective.lambda_star,
-        }
-        return json.dumps(doc, sort_keys=True)
-
 
 def _check_problem(n: int, lam: float) -> None:
     if not (math.isfinite(lam) and lam >= 0):
@@ -116,7 +107,7 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
         # ratios in [0, 1]: squaring xi_k + s would underflow for tiny xi_k and s
         shifted = spectrum.values + ls
         scaled_slope = lam / ls + float(
-            np.dot(spectrum.multiplicities, (spectrum.values / shifted) * (ls / shifted))
+            np.einsum("i,i->", spectrum.multiplicities, (spectrum.values / shifted) * (ls / shifted))
         )
         nxt = ls * (1.0 - residual / scaled_slope)
         # no progress, or a step past 0 from a start right of a root below 5e-324
@@ -167,7 +158,7 @@ def _equivalents_from_solution(spec: ModelSpec, eff: EffectiveReg) -> DetEquival
     ls = eff.lambda_star
     sigma2 = spec.noise.variance
     shrink = ls / (spec.spectrum.values + ls)
-    bias_num = float(np.dot(spec.alignment.energies, shrink * shrink))
+    bias_num = float(np.einsum("i,i->", spec.alignment.energies, shrink * shrink))
     bias = (bias_num + spec.alignment.residual_energy) / denom
     variance = sigma2 * eff.upsilon2 / denom
     risk = bias + variance + sigma2
@@ -240,5 +231,5 @@ def truncated_risk_deteq(spec: ModelSpec, m: int) -> float:
         bias_num = 0.0
     else:
         shrink = ls / (head.values + ls)
-        bias_num = float(np.dot(head_energies, shrink * shrink))
+        bias_num = float(np.einsum("i,i->", head_energies, shrink * shrink))
     return (bias_num + tail_energy + spec.noise.variance) / denom

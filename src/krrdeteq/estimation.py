@@ -8,8 +8,6 @@ estimates without access to the true eigendecomposition.
 
 from __future__ import annotations
 
-import json
-import math
 import warnings
 from dataclasses import dataclass
 
@@ -37,27 +35,6 @@ class EstimatedDecomposition:
     alignments: np.ndarray
     holdout_size: int
     noise_estimate: float | None = None
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "eigenvalues": [float(v) for v in self.eigenvalues],
-                "alignments": [float(v) for v in self.alignments],
-                "holdout_size": self.holdout_size,
-                "noise_estimate": self.noise_estimate,
-            },
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "EstimatedDecomposition":
-        doc = json.loads(text)
-        return cls(
-            eigenvalues=np.asarray(doc["eigenvalues"], dtype=float),
-            alignments=np.asarray(doc["alignments"], dtype=float),
-            holdout_size=int(doc["holdout_size"]),
-            noise_estimate=doc.get("noise_estimate"),
-        )
 
 
 def estimate_spectrum(gram: GramMatrix, y: np.ndarray) -> EstimatedDecomposition:

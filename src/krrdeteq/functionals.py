@@ -44,7 +44,6 @@ class FeatureSample:
 
     matrix: np.ndarray
     covariance: Spectrum
-    seed: int = 0
 
     def __post_init__(self):
         x = np.asarray(self.matrix, dtype=float)
@@ -101,8 +100,7 @@ def sample_gaussian_features(spectrum: Spectrum, n: int, seed) -> FeatureSample:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sqrt_sigma = np.sqrt(spectrum.expand())
     z = rng.standard_normal((n, sqrt_sigma.size))
-    seed_val = seed if isinstance(seed, int) else 0
-    return FeatureSample(matrix=z * sqrt_sigma, covariance=spectrum, seed=seed_val)
+    return FeatureSample(matrix=z * sqrt_sigma, covariance=spectrum)
 
 
 def _check_test_matrix(a, p: int):

@@ -203,53 +203,39 @@ def gcv_argmin(gram: GramMatrix, y: np.ndarray, lambda_grid) -> tuple[float, lis
     return best[0], curve
 
 
-def _sweep_eig(gram: GramMatrix, y: np.ndarray, grid) -> list[dict]:
-    mu, v = gram.eigendecomposition()
-    c = v.T @ y
-    n = gram.n
-    rows = []
-    for lam in grid:
-        if lam == 0 and mu[0] <= RANK_TOL * mu[-1]:
-            rows.append({"lambda": lam, "gcv": math.nan, "train_error": math.nan, "stieltjes": math.nan})
-            continue
-        shifted = mu + lam
-        inv_tr = float(np.sum(1.0 / shifted))
-        quad2 = float(np.sum((c / shifted) ** 2))
-        rows.append(
-            {
-                "lambda": lam,
-                "gcv": n * quad2 / inv_tr**2,
-                "train_error": lam**2 * quad2 / n,
-                "stieltjes": inv_tr / n if lam > 0 else math.nan,
-            }
-        )
-    return rows
-
-
 def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0) -> list[dict]:
     """GCV, train error, Stieltjes value and exact linear-feature test error per lambda.
 
     One Gram eigendecomposition serves the whole grid; primal coefficients
     come from theta_hat = X^T alpha(lambda) and the test error includes the
     noise floor.  Agrees with the per-lambda direct path (tested), just
-    cheaper on dense grids.
+    cheaper on dense grids.  lambda = 0 on a rank-deficient Gram gives a row
+    of NaN.
     """
     x = np.asarray(sample.matrix, dtype=float)
     sigma = sample.covariance.expand()
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
     gram = GramMatrix(x @ x.T)
-    rows = _sweep_eig(gram, y, [float(v) for v in lambda_grid])
     mu, v = gram.eigendecomposition()
     c = v.T @ y
-    for row in rows:
-        lam = row["lambda"]
-        if not math.isfinite(row["gcv"]):
-            row["test_error"] = math.nan
+    n = gram.n
+    rows = []
+    for lam in map(float, lambda_grid):
+        row = {"lambda": lam} | dict.fromkeys(("gcv", "train_error", "stieltjes", "test_error"), math.nan)
+        rows.append(row)
+        if lam == 0 and mu[0] <= RANK_TOL * mu[-1]:
             continue
-        alpha = v @ (c / (mu + lam))
-        diff = theta_star - x.T @ alpha
-        row["test_error"] = float(np.dot(sigma, diff * diff)) + float(noise_variance)
+        shifted = mu + lam
+        inv_tr = float(np.sum(1.0 / shifted))
+        quad2 = float(np.sum((c / shifted) ** 2))
+        row["gcv"] = n * quad2 / inv_tr**2
+        row["train_error"] = lam**2 * quad2 / n
+        if lam > 0:
+            row["stieltjes"] = inv_tr / n
+        if math.isfinite(row["gcv"]):
+            diff = theta_star - x.T @ (v @ (c / shifted))
+            row["test_error"] = float(np.dot(sigma, diff * diff)) + float(noise_variance)
     return rows
 
 

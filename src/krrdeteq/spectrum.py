@@ -201,21 +201,14 @@ class Alignment:
 
 @dataclass(frozen=True)
 class NoiseModel:
-    """Label-noise variance plus the sub-Gaussian proxy used for sampling."""
+    """Label-noise variance."""
 
     variance: float = 0.0
-    sub_gaussian_proxy: float | None = None
 
     def __post_init__(self):
         if not (math.isfinite(self.variance) and self.variance >= 0):
             raise SpectrumError("noise variance must be finite and nonnegative")
-        proxy = self.sub_gaussian_proxy
-        if proxy is None:
-            proxy = max(self.variance, 1e-300)
-        if proxy < self.variance:
-            raise SpectrumError("sub-Gaussian proxy must dominate the variance")
         object.__setattr__(self, "variance", float(self.variance))
-        object.__setattr__(self, "sub_gaussian_proxy", float(proxy))
 
 
 @dataclass(frozen=True)
@@ -250,8 +243,10 @@ def trace_resolvents(spectrum: Spectrum, s: float) -> tuple[float, float]:
     if not (math.isfinite(s) and s > 0):
         raise SpectrumError("resolvent shift s must be positive")
     ratio = spectrum.values / (spectrum.values + s)
-    t1 = float(np.dot(spectrum.multiplicities, ratio))
-    t2 = float(np.dot(spectrum.multiplicities, ratio * ratio))
+    # einsum, not np.dot: threaded BLAS splits long dot products, so the sums
+    # would depend on the BLAS thread count
+    t1 = float(np.einsum("i,i->", spectrum.multiplicities, ratio))
+    t2 = float(np.einsum("i,i->", spectrum.multiplicities, ratio * ratio))
     return t1, t2
 
 
@@ -328,8 +323,13 @@ def model_to_json(spectrum: Spectrum, alignment: Alignment, noise: NoiseModel) -
     return json.dumps(doc, sort_keys=True)
 
 
-def model_from_json(text: str) -> tuple[Spectrum, Alignment, NoiseModel]:
-    doc = json.loads(text)
+def model_from_json(doc: dict) -> tuple[Spectrum, Alignment, NoiseModel]:
+    """Build the spectral data from a parsed model document.
+
+    ``doc`` is the object ``json.load`` returns for a document in the format
+    ``model_to_json`` writes.  Keys other than ``blocks``, ``alignment``,
+    ``residual_energy`` and ``noise_variance`` are ignored.
+    """
     spectrum = Spectrum.from_blocks(doc["blocks"])
     try:
         energies = np.asarray(doc["alignment"], dtype=float)

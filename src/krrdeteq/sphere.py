@@ -16,7 +16,6 @@ constructing a harmonic basis.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -220,14 +219,6 @@ class SphereKernel:
     def gram(self, points: np.ndarray, block: int = 1024) -> np.ndarray:
         return self.cross_gram(points, points, block=block)
 
-    def to_json(self) -> str:
-        return json.dumps({"d": self.d, "coeffs": [float(c) for c in self.coeffs]}, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "SphereKernel":
-        doc = json.loads(text)
-        return cls(d=int(doc["d"]), coeffs=np.asarray(doc["coeffs"], dtype=float))
-
 
 def kernel_from_gaps(d: int, levels: int, gap: float) -> SphereKernel:
     """Kernel with geometrically decaying level eigenvalues gap^-(k-1), k = 1..levels."""
@@ -336,17 +327,6 @@ class SphereTarget:
         for k in self.coeffs:
             out += self.level_values(k, u)
         return out
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {"d": self.d, "energies": {str(k): float(e) for k, e in sorted(self.energies.items())}},
-            sort_keys=True,
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "SphereTarget":
-        doc = json.loads(text)
-        return cls(d=int(doc["d"]), energies={int(k): float(e) for k, e in doc["energies"].items()})
 
 
 def build_cyclic_target(d: int, energies: dict[int, float]) -> SphereTarget:

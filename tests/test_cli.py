@@ -86,6 +86,38 @@ class TestDeteqCommand:
         assert len(lines) == 3
         assert "error" in lines[2]
 
+    def test_model_document_is_not_reserialized(self, tmp_path, monkeypatch):
+        """The parsed config goes to model_from_json as is: no json.dumps on the deteq path."""
+        config = write_config(tmp_path, {**DETEQ, "n_grid": [10]})
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("json.dumps called on the deteq path")
+
+        monkeypatch.setattr(json, "dumps", refuse)
+        assert main(["deteq", "--config", str(config), "--out", str(tmp_path / "pred.csv")]) == 0
+
+    def test_output_independent_of_blas_threads(self, tmp_path):
+        """The block sums stay out of threaded BLAS, whose long dot products split by thread count."""
+        k = np.arange(1, 20001, dtype=float)
+        doc = {
+            "blocks": [[float(v), 1] for v in k**-2.0],
+            "alignment": [float(v) for v in k**-2.0],
+            "noise_variance": 0.25,
+            "lambda": 1e-3,
+            "n_grid": [10, 100, 1000, 10000],
+        }
+        config = write_config(tmp_path, doc)
+        src = str(Path(krrdeteq.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            out = tmp_path / f"pred{threads}.csv"
+            env = {**os.environ, "PYTHONPATH": src, "OPENBLAS_NUM_THREADS": threads}
+            argv = [sys.executable, "-m", "krrdeteq.cli", "deteq", "--config", str(config), "--out", str(out)]
+            proc = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+            assert proc.returncode == 0, proc.stderr
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
 
 class TestExperimentCommands:
     def test_simulate_roundtrip(self, tmp_path):

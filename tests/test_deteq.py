@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -239,12 +238,6 @@ class TestDeterministicEquivalents:
         )
         u2 = plain.effective.upsilon2
         assert with_res.bias == pytest.approx(0.3 / (1 - u2), rel=1e-12)
-
-    def test_json_document(self):
-        s = Spectrum.from_blocks([(1.0, 10)])
-        de = deterministic_equivalents(ModelSpec(n=5, lam=1.0, spectrum=s, alignment=Alignment.zero(s)))
-        doc = json.loads(de.to_json())
-        assert set(doc) == {"s_n", "B_n", "V_n", "R_n", "L_n", "lambda_star"}
 
 
 class TestTruncatedModel:

@@ -55,13 +55,6 @@ class TestEstimateSpectrum:
         est = estimate_spectrum(GramMatrix(sample.matrix @ sample.matrix.T), y)
         assert est.noise_estimate == pytest.approx(s2, rel=0.25)
 
-    def test_json_round_trip(self, rng):
-        est = estimate_spectrum(GramMatrix(4 * np.eye(4)), rng.standard_normal(4))
-        back = EstimatedDecomposition.from_json(est.to_json())
-        np.testing.assert_array_equal(back.eigenvalues, est.eigenvalues)
-        np.testing.assert_array_equal(back.alignments, est.alignments)
-        assert back.holdout_size == est.holdout_size
-
 
 class TestPluginCurve:
     def test_exact_decomposition_matches_deteq_bitwise(self):

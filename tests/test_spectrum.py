@@ -210,11 +210,10 @@ class TestAlignmentAndModel:
         a = Alignment(np.array([0.5, 0.25]), residual_energy=0.25)
         assert a.total_energy == pytest.approx(1.0)
 
-    def test_noise_model_proxy_dominates(self):
-        with pytest.raises(SpectrumError):
-            NoiseModel(variance=1.0, sub_gaussian_proxy=0.5)
-        nm = NoiseModel(variance=1.0)
-        assert nm.sub_gaussian_proxy >= nm.variance
+    @pytest.mark.parametrize("variance", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
+    def test_noise_model_rejects_bad_variance(self, variance):
+        with pytest.raises(SpectrumError, match="noise variance"):
+            NoiseModel(variance=variance)
 
     def test_ridgeless_needs_excess_rank(self):
         s = Spectrum.from_blocks([(2.0, 50)])
@@ -234,7 +233,7 @@ class TestJsonRoundTrip:
         a = Alignment(np.array([0.7, 0.2]), residual_energy=0.1)
         nm = NoiseModel(0.25)
         text = model_to_json(s, a, nm)
-        s2, a2, n2 = model_from_json(text)
+        s2, a2, n2 = model_from_json(json.loads(text))
         assert model_to_json(s2, a2, n2) == text
         np.testing.assert_array_equal(s2.values, s.values)
         np.testing.assert_array_equal(s2.multiplicities, s.multiplicities)
@@ -248,8 +247,6 @@ class TestJsonRoundTrip:
         assert set(doc) == {"blocks", "alignment", "residual_energy", "noise_variance"}
 
     def test_mismatched_alignment_rejected(self):
-        bad = json.dumps(
-            {"blocks": [[1.0, 2], [0.5, 1]], "alignment": [1.0], "residual_energy": 0.0, "noise_variance": 0.0}
-        )
+        bad = {"blocks": [[1.0, 2], [0.5, 1]], "alignment": [1.0], "residual_energy": 0.0, "noise_variance": 0.0}
         with pytest.raises(SpectrumError):
             model_from_json(bad)

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -13,7 +12,6 @@ from krrdeteq.sphere import (
     exact_sphere_risk,
     SphereError,
     SphereKernel,
-    SphereTarget,
     build_cyclic_target,
     dim_spherical,
     kernel_eigencoeffs,
@@ -122,12 +120,6 @@ class TestSphereKernel:
         t = np.clip(a @ b.T / 10, -1, 1)
         np.testing.assert_allclose(full, kern.h_values(t), rtol=1e-12)
 
-    def test_json_round_trip(self):
-        kern = kernel_from_gaps(24, 4, 32.0)
-        back = SphereKernel.from_json(kern.to_json())
-        assert back.d == kern.d
-        np.testing.assert_array_equal(back.coeffs, kern.coeffs)
-
     def test_rejects_negative_coefficients(self):
         with pytest.raises(SphereError):
             SphereKernel(d=10, coeffs=np.array([0.0, -0.1]))
@@ -215,11 +207,6 @@ class TestCyclicTarget:
             build_cyclic_target(5, {6: 1.0})
         with pytest.raises(SphereError):
             build_cyclic_target(5, {0: 1.0})
-
-    def test_json_round_trip(self):
-        target = build_cyclic_target(10, {1: 1.0, 3: 0.5})
-        back = SphereTarget.from_json(target.to_json())
-        assert back.d == target.d and back.energies == target.energies
 
 
 class TestSphereSpectrum:
