@@ -32,7 +32,6 @@ from .krr import (
     empirical_stieltjes,
     fit_krr,
     gcv,
-    gcv_argmin,
     test_error_linear_exact,
     test_error_monte_carlo,
     train_error,

@@ -87,6 +87,8 @@ def _run_deteq(doc, seed: int | None) -> ExperimentResult:
     lam = float(doc.get("lambda", 0.0))
     check_nonnegative("lambda", lam)
     n_grid = check_entries(doc.get("n_grid") or [doc.get("n")], int, "n_grid (or [n])")
+    if any(n < 1 for n in n_grid):
+        raise ConfigError("every n_grid entry (or n) must be >= 1")
     seed = doc.get("seed", 0) if seed is None else seed
     rows = []
     for n in n_grid:

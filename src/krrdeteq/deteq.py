@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import Alignment, ModelSpec, Spectrum, SpectrumError, trace_resolvents
+from .spectrum import ModelSpec, Spectrum, SpectrumError, trace_resolvents
 
 __all__ = [
     "EffectiveReg",
@@ -148,10 +148,6 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     train = (lam * stieltjes)^2 * risk,   stieltjes = 1/(n*ls).
     """
     eff = solve_effective_reg(spec.spectrum, spec.n, spec.lam)
-    return _equivalents_from_solution(spec, eff)
-
-
-def _equivalents_from_solution(spec: ModelSpec, eff: EffectiveReg) -> DetEquivalents:
     denom = 1.0 - eff.upsilon2
     if denom <= DENOM_FLOOR:
         raise FixedPointError(f"degenerate denominator 1 - Upsilon2 = {denom:.3e}")
@@ -165,32 +161,6 @@ def _equivalents_from_solution(spec: ModelSpec, eff: EffectiveReg) -> DetEquival
     stieltjes = 1.0 / (spec.n * ls)
     train = (spec.lam * stieltjes) ** 2 * risk
     return DetEquivalents(stieltjes, bias, variance, risk, train, eff)
-
-
-def _split_alignment(spec: ModelSpec, m: int) -> tuple[np.ndarray, float]:
-    """Top-m per-block energies and total tail energy (incl. residual).
-
-    Energy inside a block cut by m is divided proportionally to the number of
-    eigenvalues retained; at block granularity the within-block distribution
-    is unidentifiable, so uniform is the only consistent choice.
-    """
-    spectrum, alignment = spec.spectrum, spec.alignment
-    head_energies = []
-    tail_energy = alignment.residual_energy
-    taken = 0
-    for t, mult in zip(alignment.energies, spectrum.multiplicities):
-        mult = int(mult)
-        if taken >= m:
-            tail_energy += float(t)
-        elif taken + mult <= m:
-            head_energies.append(float(t))
-        else:
-            keep = m - taken
-            frac = keep / mult
-            head_energies.append(float(t) * frac)
-            tail_energy += float(t) * (1.0 - frac)
-        taken += mult
-    return np.asarray(head_energies, dtype=float), tail_energy
 
 
 def truncated_effective_reg(spectrum: Spectrum, m: int, n: int, lam: float) -> EffectiveReg:
@@ -214,22 +184,13 @@ def truncated_effective_reg(spectrum: Spectrum, m: int, n: int, lam: float) -> E
 
 
 def truncated_risk_deteq(spec: ModelSpec, m: int) -> float:
-    """Risk prediction of the truncated model at expanded cut m.
+    """Risk prediction of the truncated model ``spec.truncated(m)`` at expanded cut m.
 
-    The top-m part keeps its alignment; the tail's target energy joins the
-    residual and acts as extra label noise beside sigma^2.
+    The top-m part keeps its alignment; the tail's trace joins lambda and its
+    target energy joins the residual, where it acts as extra label noise
+    beside sigma^2.  At m = 0 nothing is learned and the risk is the total
+    target energy plus sigma^2.
     """
-    spectrum = spec.spectrum
-    head, _ = spectrum.split(m)
-    eff0 = truncated_effective_reg(spectrum, m, spec.n, spec.lam)
-    denom = 1.0 - eff0.upsilon2
-    if denom <= DENOM_FLOOR:
-        raise FixedPointError(f"degenerate denominator 1 - Upsilon2 = {denom:.3e}")
-    head_energies, tail_energy = _split_alignment(spec, m)
-    ls = eff0.lambda_star
-    if head is None:
-        bias_num = 0.0
-    else:
-        shrink = ls / (head.values + ls)
-        bias_num = float(np.einsum("i,i->", head_energies, shrink * shrink))
-    return (bias_num + tail_energy + spec.noise.variance) / denom
+    if m == 0:
+        return spec.alignment.total_energy + spec.noise.variance
+    return deterministic_equivalents(spec.truncated(m)).risk

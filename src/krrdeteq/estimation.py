@@ -66,14 +66,14 @@ def decomposition_to_model(
     lam: float,
     noise_variance: float,
     truncation: int | None = None,
-    noise_correction: bool = True,
 ) -> ModelSpec:
     """Assemble a prediction instance from estimated quantities.
 
     Keeps the top ``truncation`` eigendirections above the numerical-rank
     floor (default m/2); alignment mass beyond them joins the residual.  Each
     squared coefficient inflates by about noise_variance/m in expectation, so
-    by default that amount is subtracted and clamped at zero.
+    that amount is always subtracted: per kept coordinate, clamped at zero,
+    and (m - keep) times from the residual, clamped at zero.
     """
     m = est.holdout_size
     j_max = m // 2 if truncation is None else int(truncation)
@@ -84,7 +84,7 @@ def decomposition_to_model(
         raise KrrError("no eigenvalues above the numerical-rank floor")
     beta_sq = est.alignments[:keep].copy()
     residual = float(est.alignments[keep:].sum())
-    if noise_correction and noise_variance > 0:
+    if noise_variance > 0:
         # retained coordinates: per-coordinate subtraction, clamped at 0;
         # tail: aggregate subtraction (per-coordinate clamping would inflate
         # the residual by ~2*phi(1)*sigma^2*(m-keep)/m on pure-noise modes)
@@ -103,7 +103,6 @@ def plugin_risk_curve(
     lam: float,
     noise_variance: float,
     truncation: int | None = None,
-    noise_correction: bool = True,
 ) -> list[tuple[int, float]]:
     """Predicted risk at every n in the grid from estimated spectral data.
 
@@ -119,7 +118,7 @@ def plugin_risk_curve(
                 "may be unreliable at this sample count",
                 stacklevel=2,
             )
-        model = decomposition_to_model(est, n, lam, noise_variance, truncation, noise_correction)
+        model = decomposition_to_model(est, n, lam, noise_variance, truncation)
         out.append((n, deterministic_equivalents(model).risk))
     return out
 

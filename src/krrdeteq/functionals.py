@@ -23,7 +23,6 @@ from .spectrum import Spectrum, SpectrumError
 
 __all__ = [
     "FeatureSample",
-    "FunctionalReport",
     "RiskMatrix",
     "IdentityMatrix",
     "sample_gaussian_features",
@@ -84,15 +83,6 @@ class IdentityMatrix:
     """The size x size identity test matrix, kept structured: no p x p array is formed for it."""
 
     size: int
-
-
-@dataclass(frozen=True)
-class FunctionalReport:
-    """Empirical values, predictions, and relative errors for one sample."""
-
-    phi: tuple[float, float, float, float]
-    psi: tuple[float, float, float, float]
-    rel_err: tuple[float, float, float, float]
 
 
 def sample_gaussian_features(spectrum: Spectrum, n: int, seed) -> FeatureSample:
@@ -245,13 +235,6 @@ def deterministic_functionals(
     return psi1, psi2, psi3, psi4
 
 
-def functional_report(sample: FeatureSample, lam: float, a) -> FunctionalReport:
-    phi = empirical_functionals(sample, lam, a)
-    psi = deterministic_functionals(sample.covariance, sample.n, lam, a)
-    rel = tuple(abs(p - q) / q if q != 0 else math.inf for p, q in zip(phi, psi))
-    return FunctionalReport(phi=phi, psi=psi, rel_err=rel)
-
-
 def _probe_task(spectrum, lam, a_choice, seed, task):
     n_index, n, rep = task
     rng = derive_rng(seed, 101, n_index, rep)
@@ -267,7 +250,9 @@ def _probe_task(spectrum, lam, a_choice, seed, task):
         a = RiskMatrix(beta)
     else:
         raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
-    return functional_report(sample, lam, a).rel_err
+    phi = empirical_functionals(sample, lam, a)
+    psi = deterministic_functionals(spectrum, n, lam, a)
+    return tuple(abs(emp - pred) / pred if pred != 0 else math.inf for emp, pred in zip(phi, psi))
 
 
 def convergence_probe(

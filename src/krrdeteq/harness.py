@@ -12,7 +12,6 @@ import csv
 import dataclasses
 import json
 import math
-import warnings
 from dataclasses import dataclass
 from typing import Any
 
@@ -129,6 +128,8 @@ class ExperimentConfig:
             grid = list(self.n_grid)
             if not grid or sorted(grid) != grid or len(set(grid)) != len(grid):
                 raise ConfigError("n_grid must be nonempty and strictly increasing")
+            if grid[0] < 1:
+                raise ConfigError("every n_grid entry must be >= 1")
         if self.kind == "gcv_sweep":
             if self.n < 1:
                 raise ConfigError("gcv_sweep requires a positive n")
@@ -395,9 +396,7 @@ def _run_estimate_and_predict(config: ExperimentConfig) -> ExperimentResult:
     est = estimation.estimate_spectrum(krr.GramMatrix(holdout.matrix @ holdout.matrix.T), y_holdout)
 
     def model_at(n, lam):
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            return estimation.decomposition_to_model(est, n, lam, config.noise_variance, config.truncation)
+        return estimation.decomposition_to_model(est, n, lam, config.noise_variance, config.truncation)
 
     return _run_curve(config, 5, linear_risk, model_at)
 

@@ -24,7 +24,6 @@ __all__ = [
     "train_error",
     "empirical_stieltjes",
     "gcv",
-    "gcv_argmin",
     "linear_sweep",
     "test_error_linear_exact",
     "test_error_monte_carlo",
@@ -32,7 +31,6 @@ __all__ = [
     "read_gram_binary",
     "write_labels_binary",
     "read_labels_binary",
-    "gram_from_csv",
 ]
 
 PSD_TOL = 1e-8
@@ -57,7 +55,7 @@ class GramMatrix:
     """
 
     entries: np.ndarray
-    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, repr=False)
+    _eig: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def __post_init__(self):
         k = np.asarray(self.entries, dtype=float)
@@ -177,32 +175,6 @@ def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
     return n * num / denom**2
 
 
-def gcv_argmin(gram: GramMatrix, y: np.ndarray, lambda_grid) -> tuple[float, list[tuple[float, float]]]:
-    """Grid minimizer of GCV; ties break toward the smaller lambda.
-
-    Grid points where evaluation fails are recorded as NaN and skipped; if
-    every point fails the errors aggregate into one exception.
-    """
-    grid = [float(v) for v in lambda_grid]
-    if not grid:
-        raise KrrError("lambda grid must be nonempty")
-    if sorted(grid) != grid:
-        raise KrrError("lambda grid must be sorted ascending")
-    curve: list[tuple[float, float]] = []
-    errors: list[str] = []
-    for lam in grid:
-        try:
-            curve.append((lam, gcv(gram, y, lam)))
-        except (KrrError, np.linalg.LinAlgError) as exc:
-            curve.append((lam, math.nan))
-            errors.append(f"lambda={lam:g}: {exc}")
-    finite = [(lam, val) for lam, val in curve if math.isfinite(val)]
-    if not finite:
-        raise KrrError("GCV failed on every grid point: " + "; ".join(errors))
-    best = min(finite, key=lambda point: (point[1], point[0]))
-    return best[0], curve
-
-
 def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0) -> list[dict]:
     """GCV, train error, Stieltjes value and exact linear-feature test error per lambda.
 
@@ -295,7 +267,7 @@ def test_error_monte_carlo(
     return estimate, std_error
 
 
-# -- binary / CSV interchange -------------------------------------------------
+# -- binary interchange -------------------------------------------------------
 
 
 def write_gram_binary(gram: GramMatrix, path) -> None:
@@ -339,6 +311,3 @@ def read_labels_binary(path) -> np.ndarray:
             raise KrrError("truncated label payload")
         return np.frombuffer(raw, dtype="<f8").astype(float)
 
-
-def gram_from_csv(path) -> GramMatrix:
-    return GramMatrix(np.loadtxt(path, delimiter=",", dtype=float, ndmin=2))

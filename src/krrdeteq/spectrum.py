@@ -28,6 +28,9 @@ __all__ = [
     "model_from_json",
 ]
 
+# the quantile eta of the eigenvalue factor xi_(eta n) in nu_diagnostic
+NU_ETA = 0.25
+
 
 class SpectrumError(ValueError):
     """Invalid spectral data or out-of-domain query."""
@@ -45,8 +48,8 @@ class Spectrum:
     values: np.ndarray
     multiplicities: np.ndarray
     # cumulative expanded counts / traces, filled in __post_init__
-    _cum_mult: np.ndarray = field(repr=False, default=None)
-    _cum_trace: np.ndarray = field(repr=False, default=None)
+    _cum_mult: np.ndarray = field(init=False, repr=False, default=None)
+    _cum_trace: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -98,12 +101,16 @@ class Spectrum:
     def trace(self) -> float:
         return float(self._cum_trace[-1])
 
+    def _cut(self, m: int) -> tuple[int, int]:
+        """(block, keep): the block holding expanded index 1 <= m <= rank and its count among the top m."""
+        block = int(np.searchsorted(self._cum_mult, m))
+        return block, m - (int(self._cum_mult[block - 1]) if block > 0 else 0)
+
     def eigenvalue_at(self, j: int) -> float:
         """The j-th largest eigenvalue (1-based, blocks expanded)."""
         if not 1 <= j <= self.total_rank:
             raise SpectrumError(f"expanded index {j} outside [1, {self.total_rank}]")
-        block = int(np.searchsorted(self._cum_mult, j))
-        return float(self.values[block])
+        return float(self.values[self._cut(j)[0]])
 
     def head_trace(self, m: int) -> float:
         """Sum of the m largest eigenvalues (blocks expanded)."""
@@ -111,10 +118,9 @@ class Spectrum:
             raise SpectrumError(f"expanded index {m} outside [0, {self.total_rank}]")
         if m == 0:
             return 0.0
-        block = int(np.searchsorted(self._cum_mult, m))
-        prev_mult = int(self._cum_mult[block - 1]) if block > 0 else 0
+        block, keep = self._cut(m)
         prev_trace = float(self._cum_trace[block - 1]) if block > 0 else 0.0
-        return prev_trace + (m - prev_mult) * float(self.values[block])
+        return prev_trace + keep * float(self.values[block])
 
     def tail_trace(self, m: int) -> float:
         """Sum of eigenvalues past the m largest (blocks expanded)."""
@@ -132,25 +138,14 @@ class Spectrum:
             return None, self
         if m == self.total_rank:
             return self, None
-        head_v, head_m, tail_v, tail_m = [], [], [], []
-        taken = 0
-        for v, mult in zip(self.values, self.multiplicities):
-            mult = int(mult)
-            if taken >= m:
-                tail_v.append(v)
-                tail_m.append(mult)
-            elif taken + mult <= m:
-                head_v.append(v)
-                head_m.append(mult)
-            else:
-                keep = m - taken
-                head_v.append(v)
-                head_m.append(keep)
-                tail_v.append(v)
-                tail_m.append(mult - keep)
-            taken += mult
-        head = Spectrum(np.array(head_v), np.array(head_m, dtype=np.int64))
-        tail = Spectrum(np.array(tail_v), np.array(tail_m, dtype=np.int64))
+        block, keep = self._cut(m)
+        values, mults = self.values, self.multiplicities
+        head = Spectrum(values[: block + 1], np.append(mults[:block], keep))
+        rest = int(mults[block]) - keep
+        if rest:
+            tail = Spectrum(values[block:], np.append(rest, mults[block + 1 :]))
+        else:
+            tail = Spectrum(values[block + 1 :], mults[block + 1 :])
         return head, tail
 
     def expand(self) -> np.ndarray:
@@ -234,6 +229,25 @@ class ModelSpec:
         if not self.alignment.matches(self.spectrum):
             raise SpectrumError("alignment length must equal the number of spectrum blocks")
 
+    def truncated(self, m: int) -> "ModelSpec":
+        """The truncated model at expanded cut 1 <= m <= total rank.
+
+        It keeps n, the noise and the top-m eigenvalues with their energies;
+        the tail's trace joins lambda and its energy joins the residual.  A
+        block that the cut passes through splits its energy in proportion to
+        the eigenvalues kept, the only choice consistent with block granularity.
+        """
+        head, _ = self.spectrum.split(m)
+        if head is None:
+            raise SpectrumError("the truncated model needs m >= 1")
+        k = head.n_blocks - 1  # the last head block, the one the cut may pass through
+        frac = int(head.multiplicities[k]) / int(self.spectrum.multiplicities[k])
+        energies = self.alignment.energies
+        tail_energy = float(energies[k]) * (1.0 - frac) + float(energies[k + 1 :].sum())
+        head_energies = np.append(energies[:k], energies[k] * frac)
+        alignment = Alignment(head_energies, self.alignment.residual_energy + tail_energy)
+        return ModelSpec(self.n, self.lam + self.spectrum.tail_trace(m), head, alignment, self.noise)
+
 
 def trace_resolvents(spectrum: Spectrum, s: float) -> tuple[float, float]:
     """Resolvent trace sums (T1, T2) at shift s > 0.
@@ -289,22 +303,21 @@ def effective_rank(spectrum: Spectrum, m: int, n: int) -> float:
     return best
 
 
-def nu_diagnostic(spectrum: Spectrum, m: int, n: int, lam: float, eta: float = 0.25) -> float:
+def nu_diagnostic(spectrum: Spectrum, m: int, n: int, lam: float) -> float:
     """Conditioning diagnostic 1 + xi_(eta n) * r_eff * sqrt(log r_eff) / lambda_tail.
 
-    ``lambda_tail = lam + sum_{j>m} xi_j`` must be positive.  The eigenvalue
-    factor is xi at expanded index floor(eta*n) when that index is <= m and 0
-    otherwise; an index below 1 is clamped to the top eigenvalue.  eta is a
-    reporting knob only (default 0.25), never used in predictions.
+    ``lambda_tail = lam + sum_{j>m} xi_j`` must be positive, and eta is
+    NU_ETA.  The eigenvalue factor is xi at expanded index floor(eta*n) when
+    that index is <= m and 0 otherwise; an index below 1 is clamped to the
+    top eigenvalue.  The diagnostic is reported only, never used in
+    predictions.
     """
-    if not 0 < eta < 0.5:
-        raise SpectrumError("eta must lie in (0, 1/2)")
     if not 1 <= m <= spectrum.total_rank:
         raise SpectrumError(f"m = {m} outside [1, total rank = {spectrum.total_rank}]")
     lam_tail = lam + spectrum.tail_trace(m)
     if lam_tail <= 0:
         raise SpectrumError("lambda + tail trace must be positive")
-    idx = int(math.floor(eta * n))
+    idx = int(math.floor(NU_ETA * n))
     if idx > m:
         return 1.0
     xi = spectrum.eigenvalue_at(max(idx, 1))

@@ -23,7 +23,7 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import roots_jacobi
 
-from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError
+from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
 __all__ = [
     "GegenbauerBasis",
@@ -334,32 +334,19 @@ def build_cyclic_target(d: int, energies: dict[int, float]) -> SphereTarget:
     return SphereTarget(d=d, energies=dict(energies))
 
 
-def kernel_tail_defect(h, kernel: SphereKernel) -> float:
-    """Trace beyond the kernel's band limit: h(1) minus the retained trace.
-
-    Zero for genuinely band-limited kernels; for a generic h truncated at
-    kmax this is the spectral mass the truncation drops.
-    """
-    return float(np.asarray(h(1.0)).reshape(-1)[0]) - kernel.h_at_one()
-
-
 def sphere_spectrum(
     kernel: SphereKernel,
     target: SphereTarget,
     noise: NoiseModel,
     n: int,
     lam: float,
-    tail_trace: float = 0.0,
-    pseudo_multiplicity: int | None = None,
 ) -> ModelSpec:
     """Pack the kernel levels and target energies into a prediction instance.
 
     Blocks are (xi_k, B_{d,k}) sorted by eigenvalue; target energy on levels
     the kernel gives zero weight (including k > kmax) is unlearnable and goes
-    to the alignment residual.  The kernel is treated as exactly band-limited
-    by default; a truncated generic kernel's dropped trace (see
-    kernel_tail_defect) may optionally be appended as one pseudo-block of
-    ``pseudo_multiplicity`` eigenvalues -- a documented approximation.
+    to the alignment residual.  The kernel is exactly band-limited, so the
+    levels up to kmax carry its whole trace.
     """
     if kernel.d != target.d:
         raise SphereError("kernel and target dimensions disagree")
@@ -374,14 +361,6 @@ def sphere_spectrum(
     residual = sum(
         e for k, e in target.energies.items() if k > kernel.kmax or kernel.coeffs[k] <= 0
     )
-    if tail_trace < 0:
-        raise SphereError("tail trace must be nonnegative")
-    if tail_trace > 0:
-        if pseudo_multiplicity is None or pseudo_multiplicity < 1:
-            raise SphereError("appending a spectral tail requires a positive pseudo multiplicity")
-        values = np.append(values, tail_trace / pseudo_multiplicity)
-        block_mults = np.append(block_mults, pseudo_multiplicity)
-        energies = np.append(energies, 0.0)
     order = np.argsort(-values, kind="stable")
     spectrum = Spectrum(values[order], block_mults[order])
     alignment = Alignment(energies[order], residual_energy=residual)

@@ -318,6 +318,10 @@ class TestConfigValidation:
             ("deteq", {**DETEQ, "lambda": -1}, "lambda"),
             ("deteq", {**DETEQ, "blocks": [[1.0, 2.7]]}, "multiplicities must be integers"),
             ("simulate", {**SIMULATE, "threads": 0}, "threads"),
+            ("simulate", {**SIMULATE, "n_grid": [0, 10]}, "n_grid"),
+            ("probe-functionals", {**PROBE, "n_grid": [0, 10]}, "n_grid"),
+            ("deteq", {**DETEQ, "n_grid": [0, 10]}, "n_grid"),
+            ("deteq", {**without(DETEQ, "n_grid"), "n": -3}, "n_grid"),
         ],
     )
     def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, doc, needle):

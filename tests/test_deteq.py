@@ -35,6 +35,29 @@ def brentq_root(spectrum, n, lam):
     return brentq(defect, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=2000)
 
 
+def split_alignment(spec, m):
+    """Reference top-m per-block energies and tail energy (incl. residual), block by block.
+
+    Energy inside a block cut by m is divided in proportion to the number of
+    eigenvalues kept.
+    """
+    head_energies = []
+    tail_energy = spec.alignment.residual_energy
+    taken = 0
+    for t, mult in zip(spec.alignment.energies, spec.spectrum.multiplicities):
+        mult = int(mult)
+        if taken >= m:
+            tail_energy += float(t)
+        elif taken + mult <= m:
+            head_energies.append(float(t))
+        else:
+            frac = (m - taken) / mult
+            head_energies.append(float(t) * frac)
+            tail_energy += float(t) * (1.0 - frac)
+        taken += mult
+    return np.asarray(head_energies, dtype=float), tail_energy
+
+
 class TestFixedPoint:
     def test_isotropic_closed_form(self):
         s = Spectrum.from_blocks([(1.0, 200)])
@@ -314,3 +337,31 @@ class TestTruncatedModel:
         tail_energy = 0.8 * 2 / 4 + 0.2
         expected = ((ls / (1 + ls)) ** 2 * head_energy + tail_energy) / (1 - eff.upsilon2)
         assert r == pytest.approx(expected, rel=1e-12)
+
+    def test_truncated_model_matches_blockwise_split(self, rng):
+        inside = 0
+        for _ in range(200):
+            s = random_spectrum(rng)
+            al = Alignment(rng.uniform(0, 1, size=s.n_blocks), residual_energy=float(rng.uniform(0, 0.5)))
+            n, lam = int(rng.integers(1, 100)), float(rng.uniform(0.01, 2))
+            spec = ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(0.3))
+            m = int(rng.integers(1, s.total_rank + 1))
+            inside += m not in s._cum_mult
+            trunc = spec.truncated(m)
+            head, _ = s.split(m)
+            head_energies, tail_energy = split_alignment(spec, m)
+            np.testing.assert_array_equal(trunc.spectrum.values, head.values)
+            np.testing.assert_array_equal(trunc.spectrum.multiplicities, head.multiplicities)
+            np.testing.assert_allclose(trunc.alignment.energies, head_energies, rtol=1e-14, atol=0)
+            assert trunc.alignment.residual_energy == pytest.approx(tail_energy, rel=1e-14)
+            assert trunc.alignment.total_energy == pytest.approx(al.total_energy, rel=1e-14)
+            assert (trunc.n, trunc.noise) == (spec.n, spec.noise)
+            assert trunc.lam == spec.lam + s.tail_trace(m)
+        assert inside >= 50  # most cuts fall inside a block
+
+    def test_truncated_model_rejects_empty_head(self):
+        s = Spectrum.from_blocks([(1.0, 3)])
+        spec = ModelSpec(n=2, lam=0.5, spectrum=s, alignment=Alignment.zero(s))
+        for m in (0, -1, 4):
+            with pytest.raises(SpectrumError):
+                spec.truncated(m)

@@ -64,12 +64,12 @@ class TestPluginCurve:
         est = EstimatedDecomposition(
             eigenvalues=values, alignments=beta_sq, holdout_size=64, noise_estimate=None
         )
-        plug = plugin_risk_curve(est, [n], lam, s2, truncation=p, noise_correction=False)[0][1]
+        plug = plugin_risk_curve(est, [n], lam, s2, truncation=p)[0][1]
         spec = ModelSpec(
             n=n,
             lam=lam,
             spectrum=Spectrum(values, np.ones(p, dtype=np.int64)),
-            alignment=Alignment(beta_sq, residual_energy=0.0),
+            alignment=Alignment(np.maximum(beta_sq - s2 / 64, 0.0), residual_energy=0.0),
             noise=NoiseModel(s2),
         )
         assert plug == deterministic_equivalents(spec).risk  # bit-for-bit
@@ -87,7 +87,7 @@ class TestPluginCurve:
         # single estimated eigenvalue: risk solvable by hand
         est = EstimatedDecomposition(np.array([1.0]), np.array([0.8]), holdout_size=32)
         n, lam = 4, 0.5
-        (n_out, risk) = plugin_risk_curve(est, [n], lam, 0.0, noise_correction=False)[0]
+        (n_out, risk) = plugin_risk_curve(est, [n], lam, 0.0)[0]
         spec = ModelSpec(
             n=n,
             lam=lam,

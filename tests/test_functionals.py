@@ -8,14 +8,15 @@ from krrdeteq.functionals import (
     FeatureSample,
     IdentityMatrix,
     RiskMatrix,
+    _probe_task,
     _resolvent,
     convergence_probe,
     deterministic_functionals,
     empirical_functionals,
-    functional_report,
     sample_gaussian_features,
 )
 from krrdeteq.harness import ExperimentResult, emit_results
+from krrdeteq.seeds import derive_rng
 from krrdeteq.spectrum import Spectrum, SpectrumError
 
 
@@ -220,6 +221,15 @@ class TestConvergenceProbe:
         psi3 = deterministic_functionals(s, 6, 0.5, RiskMatrix(np.eye(30)[0]))[2]
         assert psi3 > 0
 
+    def test_task_relative_errors(self):
+        # one replication: |phi_j - psi_j| / psi_j on the sample its derived seed draws
+        s = Spectrum.power_law(2.0, 40)
+        errs = _probe_task(s, 0.5, "identity", 3, (0, 30, 1))
+        sample = sample_gaussian_features(s, 30, derive_rng(3, 101, 0, 1))
+        phi = empirical_functionals(sample, 0.5, IdentityMatrix(40))
+        psi = deterministic_functionals(s, 30, 0.5, IdentityMatrix(40))
+        assert errs == tuple(abs(emp - pred) / pred for emp, pred in zip(phi, psi))
+
     def test_csv_emission(self, tmp_path):
         s = Spectrum.power_law(2.0, 20)
         rows = convergence_probe(s, [5], 0.5, reps=2, seed=1)
@@ -228,13 +238,3 @@ class TestConvergenceProbe:
         lines = path.read_text().strip().splitlines()
         assert lines[0] == "n,functional_index,median_rel_err,q25,q75,reps,seed"
         assert len(lines) == 5
-
-
-class TestFunctionalReport:
-    def test_report_fields(self, rng):
-        s = Spectrum.power_law(2.0, 40)
-        sample = sample_gaussian_features(s, 30, rng)
-        rep = functional_report(sample, 0.5, np.eye(40))
-        assert len(rep.phi) == len(rep.psi) == len(rep.rel_err) == 4
-        for phi, psi, err in zip(rep.phi, rep.psi, rep.rel_err):
-            assert err == pytest.approx(abs(phi - psi) / psi, rel=1e-12)

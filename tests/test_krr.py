@@ -10,8 +10,6 @@ from krrdeteq.krr import (
     empirical_stieltjes,
     fit_krr,
     gcv,
-    gcv_argmin,
-    gram_from_csv,
     linear_sweep,
     read_gram_binary,
     read_labels_binary,
@@ -42,6 +40,14 @@ class TestGramMatrix:
     def test_accepts_tiny_negative_eigenvalue(self):
         g = GramMatrix(np.array([[1.0, 0.0], [0.0, -1e-10]]))
         g.eigendecomposition()
+
+    def test_cached_eigendecomposition_is_not_a_constructor_argument(self):
+        # a forged cache would skip the p.s.d. check: [[1, 2], [2, 1]] has eigenvalue -1
+        k = np.array([[1.0, 2.0], [2.0, 1.0]])
+        with pytest.raises(TypeError):
+            GramMatrix(k, _eig=(np.array([1.0, 3.0]), np.eye(2)))
+        with pytest.raises(KrrError, match="not p.s.d."):
+            gcv(GramMatrix(k), np.array([1.0, 0.0]), 0.0)
 
 
 class TestFit:
@@ -157,39 +163,6 @@ class TestGcv:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
-class TestGcvArgmin:
-    def test_tie_break_smallest_lambda(self):
-        # zero labels give an exactly constant (zero) curve
-        lam_hat, curve = gcv_argmin(GramMatrix(np.eye(4)), np.zeros(4), [1.0, 3.0, 7.0])
-        assert lam_hat == 1.0
-        assert {v for _, v in curve} == {0.0}
-
-    def test_single_point_grid(self, rng):
-        gram = random_spd_gram(rng, 5)
-        y = rng.standard_normal(5)
-        lam_hat, curve = gcv_argmin(gram, y, [0.25])
-        assert lam_hat == 0.25 and len(curve) == 1
-
-    def test_label_scaling_preserves_argmin(self, rng):
-        gram = random_spd_gram(rng, 10)
-        y = rng.standard_normal(10)
-        grid = list(np.geomspace(1e-3, 10, 8))
-        lam1, curve1 = gcv_argmin(gram, y, grid)
-        lam2, curve2 = gcv_argmin(gram, 2.0 * y, grid)
-        assert lam1 == lam2
-        np.testing.assert_array_equal(4.0 * np.array([v for _, v in curve1]),
-                                      np.array([v for _, v in curve2]))
-
-    def test_unsorted_grid_rejected(self, rng):
-        with pytest.raises(KrrError):
-            gcv_argmin(GramMatrix(np.eye(2)), np.ones(2), [1.0, 0.5])
-
-    def test_all_points_failing_aggregates(self):
-        g = GramMatrix(np.ones((2, 2)))  # singular
-        with pytest.raises(KrrError, match="every grid point"):
-            gcv_argmin(g, np.array([1.0, 2.0]), [0.0])
-
-
 class TestSweeps:
     def test_eig_matches_direct(self, rng):
         spectrum = Spectrum.power_law(1.5, 40)
@@ -300,8 +273,3 @@ class TestBinaryFormats:
         with pytest.raises(KrrError, match="truncated"):
             read_gram_binary(path)
 
-    def test_csv_gram(self, tmp_path):
-        path = tmp_path / "k.csv"
-        path.write_text("1.0,0.2\n0.2,1.0\n")
-        gram = gram_from_csv(path)
-        np.testing.assert_allclose(gram.entries, [[1.0, 0.2], [0.2, 1.0]])

@@ -60,15 +60,22 @@ class TestSpectrumType:
             np.testing.assert_allclose(s.tail_trace(m), expanded[m:].sum(), rtol=1e-12, atol=1e-300)
 
     def test_split_preserves_expansion(self, rng):
-        s = random_spectrum(rng)
-        m = s.total_rank // 3
-        head, tail = s.split(m)
-        parts = []
-        if head is not None:
-            parts.append(head.expand())
-        if tail is not None:
-            parts.append(tail.expand())
-        np.testing.assert_array_equal(np.concatenate(parts), s.expand())
+        for _ in range(20):
+            s = random_spectrum(rng, max_blocks=8)
+            expanded = s.expand()
+            for m in range(1, s.total_rank):
+                head, tail = s.split(m)
+                np.testing.assert_array_equal(head.expand(), expanded[:m])
+                np.testing.assert_array_equal(tail.expand(), expanded[m:])
+                # only a block the cut passes through appears on both sides
+                assert head.n_blocks + tail.n_blocks == s.n_blocks + (m not in s._cum_mult)
+            assert s.split(0) == (None, s) and s.split(s.total_rank) == (s, None)
+
+    def test_cumulative_sums_are_not_constructor_arguments(self):
+        with pytest.raises(TypeError):
+            Spectrum(np.array([1.0]), np.array([2]), _cum_mult=np.array([5]))
+        with pytest.raises(TypeError):
+            Spectrum(np.array([1.0]), np.array([2]), _cum_trace=np.array([5.0]))
 
     def test_eigenvalue_at(self):
         s = Spectrum.from_blocks([(2.0, 3), (1.0, 1)])
@@ -156,28 +163,22 @@ class TestEffectiveRank:
 class TestNuDiagnostic:
     def test_index_past_cut_gives_one(self):
         s = Spectrum.from_blocks([(1.0, 10)])
-        # floor(eta * n) = 4 > m = 2
-        assert nu_diagnostic(s, 2, 10, 1.0, eta=0.45) == 1.0
+        # floor(NU_ETA * n) = 3 > m = 2
+        assert nu_diagnostic(s, 2, 12, 1.0) == 1.0
 
     def test_isotropic_value(self):
         s = Spectrum.from_blocks([(1.0, 100)])
         expected = 1.0 + 100.0 * math.sqrt(math.log(100.0))
-        assert nu_diagnostic(s, 100, 8, 1.0, eta=0.25) == pytest.approx(expected, rel=1e-12)
+        assert nu_diagnostic(s, 100, 8, 1.0) == pytest.approx(expected, rel=1e-12)
 
     def test_large_lambda_limit(self):
         s = Spectrum.from_blocks([(1.0, 100)])
-        assert nu_diagnostic(s, 100, 8, 1e12, eta=0.25) == pytest.approx(1.0, abs=1e-6)
+        assert nu_diagnostic(s, 100, 8, 1e12) == pytest.approx(1.0, abs=1e-6)
 
     def test_requires_positive_tail_regularization(self):
         s = Spectrum.from_blocks([(1.0, 4)])
         with pytest.raises(SpectrumError):
             nu_diagnostic(s, 4, 4, 0.0)  # m = rank and lam = 0
-
-    def test_eta_domain(self):
-        s = Spectrum.from_blocks([(1.0, 4)])
-        for eta in (0.0, 0.5, 0.9):
-            with pytest.raises(SpectrumError):
-                nu_diagnostic(s, 2, 4, 1.0, eta=eta)
 
 
 @settings(max_examples=40, deadline=None)

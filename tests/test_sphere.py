@@ -232,25 +232,6 @@ class TestSphereSpectrum:
         with pytest.raises(SphereError):
             sphere_spectrum(kern, target, NoiseModel(0.0), 8, 0.1)
 
-    def test_tail_defect_and_pseudo_block(self):
-        from krrdeteq.sphere import kernel_tail_defect
-
-        kern = kernel_from_gaps(24, 2, 8.0)
-        assert kernel_tail_defect(kern.h_values, kern) == pytest.approx(0.0, abs=1e-9)
-        # a generic kernel truncated below its band limit drops trace
-        full = kernel_from_gaps(24, 3, 8.0)
-        truncated = SphereKernel(d=24, coeffs=full.coeffs[:3])
-        defect = kernel_tail_defect(full.h_values, truncated)
-        assert defect == pytest.approx(full.coeffs[3] * dim_spherical(24, 3), rel=1e-10)
-        target = build_cyclic_target(24, {1: 1.0})
-        model = sphere_spectrum(
-            truncated, target, NoiseModel(0.0), 8, 0.1,
-            tail_trace=defect, pseudo_multiplicity=1000,
-        )
-        assert model.spectrum.trace == pytest.approx(truncated.h_at_one() + defect, rel=1e-12)
-        with pytest.raises(SphereError):
-            sphere_spectrum(truncated, target, NoiseModel(0.0), 8, 0.1, tail_trace=defect)
-
     def test_risk_matches_independent_level_sum(self):
         # independent oracle: solve the level-sum fixed point with brentq and
         # evaluate the closed-form risk directly over levels
