@@ -53,7 +53,6 @@ from .sphere import (
     build_cyclic_target,
     dim_spherical,
     exact_sphere_risk,
-    kernel_eigencoeffs,
     kernel_from_gaps,
     sample_sphere,
     sphere_spectrum,

@@ -22,7 +22,7 @@ __all__ = ["EstimatedDecomposition", "estimate_spectrum", "plugin_risk_curve"]
 EIG_FLOOR = 1e-12
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EstimatedDecomposition:
     """Holdout eigenvalues (nonincreasing) and squared alignment coefficients.
 

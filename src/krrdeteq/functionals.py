@@ -37,7 +37,7 @@ PRIMAL_RATIO = 4
 _BLOCK = 256
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FeatureSample:
     """n x p feature matrix with its known diagonal covariance."""
 
@@ -64,7 +64,7 @@ class FeatureSample:
         return self.matrix.shape[1]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RiskMatrix:
     """Structured test matrix Sigma^-1 beta beta^T Sigma^-1.
 

@@ -45,7 +45,7 @@ class KrrError(ValueError):
     """Invalid Gram data or an ill-posed solve."""
 
 
-@dataclass
+@dataclass(eq=False)
 class GramMatrix:
     """Symmetric p.s.d. kernel matrix K_ij = K(u_i, u_j).
 
@@ -86,7 +86,7 @@ class GramMatrix:
         return self._eig
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class KrrFit:
     """Dual coefficients alpha solving (K + lam I) alpha = y."""
 
@@ -97,6 +97,14 @@ class KrrFit:
     def predict(self, cross_gram: np.ndarray) -> np.ndarray:
         """Predictions k(u)^T alpha for cross_gram[t, i] = K(u_test_t, u_i)."""
         return np.asarray(cross_gram) @ self.alpha
+
+
+def _shifted_factor(gram: GramMatrix, lam: float):
+    """Cholesky factor of K + lam I; KrrError when that matrix is not positive definite."""
+    try:
+        return cho_factor(gram.entries + lam * np.eye(gram.n), lower=True)
+    except np.linalg.LinAlgError as exc:
+        raise KrrError(f"shifted Gram matrix is not positive definite: {exc}") from exc
 
 
 def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
@@ -116,11 +124,7 @@ def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
             raise KrrError("interpolation ill-posed: Gram matrix is rank deficient")
         alpha = v @ ((v.T @ y) / mu)
     else:
-        try:
-            factor = cho_factor(gram.entries + lam * np.eye(gram.n), lower=True)
-        except np.linalg.LinAlgError as exc:
-            raise KrrError(f"shifted Gram matrix is not positive definite: {exc}") from exc
-        alpha = cho_solve(factor, y)
+        alpha = cho_solve(_shifted_factor(gram, lam), y)
     resid = np.linalg.norm(gram.entries @ alpha + lam * alpha - y)
     if resid > FIT_RTOL * max(np.linalg.norm(y), 1e-300):
         raise KrrError(f"solve residual {resid:.3e} exceeds tolerance")
@@ -168,8 +172,7 @@ def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
         num = float(np.sum((c / mu) ** 2))
         denom = float(np.sum(1.0 / mu))
     else:
-        factor = cho_factor(gram.entries + lam * np.eye(n), lower=True)
-        z = cho_solve(factor, y)
+        z = cho_solve(_shifted_factor(gram, lam), y)
         num = float(z @ z)
         denom = _inv_trace(gram, lam)
     return n * num / denom**2

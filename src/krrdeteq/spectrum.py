@@ -36,7 +36,7 @@ class SpectrumError(ValueError):
     """Invalid spectral data or out-of-domain query."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalue blocks ``(value, multiplicity)``, nonincreasing in value.
 
@@ -158,7 +158,7 @@ class Spectrum:
         return Spectrum(self.values * c, self.multiplicities)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Alignment:
     """Target energy per spectrum block plus energy outside the spectrum.
 
@@ -206,7 +206,7 @@ class NoiseModel:
         object.__setattr__(self, "variance", float(self.variance))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ModelSpec:
     """A full prediction instance: (n, lambda, spectrum, alignment, noise)."""
 
@@ -291,16 +291,10 @@ def effective_rank(spectrum: Spectrum, m: int, n: int) -> float:
     if not 1 <= m <= spectrum.total_rank:
         raise SpectrumError(f"m = {m} outside [1, total rank = {spectrum.total_rank}]")
     head = spectrum.head_trace(m)
-    k_max = min(n, m) - 1
-    best = float(n)
     starts = np.concatenate(([0], spectrum._cum_mult[:-1]))
-    for start, value in zip(starts, spectrum.values):
-        k = int(start)
-        if k > k_max:
-            break
-        mass = head - spectrum.head_trace(k)
-        best = max(best, mass / float(value))
-    return best
+    before = np.concatenate(([0.0], spectrum._cum_trace[:-1]))  # head_trace at each block start
+    live = starts <= min(n, m) - 1
+    return max(float(n), float(np.max((head - before[live]) / spectrum.values[live])))
 
 
 def nu_diagnostic(spectrum: Spectrum, m: int, n: int, lam: float) -> float:

@@ -10,18 +10,19 @@ of the degree-k harmonic subspace), where
     Q_k(<u,u'>/d) = B_{d,k}^{-1/2} sum_s Y_ks(u) Y_ks(u'),
 
 and the second identity (evaluated at u = u') gives Q_k(1) = sqrt(B_{d,k}).
-These identities make test risk computable in closed form without ever
-constructing a harmonic basis.
+The ultraspherical polynomial C_k with parameter (d-2)/2 has
+C_k(1) = C(k+d-3, k), so Q_k = C_k * sqrt(B_{d,k}) / C(k+d-3, k): every
+normalization is closed form, with no quadrature.  These identities make
+test risk computable in closed form without ever constructing a harmonic
+basis.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import lru_cache
 
 import numpy as np
-from scipy.special import roots_jacobi
 
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
@@ -31,7 +32,6 @@ __all__ = [
     "SphereTarget",
     "dim_spherical",
     "kernel_from_gaps",
-    "kernel_eigencoeffs",
     "sample_sphere",
     "build_cyclic_target",
     "sphere_spectrum",
@@ -40,8 +40,8 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 12
-COEFF_CLAMP = 1e-10
-QUAD_AGREEMENT = 1e-6
+# rows per block of inner products, which bounds the temporaries of a Gram build
+_BLOCK = 1024
 
 
 class SphereError(ValueError):
@@ -78,70 +78,47 @@ def sphere_moment(d: int, k: int) -> float:
     return value
 
 
-def _quadrature(d: int, nodes: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Jacobi nodes/weights for the normalized coordinate density."""
-    a = (d - 3) / 2.0
-    x, w = roots_jacobi(nodes, a, a)
-    return x, w / w.sum()
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GegenbauerBasis:
     """Orthonormal polynomials for the sphere-coordinate weight, degrees <= kmax.
 
     Built from the classical ultraspherical three-term recurrence with
-    parameter alpha = (d-2)/2, then normalized by quadrature so that
-    int Q_j Q_k d(tau) = delta_jk.
+    parameter alpha = (d-2)/2.  The raw degree-k polynomial takes the value
+    C(k+d-3, k) at 1, and Q_k(1) = sqrt(B_{d,k}), so dividing by
+    norms[k] = C(k+d-3, k) / sqrt(B_{d,k}) gives int Q_j Q_k d(tau) = delta_jk.
     """
 
     d: int
     kmax: int = DEFAULT_KMAX
     norms: np.ndarray = field(init=False, repr=False)
-    quad_nodes: np.ndarray = field(init=False, repr=False)
-    quad_weights: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         if self.d < 3:
             raise SphereError("ambient dimension must be >= 3")
         if self.kmax < 0:
             raise SphereError("kmax must be nonnegative")
-        x, w = _quadrature(self.d, 4 * max(self.kmax, 1) + 16)
-        raw = self._raw_values(x, self.kmax)
-        norms = np.sqrt((raw * raw) @ w)
-        object.__setattr__(self, "norms", norms)
-        object.__setattr__(self, "quad_nodes", x)
-        object.__setattr__(self, "quad_weights", w)
-
-    def _raw_values(self, t: np.ndarray, kmax: int) -> np.ndarray:
-        """Unnormalized ultraspherical values, shape (kmax+1, len(t))."""
-        alpha = (self.d - 2) / 2.0
-        out = np.empty((kmax + 1, t.size))
-        out[0] = 1.0
-        if kmax >= 1:
-            out[1] = 2.0 * alpha * t
-        for k in range(2, kmax + 1):
-            out[k] = (2.0 * (k + alpha - 1) * t * out[k - 1] - (k + 2 * alpha - 2) * out[k - 2]) / k
-        return out
-
-    def _clamp(self, t: np.ndarray) -> np.ndarray:
-        t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) > 1 + 1e-12):
-            raise SphereError("argument outside [-1, 1]")
-        return np.clip(t, -1.0, 1.0)
+        d = self.d
+        norms = [math.comb(k + d - 3, k) / math.sqrt(dim_spherical(d, k)) for k in range(self.kmax + 1)]
+        object.__setattr__(self, "norms", np.array(norms))
 
     def eval(self, k: int, t) -> np.ndarray:
         """Q_k(t) for |t| <= 1 (inputs within 1e-12 of the interval are clamped)."""
         if not 0 <= k <= self.kmax:
             raise SphereError(f"degree {k} outside [0, kmax = {self.kmax}]")
-        t = self._clamp(np.atleast_1d(t))
-        return self._raw_values(t, k)[k] / self.norms[k]
+        return self.series(np.eye(k + 1)[k], np.atleast_1d(t))
 
     def series(self, coeffs: np.ndarray, t) -> np.ndarray:
-        """sum_k coeffs[k] * Q_k(t), carrying only two recurrence terms."""
+        """sum_k coeffs[k] * Q_k(t), carrying only two recurrence terms.
+
+        Inputs within 1e-12 of [-1, 1] are clamped; others raise.
+        """
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.size > self.kmax + 1:
             raise SphereError("series has more coefficients than basis degrees")
-        t = self._clamp(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
+        if np.any(np.abs(t) > 1 + 1e-12):
+            raise SphereError("argument outside [-1, 1]")
+        t = np.clip(t, -1.0, 1.0)
         alpha = (self.d - 2) / 2.0
         prev = np.ones_like(t)
         acc = coeffs[0] / self.norms[0] * prev
@@ -155,12 +132,15 @@ class GegenbauerBasis:
         return acc
 
 
-@lru_cache(maxsize=32)
-def _cached_basis(d: int, kmax: int) -> GegenbauerBasis:
-    return GegenbauerBasis(d=d, kmax=kmax)
+def _inner_products(a: np.ndarray, b: np.ndarray, d: int):
+    """(rows, t) per block of _BLOCK rows of a: t = <a_i, b_j>/d clipped to [-1, 1]."""
+    for start in range(0, a.shape[0], _BLOCK):
+        rows = slice(start, min(start + _BLOCK, a.shape[0]))
+        # inner products of same-radius sphere points live in [-d, d]
+        yield rows, np.clip((a[rows] @ b.T) / d, -1.0, 1.0)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SphereKernel:
     """Band-limited inner-product kernel h(t) = sum_k coeffs[k] sqrt(B_{d,k}) Q_k(t)."""
 
@@ -175,7 +155,7 @@ class SphereKernel:
         if np.any(coeffs < 0) or not np.all(np.isfinite(coeffs)):
             raise SphereError("kernel eigenvalues must be finite and nonnegative")
         object.__setattr__(self, "coeffs", coeffs)
-        object.__setattr__(self, "basis", _cached_basis(self.d, coeffs.size - 1))
+        object.__setattr__(self, "basis", GegenbauerBasis(self.d, coeffs.size - 1))
 
     @property
     def kmax(self) -> int:
@@ -188,10 +168,6 @@ class SphereKernel:
     def multiplicities(self) -> np.ndarray:
         return np.array([dim_spherical(self.d, k) for k in self.degrees], dtype=np.int64)
 
-    def h_at_one(self) -> float:
-        """h(1) = sum_k coeffs[k] * B_{d,k}, the kernel trace."""
-        return float(np.dot(self.coeffs, self.multiplicities()))
-
     def _series_scale(self, level_values: np.ndarray) -> np.ndarray:
         return level_values * np.sqrt(self.multiplicities().astype(float))
 
@@ -202,22 +178,19 @@ class SphereKernel:
         """Second-moment kernel sum_k coeffs[k]^2 sqrt(B_{d,k}) Q_k(t)."""
         return self.basis.series(self._series_scale(self.coeffs**2), t)
 
-    def cross_gram(self, points_a: np.ndarray, points_b: np.ndarray, block: int = 1024) -> np.ndarray:
-        """h(<a_i, b_j>/d) row-block streamed to bound peak memory."""
+    def cross_gram(self, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
+        """h(<a_i, b_j>/d), streamed in row blocks to bound peak memory."""
         a = np.asarray(points_a, dtype=float)
         b = np.asarray(points_b, dtype=float)
         if a.shape[1] != self.d or b.shape[1] != self.d:
             raise SphereError("point dimension must match the kernel's d")
         out = np.empty((a.shape[0], b.shape[0]))
-        for start in range(0, a.shape[0], block):
-            stop = min(start + block, a.shape[0])
-            t = (a[start:stop] @ b.T) / self.d
-            # inner products of same-radius sphere points live in [-d, d]
-            out[start:stop] = self.h_values(np.clip(t, -1.0, 1.0))
+        for rows, t in _inner_products(a, b, self.d):
+            out[rows] = self.h_values(t)
         return out
 
-    def gram(self, points: np.ndarray, block: int = 1024) -> np.ndarray:
-        return self.cross_gram(points, points, block=block)
+    def gram(self, points: np.ndarray) -> np.ndarray:
+        return self.cross_gram(points, points)
 
 
 def kernel_from_gaps(d: int, levels: int, gap: float) -> SphereKernel:
@@ -229,41 +202,6 @@ def kernel_from_gaps(d: int, levels: int, gap: float) -> SphereKernel:
     coeffs = np.zeros(levels + 1)
     coeffs[1:] = float(gap) ** -(np.arange(1, levels + 1, dtype=float) - 1.0)
     return SphereKernel(d=d, coeffs=coeffs)
-
-
-def kernel_eigencoeffs(h, d: int, kmax: int) -> np.ndarray:
-    """Level eigenvalues of a scalar kernel function by projection.
-
-    xi_k = B_{d,k}^{-1/2} * int h(t) Q_k(t) d(tau_{d,1}); the quadrature node
-    count doubles until two successive estimates agree to 1e-6, else raises.
-    Values within 1e-10 * h(1) of zero are clamped to 0; larger negatives
-    mean h is not positive semidefinite at this d.
-    """
-    basis = _cached_basis(d, kmax)
-    scale = max(abs(float(h(1.0))), 1.0)
-
-    def estimate(nodes: int) -> np.ndarray:
-        x, w = _quadrature(d, nodes)
-        hv = np.asarray(h(x), dtype=float) * w
-        q = basis._raw_values(x, kmax) / basis.norms[:, None]
-        return q @ hv
-
-    nodes = 4 * max(kmax, 1) + 16
-    prev = estimate(nodes)
-    for _ in range(8):
-        nodes *= 2
-        cur = estimate(nodes)
-        if np.max(np.abs(cur - prev)) <= QUAD_AGREEMENT * scale:
-            break
-        prev = cur
-    else:
-        raise SphereError("quadrature failed to converge for the kernel function")
-    mults = np.array([dim_spherical(d, k) for k in range(kmax + 1)], dtype=float)
-    coeffs = cur / np.sqrt(mults)
-    floor = COEFF_CLAMP * scale
-    if np.any(coeffs < -floor):
-        raise SphereError("kernel function is not positive semidefinite at this dimension")
-    return np.where(coeffs < 0, 0.0, coeffs)
 
 
 def sample_sphere(d: int, n: int, seed) -> np.ndarray:
@@ -392,10 +330,7 @@ def exact_sphere_risk(
     for k, _ in target.energies.items():
         if k <= kernel.kmax and kernel.coeffs[k] > 0:
             v += kernel.coeffs[k] * target.level_values(k, u)
-    block = 1024
     quad = 0.0
-    for start in range(0, u.shape[0], block):
-        stop = min(start + block, u.shape[0])
-        t = np.clip((u[start:stop] @ u.T) / kernel.d, -1.0, 1.0)
-        quad += float(alpha[start:stop] @ (kernel.h2_values(t) @ alpha))
+    for rows, t in _inner_products(u, u, kernel.d):
+        quad += float(alpha[rows] @ (kernel.h2_values(t) @ alpha))
     return target.total_energy - 2.0 * float(alpha @ v) + quad + float(noise_variance)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import roots_jacobi
 
 from krrdeteq.spectrum import Spectrum
 
@@ -10,6 +11,13 @@ def random_spectrum(rng, max_blocks=50, lo=1e-6, hi=1.0):
     values = np.sort(np.exp(rng.uniform(np.log(lo), np.log(hi), size=k)))[::-1]
     mults = rng.integers(1, 40, size=k)
     return Spectrum(values, mults)
+
+
+def sphere_quadrature(d, nodes=60):
+    """Gauss-Jacobi nodes and weights (summing to 1) for the sphere-coordinate density (1-t^2)^((d-3)/2)."""
+    a = (d - 3) / 2.0
+    x, w = roots_jacobi(nodes, a, a)
+    return x, w / w.sum()
 
 
 @pytest.fixture

@@ -33,7 +33,7 @@ from krrdeteq.sphere import (
 )
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
-from conftest import random_spectrum
+from conftest import random_spectrum, sphere_quadrature
 
 THREADS = 2
 
@@ -252,7 +252,7 @@ def test_a7_sphere_machinery():
     worst_orth, worst_q1 = 0.0, 0.0
     for d in (10, 24):
         basis = GegenbauerBasis(d, 10)
-        x, w = basis.quad_nodes, basis.quad_weights
+        x, w = sphere_quadrature(d)
         vals = np.vstack([basis.eval(k, x) for k in range(11)])
         gram = (vals * w) @ vals.T
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(11)).max()))

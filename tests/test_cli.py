@@ -434,3 +434,14 @@ def test_benchmark_spans_fire(tmp_path, workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_cli_import_leaves_out_scipy_special():
+    """The sphere kernel's normalization is closed form, so loading the CLI never loads scipy.special."""
+    src = str(Path(krrdeteq.__file__).resolve().parents[1])
+    script = "import sys, krrdeteq.cli; print('scipy.special' in sys.modules)"
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

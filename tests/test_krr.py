@@ -151,6 +151,13 @@ class TestGcv:
         with pytest.raises(KrrError):
             gcv(GramMatrix(np.ones((2, 2))), np.array([1.0, 2.0]), 0.0)
 
+    def test_indefinite_shifted_gram_is_krr_error(self):
+        # eigenvalues 3 and -1: K + 0.5 I is not positive definite, as fit_krr reports
+        gram, y = GramMatrix(np.array([[1.0, 2.0], [2.0, 1.0]])), np.array([1.0, 0.0])
+        for solve in (fit_krr, gcv):
+            with pytest.raises(KrrError, match="not positive definite"):
+                solve(gram, y, 0.5)
+
     def test_matches_train_over_scaled_stieltjes(self, rng):
         for _ in range(10):
             n = int(rng.integers(3, 20))

@@ -159,6 +159,24 @@ class TestEffectiveRank:
             m = int(rng.integers(1, s.total_rank + 1))
             assert effective_rank(s, m, n) >= n
 
+    def test_matches_block_loop_exactly(self, rng):
+        # oracle: the per-block scan, with the prefix mass taken from head_trace
+        def block_loop(s, m, n):
+            head = s.head_trace(m)
+            best = float(n)
+            starts = np.concatenate(([0], s._cum_mult[:-1]))
+            for start, value in zip(starts, s.values):
+                if int(start) > min(n, m) - 1:
+                    break
+                best = max(best, (head - s.head_trace(int(start))) / float(value))
+            return best
+
+        for _ in range(300):
+            s = random_spectrum(rng)
+            n = int(rng.integers(1, 400))
+            m = int(rng.integers(1, s.total_rank + 1))
+            assert effective_rank(s, m, n) == block_loop(s, m, n)
+
 
 class TestNuDiagnostic:
     def test_index_past_cut_gives_one(self):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+from krrdeteq import sphere
 from krrdeteq.deteq import deterministic_equivalents
 from krrdeteq.krr import GramMatrix, fit_krr
 from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
@@ -14,13 +15,14 @@ from krrdeteq.sphere import (
     SphereKernel,
     build_cyclic_target,
     dim_spherical,
-    kernel_eigencoeffs,
     kernel_from_gaps,
     sample_sphere,
     sphere_moment,
     sphere_spectrum,
 )
 from krrdeteq.spectrum import NoiseModel
+
+from conftest import sphere_quadrature
 
 
 class TestHarmonicDimensions:
@@ -55,9 +57,9 @@ class TestGegenbauerBasis:
         np.testing.assert_allclose(basis.eval(1, t), math.sqrt(24) * t, rtol=1e-12)
 
     def test_orthonormality(self):
-        for d in (10, 24):
+        for d in (3, 10, 24):
             basis = GegenbauerBasis(d, 10)
-            x, w = basis.quad_nodes, basis.quad_weights
+            x, w = sphere_quadrature(d)
             vals = np.vstack([basis.eval(k, x) for k in range(11)])
             gram = (vals * w) @ vals.T
             assert np.abs(gram - np.eye(11)).max() <= 1e-8
@@ -103,19 +105,19 @@ class TestSphereKernel:
         kern = kernel_from_gaps(24, 7, 8.0)
         mults = kern.multiplicities()
         expected = float(np.dot(kern.coeffs, mults))
-        assert kern.h_at_one() == pytest.approx(expected, rel=1e-15)
         assert float(kern.h_values(np.array([1.0]))[0]) == pytest.approx(expected, rel=1e-10)
 
     def test_huge_gap_suppresses_higher_levels(self):
         kern = kernel_from_gaps(24, 3, 1e12)
         assert kern.coeffs[2] <= 1e-12 and kern.coeffs[3] <= 1e-24
 
-    def test_cross_gram_streaming_matches_direct(self, rng):
+    def test_cross_gram_streaming_matches_direct(self, rng, monkeypatch):
         kern = kernel_from_gaps(10, 3, 4.0)
         a = sample_sphere(10, 23, rng)
         b = sample_sphere(10, 9, rng)
         full = kern.cross_gram(a, b)
-        blocked = kern.cross_gram(a, b, block=7)
+        monkeypatch.setattr(sphere, "_BLOCK", 7)
+        blocked = kern.cross_gram(a, b)
         np.testing.assert_array_equal(full, blocked)
         t = np.clip(a @ b.T / 10, -1, 1)
         np.testing.assert_allclose(full, kern.h_values(t), rtol=1e-12)
@@ -126,24 +128,16 @@ class TestSphereKernel:
 
 
 class TestEigencoeffs:
-    def test_constant_function(self):
-        coeffs = kernel_eigencoeffs(lambda t: np.ones_like(np.asarray(t, dtype=float)), 24, 5)
-        assert coeffs[0] == pytest.approx(1.0, rel=1e-10)
-        assert np.abs(coeffs[1:]).max() <= 1e-10
-
-    def test_linear_function(self):
-        coeffs = kernel_eigencoeffs(lambda t: 24.0 * np.asarray(t, dtype=float), 24, 5)
-        assert coeffs[1] == pytest.approx(1.0, rel=1e-10)
-        assert coeffs[0] == pytest.approx(0.0, abs=1e-12)
-
     def test_round_trip_gap_kernel(self):
-        kern = kernel_from_gaps(24, 3, 8.0)
-        coeffs = kernel_eigencoeffs(kern.h_values, 24, 3)
+        # xi_k = int h Q_k d(tau) / sqrt(B_{d,k}), by an independent Gauss-Jacobi rule
+        d = 24
+        kern = kernel_from_gaps(d, 3, 8.0)
+        x, w = sphere_quadrature(d)
+        coeffs = [
+            float(np.dot(w, kern.h_values(x) * kern.basis.eval(k, x))) / math.sqrt(dim_spherical(d, k))
+            for k in range(4)
+        ]
         np.testing.assert_allclose(coeffs, kern.coeffs, atol=1e-8)
-
-    def test_non_psd_function_rejected(self):
-        with pytest.raises(SphereError, match="not positive semidefinite"):
-            kernel_eigencoeffs(lambda t: -24.0 * np.asarray(t, dtype=float), 24, 3)
 
 
 class TestSampling:
@@ -283,6 +277,16 @@ class TestExactRisk:
         test_points = sample_sphere(d, 20_000, rng)
         mc, se = monte_carlo_risk(fit, kern.cross_gram, target, s2, u, test_points)
         assert abs(mc - exact) <= 3 * se
+
+    def test_streaming_matches_one_block(self, monkeypatch):
+        d = 10
+        kern = kernel_from_gaps(d, 3, 4.0)
+        target = build_cyclic_target(d, {1: 1.0, 2: 0.25})
+        u = sample_sphere(d, 23, 5)
+        fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
+        whole = exact_sphere_risk(fit, kern, target, 0.1, u)
+        monkeypatch.setattr(sphere, "_BLOCK", 7)
+        assert exact_sphere_risk(fit, kern, target, 0.1, u) == pytest.approx(whole, rel=1e-12)
 
     def test_dimension_checks(self):
         kern = kernel_from_gaps(10, 2, 4.0)
