@@ -27,7 +27,7 @@ from .harness import (
     emit_results,
     run_experiment,
 )
-from .spectrum import ModelSpec, SpectrumError, model_from_json
+from .spectrum import ModelSpec, model_from_json
 
 SUBCOMMAND_KIND = {
     "simulate": "gaussian_curve",
@@ -130,7 +130,7 @@ def main(argv=None) -> int:
             print(f"{result.n_failed} row(s) failed; see status column", file=sys.stderr)
             return 2
         return 0
-    except (ConfigError, SpectrumError, OSError, KeyError, ValueError) as exc:
+    except (OSError, KeyError, ValueError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

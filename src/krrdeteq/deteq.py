@@ -22,11 +22,11 @@ import numpy as np
 from .spectrum import ModelSpec, Spectrum, SpectrumError, trace_resolvents
 
 __all__ = [
+    "FixedPointError",
     "EffectiveReg",
     "DetEquivalents",
     "solve_effective_reg",
     "deterministic_equivalents",
-    "truncated_effective_reg",
     "truncated_risk_deteq",
     "isotropic_effective_reg",
 ]
@@ -70,13 +70,6 @@ class DetEquivalents:
     effective: EffectiveReg
 
 
-def _check_problem(n: int, lam: float) -> None:
-    if not (math.isfinite(lam) and lam >= 0):
-        raise SpectrumError("regularization must be finite and nonnegative")
-    if n < 1:
-        raise SpectrumError("n must be a positive integer")
-
-
 def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     """Solve the effective-regularization fixed point for (n, spectrum, lam).
 
@@ -89,7 +82,10 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     moves s; the returned root carries the certificate |residual| <= 1e-12 * n
     and its Upsilons from the same evaluation, or FixedPointError is raised.
     """
-    _check_problem(n, lam)
+    if not (math.isfinite(lam) and lam >= 0):
+        raise SpectrumError("regularization must be finite and nonnegative")
+    if n < 1:
+        raise SpectrumError("n must be a positive integer")
     if lam == 0 and spectrum.total_rank <= n:
         raise FixedPointError(
             f"no positive fixed point: lambda = 0 with rank {spectrum.total_rank} <= n = {n}"
@@ -161,26 +157,6 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     stieltjes = 1.0 / (spec.n * ls)
     train = (spec.lam * stieltjes) ** 2 * risk
     return DetEquivalents(stieltjes, bias, variance, risk, train, eff)
-
-
-def truncated_effective_reg(spectrum: Spectrum, m: int, n: int, lam: float) -> EffectiveReg:
-    """Fixed point of the truncated model (n, top-m spectrum, lam + tail trace).
-
-    The tail's trace is folded into the regularization; the resulting root
-    upper-bounds the full-model lambda_star.
-    """
-    if not 0 <= m <= spectrum.total_rank:
-        raise SpectrumError(f"m = {m} outside [0, total rank = {spectrum.total_rank}]")
-    head, _ = spectrum.split(m)
-    lam_plus = lam + spectrum.tail_trace(m)
-    if head is not None:
-        return solve_effective_reg(head, n, lam_plus)
-    # empty head: n - lam_plus / ls = 0
-    _check_problem(n, lam_plus)
-    if lam_plus == 0:
-        raise FixedPointError("no positive fixed point: empty spectrum and lambda = 0")
-    ls = lam_plus / n
-    return EffectiveReg(ls, lam_plus / ls, 0.0, 0.0, 0.0)
 
 
 def truncated_risk_deteq(spec: ModelSpec, m: int) -> float:

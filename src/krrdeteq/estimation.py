@@ -17,7 +17,7 @@ from .deteq import deterministic_equivalents
 from .krr import GramMatrix, KrrError
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
-__all__ = ["EstimatedDecomposition", "estimate_spectrum", "plugin_risk_curve"]
+__all__ = ["EstimatedDecomposition", "estimate_spectrum", "decomposition_to_model", "plugin_risk_curve"]
 
 EIG_FLOOR = 1e-12
 

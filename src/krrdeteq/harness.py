@@ -22,7 +22,7 @@ from .deteq import deterministic_equivalents
 from .seeds import derive_rng, map_tasks
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, nu_diagnostic
 
-__all__ = ["ExperimentConfig", "ExperimentResult", "run_experiment", "emit_results", "CURVE_COLUMNS"]
+__all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult", "run_experiment", "emit_results", "CURVE_COLUMNS"]
 
 CURVE_COLUMNS = [
     "kind",
@@ -208,6 +208,8 @@ def _build_beta(doc: dict | None, spectrum: Spectrum, seed: int) -> np.ndarray:
         return beta / np.linalg.norm(beta)
     if kind == "energies":
         values = np.asarray(check_entries(doc.get("values", ()), _NUMBER, "target values"), dtype=float)
+        if not np.all(np.isfinite(values)) or np.any(values < 0):
+            raise ConfigError("target values must be finite and >= 0")
         if values.size != spectrum.n_blocks:
             raise ConfigError("target energies must have one entry per spectrum block")
         # spread block energy uniformly over its eigendirections

@@ -18,11 +18,11 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 __all__ = [
+    "KrrError",
     "GramMatrix",
     "KrrFit",
     "fit_krr",
     "train_error",
-    "empirical_stieltjes",
     "gcv",
     "linear_sweep",
     "test_error_linear_exact",
@@ -144,13 +144,6 @@ def _inv_trace(gram: GramMatrix, lam: float) -> float:
     low = np.linalg.cholesky(gram.entries + lam * np.eye(n))
     linv = solve_triangular(low, np.eye(n), lower=True)
     return float((linv * linv).sum())
-
-
-def empirical_stieltjes(gram: GramMatrix, lam: float) -> float:
-    """Normalized resolvent trace Tr((K + lam)^-1) / n for lam > 0."""
-    if lam <= 0 or not math.isfinite(lam):
-        raise KrrError("empirical Stieltjes transform requires lambda > 0")
-    return _inv_trace(gram, lam) / gram.n
 
 
 def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 __all__ = [
+    "SpectrumError",
     "Spectrum",
     "Alignment",
     "NoiseModel",
@@ -68,9 +69,12 @@ class Spectrum:
             raise SpectrumError("multiplicities must be integers")
         if np.any(mults < 1):
             raise SpectrumError("multiplicities must be positive integers")
+        cum_mult = np.cumsum(mults)
+        if np.any(cum_mult[1:] <= cum_mult[:-1]):  # the int64 running sum wrapped
+            raise SpectrumError("total multiplicity must be below 2**63")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "multiplicities", mults)
-        object.__setattr__(self, "_cum_mult", np.cumsum(mults))
+        object.__setattr__(self, "_cum_mult", cum_mult)
         object.__setattr__(self, "_cum_trace", np.cumsum(values * mults))
 
     @classmethod
@@ -126,27 +130,12 @@ class Spectrum:
         """Sum of eigenvalues past the m largest (blocks expanded)."""
         return self.trace - self.head_trace(m)
 
-    def split(self, m: int) -> tuple["Spectrum | None", "Spectrum | None"]:
-        """Split at expanded index m into (top-m spectrum, tail spectrum).
-
-        A block straddling the cut is divided virtually.  Either side may be
-        None when empty.
-        """
-        if not 0 <= m <= self.total_rank:
-            raise SpectrumError(f"expanded index {m} outside [0, {self.total_rank}]")
-        if m == 0:
-            return None, self
-        if m == self.total_rank:
-            return self, None
+    def head(self, m: int) -> "Spectrum":
+        """The m largest eigenvalues, 1 <= m <= rank; the cut may divide a block."""
+        if not 1 <= m <= self.total_rank:
+            raise SpectrumError(f"expanded index {m} outside [1, {self.total_rank}]")
         block, keep = self._cut(m)
-        values, mults = self.values, self.multiplicities
-        head = Spectrum(values[: block + 1], np.append(mults[:block], keep))
-        rest = int(mults[block]) - keep
-        if rest:
-            tail = Spectrum(values[block:], np.append(rest, mults[block + 1 :]))
-        else:
-            tail = Spectrum(values[block + 1 :], mults[block + 1 :])
-        return head, tail
+        return Spectrum(self.values[: block + 1], np.append(self.multiplicities[:block], keep))
 
     def expand(self) -> np.ndarray:
         """Expanded eigenvalue vector (length = total rank).  Use sparingly."""
@@ -180,10 +169,6 @@ class Alignment:
             raise SpectrumError("residual_energy must be finite and nonnegative")
         object.__setattr__(self, "energies", energies)
         object.__setattr__(self, "residual_energy", float(self.residual_energy))
-
-    @classmethod
-    def zero(cls, spectrum: Spectrum) -> "Alignment":
-        return cls(np.zeros(spectrum.n_blocks))
 
     @property
     def total_energy(self) -> float:
@@ -237,9 +222,7 @@ class ModelSpec:
         block that the cut passes through splits its energy in proportion to
         the eigenvalues kept, the only choice consistent with block granularity.
         """
-        head, _ = self.spectrum.split(m)
-        if head is None:
-            raise SpectrumError("the truncated model needs m >= 1")
+        head = self.spectrum.head(m)
         k = head.n_blocks - 1  # the last head block, the one the cut may pass through
         frac = int(head.multiplicities[k]) / int(self.spectrum.multiplicities[k])
         energies = self.alignment.energies

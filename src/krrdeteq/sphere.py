@@ -20,6 +20,7 @@ basis.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -27,6 +28,7 @@ import numpy as np
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
 __all__ = [
+    "SphereError",
     "GegenbauerBasis",
     "SphereKernel",
     "SphereTarget",
@@ -54,6 +56,7 @@ def dim_spherical(d: int, k: int) -> int:
     B_{d,0} = 1, B_{d,1} = d, and for k >= 2
     B_{d,k} = ((d + 2k - 2) / k) * C(d + k - 3, k - 1).
     """
+    d, k = operator.index(d), operator.index(k)  # numpy integer products would wrap at 2**63
     if d < 3:
         raise SphereError("ambient dimension must be >= 3")
     if k < 0:
@@ -166,7 +169,10 @@ class SphereKernel:
         return np.arange(self.coeffs.size)
 
     def multiplicities(self) -> np.ndarray:
-        return np.array([dim_spherical(self.d, k) for k in self.degrees], dtype=np.int64)
+        mults = [dim_spherical(self.d, k) for k in range(self.coeffs.size)]
+        if max(mults) >= 2**63:
+            raise SphereError(f"harmonic dimension {max(mults)} at d = {self.d} does not fit in int64")
+        return np.array(mults, dtype=np.int64)
 
     def _series_scale(self, level_values: np.ndarray) -> np.ndarray:
         return level_values * np.sqrt(self.multiplicities().astype(float))

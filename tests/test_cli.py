@@ -322,6 +322,9 @@ class TestConfigValidation:
             ("probe-functionals", {**PROBE, "n_grid": [0, 10]}, "n_grid"),
             ("deteq", {**DETEQ, "n_grid": [0, 10]}, "n_grid"),
             ("deteq", {**without(DETEQ, "n_grid"), "n": -3}, "n_grid"),
+            ("deteq", {**DETEQ, "blocks": [[1.0, 2**62], [0.5, 2**62 + 5]], "alignment": [1.0, 1.0]}, "2**63"),
+            # an 800 TB request fails at once, before any memory is touched
+            ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "size": 10**14}}, "error: Unable to allocate"),
         ],
     )
     def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, doc, needle):
@@ -434,6 +437,17 @@ def test_benchmark_spans_fire(tmp_path, workload):
     )
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == []
+
+
+def test_negative_target_energy_is_one_error_line(tmp_path):
+    """A negative target energy is a config error before any square root, so numpy prints no warning."""
+    doc = {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1, 2]]}, "target": {"kind": "energies", "values": [-1]}}
+    config = write_config(tmp_path, doc)
+    src = str(Path(krrdeteq.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "krrdeteq.cli", "simulate", "--config", str(config), "--out", str(tmp_path / "c.csv")]
+    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 1
+    assert proc.stderr.splitlines() == ["error: target values must be finite and >= 0"]
 
 
 def test_cli_import_leaves_out_scipy_special():

@@ -10,7 +10,6 @@ from krrdeteq.deteq import (
     deterministic_equivalents,
     isotropic_effective_reg,
     solve_effective_reg,
-    truncated_effective_reg,
     truncated_risk_deteq,
 )
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, tail_rank, trace_resolvents
@@ -33,6 +32,12 @@ def brentq_root(spectrum, n, lam):
     lo = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
     hi = 2 * (lam + spectrum.trace) / n  # defect(hi) >= n/2 - T1(hi) >= 0
     return brentq(defect, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=2000)
+
+
+def truncated_solve(s, m, n, lam):
+    """Fixed point of the truncated model at cut m: (n, top-m spectrum, lam + tail trace)."""
+    t = ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment(np.zeros(s.n_blocks))).truncated(m)
+    return solve_effective_reg(t.spectrum, t.n, t.lam)
 
 
 def split_alignment(spec, m):
@@ -197,7 +202,7 @@ class TestDeterministicEquivalents:
         # any spectrum; with all-zero alignment the bias vanishes and
         # V = sigma^2 * U2 / (1 - U2)
         s = Spectrum.from_blocks([(1.0, 200)])
-        spec = ModelSpec(n=100, lam=1.0, spectrum=s, alignment=Alignment.zero(s), noise=NoiseModel(0.3))
+        spec = ModelSpec(n=100, lam=1.0, spectrum=s, alignment=Alignment(np.zeros(1)), noise=NoiseModel(0.3))
         de = deterministic_equivalents(spec)
         u2 = de.effective.upsilon2
         assert de.bias == 0.0
@@ -255,7 +260,7 @@ class TestDeterministicEquivalents:
     def test_residual_energy_enters_unshrunk(self):
         s = Spectrum.from_blocks([(1.0, 50)])
         n, lam = 20, 0.5
-        plain = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment.zero(s)))
+        plain = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment(np.zeros(1))))
         with_res = deterministic_equivalents(
             ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment(np.zeros(1), residual_energy=0.3))
         )
@@ -268,33 +273,20 @@ class TestTruncatedModel:
         s = random_spectrum(rng)
         n, lam = 30, 0.4
         full = solve_effective_reg(s, n, lam)
-        trunc = truncated_effective_reg(s, s.total_rank, n, lam)
+        trunc = truncated_solve(s, s.total_rank, n, lam)
         assert trunc.lambda_star == pytest.approx(full.lambda_star, rel=1e-12)
-
-    def test_empty_cut_closed_form(self):
-        # m = 0 leaves no head: the root is (lam + trace) / n, also at lam = 0
-        s = Spectrum.from_blocks([(1.0, 7), (0.25, 3)])
-        n = 4
-        for lam in (0.5, 0.0):
-            trunc = truncated_effective_reg(s, 0, n, lam)
-            assert trunc.lambda_star == pytest.approx((lam + s.trace) / n, rel=1e-14)
-            assert (trunc.upsilon1, trunc.upsilon2, trunc.residual) == (0.0, 0.0, 0.0)
-
-    def test_empty_cut_rejects_bad_n(self):
-        with pytest.raises(SpectrumError):
-            truncated_effective_reg(Spectrum.from_blocks([(1.0, 3)]), 0, 0, 0.5)
 
     def test_full_cut_ridgeless_rank_check(self):
         s = Spectrum.from_blocks([(1.0, 7), (0.25, 3)])
-        with pytest.raises(FixedPointError, match="no positive fixed point"):
-            truncated_effective_reg(s, s.total_rank, 10, 0.0)
-        eff = truncated_effective_reg(s, s.total_rank, 4, 0.0)
+        with pytest.raises(SpectrumError, match="requires spectrum rank > n"):
+            truncated_solve(s, s.total_rank, 10, 0.0)
+        eff = truncated_solve(s, s.total_rank, 4, 0.0)
         assert eff.lambda_star == solve_effective_reg(s, 4, 0.0).lambda_star
 
     def test_two_scale_instance_and_bound(self):
         s = Spectrum.from_blocks([(1.0, 50), (0.01, 10000)])
         n, m = 100, 50
-        trunc = truncated_effective_reg(s, m, n, 0.0)
+        trunc = truncated_solve(s, m, n, 0.0)
         # top-50 isotropic with lam+ = 100: 100 - 100/ls = 50/(1+ls)
         assert trunc.lambda_star == pytest.approx((1 + math.sqrt(17)) / 4, rel=1e-12)
         full = solve_effective_reg(s, n, 0.0)
@@ -331,7 +323,7 @@ class TestTruncatedModel:
         al = Alignment(np.array([0.8, 0.2]))
         spec = ModelSpec(n=3, lam=0.2, spectrum=s, alignment=al)
         r = truncated_risk_deteq(spec, 2)
-        eff = truncated_effective_reg(s, 2, 3, 0.2)
+        eff = truncated_solve(s, 2, 3, 0.2)
         ls = eff.lambda_star
         head_energy = 0.8 * 2 / 4
         tail_energy = 0.8 * 2 / 4 + 0.2
@@ -348,7 +340,7 @@ class TestTruncatedModel:
             m = int(rng.integers(1, s.total_rank + 1))
             inside += m not in s._cum_mult
             trunc = spec.truncated(m)
-            head, _ = s.split(m)
+            head = s.head(m)
             head_energies, tail_energy = split_alignment(spec, m)
             np.testing.assert_array_equal(trunc.spectrum.values, head.values)
             np.testing.assert_array_equal(trunc.spectrum.multiplicities, head.multiplicities)
@@ -361,7 +353,7 @@ class TestTruncatedModel:
 
     def test_truncated_model_rejects_empty_head(self):
         s = Spectrum.from_blocks([(1.0, 3)])
-        spec = ModelSpec(n=2, lam=0.5, spectrum=s, alignment=Alignment.zero(s))
+        spec = ModelSpec(n=2, lam=0.5, spectrum=s, alignment=Alignment(np.zeros(1)))
         for m in (0, -1, 4):
             with pytest.raises(SpectrumError):
                 spec.truncated(m)

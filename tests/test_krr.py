@@ -7,7 +7,6 @@ from krrdeteq.functionals import FeatureSample, sample_gaussian_features
 from krrdeteq.krr import (
     GramMatrix,
     KrrError,
-    empirical_stieltjes,
     fit_krr,
     gcv,
     linear_sweep,
@@ -25,6 +24,11 @@ from krrdeteq.spectrum import Spectrum
 def random_spd_gram(rng, n):
     b = rng.standard_normal((n, n + 3))
     return GramMatrix(b @ b.T / n)
+
+
+def dense_stieltjes(gram, lam):
+    """Tr((K + lam)^-1) / n from a dense inverse."""
+    return float(np.trace(np.linalg.inv(gram.entries + lam * np.eye(gram.n)))) / gram.n
 
 
 class TestGramMatrix:
@@ -110,26 +114,40 @@ class TestTrainError:
             )
 
 
+def sweep_at(rng, lam):
+    """The linear_sweep row at one lambda, on 12 Gaussian samples of 40 features."""
+    spectrum = Spectrum.power_law(1.5, 40)
+    sample = sample_gaussian_features(spectrum, 12, rng)
+    theta = rng.standard_normal(40)
+    (row,) = linear_sweep(sample, theta, sample.matrix @ theta, [lam])
+    return row
+
+
 class TestStieltjes:
+    """Tr((K + lam)^-1): the GCV denominator at lam > 0, and linear_sweep's Stieltjes value."""
+
     def test_isotropic(self):
-        assert empirical_stieltjes(GramMatrix(3.0 * np.eye(5)), 1.0) == pytest.approx(0.25, rel=1e-12)
+        # (3I + 1)^-1 = I/4 on n = 5: gcv = 5 * (|y|^2 / 16) / (5/4)^2
+        y = np.arange(1.0, 6.0)
+        assert gcv(GramMatrix(3.0 * np.eye(5)), y, 1.0) == pytest.approx(5 * (55 / 16) / (5 / 4) ** 2, rel=1e-12)
 
     def test_diagonal(self):
+        # (diag(1, 3) + 1)^-1 = diag(1/2, 1/4): gcv = 2 * (1/4 + 1/16) / (3/4)^2
         g = GramMatrix(np.diag([1.0, 3.0]))
-        assert empirical_stieltjes(g, 1.0) == pytest.approx(0.375, rel=1e-12)
+        assert gcv(g, np.ones(2), 1.0) == pytest.approx(10 / 9, rel=1e-12)
 
     def test_large_lambda_limit(self):
-        assert empirical_stieltjes(GramMatrix(np.eye(3)), 1e12) < 1e-11
+        # (I + lam)^-1 = I/(1 + lam): gcv = 3 * (|y|^2 / (1 + lam)^2) / (3 / (1 + lam))^2 = |y|^2 / 3
+        y = np.array([1.0, -2.0, 2.0])
+        assert gcv(GramMatrix(np.eye(3)), y, 1e12) == pytest.approx(3.0, rel=1e-12)
 
-    def test_requires_positive_lambda(self):
-        with pytest.raises(KrrError):
-            empirical_stieltjes(GramMatrix(np.eye(2)), 0.0)
+    def test_requires_positive_lambda(self, rng):
+        row = sweep_at(rng, 0.0)
+        assert math.isnan(row["stieltjes"]) and math.isfinite(row["gcv"])
 
     def test_range(self, rng):
-        gram = random_spd_gram(rng, 8)
         lam = 0.7
-        val = empirical_stieltjes(gram, lam)
-        assert 0 < val <= 1 / lam
+        assert 0 < sweep_at(rng, lam)["stieltjes"] <= 1 / lam
 
 
 class TestGcv:
@@ -166,7 +184,7 @@ class TestGcv:
             lam = float(rng.uniform(1e-2, 2.0))
             fit = fit_krr(gram, y, lam)
             lhs = gcv(gram, y, lam)
-            rhs = train_error(fit, y) / (lam * empirical_stieltjes(gram, lam)) ** 2
+            rhs = train_error(fit, y) / (lam * dense_stieltjes(gram, lam)) ** 2
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
@@ -182,7 +200,7 @@ class TestSweeps:
             lam = row["lambda"]
             assert row["gcv"] == pytest.approx(gcv(gram, y, lam), rel=1e-8)
             assert row["train_error"] == pytest.approx(train_error(fit_krr(gram, y, lam), y), rel=1e-8)
-            assert row["stieltjes"] == pytest.approx(empirical_stieltjes(gram, lam), rel=1e-8)
+            assert row["stieltjes"] == pytest.approx(dense_stieltjes(gram, lam), rel=1e-8)
 
     def test_linear_sweep_matches_pointwise(self, rng):
         spectrum = Spectrum.power_law(1.5, 40)

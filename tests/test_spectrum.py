@@ -47,6 +47,12 @@ class TestSpectrumType:
         with pytest.raises(SpectrumError, match="integers"):
             Spectrum(np.array([1.0]), np.array([mult]))
 
+    def test_total_rank_past_int64_rejected(self):
+        # the int64 running sum would wrap to -2**63 + 5
+        with pytest.raises(SpectrumError, match=r"2\*\*63"):
+            Spectrum.from_blocks([(1.0, 2**62), (0.5, 2**62 + 5)])
+        assert Spectrum.from_blocks([(1.0, 2**62), (0.5, 2**62 - 1)]).total_rank == 2**63 - 1
+
     def test_integral_float_multiplicity_accepted(self):
         s = Spectrum.from_blocks([(2.0, 3.0), (1.0, 2)])
         assert s.multiplicities.dtype == np.int64
@@ -60,16 +66,15 @@ class TestSpectrumType:
             np.testing.assert_allclose(s.tail_trace(m), expanded[m:].sum(), rtol=1e-12, atol=1e-300)
 
     def test_split_preserves_expansion(self, rng):
+        """head(m) is the top m of the expansion, dividing the block the cut passes through."""
         for _ in range(20):
             s = random_spectrum(rng, max_blocks=8)
             expanded = s.expand()
-            for m in range(1, s.total_rank):
-                head, tail = s.split(m)
-                np.testing.assert_array_equal(head.expand(), expanded[:m])
-                np.testing.assert_array_equal(tail.expand(), expanded[m:])
-                # only a block the cut passes through appears on both sides
-                assert head.n_blocks + tail.n_blocks == s.n_blocks + (m not in s._cum_mult)
-            assert s.split(0) == (None, s) and s.split(s.total_rank) == (s, None)
+            for m in range(1, s.total_rank + 1):
+                np.testing.assert_array_equal(s.head(m).expand(), expanded[:m])
+            for m in (0, s.total_rank + 1):
+                with pytest.raises(SpectrumError, match="outside"):
+                    s.head(m)
 
     def test_cumulative_sums_are_not_constructor_arguments(self):
         with pytest.raises(TypeError):
@@ -237,8 +242,8 @@ class TestAlignmentAndModel:
     def test_ridgeless_needs_excess_rank(self):
         s = Spectrum.from_blocks([(2.0, 50)])
         with pytest.raises(SpectrumError):
-            ModelSpec(n=100, lam=0.0, spectrum=s, alignment=Alignment.zero(s))
-        ModelSpec(n=30, lam=0.0, spectrum=s, alignment=Alignment.zero(s))  # fine
+            ModelSpec(n=100, lam=0.0, spectrum=s, alignment=Alignment(np.zeros(1)))
+        ModelSpec(n=30, lam=0.0, spectrum=s, alignment=Alignment(np.zeros(1)))  # fine
 
     def test_alignment_length_checked(self):
         s = Spectrum.from_blocks([(1.0, 2), (0.5, 2)])

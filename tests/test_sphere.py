@@ -48,6 +48,18 @@ class TestHarmonicDimensions:
         with pytest.raises(SphereError):
             dim_spherical(10, -1)
 
+    def test_kernel_multiplicities_exact_past_int64_products(self):
+        # (d + 2k - 2) * C(d + k - 3, k - 1) passes 2**63 at d = 185, k = 12, while B_{d,k} fits
+        mults = kernel_from_gaps(185, 12, 2.0).multiplicities()
+        assert mults[12] == 4742904420800241552
+        assert mults.tolist() == [dim_spherical(185, k) for k in range(13)]
+        assert kernel_from_gaps(np.int64(185), 12, 2.0).multiplicities()[12] == mults[12]
+
+    def test_kernel_multiplicity_past_int64_is_sphere_error(self):
+        assert dim_spherical(1000, 8) >= 2**63  # about 2.55e19
+        with pytest.raises(SphereError, match="int64"):
+            kernel_from_gaps(1000, 8, 2.0).multiplicities()
+
 
 class TestGegenbauerBasis:
     def test_constant_and_linear(self):
