@@ -95,17 +95,12 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     nxt = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
     for _ in range(MAX_NEWTON):
         ls = nxt
-        t1, t2 = trace_resolvents(spectrum, ls)
+        t1, t2, slope = trace_resolvents(spectrum, ls)
         residual = n - lam / ls - t1
         if abs(residual) <= 0.01 * tol:
             break
-        # s g'(s) = lam/s + sum_k m_k xi_k s/(xi_k+s)^2 > 0, as a product of two
-        # ratios in [0, 1]: squaring xi_k + s would underflow for tiny xi_k and s
-        shifted = spectrum.values + ls
-        scaled_slope = lam / ls + float(
-            np.einsum("i,i->", spectrum.multiplicities, (spectrum.values / shifted) * (ls / shifted))
-        )
-        nxt = ls * (1.0 - residual / scaled_slope)
+        # s g'(s) = lam/s + sum_k m_k xi_k s/(xi_k+s)^2 > 0
+        nxt = ls * (1.0 - residual / (lam / ls + slope))
         # no progress, or a step past 0 from a start right of a root below 5e-324
         if nxt == ls or not nxt > 0:
             break

@@ -61,12 +61,18 @@ class GramMatrix:
         k = np.asarray(self.entries, dtype=float)
         if k.ndim != 2 or k.shape[0] != k.shape[1]:
             raise KrrError("Gram matrix must be square")
-        if not np.all(np.isfinite(k)):
+        # min and max propagate NaN, so finite extremes mean finite entries
+        lo, hi = (float(k.min()), float(k.max())) if k.size else (0.0, 0.0)
+        if not (math.isfinite(lo) and math.isfinite(hi)):
             raise KrrError("Gram matrix must be finite")
-        scale = float(np.abs(k).max()) if k.size else 0.0
-        if not np.allclose(k, k.T, atol=1e-10 * max(scale, 1.0), rtol=0.0):
+        # one n x n buffer holds |K - K^T| for the check, then the symmetrized K
+        s = k - k.T
+        np.abs(s, out=s)
+        if s.size and s.max() > 1e-10 * max(-lo, hi, 1.0):
             raise KrrError("Gram matrix must be symmetric")
-        self.entries = 0.5 * (k + k.T)
+        np.add(k, k.T, out=s)
+        s *= 0.5
+        self.entries = s
 
     @property
     def n(self) -> int:

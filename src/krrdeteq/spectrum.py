@@ -232,19 +232,24 @@ class ModelSpec:
         return ModelSpec(self.n, self.lam + self.spectrum.tail_trace(m), head, alignment, self.noise)
 
 
-def trace_resolvents(spectrum: Spectrum, s: float) -> tuple[float, float]:
-    """Resolvent trace sums (T1, T2) at shift s > 0.
+def trace_resolvents(spectrum: Spectrum, s: float) -> tuple[float, float, float]:
+    """Resolvent trace sums (T1, T2) at shift s > 0, and the slope sum S.
 
-    T1 = sum_k m_k xi_k / (xi_k + s), T2 = sum_k m_k xi_k^2 / (xi_k + s)^2.
+    T1 = sum_k m_k xi_k / (xi_k + s), T2 = sum_k m_k xi_k^2 / (xi_k + s)^2,
+    S = sum_k m_k (xi_k / (xi_k + s)) (s / (xi_k + s)) = -s dT1/ds, formed as
+    a product of two ratios in [0, 1]: squaring xi_k + s would underflow for
+    tiny xi_k and s.
     """
     if not (math.isfinite(s) and s > 0):
         raise SpectrumError("resolvent shift s must be positive")
-    ratio = spectrum.values / (spectrum.values + s)
+    shifted = spectrum.values + s
+    ratio = spectrum.values / shifted
     # einsum, not np.dot: threaded BLAS splits long dot products, so the sums
     # would depend on the BLAS thread count
     t1 = float(np.einsum("i,i->", spectrum.multiplicities, ratio))
     t2 = float(np.einsum("i,i->", spectrum.multiplicities, ratio * ratio))
-    return t1, t2
+    slope = float(np.einsum("i,i->", spectrum.multiplicities, ratio * (s / shifted)))
+    return t1, t2, slope
 
 
 def tail_rank(spectrum: Spectrum, m: int, lam: float) -> float:

@@ -15,6 +15,10 @@ C_k(1) = C(k+d-3, k), so Q_k = C_k * sqrt(B_{d,k}) / C(k+d-3, k): every
 normalization is closed form, with no quadrature.  These identities make
 test risk computable in closed form without ever constructing a harmonic
 basis.
+
+Gram builds and the exact risk stream over row blocks of about
+_BLOCK_ELEMENTS inner products, with the recurrence run in place inside a
+block, so their extra memory is that fixed budget, not O(n^2).
 """
 
 from __future__ import annotations
@@ -42,8 +46,9 @@ __all__ = [
 ]
 
 DEFAULT_KMAX = 12
-# rows per block of inner products, which bounds the temporaries of a Gram build
-_BLOCK = 1024
+# inner products per block of a Gram build or exact risk: the five working
+# arrays of the series (1.25 MB at this size) stay in a core's L2 cache
+_BLOCK_ELEMENTS = 2**15
 
 
 class SphereError(ValueError):
@@ -110,37 +115,66 @@ class GegenbauerBasis:
             raise SphereError(f"degree {k} outside [0, kmax = {self.kmax}]")
         return self.series(np.eye(k + 1)[k], np.atleast_1d(t))
 
-    def series(self, coeffs: np.ndarray, t) -> np.ndarray:
+    def series(self, coeffs: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
         """sum_k coeffs[k] * Q_k(t), carrying only two recurrence terms.
 
-        Inputs within 1e-12 of [-1, 1] are clamped; others raise.
+        Inputs within 1e-12 of [-1, 1] are clamped; others (and NaN) raise.
+        The recurrence runs in place on three buffers shaped like t, and the
+        sum accumulates in ``out`` when given (an array shaped like t).
         """
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.size > self.kmax + 1:
             raise SphereError("series has more coefficients than basis degrees")
         t = np.asarray(t, dtype=float)
-        if np.any(np.abs(t) > 1 + 1e-12):
-            raise SphereError("argument outside [-1, 1]")
-        t = np.clip(t, -1.0, 1.0)
-        alpha = (self.d - 2) / 2.0
-        prev = np.ones_like(t)
-        acc = coeffs[0] / self.norms[0] * prev
+        if t.size:
+            lo, hi = t.min(), t.max()
+            # written so that a NaN fails both comparisons
+            if not (lo >= -1 - 1e-12 and hi <= 1 + 1e-12):
+                raise SphereError("argument outside [-1, 1]")
+            if lo < -1 or hi > 1:
+                t = np.clip(t, -1.0, 1.0)
+        acc = np.empty_like(t) if out is None else out
+        # the same operations in the same order as the out-of-place recurrence
+        # ((2(k+alpha-1)) t) cur - (k+2alpha-2) prev, then / k: the bits do not
+        # depend on where the arrays live
+        acc.fill(coeffs[0] / self.norms[0])
         if coeffs.size == 1:
             return acc
-        cur = 2.0 * alpha * t
-        acc = acc + coeffs[1] / self.norms[1] * cur
+        alpha = (self.d - 2) / 2.0
+        prev = np.ones_like(t)
+        cur = np.multiply(t, 2.0 * alpha)
+        tmp = np.multiply(cur, coeffs[1] / self.norms[1])
+        acc += tmp
         for k in range(2, coeffs.size):
-            prev, cur = cur, (2.0 * (k + alpha - 1) * t * cur - (k + 2 * alpha - 2) * prev) / k
-            acc = acc + coeffs[k] / self.norms[k] * cur
+            np.multiply(t, 2.0 * (k + alpha - 1), out=tmp)
+            tmp *= cur
+            prev *= k + 2 * alpha - 2
+            tmp -= prev
+            tmp /= k
+            prev, cur, tmp = cur, tmp, prev
+            np.multiply(cur, coeffs[k] / self.norms[k], out=tmp)
+            acc += tmp
         return acc
 
 
-def _inner_products(a: np.ndarray, b: np.ndarray, d: int):
-    """(rows, t) per block of _BLOCK rows of a: t = <a_i, b_j>/d clipped to [-1, 1]."""
-    for start in range(0, a.shape[0], _BLOCK):
-        rows = slice(start, min(start + _BLOCK, a.shape[0]))
-        # inner products of same-radius sphere points live in [-d, d]
-        yield rows, np.clip((a[rows] @ b.T) / d, -1.0, 1.0)
+def _row_blocks(n_rows: int, n_cols: int):
+    """Row slices of an n_rows x n_cols array, about _BLOCK_ELEMENTS entries each.
+
+    A block's row count is a multiple of 8, the widest register tile of
+    common gemm kernels: when n_cols is a multiple of 8 too, the blocked
+    inner products are bitwise those of one whole product (on OpenBLAS).
+    """
+    step = max(8, _BLOCK_ELEMENTS // max(1, n_cols) // 8 * 8)
+    for start in range(0, n_rows, step):
+        yield slice(start, min(start + step, n_rows))
+
+
+def _inner_products(a: np.ndarray, b: np.ndarray, d: int) -> np.ndarray:
+    """t = <a_i, b_j>/d clipped to [-1, 1], computed in place."""
+    t = a @ b.T
+    t /= d
+    # inner products of same-radius sphere points live in [-d, d]
+    return np.clip(t, -1.0, 1.0, out=t)
 
 
 @dataclass(frozen=True, eq=False)
@@ -184,19 +218,34 @@ class SphereKernel:
         """Second-moment kernel sum_k coeffs[k]^2 sqrt(B_{d,k}) Q_k(t)."""
         return self.basis.series(self._series_scale(self.coeffs**2), t)
 
+    def _checked_points(self, points: np.ndarray) -> np.ndarray:
+        u = np.asarray(points, dtype=float)
+        if u.shape[1] != self.d:
+            raise SphereError("point dimension must match the kernel's d")
+        return u
+
     def cross_gram(self, points_a: np.ndarray, points_b: np.ndarray) -> np.ndarray:
         """h(<a_i, b_j>/d), streamed in row blocks to bound peak memory."""
-        a = np.asarray(points_a, dtype=float)
-        b = np.asarray(points_b, dtype=float)
-        if a.shape[1] != self.d or b.shape[1] != self.d:
-            raise SphereError("point dimension must match the kernel's d")
+        a, b = self._checked_points(points_a), self._checked_points(points_b)
         out = np.empty((a.shape[0], b.shape[0]))
-        for rows, t in _inner_products(a, b, self.d):
-            out[rows] = self.h_values(t)
+        coeffs = self._series_scale(self.coeffs)
+        for rows in _row_blocks(a.shape[0], b.shape[0]):
+            self.basis.series(coeffs, _inner_products(a[rows], b, self.d), out=out[rows])
         return out
 
     def gram(self, points: np.ndarray) -> np.ndarray:
-        return self.cross_gram(points, points)
+        """h(<u_i, u_j>/d): the upper triangle in row blocks, mirrored, so exactly symmetric."""
+        u = self._checked_points(points)
+        n = u.shape[0]
+        out = np.empty((n, n))
+        coeffs = self._series_scale(self.coeffs)
+        for rows in _row_blocks(n, n):
+            self.basis.series(coeffs, _inner_products(u[rows], u[rows.start :], self.d), out=out[rows, rows.start :])
+            out[rows.stop :, rows] = out[rows, rows.stop :].T
+            diag = out[rows, rows]
+            lower = np.tril_indices(diag.shape[0], -1)
+            diag[lower] = diag.T[lower]
+        return out
 
 
 def kernel_from_gaps(d: int, levels: int, gap: float) -> SphereKernel:
@@ -336,7 +385,8 @@ def exact_sphere_risk(
     for k, _ in target.energies.items():
         if k <= kernel.kmax and kernel.coeffs[k] > 0:
             v += kernel.coeffs[k] * target.level_values(k, u)
-    quad = 0.0
-    for rows, t in _inner_products(u, u, kernel.d):
-        quad += float(alpha[rows] @ (kernel.h2_values(t) @ alpha))
-    return target.total_energy - 2.0 * float(alpha @ v) + quad + float(noise_variance)
+    # H2 alpha row block by row block, then one dot: the sum does not depend on the blocks
+    h2_alpha = np.empty(u.shape[0])
+    for rows in _row_blocks(u.shape[0], u.shape[0]):
+        h2_alpha[rows] = kernel.h2_values(_inner_products(u[rows], u, kernel.d)) @ alpha
+    return target.total_energy - 2.0 * float(alpha @ v) + float(alpha @ h2_alpha) + float(noise_variance)

@@ -36,6 +36,28 @@ class TestGramMatrix:
         with pytest.raises(KrrError):
             GramMatrix(np.array([[1.0, 0.5], [0.2, 1.0]]))
 
+    def test_symmetry_check_matches_allclose_oracle(self, rng):
+        base = rng.standard_normal((6, 6))
+        base = 3.0 * (base + base.T)
+        for rel in (0.0, 0.5, 0.99, 1.01, 3.0):
+            k = base.copy()
+            atol = 1e-10 * max(float(np.abs(k).max()), 1.0)
+            k[1, 4] += rel * atol
+            if np.allclose(k, k.T, atol=1e-10 * max(float(np.abs(k).max()), 1.0), rtol=0.0):
+                g = GramMatrix(k)
+                np.testing.assert_array_equal(g.entries, 0.5 * (k + k.T))
+                assert g.entries is not k
+            else:
+                with pytest.raises(KrrError, match="symmetric"):
+                    GramMatrix(k)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_rejects_nonfinite(self, bad):
+        k = np.eye(3)
+        k[2, 1] = bad
+        with pytest.raises(KrrError, match="finite"):
+            GramMatrix(k)
+
     def test_rejects_indefinite_on_use(self):
         g = GramMatrix(np.array([[1.0, 0.0], [0.0, -0.5]]))
         with pytest.raises(KrrError, match="not p.s.d."):

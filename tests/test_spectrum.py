@@ -91,19 +91,21 @@ class TestSpectrumType:
 
 class TestTraceResolvents:
     def test_isotropic_block(self):
-        t1, t2 = trace_resolvents(Spectrum.from_blocks([(1.0, 200)]), 1.0)
+        t1, t2, slope = trace_resolvents(Spectrum.from_blocks([(1.0, 200)]), 1.0)
         assert t1 == pytest.approx(100.0, rel=1e-14)
         assert t2 == pytest.approx(50.0, rel=1e-14)
+        assert slope == pytest.approx(50.0, rel=1e-14)
 
     def test_two_block_hand_values(self):
-        t1, t2 = trace_resolvents(Spectrum.from_blocks([(2.0, 3), (1.0, 1)]), 2.0)
+        t1, t2, slope = trace_resolvents(Spectrum.from_blocks([(2.0, 3), (1.0, 1)]), 2.0)
         assert t1 == pytest.approx(11.0 / 6.0, rel=1e-14)
         assert t2 == pytest.approx(31.0 / 36.0, rel=1e-14)
+        assert slope == pytest.approx(35.0 / 36.0, rel=1e-14)
 
     def test_large_shift_limit(self, rng):
         s = random_spectrum(rng)
-        t1, t2 = trace_resolvents(s, 1e12)
-        assert t1 < 1e-9 and t2 < 1e-9
+        t1, t2, slope = trace_resolvents(s, 1e12)
+        assert t1 < 1e-9 and t2 < 1e-9 and slope < 1e-9
 
     def test_rejects_nonpositive_shift(self):
         s = Spectrum.from_blocks([(1.0, 1)])
@@ -115,8 +117,8 @@ class TestTraceResolvents:
         for _ in range(20):
             s = random_spectrum(rng)
             s1, s2 = sorted(rng.uniform(1e-4, 10.0, size=2))
-            t1a, t2a = trace_resolvents(s, s1)
-            t1b, t2b = trace_resolvents(s, s2)
+            t1a, t2a, _ = trace_resolvents(s, s1)
+            t1b, t2b, _ = trace_resolvents(s, s2)
             assert t1a > t1b and t2a > t2b
             assert t2a <= t1a <= s.total_rank
 
@@ -217,10 +219,12 @@ def test_resolvent_traces_monotone_property(data, shifts):
     s = Spectrum(values, mults)
     lo, ratio = shifts
     hi = lo * ratio
-    t1_lo, t2_lo = trace_resolvents(s, lo)
-    t1_hi, t2_hi = trace_resolvents(s, hi)
+    t1_lo, t2_lo, slope_lo = trace_resolvents(s, lo)
+    t1_hi, t2_hi, _ = trace_resolvents(s, hi)
     assert t1_hi < t1_lo and t2_hi < t2_lo
     assert t2_lo <= t1_lo <= s.total_rank
+    # s/(xi+s) = 1 - xi/(xi+s), so the slope sum is T1 - T2
+    assert slope_lo == pytest.approx(t1_lo - t2_lo, rel=1e-9, abs=1e-12 * t1_lo)
 
 
 class TestAlignmentAndModel:

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -89,6 +90,31 @@ class TestGegenbauerBasis:
         with pytest.raises(SphereError):
             basis.eval(2, 1.1)
 
+    def test_nan_rejected(self):
+        with pytest.raises(SphereError, match=r"outside \[-1, 1\]"):
+            GegenbauerBasis(10, 3).eval(2, math.nan)
+        with pytest.raises(SphereError, match=r"outside \[-1, 1\]"):
+            kernel_from_gaps(10, 3, 4.0).h_values(np.array([math.nan, 0.5]))
+
+    def test_series_bitwise_matches_out_of_place_recurrence(self, rng):
+        basis = GegenbauerBasis(24, 7)
+        coeffs = rng.uniform(0, 1, size=8)
+        t = np.append(rng.uniform(-1, 1, size=200), [1.0 + 1e-13, -1.0 - 1e-13])
+        # the recurrence as plain array expressions, with a fresh array per operation
+        alpha = (basis.d - 2) / 2.0
+        tc = np.clip(t, -1.0, 1.0)
+        prev = np.ones_like(tc)
+        acc = coeffs[0] / basis.norms[0] * prev
+        cur = 2.0 * alpha * tc
+        acc = acc + coeffs[1] / basis.norms[1] * cur
+        for k in range(2, 8):
+            prev, cur = cur, (2.0 * (k + alpha - 1) * tc * cur - (k + 2 * alpha - 2) * prev) / k
+            acc = acc + coeffs[k] / basis.norms[k] * cur
+        np.testing.assert_array_equal(basis.series(coeffs, t), acc)
+        out = np.empty_like(t)
+        assert basis.series(coeffs, t, out=out) is out
+        np.testing.assert_array_equal(out, acc)
+
     def test_degree_above_kmax_rejected(self):
         basis = GegenbauerBasis(10, 3)
         with pytest.raises(SphereError):
@@ -128,11 +154,33 @@ class TestSphereKernel:
         a = sample_sphere(10, 23, rng)
         b = sample_sphere(10, 9, rng)
         full = kern.cross_gram(a, b)
-        monkeypatch.setattr(sphere, "_BLOCK", 7)
+        monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", 7)
         blocked = kern.cross_gram(a, b)
         np.testing.assert_array_equal(full, blocked)
         t = np.clip(a @ b.T / 10, -1, 1)
         np.testing.assert_allclose(full, kern.h_values(t), rtol=1e-12)
+
+    @pytest.mark.parametrize("budget", [7, 2**15])
+    def test_gram_exactly_symmetric(self, rng, monkeypatch, budget):
+        # at n = 515 row blocks of a @ a.T need not be symmetric in the last bit
+        # (gemm edge tiles), so only mirroring makes the Gram symmetric
+        monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", budget)
+        kern = kernel_from_gaps(24, 3, 4.0)
+        u = sample_sphere(24, 515, rng)
+        g = kern.gram(u)
+        np.testing.assert_array_equal(g, g.T)
+        np.testing.assert_allclose(g, kern.cross_gram(u, u), rtol=1e-12, atol=1e-13)
+
+    def test_gram_peak_memory_is_output_plus_blocks(self):
+        kern = kernel_from_gaps(24, 7, 8.0)
+        u = sample_sphere(24, 1024, 3)
+        tracemalloc.start()
+        try:
+            g = kern.gram(u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.5 * g.nbytes
 
     def test_rejects_negative_coefficients(self):
         with pytest.raises(SphereError):
@@ -297,8 +345,22 @@ class TestExactRisk:
         u = sample_sphere(d, 23, 5)
         fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
         whole = exact_sphere_risk(fit, kern, target, 0.1, u)
-        monkeypatch.setattr(sphere, "_BLOCK", 7)
+        monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", 7)
         assert exact_sphere_risk(fit, kern, target, 0.1, u) == pytest.approx(whole, rel=1e-12)
+
+    def test_peak_memory_is_blocks_not_n_squared(self):
+        d, n = 24, 1024
+        kern = kernel_from_gaps(d, 7, 8.0)
+        target = build_cyclic_target(d, {k: k**-2.0 for k in range(1, 8)})
+        u = sample_sphere(d, n, 4)
+        fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.0)
+        tracemalloc.start()
+        try:
+            exact_sphere_risk(fit, kern, target, 0.1, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * 2**20  # an n x n array would be 8 MB
 
     def test_dimension_checks(self):
         kern = kernel_from_gaps(10, 2, 4.0)
