@@ -10,6 +10,7 @@ Exit codes: 0 success, 2 partial row failures, 1 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
@@ -103,6 +104,22 @@ def _run_deteq(doc, seed: int | None) -> ExperimentResult:
     return ExperimentResult(rows, "curve")
 
 
+def _load_json(handle):
+    """``json.load`` with the cyclic GC paused, then restored as it was.
+
+    A model document parses into one small list per block, none of which can
+    form a cycle; every collection during the parse would re-walk all objects
+    alive since import.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return json.load(handle)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -114,7 +131,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         with open(args.config) as handle:
-            doc = json.load(handle)
+            doc = _load_json(handle)
         if args.command == "deteq":
             result = _run_deteq(doc, args.seed)
             out = args.out or doc.get("output_path")

@@ -144,8 +144,10 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
         raise FixedPointError(f"degenerate denominator 1 - Upsilon2 = {denom:.3e}")
     ls = eff.lambda_star
     sigma2 = spec.noise.variance
-    shrink = ls / (spec.spectrum.values + ls)
-    bias_num = float(np.einsum("i,i->", spec.alignment.energies, shrink * shrink))
+    shrink = spec.spectrum.values + ls
+    np.divide(ls, shrink, out=shrink)
+    shrink *= shrink
+    bias_num = float(np.einsum("i,i->", spec.alignment.energies, shrink))
     bias = (bias_num + spec.alignment.residual_energy) / denom
     variance = sigma2 * eff.upsilon2 / denom
     risk = bias + variance + sigma2

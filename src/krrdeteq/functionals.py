@@ -90,7 +90,8 @@ def sample_gaussian_features(spectrum: Spectrum, n: int, seed) -> FeatureSample:
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sqrt_sigma = np.sqrt(spectrum.expand())
     z = rng.standard_normal((n, sqrt_sigma.size))
-    return FeatureSample(matrix=z * sqrt_sigma, covariance=spectrum)
+    z *= sqrt_sigma
+    return FeatureSample(matrix=z, covariance=spectrum)
 
 
 def _check_test_matrix(a, p: int):

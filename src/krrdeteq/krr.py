@@ -68,10 +68,15 @@ class GramMatrix:
         # one n x n buffer holds |K - K^T| for the check, then the symmetrized K
         s = k - k.T
         np.abs(s, out=s)
-        if s.size and s.max() > 1e-10 * max(-lo, hi, 1.0):
+        asym = float(s.max()) if s.size else 0.0
+        if asym > 1e-10 * max(-lo, hi, 1.0):
             raise KrrError("Gram matrix must be symmetric")
-        np.add(k, k.T, out=s)
-        s *= 0.5
+        if asym == 0:
+            # (k + k) * 0.5 == k, so a plain copy has the same bits and cannot overflow
+            np.copyto(s, k)
+        else:
+            np.add(k, k.T, out=s)
+            s *= 0.5
         self.entries = s
 
     @property
@@ -122,6 +127,8 @@ def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
     y = np.asarray(y, dtype=float).ravel()
     if y.size != gram.n:
         raise KrrError("label vector length must match the Gram size")
+    if not np.all(np.isfinite(y)):
+        raise KrrError("labels must be finite")
     if lam < 0 or not math.isfinite(lam):
         raise KrrError("lambda must be finite and nonnegative")
     if lam == 0:
@@ -132,7 +139,7 @@ def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
     else:
         alpha = cho_solve(_shifted_factor(gram, lam), y)
     resid = np.linalg.norm(gram.entries @ alpha + lam * alpha - y)
-    if resid > FIT_RTOL * max(np.linalg.norm(y), 1e-300):
+    if not resid <= FIT_RTOL * max(np.linalg.norm(y), 1e-300):  # a NaN residual fails too
         raise KrrError(f"solve residual {resid:.3e} exceeds tolerance")
     return KrrFit(alpha=alpha, lam=lam, gram=gram)
 

@@ -48,9 +48,11 @@ class Spectrum:
 
     values: np.ndarray
     multiplicities: np.ndarray
-    # cumulative expanded counts / traces, filled in __post_init__
+    # cumulative expanded counts / traces and float64 multiplicities for the
+    # resolvent sums, filled in __post_init__
     _cum_mult: np.ndarray = field(init=False, repr=False, default=None)
     _cum_trace: np.ndarray = field(init=False, repr=False, default=None)
+    _weights: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
@@ -76,6 +78,7 @@ class Spectrum:
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "_cum_mult", cum_mult)
         object.__setattr__(self, "_cum_trace", np.cumsum(values * mults))
+        object.__setattr__(self, "_weights", mults.astype(float))
 
     @classmethod
     def from_blocks(cls, blocks) -> "Spectrum":
@@ -242,13 +245,17 @@ def trace_resolvents(spectrum: Spectrum, s: float) -> tuple[float, float, float]
     """
     if not (math.isfinite(s) and s > 0):
         raise SpectrumError("resolvent shift s must be positive")
+    # two block-length arrays; einsum, not np.dot: threaded BLAS splits long
+    # dot products, so the sums would depend on the BLAS thread count
+    weights = spectrum._weights
     shifted = spectrum.values + s
     ratio = spectrum.values / shifted
-    # einsum, not np.dot: threaded BLAS splits long dot products, so the sums
-    # would depend on the BLAS thread count
-    t1 = float(np.einsum("i,i->", spectrum.multiplicities, ratio))
-    t2 = float(np.einsum("i,i->", spectrum.multiplicities, ratio * ratio))
-    slope = float(np.einsum("i,i->", spectrum.multiplicities, ratio * (s / shifted)))
+    t1 = float(np.einsum("i,i->", weights, ratio))
+    np.divide(s, shifted, out=shifted)
+    shifted *= ratio  # ratio * (s / shifted), bit for bit
+    slope = float(np.einsum("i,i->", weights, shifted))
+    ratio *= ratio
+    t2 = float(np.einsum("i,i->", weights, ratio))
     return t1, t2, slope
 
 

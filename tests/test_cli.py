@@ -1,4 +1,5 @@
 import contextlib
+import gc
 import io
 import json
 import math
@@ -95,6 +96,32 @@ class TestDeteqCommand:
 
         monkeypatch.setattr(json, "dumps", refuse)
         assert main(["deteq", "--config", str(config), "--out", str(tmp_path / "pred.csv")]) == 0
+
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_config_parse_restores_gc_state(self, tmp_path, capsys, monkeypatch, enabled):
+        """The cyclic GC is paused only while the config parses, on success and on a malformed document."""
+        good = write_config(tmp_path, {**DETEQ, "n_grid": [10]})
+        bad = tmp_path / "bad.json"
+        bad.write_text('{"blocks": [[1.0, 30]], "alignment": [1.0')
+        during = []
+        load = json.load
+
+        def watched(handle):
+            during.append(gc.isenabled())
+            return load(handle)
+
+        monkeypatch.setattr(json, "load", watched)
+        was = gc.isenabled()
+        (gc.enable if enabled else gc.disable)()
+        try:
+            assert main(["deteq", "--config", str(good), "--out", str(tmp_path / "pred.csv")]) == 0
+            assert gc.isenabled() is enabled
+            assert main(["deteq", "--config", str(bad), "--out", str(tmp_path / "bad.csv")]) == 1
+            assert gc.isenabled() is enabled
+        finally:
+            (gc.enable if was else gc.disable)()
+        assert during == [False, False]
+        assert capsys.readouterr().err.startswith("error: ")
 
     def test_output_independent_of_blas_threads(self, tmp_path):
         """The block sums stay out of threaded BLAS, whose long dot products split by thread count."""

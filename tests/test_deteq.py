@@ -257,6 +257,19 @@ class TestDeterministicEquivalents:
             assert scaled.train == pytest.approx(base.train, rel=1e-10)
             assert scaled.stieltjes * n * c * lam == pytest.approx(base.stieltjes * n * lam, rel=1e-10)
 
+    def test_bias_bitwise_equal_to_out_of_place_shrink(self, rng):
+        """The one-buffer shrink**2 gives the bias of the out-of-place formula bit for bit."""
+        for size in (3, 8193, 50_000):
+            values = np.sort(10.0 ** rng.uniform(-6, 0, size))[::-1]
+            s = Spectrum(values, rng.integers(1, 50, size))
+            al = Alignment(rng.uniform(0, 1, size), residual_energy=0.125)
+            for n, lam in ((5, 1e-3), (10**6, 1e-300), (40, 1e3)):
+                de = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(0.5)))
+                ls = de.effective.lambda_star
+                shrink = ls / (values + ls)
+                bias_num = float(np.einsum("i,i->", al.energies, shrink * shrink))
+                assert de.bias == (bias_num + 0.125) / (1.0 - de.effective.upsilon2)
+
     def test_residual_energy_enters_unshrunk(self):
         s = Spectrum.from_blocks([(1.0, 50)])
         n, lam = 20, 0.5

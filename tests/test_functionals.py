@@ -33,6 +33,15 @@ def reference_functionals(x, sigma_diag, lam, a_dense):
     return phi1, phi2, phi3, phi4
 
 
+def test_feature_draw_is_scaled_normal_draw():
+    """x = z * sqrt(Sigma) row by row, bit for bit, from the generator's standard normals."""
+    s = Spectrum.from_blocks([(4.0, 3), (0.3, 5), (1e-300, 2)])
+    sample = sample_gaussian_features(s, 7, 11)
+    z = np.random.default_rng(11).standard_normal((7, 10))
+    np.testing.assert_array_equal(sample.matrix, z * np.sqrt(s.expand()))
+    assert sample.covariance is s
+
+
 class TestEmpiricalFunctionals:
     def test_zero_feature_matrix(self):
         s = Spectrum.from_blocks([(1.0, 5)])

@@ -51,6 +51,29 @@ class TestGramMatrix:
                 with pytest.raises(KrrError, match="symmetric"):
                     GramMatrix(k)
 
+    def test_exactly_symmetric_input_is_copied(self, rng):
+        b = rng.standard_normal((7, 7))
+        k = b + b.T
+        k[0, 1] = k[1, 0] = 5e-324  # subnormal: (k + k) * 0.5 keeps it as well
+        g = GramMatrix(k)
+        assert g.entries is not k and not np.shares_memory(g.entries, k)
+        np.testing.assert_array_equal(g.entries, k)
+        np.testing.assert_array_equal(g.entries, 0.5 * (k + k.T))
+
+    def test_exactly_symmetric_near_overflow(self):
+        g = GramMatrix(np.array([[1e308, 0.0], [0.0, 1e308]]))
+        np.testing.assert_array_equal(g.entries, [[1e308, 0.0], [0.0, 1e308]])
+        for lam in (0.0, 1.0):
+            np.testing.assert_allclose(fit_krr(g, np.ones(2), lam).alpha, [1e-308, 1e-308], rtol=1e-15)
+
+    def test_nearly_symmetric_input_is_symmetrized(self, rng):
+        b = rng.standard_normal((6, 6))
+        k = b + b.T
+        k[2, 3] += 1e-13
+        g = GramMatrix(k)
+        np.testing.assert_array_equal(g.entries, 0.5 * (k + k.T))
+        np.testing.assert_array_equal(g.entries, g.entries.T)
+
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_rejects_nonfinite(self, bad):
         k = np.eye(3)
@@ -103,6 +126,18 @@ class TestFit:
             fit = fit_krr(gram, y, lam)
             resid = gram.entries @ fit.alpha + lam * fit.alpha - y
             assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
+
+    @pytest.mark.parametrize("lam", [0.0, 1.0])
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_nonfinite_labels(self, lam, bad):
+        with pytest.raises(KrrError, match="labels must be finite"):
+            fit_krr(GramMatrix(np.eye(2)), np.array([bad, 1.0]), lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 1e-300])
+    def test_nan_residual_fails_certificate(self, lam):
+        # alpha = 1e300 / 1e-300 overflows, and K alpha - y is nan
+        with np.errstate(all="ignore"), pytest.raises(KrrError, match="residual nan"):
+            fit_krr(GramMatrix(1e-300 * np.eye(2)), np.array([1e300, 1e300]), lam)
 
     def test_predict(self):
         fit = fit_krr(GramMatrix(np.eye(2)), np.array([2.0, 4.0]), 1.0)

@@ -20,7 +20,32 @@ from krrdeteq.spectrum import (
     trace_resolvents,
 )
 
+from krrdeteq import deteq
+
 from conftest import random_spectrum
+
+
+def reference_trace_resolvents(spectrum, s):
+    """Out-of-place sums over the int64 multiplicities: the bitwise oracle for trace_resolvents."""
+    shifted = spectrum.values + s
+    ratio = spectrum.values / shifted
+    t1 = float(np.einsum("i,i->", spectrum.multiplicities, ratio))
+    t2 = float(np.einsum("i,i->", spectrum.multiplicities, ratio * ratio))
+    slope = float(np.einsum("i,i->", spectrum.multiplicities, ratio * (s / shifted)))
+    return t1, t2, slope
+
+
+def oracle_spectrum(size, mults, seed=0):
+    """``size`` blocks spread over 1e-300..1 with unit, random or past-2**53 multiplicities."""
+    rng = np.random.default_rng(seed)
+    values = np.sort(10.0 ** rng.uniform(-300, 0, size))[::-1]
+    if mults == "unit":
+        counts = np.ones(size, dtype=np.int64)
+    else:
+        counts = rng.integers(1, 10**6, size)
+        if mults == "huge":  # not exact as float64, and the total stays below 2**63
+            counts[:3] = [2**53 + 1, 2**60 + 3, 2**61 - 1]
+    return Spectrum(values, counts)
 
 
 class TestSpectrumType:
@@ -81,6 +106,8 @@ class TestSpectrumType:
             Spectrum(np.array([1.0]), np.array([2]), _cum_mult=np.array([5]))
         with pytest.raises(TypeError):
             Spectrum(np.array([1.0]), np.array([2]), _cum_trace=np.array([5.0]))
+        with pytest.raises(TypeError):
+            Spectrum(np.array([1.0]), np.array([2]), _weights=np.array([5.0]))
 
     def test_eigenvalue_at(self):
         s = Spectrum.from_blocks([(2.0, 3), (1.0, 1)])
@@ -121,6 +148,35 @@ class TestTraceResolvents:
             t1b, t2b, _ = trace_resolvents(s, s2)
             assert t1a > t1b and t2a > t2b
             assert t2a <= t1a <= s.total_rank
+
+
+class TestTraceResolventsOracle:
+    """The in-place sums over cached float64 multiplicities equal the out-of-place int64 ones bit for bit."""
+
+    SHIFTS = (5e-324, 1e-300, 1e-150, 1e-12, 1e-3, 1.0, 1e12, 1e300)
+
+    # einsum reduces in 8192-element buffers: sizes on both sides of one buffer and many
+    @pytest.mark.parametrize("size", [8191, 8192, 8193, 200_000])
+    @pytest.mark.parametrize("mults", ["unit", "random", "huge"])
+    def test_bitwise_equal_to_reference(self, size, mults):
+        s = oracle_spectrum(size, mults)
+        for shift in self.SHIFTS:
+            assert trace_resolvents(s, shift) == reference_trace_resolvents(s, shift), shift
+
+    def test_float_weights_round_huge_multiplicities(self):
+        s = oracle_spectrum(8, "huge")
+        assert s.multiplicities.dtype == np.int64
+        assert s.multiplicities[0] == 2**53 + 1
+        assert s._weights.dtype == np.float64
+        np.testing.assert_array_equal(s._weights, s.multiplicities.astype(float))
+
+    @pytest.mark.parametrize("mults", ["unit", "random"])
+    def test_solver_result_identical(self, monkeypatch, mults):
+        s = oracle_spectrum(20_000, mults, seed=3)
+        grid = [(n, lam) for n in (10, 1000, 100_000) for lam in (1e-300, 1e-3, 10.0)]
+        lean = [deteq.solve_effective_reg(s, n, lam) for n, lam in grid]
+        monkeypatch.setattr(deteq, "trace_resolvents", reference_trace_resolvents)
+        assert lean == [deteq.solve_effective_reg(s, n, lam) for n, lam in grid]
 
 
 class TestTailRank:
