@@ -137,6 +137,7 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     variance = sigma^2 * U2 / (1 - U2)
     risk = bias + variance + sigma^2
     train = (lam * stieltjes)^2 * risk,   stieltjes = 1/(n*ls).
+    A risk that is not finite raises SpectrumError.
     """
     eff = solve_effective_reg(spec.spectrum, spec.n, spec.lam)
     denom = 1.0 - eff.upsilon2
@@ -151,6 +152,8 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     bias = (bias_num + spec.alignment.residual_energy) / denom
     variance = sigma2 * eff.upsilon2 / denom
     risk = bias + variance + sigma2
+    if not math.isfinite(risk):
+        raise SpectrumError(f"risk prediction {risk} is not finite: alignment or noise energy too large")
     stieltjes = 1.0 / (spec.n * ls)
     train = (spec.lam * stieltjes) ** 2 * risk
     return DetEquivalents(stieltjes, bias, variance, risk, train, eff)

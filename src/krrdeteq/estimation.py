@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .deteq import deterministic_equivalents
-from .krr import GramMatrix, KrrError
+from .krr import GramMatrix, KrrError, _labels
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
 __all__ = ["EstimatedDecomposition", "estimate_spectrum", "decomposition_to_model", "plugin_risk_curve"]
@@ -39,10 +39,8 @@ class EstimatedDecomposition:
 
 def estimate_spectrum(gram: GramMatrix, y: np.ndarray) -> EstimatedDecomposition:
     """Eigendecompose K/m and project the labels onto the eigenbasis."""
-    y = np.asarray(y, dtype=float).ravel()
     m = gram.n
-    if y.size != m:
-        raise KrrError("label vector length must match the Gram size")
+    y = _labels(y, m)
     mu, v = gram.eigendecomposition()  # raises on non-p.s.d. input
     mu = mu[::-1] / m
     v = v[:, ::-1]

@@ -55,14 +55,6 @@ class FeatureSample:
             )
         object.__setattr__(self, "matrix", x)
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def p(self) -> int:
-        return self.matrix.shape[1]
-
 
 @dataclass(frozen=True, eq=False)
 class RiskMatrix:

@@ -1,8 +1,8 @@
 """Empirical kernel ridge regression: fits, train error, GCV, risk estimates.
 
-All solvers work from the n x n Gram matrix.  Ridge fits at lam > 0 use a
-fresh Cholesky factorization per lambda; the ridgeless path (lam = 0) goes
-through an eigendecomposition with an explicit full-rank check, matching the
+All solvers work from the n x n Gram matrix.  ``fit_krr`` and ``gcv`` share
+one dual solve: a fresh Cholesky factorization per lambda > 0, and at lam = 0
+an eigendecomposition with an explicit full-rank check, matching the
 minimum-norm interpolation reading of lambda -> 0.  ``linear_sweep`` reuses
 one eigendecomposition across a lambda grid for linear features and is tested
 for agreement with the per-lambda direct path.
@@ -11,6 +11,7 @@ for agreement with the per-lambda direct path.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass, field
 
@@ -75,8 +76,12 @@ class GramMatrix:
             # (k + k) * 0.5 == k, so a plain copy has the same bits and cannot overflow
             np.copyto(s, k)
         else:
-            np.add(k, k.T, out=s)
-            s *= 0.5
+            try:
+                with np.errstate(over="raise"):
+                    np.add(k, k.T, out=s)
+                s *= 0.5
+            except FloatingPointError:  # only then: halving first changes the bits of subnormal entries
+                np.add(k * 0.5, k.T * 0.5, out=s)
         self.entries = s
 
     @property
@@ -87,12 +92,8 @@ class GramMatrix:
         """Cached (eigenvalues ascending, eigenvectors); validates p.s.d."""
         if self._eig is None:
             mu, v = np.linalg.eigh(self.entries)
-            top = float(mu[-1]) if mu.size else 0.0
-            if mu.size and float(mu[0]) < -PSD_TOL * max(abs(top), 1.0):
-                raise KrrError(
-                    f"Gram matrix is not p.s.d.: min eigenvalue {mu[0]:.3e} "
-                    f"below tolerance {-PSD_TOL * max(abs(top), 1.0):.3e}"
-                )
+            if mu.size and mu[0] < (floor := -PSD_TOL * max(abs(float(mu[-1])), 1.0)):
+                raise KrrError(f"Gram matrix is not p.s.d.: min eigenvalue {mu[0]:.3e} below {floor:.3e}")
             self._eig = (mu, v)
         return self._eig
 
@@ -110,12 +111,43 @@ class KrrFit:
         return np.asarray(cross_gram) @ self.alpha
 
 
+def _labels(y, n: int) -> np.ndarray:
+    """Labels as a flat float vector; KrrError unless there are n >= 1 of them, all finite."""
+    y = np.asarray(y, dtype=float).ravel()
+    if y.size != n or n == 0:
+        raise KrrError(f"label vector length {y.size} must equal the Gram size {n} >= 1")
+    if not np.all(np.isfinite(y)):
+        raise KrrError("labels must be finite")
+    return y
+
+
+def _full_rank(mu: np.ndarray) -> bool:
+    """Numerical full rank of ascending eigenvalues: min eig > RANK_TOL * max eig > 0."""
+    return mu[-1] > 0 and mu[0] > RANK_TOL * mu[-1]
+
+
 def _shifted_factor(gram: GramMatrix, lam: float):
-    """Cholesky factor of K + lam I; KrrError when that matrix is not positive definite."""
+    """Cholesky factor of K + lam I; KrrError when that matrix overflows or is not positive definite."""
+    # lam changes only the diagonal, so its largest entry decides overflow
+    if not math.isfinite(float(gram.entries.diagonal().max()) + lam):
+        raise KrrError("shifted Gram matrix K + lam I overflows")
     try:
         return cho_factor(gram.entries + lam * np.eye(gram.n), lower=True)
     except np.linalg.LinAlgError as exc:
         raise KrrError(f"shifted Gram matrix is not positive definite: {exc}") from exc
+
+
+def _dual(gram: GramMatrix, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked labels y and alpha = (K + lam I)^-1 y: Cholesky at lam > 0, the eigenbasis at lam = 0."""
+    y = _labels(y, gram.n)
+    if lam < 0 or not math.isfinite(lam):
+        raise KrrError("lambda must be finite and nonnegative")
+    if lam > 0:
+        return y, cho_solve(_shifted_factor(gram, lam), y)
+    mu, v = gram.eigendecomposition()
+    if not _full_rank(mu):
+        raise KrrError("interpolation ill-posed: Gram matrix is rank deficient")
+    return y, v @ ((v.T @ y) / mu)
 
 
 def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
@@ -124,20 +156,7 @@ def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
     lam = 0 requires K numerically full rank (min eig > 1e-10 * max eig);
     the residual certificate ||(K + lam)alpha - y|| <= 1e-8 ||y|| is enforced.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != gram.n:
-        raise KrrError("label vector length must match the Gram size")
-    if not np.all(np.isfinite(y)):
-        raise KrrError("labels must be finite")
-    if lam < 0 or not math.isfinite(lam):
-        raise KrrError("lambda must be finite and nonnegative")
-    if lam == 0:
-        mu, v = gram.eigendecomposition()
-        if mu[0] <= RANK_TOL * mu[-1] or mu[-1] <= 0:
-            raise KrrError("interpolation ill-posed: Gram matrix is rank deficient")
-        alpha = v @ ((v.T @ y) / mu)
-    else:
-        alpha = cho_solve(_shifted_factor(gram, lam), y)
+    y, alpha = _dual(gram, y, lam)
     resid = np.linalg.norm(gram.entries @ alpha + lam * alpha - y)
     if not resid <= FIT_RTOL * max(np.linalg.norm(y), 1e-300):  # a NaN residual fails too
         raise KrrError(f"solve residual {resid:.3e} exceeds tolerance")
@@ -146,13 +165,15 @@ def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
 
 def train_error(fit: KrrFit, y: np.ndarray) -> float:
     """Mean squared training residual (1/n) sum (y_i - (K alpha)_i)^2."""
-    y = np.asarray(y, dtype=float).ravel()
+    y = _labels(y, fit.gram.n)
     resid = y - fit.gram.entries @ fit.alpha
     return float(resid @ resid) / y.size
 
 
 def _inv_trace(gram: GramMatrix, lam: float) -> float:
-    """Tr((K + lam)^-1) via a fresh Cholesky factorization."""
+    """Tr((K + lam)^-1): from the cached eigenvalues at lam = 0, else via a fresh Cholesky factorization."""
+    if lam == 0:
+        return float(np.sum(1.0 / gram.eigendecomposition()[0]))
     n = gram.n
     low = np.linalg.cholesky(gram.entries + lam * np.eye(n))
     linv = solve_triangular(low, np.eye(n), lower=True)
@@ -160,28 +181,13 @@ def _inv_trace(gram: GramMatrix, lam: float) -> float:
 
 
 def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
-    """Generalized cross-validation score n y^T (K+lam)^-2 y / Tr((K+lam)^-1)^2.
+    """Generalized cross-validation score n ||alpha||^2 / Tr((K+lam)^-1)^2.
 
-    Well defined at lam = 0 when K is full rank (min-norm interpolation).
+    alpha are the fit's dual coefficients without its residual certificate, so the
+    score stays defined near interpolation and at lam = 0 for a full-rank K.
     """
-    y = np.asarray(y, dtype=float).ravel()
-    if y.size != gram.n:
-        raise KrrError("label vector length must match the Gram size")
-    if lam < 0 or not math.isfinite(lam):
-        raise KrrError("lambda must be finite and nonnegative")
-    n = gram.n
-    if lam == 0:
-        mu, v = gram.eigendecomposition()
-        if mu[0] <= RANK_TOL * mu[-1] or mu[-1] <= 0:
-            raise KrrError("GCV at lambda = 0 requires a full-rank Gram matrix")
-        c = v.T @ y
-        num = float(np.sum((c / mu) ** 2))
-        denom = float(np.sum(1.0 / mu))
-    else:
-        z = cho_solve(_shifted_factor(gram, lam), y)
-        num = float(z @ z)
-        denom = _inv_trace(gram, lam)
-    return n * num / denom**2
+    _, alpha = _dual(gram, y, lam)
+    return gram.n * float(alpha @ alpha) / _inv_trace(gram, lam) ** 2
 
 
 def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0) -> list[dict]:
@@ -205,7 +211,7 @@ def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0
     for lam in map(float, lambda_grid):
         row = {"lambda": lam} | dict.fromkeys(("gcv", "train_error", "stieltjes", "test_error"), math.nan)
         rows.append(row)
-        if lam == 0 and mu[0] <= RANK_TOL * mu[-1]:
+        if lam == 0 and not _full_rank(mu):
             continue
         shifted = mu + lam
         inv_tr = float(np.sum(1.0 / shifted))
@@ -231,19 +237,17 @@ def test_error_linear_exact(sample, theta_star, y, lam: float, noise_variance: f
     x = np.asarray(sample.matrix, dtype=float)
     sigma = sample.covariance.expand()
     theta_star = np.asarray(theta_star, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
     n, p = x.shape
-    if theta_star.size != p or y.size != n:
+    y = _labels(y, n)
+    if theta_star.size != p:
         raise KrrError("feature/target dimensions disagree")
     if lam == 0 and n > p:
         h = x.T @ x
-        mu = np.linalg.eigvalsh(h)
-        if mu[0] <= RANK_TOL * mu[-1] or mu[-1] <= 0:
+        if not _full_rank(np.linalg.eigvalsh(h)):
             raise KrrError("ridgeless least squares ill-posed: features rank deficient")
         theta_hat = cho_solve(cho_factor(h, lower=True), x.T @ y)
     else:
-        fit = fit_krr(GramMatrix(x @ x.T), y, lam)
-        theta_hat = x.T @ fit.alpha
+        theta_hat = x.T @ fit_krr(GramMatrix(x @ x.T), y, lam).alpha
     diff = theta_star - theta_hat
     return float(np.dot(sigma, diff * diff)) + float(noise_variance)
 
@@ -265,8 +269,7 @@ def test_error_monte_carlo(
     test_points = np.asarray(test_points, dtype=float)
     if test_points.size == 0:
         raise KrrError("Monte Carlo test set must be nonempty")
-    cross = kernel(test_points, train_points)
-    preds = cross @ fit.alpha
+    preds = fit.predict(kernel(test_points, train_points))
     sq_dev = (np.asarray(target(test_points), dtype=float).ravel() - preds) ** 2
     estimate = float(sq_dev.mean()) + float(noise_variance)
     if sq_dev.size > 1:
@@ -279,44 +282,41 @@ def test_error_monte_carlo(
 # -- binary interchange -------------------------------------------------------
 
 
+def _write_binary(path, magic: bytes, values) -> None:
+    """magic, u64 n = len(values), then the values as f64, all little-endian."""
+    values = np.ascontiguousarray(values, dtype="<f8")
+    with open(path, "wb") as handle:
+        handle.write(magic + struct.pack("<Q", len(values)))
+        handle.write(values.tobytes())
+
+
+def _read_binary(path, magic: bytes, ndim: int) -> np.ndarray:
+    """The n x ... x n (ndim axes) f64 array after the header, checked against the
+    file size before the payload is read; trailing bytes are ignored."""
+    with open(path, "rb") as handle:
+        head = handle.read(12)
+        if head[:4] != magic or len(head) < 12:
+            raise KrrError(f"bad {magic.decode()} magic or short header {head!r}")
+        (n,) = struct.unpack("<Q", head[4:])
+        if os.fstat(handle.fileno()).st_size - 12 < 8 * n**ndim:
+            raise KrrError(f"truncated {magic.decode()} payload: header n = {n}")
+        data = np.frombuffer(handle.read(8 * n**ndim), dtype="<f8")
+    return data.reshape((n,) * ndim).astype(float)
+
+
 def write_gram_binary(gram: GramMatrix, path) -> None:
     """magic 'KRRG', u64 n, then n*n f64 row-major, all little-endian."""
-    with open(path, "wb") as handle:
-        handle.write(GRAM_MAGIC)
-        handle.write(struct.pack("<Q", gram.n))
-        handle.write(np.ascontiguousarray(gram.entries, dtype="<f8").tobytes())
+    _write_binary(path, GRAM_MAGIC, gram.entries)
 
 
 def read_gram_binary(path) -> GramMatrix:
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != GRAM_MAGIC:
-            raise KrrError(f"bad Gram magic {magic!r}")
-        (n,) = struct.unpack("<Q", handle.read(8))
-        raw = handle.read(8 * n * n)
-        if len(raw) != 8 * n * n:
-            raise KrrError("truncated Gram payload")
-        data = np.frombuffer(raw, dtype="<f8")
-        return GramMatrix(data.reshape(n, n).astype(float))
+    return GramMatrix(_read_binary(path, GRAM_MAGIC, 2))
 
 
 def write_labels_binary(y: np.ndarray, path) -> None:
     """magic 'KRRY', u64 n, n f64 little-endian."""
-    y = np.asarray(y, dtype=float).ravel()
-    with open(path, "wb") as handle:
-        handle.write(LABEL_MAGIC)
-        handle.write(struct.pack("<Q", y.size))
-        handle.write(np.ascontiguousarray(y, dtype="<f8").tobytes())
+    _write_binary(path, LABEL_MAGIC, np.ravel(y))
 
 
 def read_labels_binary(path) -> np.ndarray:
-    with open(path, "rb") as handle:
-        magic = handle.read(4)
-        if magic != LABEL_MAGIC:
-            raise KrrError(f"bad label magic {magic!r}")
-        (n,) = struct.unpack("<Q", handle.read(8))
-        raw = handle.read(8 * n)
-        if len(raw) != 8 * n:
-            raise KrrError("truncated label payload")
-        return np.frombuffer(raw, dtype="<f8").astype(float)
-
+    return _read_binary(path, LABEL_MAGIC, 1)

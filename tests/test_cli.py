@@ -414,6 +414,16 @@ class TestRowFormat:
         assert out.read_text().splitlines()[2] == "deteq,50,0.0,nan,nan,nan,0,0,nan,nan," + RANK_ERROR
         assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_deteq_nonfinite_prediction_is_a_failed_row(self, tmp_path, capsys):
+        doc = {"blocks": [[1.0, 1], [0.5, 1]], "alignment": [1e308, 1e308], "residual_energy": 1e308}
+        doc |= {"lambda": 0.1, "n": 1}
+        out = tmp_path / "pred.csv"
+        assert main(["deteq", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        row = out.read_text().splitlines()[1]
+        assert row.startswith("deteq,1,0.1,nan,") and "SpectrumError" in row and "not finite" in row
+        assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
+
     def test_simulate_failure_row(self, tmp_path):
         # lambda = 0 with rank 2 < n = 5: the prediction fails, and every fit
         # fails its rank check because of the 1e-300 eigenvalue

@@ -270,6 +270,13 @@ class TestDeterministicEquivalents:
                 bias_num = float(np.einsum("i,i->", al.energies, shrink * shrink))
                 assert de.bias == (bias_num + 0.125) / (1.0 - de.effective.upsilon2)
 
+    @pytest.mark.filterwarnings("error")
+    def test_nonfinite_risk_raises(self):
+        s = Spectrum.from_blocks([(1.0, 1), (0.5, 1)])
+        al = Alignment(np.array([1e308, 1e308]), residual_energy=1e308)
+        with pytest.raises(SpectrumError, match="not finite"):
+            deterministic_equivalents(ModelSpec(n=1, lam=0.1, spectrum=s, alignment=al))
+
     def test_residual_energy_enters_unshrunk(self):
         s = Spectrum.from_blocks([(1.0, 50)])
         n, lam = 20, 0.5

@@ -46,6 +46,13 @@ class TestEstimateSpectrum:
         with pytest.raises(KrrError):
             estimate_spectrum(GramMatrix(np.diag([1.0, -1.0])), np.ones(2))
 
+    @pytest.mark.filterwarnings("error")
+    def test_rejects_empty_gram_and_nonfinite_labels(self):
+        with pytest.raises(KrrError, match="Gram size 0"):
+            estimate_spectrum(GramMatrix(np.zeros((0, 0))), [])
+        with pytest.raises(KrrError, match="labels must be finite"):
+            estimate_spectrum(GramMatrix(np.eye(2)), [np.nan, 1.0])
+
     def test_noise_estimate_from_null_directions(self, rng):
         # rank-deficient Gram: label mass on null directions estimates sigma^2
         m, p, s2 = 400, 20, 0.5

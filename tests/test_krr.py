@@ -1,7 +1,9 @@
 import math
+import struct
 
 import numpy as np
 import pytest
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from krrdeteq.functionals import FeatureSample, sample_gaussian_features
 from krrdeteq.krr import (
@@ -24,6 +26,21 @@ from krrdeteq.spectrum import Spectrum
 def random_spd_gram(rng, n):
     b = rng.standard_normal((n, n + 3))
     return GramMatrix(b @ b.T / n)
+
+
+def gcv_reference(gram, y, lam):
+    """GCV with its own solve: the eigenbasis at lam = 0, a Cholesky solve at lam > 0."""
+    y = np.asarray(y, dtype=float).ravel()
+    if lam == 0:
+        mu, v = gram.eigendecomposition()
+        c = v.T @ y
+        num, denom = float(np.sum((c / mu) ** 2)), float(np.sum(1.0 / mu))
+    else:
+        shifted = gram.entries + lam * np.eye(gram.n)
+        z = cho_solve(cho_factor(shifted, lower=True), y)
+        linv = solve_triangular(np.linalg.cholesky(shifted), np.eye(gram.n), lower=True)
+        num, denom = float(z @ z), float((linv * linv).sum())
+    return gram.n * num / denom**2
 
 
 def dense_stieltjes(gram, lam):
@@ -65,6 +82,13 @@ class TestGramMatrix:
         np.testing.assert_array_equal(g.entries, [[1e308, 0.0], [0.0, 1e308]])
         for lam in (0.0, 1.0):
             np.testing.assert_allclose(fit_krr(g, np.ones(2), lam).alpha, [1e-308, 1e-308], rtol=1e-15)
+
+    @pytest.mark.filterwarnings("error")
+    def test_nearly_symmetric_near_overflow_stays_finite(self):
+        k = np.array([[1.7e308, 1.7e308], [np.nextafter(1.7e308, 0), 1.7e308]])
+        g = GramMatrix(k)
+        np.testing.assert_array_equal(g.entries, k * 0.5 + k.T * 0.5)
+        assert np.all(np.isfinite(g.entries)) and np.array_equal(g.entries, g.entries.T)
 
     def test_nearly_symmetric_input_is_symmetrized(self, rng):
         b = rng.standard_normal((6, 6))
@@ -245,6 +269,90 @@ class TestGcv:
             assert lhs == pytest.approx(rhs, rel=1e-10)
 
 
+class TestGcvSharesTheFitSolve:
+    """gcv takes alpha from the solve fit_krr uses; the reference keeps its own solve."""
+
+    @staticmethod
+    def grams(rng):
+        yield random_spd_gram(rng, 9)
+        yield GramMatrix(np.diag([1e-6, 0.5, 2.0, 30.0]))
+        # near interpolation: eigenvalues down to 1e-9 of the top one
+        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
+        yield GramMatrix(q @ np.diag(np.geomspace(1e-9, 1.0, 8)) @ q.T)
+
+    def test_matches_reference(self, rng):
+        for gram in self.grams(rng):
+            for _ in range(5):
+                y = rng.standard_normal(gram.n)
+                for lam in (1e-9, 1e-3, 0.7, 40.0):
+                    assert gcv(gram, y, lam) == gcv_reference(gram, y, lam)
+                assert gcv(gram, y, 0.0) == pytest.approx(gcv_reference(gram, y, 0.0), rel=1e-13, abs=0)
+
+    def test_defined_where_the_fit_certificate_fails(self):
+        # Gaussian features, n = 390 close to p = 400, labels on the five smallest
+        # Gram eigendirections: the solve's residual is about eps * cond(K) * |y|
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            sample = sample_gaussian_features(Spectrum.power_law(2.5, 400), 390, rng)
+            gram = GramMatrix(sample.matrix @ sample.matrix.T)
+            y = gram.eigendecomposition()[1][:, :5].sum(axis=1)
+            for lam in (0.0, 1e-8):
+                assert math.isfinite(gcv(gram, y, lam))
+                with pytest.raises(KrrError, match="residual"):
+                    fit_krr(gram, y, lam)
+
+
+@pytest.mark.filterwarnings("error")
+class TestErrorContract:
+    """Bad input to every entry point is a KrrError, with no numpy warning on the way."""
+
+    EMPTY = np.zeros((0, 0))
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_gcv_nonfinite_labels(self, lam):
+        with pytest.raises(KrrError, match="labels must be finite"):
+            gcv(GramMatrix(np.eye(2)), [math.nan, 1.0], lam)
+
+    @pytest.mark.parametrize("lam", [0.0, 0.1])
+    def test_empty_gram(self, lam):
+        for solve in (fit_krr, gcv):
+            with pytest.raises(KrrError, match="Gram size 0"):
+                solve(GramMatrix(self.EMPTY), [], lam)
+
+    def test_train_error_label_length(self):
+        fit = fit_krr(GramMatrix(np.eye(2)), [1.0, 1.0], 1.0)
+        for y in ([1.0, 2.0, 3.0], [1.0]):
+            with pytest.raises(KrrError, match="label vector length"):
+                train_error(fit, y)
+        with pytest.raises(KrrError, match="labels must be finite"):
+            train_error(fit, [math.inf, 1.0])
+
+    def test_ridgeless_least_squares_nonfinite_labels(self, rng):
+        sample = sample_gaussian_features(Spectrum.from_blocks([(1.0, 2)]), 5, rng)
+        with pytest.raises(KrrError, match="labels must be finite"):
+            exact_linear_risk(sample, np.ones(2), [math.nan, 0, 0, 0, 0], 0.0, 0.0)
+
+    def test_shifted_gram_overflow(self):
+        gram = GramMatrix(np.array([[1e308, 0.0], [0.0, 1e308]]))
+        for solve in (fit_krr, gcv):
+            with pytest.raises(KrrError, match="overflows"):
+                solve(gram, [1.0, 1.0], 1e308)
+
+    @pytest.mark.parametrize("head", [b"KRRG\x01\x02", b"KRRG" + struct.pack("<Q", 2**62)])
+    def test_gram_reader_short_header_or_huge_n(self, tmp_path, head):
+        path = tmp_path / "k.krrg"
+        path.write_bytes(head)
+        with pytest.raises(KrrError):
+            read_gram_binary(path)
+
+    @pytest.mark.parametrize("head", [b"KRRY", b"KRRY" + struct.pack("<Q", 2**64 - 1)])
+    def test_label_reader_short_header_or_huge_n(self, tmp_path, head):
+        path = tmp_path / "y.krry"
+        path.write_bytes(head)
+        with pytest.raises(KrrError):
+            read_labels_binary(path)
+
+
 class TestSweeps:
     def test_eig_matches_direct(self, rng):
         spectrum = Spectrum.power_law(1.5, 40)
@@ -347,10 +455,18 @@ class TestBinaryFormats:
         with pytest.raises(KrrError, match="magic"):
             read_labels_binary(path)
 
+    def test_trailing_bytes_are_ignored(self, tmp_path, rng):
+        gram, y = random_spd_gram(rng, 3), rng.standard_normal(3)
+        write_gram_binary(gram, tmp_path / "k.krrg")
+        write_labels_binary(y, tmp_path / "y.krry")
+        for name in ("k.krrg", "y.krry"):
+            with open(tmp_path / name, "ab") as handle:
+                handle.write(b"\0" * 13)
+        np.testing.assert_array_equal(read_gram_binary(tmp_path / "k.krrg").entries, gram.entries)
+        np.testing.assert_array_equal(read_labels_binary(tmp_path / "y.krry"), y)
+
     def test_truncated_payload(self, tmp_path):
         path = tmp_path / "trunc.krrg"
-        import struct
-
         path.write_bytes(b"KRRG" + struct.pack("<Q", 4) + b"\0" * 10)
         with pytest.raises(KrrError, match="truncated"):
             read_gram_binary(path)
