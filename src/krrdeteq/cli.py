@@ -10,18 +10,18 @@ Exit codes: 0 success, 2 partial row failures, 1 usage or config errors.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import functools
 import gc
 import json
-import math
 import os
 import sys
 
-from .deteq import deterministic_equivalents
+from .deteq import deterministic_equivalents  # noqa: F401 (unused; bench/tracing.py patches it here)
 from .harness import (
     ConfigError,
     ExperimentConfig,
-    ExperimentResult,
-    _curve_row,
+    _prediction_rows,
     check_entries,
     check_fields,
     check_nonnegative,
@@ -76,8 +76,9 @@ DETEQ_FIELDS = (
 )
 
 
-def _run_deteq(doc, seed: int | None) -> ExperimentResult:
-    """Closed-form prediction rows for a model document, one per n; no sampling."""
+def _deteq_rows(doc, seed: int | None):
+    """Check a model document and build its model; returns the call that makes
+    its closed-form rows, one per n with no replications, without the document."""
     check_fields(doc, DETEQ_FIELDS, "deteq")
     for key in ("blocks", "alignment"):
         if key not in doc:
@@ -91,30 +92,22 @@ def _run_deteq(doc, seed: int | None) -> ExperimentResult:
     if any(n < 1 for n in n_grid):
         raise ConfigError("every n_grid entry (or n) must be >= 1")
     seed = doc.get("seed", 0) if seed is None else seed
-    rows = []
-    for n in n_grid:
-        try:
-            pred = deterministic_equivalents(
-                ModelSpec(n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=noise)
-            )
-            prediction, eff, status = pred.risk, pred.effective, "ok"
-        except Exception as exc:
-            prediction, eff, status = math.nan, None, f"error: {type(exc).__name__}: {exc}"
-        rows.append(_curve_row("deteq", 0, seed, n, lam, prediction, (), eff, status))
-    return ExperimentResult(rows, "curve")
+    model_at = functools.partial(ModelSpec, spectrum=spectrum, alignment=alignment, noise=noise)  # (n, lam)
+    points = [(n, lam) for n in n_grid]
+    return functools.partial(_prediction_rows, "deteq", 0, seed, points, model_at, [()] * len(points))
 
 
-def _load_json(handle):
-    """``json.load`` with the cyclic GC paused, then restored as it was.
+@contextlib.contextmanager
+def _gc_paused():
+    """The cyclic GC paused, then restored as it was.
 
     A model document parses into one small list per block, none of which can
-    form a cycle; every collection during the parse would re-walk all objects
-    alive since import.
+    form a cycle; every collection while it is alive would walk all of them.
     """
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.load(handle)
+        yield
     finally:
         if enabled:
             gc.enable()
@@ -130,16 +123,16 @@ def main(argv=None) -> int:
             return 1
         return 0 if exc.code in (0, None) else 1
     try:
-        with open(args.config) as handle:
-            doc = _load_json(handle)
-        if args.command == "deteq":
-            result = _run_deteq(doc, args.seed)
-            out = args.out or doc.get("output_path")
-        else:
-            config = ExperimentConfig.from_dict(doc, kind=SUBCOMMAND_KIND[args.command])
-            config = config.with_overrides(seed=args.seed, threads=_threads_override(args.threads))
-            result = run_experiment(config)
-            out = args.out or config.output_path
+        with open(args.config) as handle, _gc_paused():
+            doc = json.load(handle)
+            if args.command == "deteq":
+                rows, out = _deteq_rows(doc, args.seed), args.out or doc.get("output_path")
+            else:
+                config = ExperimentConfig.from_dict(doc, kind=SUBCOMMAND_KIND[args.command])
+                config = config.with_overrides(seed=args.seed, threads=_threads_override(args.threads))
+                rows, out = functools.partial(run_experiment, config), args.out or config.output_path
+            del doc  # before the GC resumes, so no collection walks the parsed document
+        result = rows()
         if out is None:
             raise ConfigError("no output path: pass --out or set output_path in the config")
         emit_results(result, args.format, out)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import dataclasses
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -243,64 +244,62 @@ def _diagnostic_nu(spectrum: Spectrum, n: int, lam: float) -> float:
         return math.nan
 
 
-def _curve_row(kind, reps, seed, n, lam, prediction, values, eff, status="ok", nu=math.nan) -> dict:
-    values = [v for v in values if math.isfinite(v)]
-    mean = float(np.mean(values)) if values else math.nan
-    std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0 if values else math.nan
-    return {
-        "kind": kind,
-        "n": n,
-        "lambda": lam,
-        "prediction": prediction,
-        "empirical_mean": mean,
-        "empirical_std": std,
-        "reps": reps,
-        "seed": seed,
-        "lambda_star": eff.lambda_star if eff is not None else math.nan,
-        "upsilon2": eff.upsilon2 if eff is not None else math.nan,
-        "nu": nu,
-        "status": status,
-    }
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
 
 
-def _prediction_rows(config, points, model_at, values, errors) -> ExperimentResult:
-    """One row per (n, lam) point: the risk of ``model_at(n, lam)`` beside the
-    point's empirical values and its first replication error (or None)."""
+def _outcome(call, *args) -> tuple[float, str | None]:
+    """One replication: ``(call(*args), None)``, or ``(nan, error)`` when it raises or returns a non-finite value."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # record-and-continue
+        return math.nan, _error(exc)
+    return (value, None) if math.isfinite(value) else (math.nan, f"non-finite value {value!r}")
+
+
+def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> ExperimentResult:
+    """One curve row per (n, lam) point: the risk of ``model_at(n, lam)`` beside the
+    point's replication outcomes, a list of ``_outcome`` pairs (empty for ``deteq``).
+
+    The status names the prediction's error, else the first failed replication;
+    the empirical mean and std cover the replications that succeeded.  The nu
+    diagnostic is formed only for points with replications.
+    """
     rows = []
-    for (n, lam), point_values, error in zip(points, values, errors):
+    for (n, lam), point in zip(points, outcomes):
+        values = [value for value, error in point if error is None]
+        failure = next((error for _, error in point if error is not None), None)
         try:
             model = model_at(n, lam)
             pred = deterministic_equivalents(model)
-            prediction, eff = pred.risk, pred.effective
-            nu = _diagnostic_nu(model.spectrum, n, lam)
-            status = "ok" if error is None else "error: " + error
+            prediction, star, upsilon2 = pred.risk, pred.effective.lambda_star, pred.effective.upsilon2
+            nu = _diagnostic_nu(model.spectrum, n, lam) if point else math.nan
+            status = "ok" if failure is None else "error: " + failure
         except Exception as exc:
-            prediction, eff, nu = math.nan, None, math.nan
-            status = f"error: {type(exc).__name__}: {exc}"
-        rows.append(
-            _curve_row(config.kind, config.reps, config.seed, n, lam, prediction, point_values, eff, status, nu)
-        )
+            prediction = star = upsilon2 = nu = math.nan
+            status = "error: " + _error(exc)
+        rows.append({
+            "kind": kind, "n": n, "lambda": lam, "prediction": prediction,
+            "empirical_mean": float(np.mean(values)) if values else math.nan,
+            "empirical_std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0 if values else math.nan,
+            "reps": reps, "seed": seed, "lambda_star": star, "upsilon2": upsilon2, "nu": nu, "status": status,
+        })
     return ExperimentResult(rows, "curve")
 
 
 def _run_curve(config, tag, simulate, model_at) -> ExperimentResult:
     """Curve over ``config.n_grid``: replication ``rep`` at grid index ``i`` is
-    ``simulate(n, derive_rng(seed, tag, i, rep))``; one that raises gives nan."""
+    ``simulate(n, derive_rng(seed, tag, i, rep))``."""
 
     def one_rep(task):
         i, n, rep = task
-        try:
-            return simulate(n, derive_rng(config.seed, tag, i, rep)), None
-        except Exception as exc:  # record-and-continue
-            return math.nan, f"{type(exc).__name__}: {exc}"
+        return _outcome(simulate, n, derive_rng(config.seed, tag, i, rep))
 
     tasks = [(i, n, r) for i, n in enumerate(config.n_grid) for r in range(config.reps)]
     outcomes = map_tasks(tasks, one_rep, config.threads)
     per_n = [outcomes[i : i + config.reps] for i in range(0, len(outcomes), config.reps)]
-    values = [[value for value, _ in point] for point in per_n]
-    errors = [next((error for _, error in point if error), None) for point in per_n]
     points = [(n, config.lam) for n in config.n_grid]
-    return _prediction_rows(config, points, model_at, values, errors)
+    return _prediction_rows(config.kind, config.reps, config.seed, points, model_at, per_n)
 
 
 def _gaussian_problem(config: ExperimentConfig):
@@ -322,10 +321,7 @@ def _gaussian_problem(config: ExperimentConfig):
         sample, y = draw(n, rng)
         return krr.test_error_linear_exact(sample, theta, y, config.lam, config.noise_variance)
 
-    def model_at(n, lam):
-        return ModelSpec(n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=noise)
-
-    return draw, linear_risk, model_at
+    return draw, linear_risk, functools.partial(ModelSpec, spectrum=spectrum, alignment=alignment, noise=noise)
 
 
 def _run_gaussian_curve(config: ExperimentConfig) -> ExperimentResult:
@@ -363,19 +359,13 @@ def _run_gcv_sweep(config: ExperimentConfig) -> ExperimentResult:
         try:
             sample, y = draw(n, derive_rng(config.seed, 3, rep))
             gram = krr.GramMatrix(sample.matrix @ sample.matrix.T)
-        except Exception:  # record-and-continue: the whole replication fails
-            return [math.nan] * len(config.lambda_grid)
-        values = []
-        for lam in config.lambda_grid:
-            try:
-                values.append(krr.gcv(gram, y, lam))
-            except Exception:
-                values.append(math.nan)
-        return values
+        except Exception as exc:  # record-and-continue: a failed draw or Gram fails every lambda
+            return [(math.nan, _error(exc))] * len(config.lambda_grid)
+        return [_outcome(krr.gcv, gram, y, lam) for lam in config.lambda_grid]
 
-    columns = np.array(map_tasks(range(config.reps), one_rep, config.threads)).T
-    errors = [None if np.all(np.isfinite(c)) else "gcv failed in some replications" for c in columns]
-    return _prediction_rows(config, [(n, lam) for lam in config.lambda_grid], model_at, columns, errors)
+    per_lam = list(zip(*map_tasks(range(config.reps), one_rep, config.threads)))
+    points = [(n, lam) for lam in config.lambda_grid]
+    return _prediction_rows(config.kind, config.reps, config.seed, points, model_at, per_lam)
 
 
 def _run_functional_probe(config: ExperimentConfig) -> ExperimentResult:

@@ -185,9 +185,17 @@ def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
 
     alpha are the fit's dual coefficients without its residual certificate, so the
     score stays defined near interpolation and at lam = 0 for a full-rank K.
+    KrrError when the score, alpha or the trace is not a finite float.
     """
-    _, alpha = _dual(gram, y, lam)
-    return gram.n * float(alpha @ alpha) / _inv_trace(gram, lam) ** 2
+    with np.errstate(over="ignore", invalid="ignore"):
+        _, alpha = _dual(gram, y, lam)
+        try:
+            score = gram.n * float(alpha @ alpha) / _inv_trace(gram, lam) ** 2
+        except (OverflowError, ZeroDivisionError):  # the squared trace left the float range
+            score = math.nan
+    if not math.isfinite(score):
+        raise KrrError(f"GCV score n ||alpha||^2 / Tr((K + lam)^-1)^2 is not a finite float at lambda = {lam!r}")
+    return score
 
 
 def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0) -> list[dict]:
@@ -196,13 +204,13 @@ def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0
     One Gram eigendecomposition serves the whole grid; primal coefficients
     come from theta_hat = X^T alpha(lambda) and the test error includes the
     noise floor.  Agrees with the per-lambda direct path (tested), just
-    cheaper on dense grids.  lambda = 0 on a rank-deficient Gram gives a row
-    of NaN.
+    cheaper on dense grids.  Labels are checked as in every entry point;
+    lambda = 0 on a rank-deficient Gram gives a row of NaN.
     """
     x = np.asarray(sample.matrix, dtype=float)
     sigma = sample.covariance.expand()
     theta_star = np.asarray(theta_star, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
+    y = _labels(y, x.shape[0])
     gram = GramMatrix(x @ x.T)
     mu, v = gram.eigendecomposition()
     c = v.T @ y

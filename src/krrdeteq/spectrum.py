@@ -74,10 +74,14 @@ class Spectrum:
         cum_mult = np.cumsum(mults)
         if np.any(cum_mult[1:] <= cum_mult[:-1]):  # the int64 running sum wrapped
             raise SpectrumError("total multiplicity must be below 2**63")
+        with np.errstate(over="ignore"):  # the positive running sum is inf at its end iff it overflowed
+            cum_trace = np.cumsum(values * mults)
+        if not math.isfinite(cum_trace[-1]):
+            raise SpectrumError("total trace must be below the float limit")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "_cum_mult", cum_mult)
-        object.__setattr__(self, "_cum_trace", np.cumsum(values * mults))
+        object.__setattr__(self, "_cum_trace", cum_trace)
         object.__setattr__(self, "_weights", mults.astype(float))
 
     @classmethod

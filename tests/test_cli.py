@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 import krrdeteq
 import krrdeteq.cli as cli
+from krrdeteq import harness, krr
 from krrdeteq.cli import main
 from krrdeteq.harness import FIELD_TYPES, KIND_FIELDS
 
@@ -86,6 +87,17 @@ class TestDeteqCommand:
         lines = out.read_text().strip().splitlines()
         assert len(lines) == 3
         assert "error" in lines[2]
+
+    def test_no_nu_diagnostic(self, tmp_path, monkeypatch):
+        """nu describes how replications concentrate; deteq rows have none, so it is never formed."""
+        calls = []
+        nu = harness.nu_diagnostic
+        monkeypatch.setattr(harness, "nu_diagnostic", lambda *args: calls.append(args) or nu(*args))
+        out, config = tmp_path / "pred.csv", write_config(tmp_path, {**DETEQ, "lambda": 0.1, "n_grid": [10, 20]})
+        assert main(["deteq", "--config", str(config), "--out", str(out)]) == 0
+        assert calls == []
+        assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE)), "--out", str(out)]) == 0
+        assert len(calls) == 1
 
     def test_model_document_is_not_reserialized(self, tmp_path, monkeypatch):
         """The parsed config goes to model_from_json as is: no json.dumps on the deteq path."""
@@ -424,6 +436,16 @@ class TestRowFormat:
         assert row.startswith("deteq,1,0.1,nan,") and "SpectrumError" in row and "not finite" in row
         assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
 
+    def test_nonfinite_replication_exits_2(self, tmp_path, monkeypatch, capsys):
+        monkeypatch.setattr(krr, "test_error_linear_exact", lambda *args: math.inf)
+        out = tmp_path / "curve.csv"
+        assert main(["simulate", "--config", str(write_config(tmp_path, SIMULATE)), "--out", str(out)]) == 2
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        assert row["status"] == "error: non-finite value inf"
+        assert (row["empirical_mean"], row["empirical_std"]) == ("nan", "nan")
+        assert math.isfinite(float(row["prediction"]))
+        assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
+
     def test_simulate_failure_row(self, tmp_path):
         # lambda = 0 with rank 2 < n = 5: the prediction fails, and every fit
         # fails its rank check because of the 1e-300 eigenvalue
@@ -444,7 +466,35 @@ class TestRowFormat:
 BENCH = Path(__file__).resolve().parents[1] / "bench"
 # one small config per benchmark workload, keyed by workload name
 SPAN_CONFIGS = {"gcv-sweep": GCV, "sphere-curve": SPHERE, "deteq-grid": DETEQ, "probe-identity": PROBE}
-# runs one workload's subcommand with the benchmark's tracer installed, as bench/child.py does
+# calls per span on each SPAN_CONFIGS entry, recorded with bench/tracing.py's monkeypatch
+# tracer; a change that keeps the work keeps these counts
+SPAN_CALLS = {
+    "deteq-grid": {
+        "cli.main": 1, "deteq.deterministic_equivalents": 1, "deteq.solve_effective_reg": 1,
+        "harness.emit_results": 1, "spectrum.model_from_json": 1, "spectrum.trace_resolvents": 8,
+    },
+    "gcv-sweep": {
+        "cli.main": 1, "deteq.deterministic_equivalents": 2, "deteq.solve_effective_reg": 2,
+        "functionals.sample_gaussian_features": 1, "harness.emit_results": 1, "harness.run_experiment": 1,
+        "krr.GramMatrix": 1, "krr.gcv": 2, "lapack.cho_factor": 2, "lapack.cho_solve": 2, "lapack.cholesky": 2,
+        "lapack.solve_triangular": 2, "spectrum.nu_diagnostic": 2, "spectrum.trace_resolvents": 14,
+    },
+    "probe-identity": {
+        "cli.main": 1, "deteq.solve_effective_reg": 2, "functionals.convergence_probe": 1,
+        "functionals.deterministic_functionals": 2, "functionals.empirical_functionals": 2,
+        "functionals.sample_gaussian_features": 2, "harness.emit_results": 1, "harness.run_experiment": 1,
+        "lapack.cho_factor": 2, "lapack.cho_solve": 2, "spectrum.trace_resolvents": 14,
+    },
+    "sphere-curve": {
+        "cli.main": 1, "deteq.deterministic_equivalents": 1, "deteq.solve_effective_reg": 1,
+        "harness.emit_results": 1, "harness.run_experiment": 1, "krr.GramMatrix": 1,
+        "krr.GramMatrix.eigendecomposition": 1, "krr.fit_krr": 1, "lapack.eigh": 1, "spectrum.nu_diagnostic": 1,
+        "spectrum.trace_resolvents": 10, "sphere.SphereKernel.gram": 1, "sphere.exact_sphere_risk": 1,
+        "sphere.sample_sphere": 1,
+    },
+}
+# runs one workload's subcommand with the benchmark's tracer installed, as bench/child.py does,
+# and prints the declared spans that never fired and the calls per span
 SPAN_SCRIPT = """
 import json, sys
 import krrdeteq.cli as cli
@@ -453,14 +503,14 @@ name, config, out = sys.argv[1:]
 tracer = tracing.Tracer()
 tracing.install(tracer)
 tracer.wrap("cli.main", cli.main)([workloads.WORKLOADS[name].subcommand, "--config", config, "--out", out])
-fired = {span[0] for span in tracer.spans}
-print(json.dumps([s for s in workloads.WORKLOADS[name].spans if s not in fired]))
+calls = {span: stats["calls"] for span, stats in tracing.summarize(tracer.spans).items()}
+print(json.dumps([[s for s in workloads.WORKLOADS[name].spans if s not in calls], calls]))
 """
 
 
 @pytest.mark.parametrize("workload", sorted(SPAN_CONFIGS))
 def test_benchmark_spans_fire(tmp_path, workload):
-    """Every span the benchmark declares for a workload is still called by the CLI."""
+    """Every span the benchmark declares for a workload is still called by the CLI, as often as recorded."""
     config = write_config(tmp_path, SPAN_CONFIGS[workload])
     src = str(Path(krrdeteq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(BENCH)]), "OPENBLAS_NUM_THREADS": "1"}
@@ -473,7 +523,9 @@ def test_benchmark_spans_fire(tmp_path, workload):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == []
+    missing, calls = json.loads(proc.stdout)
+    assert missing == []
+    assert calls == SPAN_CALLS[workload]
 
 
 def test_negative_target_energy_is_one_error_line(tmp_path):

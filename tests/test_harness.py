@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from krrdeteq import krr
 from krrdeteq.harness import (
     CURVE_COLUMNS,
     ConfigError,
@@ -100,6 +101,20 @@ class TestGaussianCurve:
         rows = run_experiment(config).rows
         assert all(row["empirical_std"] == 0.0 for row in rows)
 
+    def test_nonfinite_replication_fails_its_row(self, monkeypatch):
+        """A replication that returns nan is a failure, not a silently dropped value."""
+        exact = krr.test_error_linear_exact
+        calls = []
+
+        def second_is_nan(*args):
+            calls.append(args)
+            return math.nan if len(calls) == 2 else exact(*args)
+
+        monkeypatch.setattr(krr, "test_error_linear_exact", second_is_nan)
+        first, rest = run_experiment(tiny_gaussian_config()).rows
+        assert first["status"] == "error: non-finite value nan"
+        assert math.isfinite(first["empirical_mean"]) and rest["status"] == "ok"
+
     def test_failure_recorded_and_rest_completed(self):
         # rank 30 < n = 50 at lambda 0: both prediction and fits fail there
         config = tiny_gaussian_config(
@@ -152,23 +167,42 @@ class TestSphereCurve:
             )
 
 
+GCV_DOC = {
+    "kind": "gcv_sweep",
+    "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 50},
+    "noise_variance": 0.1,
+    "n": 20,
+    "lambda_grid": [0.01, 0.1, 1.0],
+    "reps": 2,
+    "seed": 1,
+}
+
+
 class TestGcvSweep:
     def test_rows_per_lambda(self):
-        config = ExperimentConfig.from_dict(
-            {
-                "kind": "gcv_sweep",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 50},
-                "noise_variance": 0.1,
-                "n": 20,
-                "lambda_grid": [0.01, 0.1, 1.0],
-                "reps": 2,
-                "seed": 1,
-            }
-        )
+        config = ExperimentConfig.from_dict(GCV_DOC)
         rows = run_experiment(config).rows
         assert [row["lambda"] for row in rows] == [0.01, 0.1, 1.0]
         assert all(row["n"] == 20 for row in rows)
         assert all(math.isfinite(row["empirical_mean"]) for row in rows)
+
+    def test_failed_lambda_names_its_krr_error(self):
+        """At lambda = 1e308 every replication's squared trace underflows: the row says so."""
+        config = ExperimentConfig.from_dict(GCV_DOC | {"lambda_grid": [0.1, 1e308]})
+        ok, bad = run_experiment(config).rows
+        assert ok["status"] == "ok" and math.isfinite(ok["empirical_mean"])
+        assert bad["status"] == (
+            "error: KrrError: GCV score n ||alpha||^2 / Tr((K + lam)^-1)^2 is not a finite float at lambda = 1e+308"
+        )
+        assert math.isfinite(bad["prediction"]) and math.isnan(bad["empirical_mean"])
+
+    def test_failed_gram_fails_every_lambda(self, monkeypatch):
+        def refuse(entries):
+            raise krr.KrrError("no Gram")
+
+        monkeypatch.setattr(krr, "GramMatrix", refuse)
+        rows = run_experiment(ExperimentConfig.from_dict(GCV_DOC)).rows
+        assert [row["status"] for row in rows] == ["error: KrrError: no Gram"] * 3
 
 
 class TestEstimateAndPredict:

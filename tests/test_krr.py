@@ -338,6 +338,26 @@ class TestErrorContract:
             with pytest.raises(KrrError, match="overflows"):
                 solve(gram, [1.0, 1.0], 1e308)
 
+    @pytest.mark.parametrize(
+        "scale, labels, lam",
+        [
+            (1.0, [1.0, -2.0], 1e308),  # Tr((K + lam)^-1)^2 underflows to 0
+            (1e-300, [1e300, 1e300], 1e-300),  # alpha and Tr((K + lam)^-1)^2 overflow
+            (1e-300, [1e300, 1e300], 0.0),  # alpha overflows in the eigenbasis divide
+        ],
+    )
+    def test_gcv_score_outside_float_range(self, scale, labels, lam):
+        with pytest.raises(KrrError, match="not a finite float"):
+            gcv(GramMatrix(scale * np.array([[2.0, 1.0], [1.0, 2.0]])), labels, lam)
+
+    def test_linear_sweep_checks_labels(self, rng):
+        sample = sample_gaussian_features(Spectrum.from_blocks([(1.0, 3)]), 4, rng)
+        with pytest.raises(KrrError, match="labels must be finite"):
+            linear_sweep(sample, np.ones(3), [math.nan, 0.0, 0.0, 0.0], [0.0, 1.0])
+        empty = FeatureSample(np.zeros((0, 3)), Spectrum.from_blocks([(1.0, 3)]))
+        with pytest.raises(KrrError, match="Gram size 0"):
+            linear_sweep(empty, np.ones(3), [], [0.0, 1.0])
+
     @pytest.mark.parametrize("head", [b"KRRG\x01\x02", b"KRRG" + struct.pack("<Q", 2**62)])
     def test_gram_reader_short_header_or_huge_n(self, tmp_path, head):
         path = tmp_path / "k.krrg"
