@@ -1,5 +1,6 @@
 import math
 import struct
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from krrdeteq.functionals import FeatureSample, sample_gaussian_features
 from krrdeteq.krr import (
+    TRACE_LEAF,
     GramMatrix,
     KrrError,
     fit_krr,
@@ -18,6 +20,7 @@ from krrdeteq.krr import (
     write_gram_binary,
     write_labels_binary,
 )
+from krrdeteq.krr import _inv_trace
 from krrdeteq.krr import test_error_linear_exact as exact_linear_risk
 from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
 from krrdeteq.spectrum import Spectrum
@@ -159,8 +162,9 @@ class TestFit:
 
     @pytest.mark.parametrize("lam", [0.0, 1e-300])
     def test_nan_residual_fails_certificate(self, lam):
-        # alpha = 1e300 / 1e-300 overflows, and K alpha - y is nan
-        with np.errstate(all="ignore"), pytest.raises(KrrError, match="residual nan"):
+        # alpha = 1e300 / 1e-300 overflows, and K alpha - y is nan; no numpy warning on the way
+        warnings.simplefilter("error")
+        with pytest.raises(KrrError, match="residual nan"):
             fit_krr(GramMatrix(1e-300 * np.eye(2)), np.array([1e300, 1e300]), lam)
 
     def test_predict(self):
@@ -229,6 +233,26 @@ class TestStieltjes:
     def test_range(self, rng):
         lam = 0.7
         assert 0 < sweep_at(rng, lam)["stieltjes"] <= 1 / lam
+
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 128, 129, 257, 400])
+    def test_block_inverse_trace_matches_full_solves(self, rng, n):
+        # ||L^-1||_F^2 against L^-1 solved in one piece, and against a dense inverse up to
+        # the conditioning both carry; one block of at most TRACE_LEAF rows is that same
+        # solve, bit for bit
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        for spread in (1.0, 1e-6, 1e-15):
+            gram = GramMatrix((q * np.geomspace(spread, 1.0, n)) @ q.T)
+            for lam in (1e-12, 1e-6, 1e-2, 1.0, 1e3):
+                shifted = gram.entries + lam * np.eye(n)
+                linv = solve_triangular(np.linalg.cholesky(shifted), np.eye(n), lower=True)
+                full = float((linv * linv).sum())
+                trace = _inv_trace(gram, lam)
+                if n <= TRACE_LEAF:
+                    assert trace == full
+                assert trace == pytest.approx(full, rel=1e-13, abs=0)
+                cond = (1.0 + lam) / (spread + lam)
+                dense = float(np.trace(np.linalg.inv(shifted)))
+                assert trace == pytest.approx(dense, rel=1e-13 + np.finfo(float).eps * cond, abs=0)
 
 
 class TestGcv:
@@ -344,11 +368,16 @@ class TestErrorContract:
             (1.0, [1.0, -2.0], 1e308),  # Tr((K + lam)^-1)^2 underflows to 0
             (1e-300, [1e300, 1e300], 1e-300),  # alpha and Tr((K + lam)^-1)^2 overflow
             (1e-300, [1e300, 1e300], 0.0),  # alpha overflows in the eigenbasis divide
+            # the same at 130 rows, where the trace comes from a block-split inverse
+            (1.0, [1.0, -2.0] * 65, 1e308),
+            (1e-300, [1e300] * 130, 1e-300),
+            (1e-300, [1e300] * 130, 0.0),
         ],
     )
     def test_gcv_score_outside_float_range(self, scale, labels, lam):
+        n = len(labels)  # K = scale (I + 2/n 11^T): [[2, 1], [1, 2]] at n = 2
         with pytest.raises(KrrError, match="not a finite float"):
-            gcv(GramMatrix(scale * np.array([[2.0, 1.0], [1.0, 2.0]])), labels, lam)
+            gcv(GramMatrix(scale * (np.eye(n) + 2.0 / n)), labels, lam)
 
     def test_linear_sweep_checks_labels(self, rng):
         sample = sample_gaussian_features(Spectrum.from_blocks([(1.0, 3)]), 4, rng)
