@@ -2,22 +2,21 @@
 
 Eigendecomposing K/m on a holdout of size m gives eigenvalue estimates
 xi_hat_j = mu_j and alignment estimates beta_hat_j = v_j^T y / sqrt(m).
-Plugging those into the closed-form risk predictions produces learning-curve
-estimates without access to the true eigendecomposition.
+``decomposition_to_model`` packs them into a ModelSpec, whose closed-form
+predictions give learning-curve estimates without access to the true
+eigendecomposition.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
 
-from .deteq import deterministic_equivalents
 from .krr import GramMatrix, KrrError, _labels
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
-__all__ = ["EstimatedDecomposition", "estimate_spectrum", "decomposition_to_model", "plugin_risk_curve"]
+__all__ = ["EstimatedDecomposition", "estimate_spectrum", "decomposition_to_model"]
 
 EIG_FLOOR = 1e-12
 
@@ -93,30 +92,4 @@ def decomposition_to_model(
     return ModelSpec(
         n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=NoiseModel(noise_variance)
     )
-
-
-def plugin_risk_curve(
-    est: EstimatedDecomposition,
-    n_grid,
-    lam: float,
-    noise_variance: float,
-    truncation: int | None = None,
-) -> list[tuple[int, float]]:
-    """Predicted risk at every n in the grid from estimated spectral data.
-
-    Emits (n, risk) pairs; a warning flags grid points at or beyond the
-    holdout size, where the estimate loses validity.
-    """
-    n_grid = [int(v) for v in n_grid]
-    out: list[tuple[int, float]] = []
-    for n in n_grid:
-        if n >= est.holdout_size:
-            warnings.warn(
-                f"n = {n} >= holdout size {est.holdout_size}: estimated spectrum "
-                "may be unreliable at this sample count",
-                stacklevel=2,
-            )
-        model = decomposition_to_model(est, n, lam, noise_variance, truncation)
-        out.append((n, deterministic_equivalents(model).risk))
-    return out
 

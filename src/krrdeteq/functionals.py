@@ -18,7 +18,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
 from .deteq import solve_effective_reg
-from .seeds import derive_rng, map_tasks
+from .seeds import replicate
 from .spectrum import Spectrum, SpectrumError
 
 __all__ = [
@@ -228,21 +228,8 @@ def deterministic_functionals(
     return psi1, psi2, psi3, psi4
 
 
-def _probe_task(spectrum, lam, a_choice, seed, task):
-    n_index, n, rep = task
-    rng = derive_rng(seed, 101, n_index, rep)
+def _probe_task(spectrum, lam, a, n, rng):
     sample = sample_gaussian_features(spectrum, n, rng)
-    p = spectrum.total_rank
-    if isinstance(a_choice, (np.ndarray, RiskMatrix, IdentityMatrix)):
-        a = a_choice
-    elif a_choice == "identity":
-        a = IdentityMatrix(p)
-    elif a_choice == "rank_one":
-        beta = np.zeros(p)
-        beta[0] = 1.0
-        a = RiskMatrix(beta)
-    else:
-        raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
     phi = empirical_functionals(sample, lam, a)
     psi = deterministic_functionals(spectrum, n, lam, a)
     return tuple(abs(emp - pred) / pred if pred != 0 else math.inf for emp, pred in zip(phi, psi))
@@ -259,7 +246,8 @@ def convergence_probe(
 ) -> list[dict]:
     """Median relative errors |phi_j - psi_j| / psi_j per (n, j) over replications.
 
-    Gaussian features, per-replication derived seeds; the reduction is
+    Gaussian features; replication ``rep`` at grid index ``i`` draws from
+    ``derive_rng(seed, 101, i, rep)`` (``seeds.replicate``), so the reduction is
     independent of worker count.  Returns rows with keys
     n, functional_index, median_rel_err, q25, q75, reps, seed.
     """
@@ -268,25 +256,23 @@ def convergence_probe(
         raise SpectrumError("n grid must be nonempty and increasing")
     if reps < 1:
         raise SpectrumError("reps must be a positive integer")
-    tasks = [(i, n, rep) for i, n in enumerate(n_grid) for rep in range(reps)]
-    probe = functools.partial(_probe_task, spectrum, lam, a_choice, seed)
-    results = dict(zip(tasks, map_tasks(tasks, probe, threads)))
+    p = spectrum.total_rank
+    if isinstance(a_choice, (np.ndarray, RiskMatrix, IdentityMatrix)):
+        a = _check_test_matrix(a_choice, p)
+    elif a_choice == "identity":
+        a = IdentityMatrix(p)
+    elif a_choice == "rank_one":
+        a = RiskMatrix(np.eye(1, p))  # beta = e_1
+    else:
+        raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
+    results = replicate(seed, 101, n_grid, reps, functools.partial(_probe_task, spectrum, lam, a), threads)
 
     rows = []
-    for i, n in enumerate(n_grid):
-        errs = np.array([results[(i, n, rep)] for rep in range(reps)])
-        for j in range(4):
-            q25, med, q75 = np.percentile(errs[:, j], [25, 50, 75])
-            rows.append(
-                {
-                    "n": n,
-                    "functional_index": j + 1,
-                    "median_rel_err": float(med),
-                    "q25": float(q25),
-                    "q75": float(q75),
-                    "reps": reps,
-                    "seed": seed,
-                }
-            )
+    for n, errs in zip(n_grid, results):
+        q25, med, q75 = np.percentile(np.array(errs), [25, 50, 75], axis=0)
+        rows += [
+            {"n": n, "functional_index": j + 1, "median_rel_err": float(med[j]), "q25": float(q25[j]),
+             "q75": float(q75[j]), "reps": reps, "seed": seed}
+            for j in range(4)
+        ]
     return rows
-

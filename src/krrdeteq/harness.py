@@ -20,7 +20,7 @@ import numpy as np
 
 from . import estimation, functionals, krr, sphere
 from .deteq import deterministic_equivalents
-from .seeds import derive_rng, map_tasks
+from .seeds import derive_rng, map_tasks, replicate
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, nu_diagnostic
 
 __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult", "run_experiment", "emit_results", "CURVE_COLUMNS"]
@@ -42,14 +42,19 @@ PROBE_COLUMNS = ["n", "functional_index", "median_rel_err", "q25", "q75", "reps"
 
 _NUMBER = (int, float)
 _NULL = type(None)
-# JSON type of every config field any subcommand reads; booleans match none of them
+# JSON type of every config field, and of every key of its sub-documents, that any
+# subcommand reads; booleans match none of them
 FIELD_TYPES = {
     "kind": str, "reps": int, "seed": int, "threads": int, "output_path": (str, _NULL),
     "noise_variance": _NUMBER, "lambda": _NUMBER, "n_grid": list, "lambda_grid": list, "n": int,
     "spectrum": (dict, _NULL), "target": (dict, _NULL), "d": int, "gap": _NUMBER, "levels": int,
     "energies": (dict, _NULL), "a_choice": str, "holdout": int, "truncation": (int, _NULL),
     "blocks": list, "alignment": list, "residual_energy": _NUMBER,
+    "exponent": _NUMBER, "size": int, "values": list,
 }
+# the keys each kind of ``spectrum`` and ``target`` sub-document reads
+SPECTRUM_FIELDS = {"power_law": ("kind", "exponent", "size"), "blocks": ("kind", "blocks")}
+TARGET_FIELDS = {"random_unit": ("kind",), "energies": ("kind", "values")}
 COMMON_FIELDS = ("kind", "reps", "seed", "threads", "output_path")
 # the fields each kind's runner reads, besides COMMON_FIELDS
 KIND_FIELDS = {
@@ -139,6 +144,8 @@ class ExperimentConfig:
                 raise ConfigError("lambda_grid must be nonempty and sorted")
         if self.kind == "estimate_and_predict" and self.holdout < 2:
             raise ConfigError("estimate_and_predict requires holdout >= 2")
+        if self.truncation is not None and not 1 <= self.truncation <= self.holdout:
+            raise ConfigError(f"truncation must be in [1, holdout = {self.holdout}]")
 
     @classmethod
     def from_dict(cls, doc: dict, kind: str | None = None) -> "ExperimentConfig":
@@ -161,8 +168,11 @@ class ExperimentConfig:
             grid = check_entries(kwargs["lambda_grid"], _NUMBER, "lambda_grid")
             kwargs["lambda_grid"] = tuple(float(v) for v in grid)
         if kwargs.get("energies") is not None:
-            values = check_entries(tuple(kwargs["energies"].values()), _NUMBER, "energies")
-            kwargs["energies"] = {int(k): float(v) for k, v in zip(kwargs["energies"], values)}
+            energies = kwargs["energies"]
+            values = check_entries(tuple(energies.values()), _NUMBER, "energies")
+            if not all(str(k).isdecimal() for k in energies) or len({int(k) for k in energies}) < len(energies):
+                raise ConfigError("energies keys must be distinct integer levels")
+            kwargs["energies"] = {int(k): float(v) for k, v in zip(energies, values)}
         return cls(**kwargs)
 
     def with_overrides(self, seed: int | None = None, threads: int | None = None) -> "ExperimentConfig":
@@ -182,18 +192,23 @@ class ExperimentResult:
         return sum(row.get("status", "ok") != "ok" for row in self.rows)
 
 
+def _sub_kind(doc: dict, kinds: dict, default: str, what: str) -> str:
+    """The kind of a ``spectrum`` or ``target`` sub-document, checked with its keys as ``check_fields`` does."""
+    kind = doc.get("kind", default)
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ConfigError(f"unknown {what} kind {kind!r}")
+    check_fields(doc, kinds[kind], f"a {kind} {what}")
+    return kind
+
+
 def _build_spectrum(doc: dict | None) -> Spectrum:
     if not doc:
         raise ConfigError("experiment requires a 'spectrum' entry")
-    kind = doc.get("kind", "power_law")
-    if kind == "power_law":
-        exponent, size = doc.get("exponent"), doc.get("size")
-        if not (_is_json(exponent, _NUMBER) and _is_json(size, int)):
-            raise ConfigError("a power_law spectrum needs a number 'exponent' and an integer 'size'")
-        return Spectrum.power_law(float(exponent), size)
-    if kind == "blocks":
-        return Spectrum.from_blocks(doc.get("blocks") or [])
-    raise ConfigError(f"unknown spectrum kind {kind!r}")
+    if _sub_kind(doc, SPECTRUM_FIELDS, "power_law", "spectrum") == "blocks":
+        return Spectrum.from_blocks(doc.get("blocks", []))
+    if "exponent" not in doc or "size" not in doc:  # their JSON types are checked with the keys
+        raise ConfigError("a power_law spectrum needs a number 'exponent' and an integer 'size'")
+    return Spectrum.power_law(float(doc["exponent"]), doc["size"])
 
 
 def _build_beta(doc: dict | None, spectrum: Spectrum, seed: int) -> np.ndarray:
@@ -202,21 +217,18 @@ def _build_beta(doc: dict | None, spectrum: Spectrum, seed: int) -> np.ndarray:
     if p > 2_000_000:
         raise ConfigError("expanded rank too large for feature-level simulation")
     doc = doc or {"kind": "random_unit"}
-    kind = doc.get("kind", "random_unit")
-    if kind == "random_unit":
+    if _sub_kind(doc, TARGET_FIELDS, "random_unit", "target") == "random_unit":
         rng = derive_rng(seed, 7)
         beta = rng.standard_normal(p)
         return beta / np.linalg.norm(beta)
-    if kind == "energies":
-        values = np.asarray(check_entries(doc.get("values", ()), _NUMBER, "target values"), dtype=float)
-        if not np.all(np.isfinite(values)) or np.any(values < 0):
-            raise ConfigError("target values must be finite and >= 0")
-        if values.size != spectrum.n_blocks:
-            raise ConfigError("target energies must have one entry per spectrum block")
-        # spread block energy uniformly over its eigendirections
-        per = np.repeat(values / spectrum.multiplicities, spectrum.multiplicities)
-        return np.sqrt(per)
-    raise ConfigError(f"unknown target kind {kind!r}")
+    values = np.asarray(check_entries(doc.get("values", ()), _NUMBER, "target values"), dtype=float)
+    if not np.all(np.isfinite(values)) or np.any(values < 0):
+        raise ConfigError("target values must be finite and >= 0")
+    if values.size != spectrum.n_blocks:
+        raise ConfigError("target energies must have one entry per spectrum block")
+    # spread block energy uniformly over its eigendirections
+    per = np.repeat(values / spectrum.multiplicities, spectrum.multiplicities)
+    return np.sqrt(per)
 
 
 def _block_energies(spectrum: Spectrum, beta: np.ndarray) -> np.ndarray:
@@ -290,14 +302,8 @@ def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> Experiment
 def _run_curve(config, tag, simulate, model_at) -> ExperimentResult:
     """Curve over ``config.n_grid``: replication ``rep`` at grid index ``i`` is
     ``simulate(n, derive_rng(seed, tag, i, rep))``."""
-
-    def one_rep(task):
-        i, n, rep = task
-        return _outcome(simulate, n, derive_rng(config.seed, tag, i, rep))
-
-    tasks = [(i, n, r) for i, n in enumerate(config.n_grid) for r in range(config.reps)]
-    outcomes = map_tasks(tasks, one_rep, config.threads)
-    per_n = [outcomes[i : i + config.reps] for i in range(0, len(outcomes), config.reps)]
+    task = functools.partial(_outcome, simulate)
+    per_n = replicate(config.seed, tag, config.n_grid, config.reps, task, config.threads)
     points = [(n, config.lam) for n in config.n_grid]
     return _prediction_rows(config.kind, config.reps, config.seed, points, model_at, per_n)
 
@@ -334,7 +340,7 @@ def _run_sphere_curve(config: ExperimentConfig) -> ExperimentResult:
         raise ConfigError("sphere_curve requires d >= 3, levels >= 1, gap > 0")
     kernel = sphere.kernel_from_gaps(config.d, config.levels, config.gap)
     energies = config.energies or {k: k**-2.0 for k in range(1, config.levels + 1)}
-    target = sphere.build_cyclic_target(config.d, energies)
+    target = sphere.SphereTarget(config.d, energies)
     noise = NoiseModel(config.noise_variance)
     sigma = math.sqrt(config.noise_variance)
 
@@ -369,15 +375,9 @@ def _run_gcv_sweep(config: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_functional_probe(config: ExperimentConfig) -> ExperimentResult:
-    spectrum = _build_spectrum(config.spectrum)
     rows = functionals.convergence_probe(
-        spectrum,
-        list(config.n_grid),
-        config.lam,
-        a_choice=config.a_choice,
-        reps=config.reps,
-        seed=config.seed,
-        threads=config.threads,
+        _build_spectrum(config.spectrum), config.n_grid, config.lam, config.a_choice, config.reps, config.seed,
+        config.threads,
     )
     return ExperimentResult(rows, "probe")
 

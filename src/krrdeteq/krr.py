@@ -19,7 +19,7 @@ import struct
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular
 
 __all__ = [
     "KrrError",
@@ -162,8 +162,9 @@ def fit_krr(gram: GramMatrix, y: np.ndarray, lam: float) -> KrrFit:
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing alpha fails the certificate below
         y, alpha = _dual(gram, y, lam)
-        resid = np.linalg.norm(gram.entries @ alpha + lam * alpha - y)
-        tol = FIT_RTOL * max(np.linalg.norm(y), 1e-300)
+        # BLAS nrm2 scales as it sums, so neither norm overflows below the float limit
+        resid = norm(gram.entries @ alpha + lam * alpha - y, check_finite=False)
+        tol = FIT_RTOL * max(norm(y, check_finite=False), 1e-300)
     if not resid <= tol:  # a NaN residual fails too
         raise KrrError(f"solve residual {resid:.3e} exceeds tolerance")
     return KrrFit(alpha=alpha, lam=lam, gram=gram)

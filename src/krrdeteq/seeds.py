@@ -1,9 +1,11 @@
-"""Counter-based seed derivation for reproducible parallel simulation.
+"""Counter-based seed derivation and the one seeded replication runner.
 
 Every stochastic task derives its generator from (root seed, integer key
 path) through splitmix64 folding, so results are independent of worker
 count and scheduling order: task (seed, k1, k2, ...) always sees the same
-stream.
+stream.  ``replicate`` runs ``reps`` replications per grid entry, each on the
+stream (seed, tag, grid index, rep); every simulated curve and the
+functional probe go through it.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 
-__all__ = ["derive_seed", "derive_rng", "map_tasks"]
+__all__ = ["derive_seed", "derive_rng", "map_tasks", "replicate"]
 
 _MASK = (1 << 64) - 1
 
@@ -43,3 +45,18 @@ def map_tasks(tasks, worker, threads: int) -> list:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             return list(pool.map(worker, tasks))
     return [worker(task) for task in tasks]
+
+
+def replicate(seed: int, tag: int, grid, reps: int, task, threads: int) -> list[list]:
+    """One list per grid entry x = grid[i] of ``task(x, derive_rng(seed, tag, i, rep))`` for rep < reps.
+
+    The jobs run through ``map_tasks``, so the result does not depend on ``threads``.
+    """
+
+    def run(job):
+        i, x, rep = job
+        return task(x, derive_rng(seed, tag, i, rep))
+
+    jobs = [(i, x, rep) for i, x in enumerate(grid) for rep in range(reps)]
+    results = map_tasks(jobs, run, threads)
+    return [results[i * reps : (i + 1) * reps] for i in range(len(grid))]

@@ -37,6 +37,13 @@ class SpectrumError(ValueError):
     """Invalid spectral data or out-of-domain query."""
 
 
+def _numbers(entries, what: str):
+    """``entries``, a sequence of numbers; SpectrumError if one is a boolean, which numpy would read as 0 or 1."""
+    if not set(map(type, entries)).isdisjoint((bool, np.bool_)):
+        raise SpectrumError(f"{what} must hold numbers, not booleans")
+    return entries
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalue blocks ``(value, multiplicity)``, nonincreasing in value.
@@ -86,11 +93,11 @@ class Spectrum:
 
     @classmethod
     def from_blocks(cls, blocks) -> "Spectrum":
-        """Build from an iterable of ``(eigenvalue, multiplicity)`` pairs."""
+        """Build from an iterable of ``(eigenvalue, multiplicity)`` pairs; a boolean entry is rejected."""
         try:
             blocks = list(blocks)
-            values = np.array([b[0] for b in blocks], dtype=float)
-            return cls(values=values, multiplicities=np.asarray([b[1] for b in blocks]))
+            values = np.array(_numbers([b[0] for b in blocks], "blocks"), dtype=float)
+            return cls(values=values, multiplicities=np.asarray(_numbers([b[1] for b in blocks], "blocks")))
         except (TypeError, LookupError, OverflowError) as exc:
             raise SpectrumError(f"blocks must be (eigenvalue, multiplicity) pairs: {exc}") from None
 
@@ -147,11 +154,6 @@ class Spectrum:
     def expand(self) -> np.ndarray:
         """Expanded eigenvalue vector (length = total rank).  Use sparingly."""
         return np.repeat(self.values, self.multiplicities)
-
-    def scaled(self, c: float) -> "Spectrum":
-        if c <= 0:
-            raise SpectrumError("scale factor must be positive")
-        return Spectrum(self.values * c, self.multiplicities)
 
 
 @dataclass(frozen=True, eq=False)
@@ -338,7 +340,7 @@ def model_from_json(doc: dict) -> tuple[Spectrum, Alignment, NoiseModel]:
     """
     spectrum = Spectrum.from_blocks(doc["blocks"])
     try:
-        energies = np.asarray(doc["alignment"], dtype=float)
+        energies = np.asarray(_numbers(doc["alignment"], "alignment"), dtype=float)
     except TypeError as exc:
         raise SpectrumError(f"alignment must be a list of numbers: {exc}") from None
     alignment = Alignment(energies, doc.get("residual_energy", 0.0))

@@ -39,13 +39,11 @@ __all__ = [
     "dim_spherical",
     "kernel_from_gaps",
     "sample_sphere",
-    "build_cyclic_target",
     "sphere_spectrum",
     "exact_sphere_risk",
     "sphere_moment",
 ]
 
-DEFAULT_KMAX = 12
 # inner products per block of a Gram build or exact risk: the five working
 # arrays of the series (1.25 MB at this size) stay in a core's L2 cache
 _BLOCK_ELEMENTS = 2**15
@@ -97,7 +95,7 @@ class GegenbauerBasis:
     """
 
     d: int
-    kmax: int = DEFAULT_KMAX
+    kmax: int
     norms: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -198,10 +196,6 @@ class SphereKernel:
     def kmax(self) -> int:
         return self.coeffs.size - 1
 
-    @property
-    def degrees(self) -> np.ndarray:
-        return np.arange(self.coeffs.size)
-
     def multiplicities(self) -> np.ndarray:
         mults = [dim_spherical(self.d, k) for k in range(self.coeffs.size)]
         if max(mults) >= 2**63:
@@ -275,7 +269,8 @@ class SphereTarget:
     Level k contributes C_{d,k} * sum_{j in [d]} prod_{s=j..j+k-1} u_s with
     cyclic indexing.  Distinct windows are uncorrelated (each product leaves
     odd powers), so level k's energy is exactly C_{d,k}^2 * d * M_{d,k} with
-    M_{d,k} the diagonal moment E[u_1^2...u_k^2].
+    M_{d,k} the diagonal moment E[u_1^2...u_k^2].  ``energies`` maps level k
+    to its energy e_k; it is copied, and the coefficients are solved exactly.
     """
 
     d: int
@@ -322,11 +317,6 @@ class SphereTarget:
         return out
 
 
-def build_cyclic_target(d: int, energies: dict[int, float]) -> SphereTarget:
-    """Target with prescribed per-level energies e_k (coefficients solved exactly)."""
-    return SphereTarget(d=d, energies=dict(energies))
-
-
 def sphere_spectrum(
     kernel: SphereKernel,
     target: SphereTarget,
@@ -347,7 +337,7 @@ def sphere_spectrum(
     live = kernel.coeffs > 0
     if not np.any(live):
         raise SphereError("kernel has no positive eigenvalues")
-    degrees = kernel.degrees[live]
+    degrees = np.flatnonzero(live)
     values = kernel.coeffs[live]
     block_mults = mults[live]
     energies = np.array([target.energies.get(int(k), 0.0) for k in degrees])

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from krrdeteq.deteq import deterministic_equivalents, isotropic_effective_reg, solve_effective_reg
-from krrdeteq.estimation import estimate_spectrum, plugin_risk_curve
+from krrdeteq.estimation import decomposition_to_model, estimate_spectrum
 from krrdeteq.functionals import (
     RiskMatrix,
     convergence_probe,
@@ -24,7 +24,7 @@ from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
 from krrdeteq.seeds import derive_rng
 from krrdeteq.sphere import (
     GegenbauerBasis,
-    build_cyclic_target,
+    SphereTarget,
     dim_spherical,
     exact_sphere_risk,
     kernel_from_gaps,
@@ -114,7 +114,7 @@ def test_a2_algebraic_identities():
                 worst = max(worst, abs(psi[3] / psi[2] - (eff.mu_star / n) ** 2) / (eff.mu_star / n) ** 2)
         for c in (0.2, 5.0):
             scaled = deterministic_equivalents(
-                ModelSpec(n=n, lam=c * lam, spectrum=s.scaled(c), alignment=al, noise=NoiseModel(s2))
+                ModelSpec(n=n, lam=c * lam, spectrum=Spectrum(c * s.values, s.multiplicities), alignment=al, noise=NoiseModel(s2))
             )
             worst = max(worst, abs(scaled.risk - de.risk) / de.risk)
     elapsed = time.monotonic() - start
@@ -190,7 +190,7 @@ def test_a5_sphere_learning_curve():
     start = time.monotonic()
     seed, d, gap, levels, s2, lam, reps = 3, 24, 8.0, 7, 0.1, 0.0, 20
     kernel = kernel_from_gaps(d, levels, gap)
-    target = build_cyclic_target(d, {k: k**-2.0 for k in range(1, levels + 1)})
+    target = SphereTarget(d, {k: k**-2.0 for k in range(1, levels + 1)})
     rows = []
     for i, n in enumerate((8, 16, 32, 64, 128, 256, 512, 1024)):
         pred = deterministic_equivalents(
@@ -276,7 +276,7 @@ def test_a7_sphere_machinery():
         addition_ok = addition_ok and abs(float(prod.mean()) - expected) <= 3 * se
     # exact risk vs Monte Carlo across five random ridge fits
     kernel = kernel_from_gaps(d, 7, 8.0)
-    target = build_cyclic_target(d, {k: k**-2.0 for k in range(1, 8)})
+    target = SphereTarget(d, {k: k**-2.0 for k in range(1, 8)})
     risk_ok = True
     for rep in range(5):
         rng = derive_rng(909, rep)
@@ -319,7 +319,7 @@ def test_a8_estimation_pipeline():
         truth = deterministic_equivalents(
             ModelSpec(n=n, lam=lam, spectrum=spectrum, alignment=alignment, noise=NoiseModel(s2))
         ).risk
-        plug = plugin_risk_curve(est, [n], lam, s2)[0][1]
+        plug = deterministic_equivalents(decomposition_to_model(est, n, lam, s2)).risk
         rels.append(abs(plug - truth) / truth)
     worst_plug = max(rels)
     elapsed = time.monotonic() - start

@@ -254,9 +254,9 @@ class TestExperimentCommands:
                     "gap": 8.0,
                     "levels": 2,
                     "noise_variance": 0.1,
-                    "n_grid": [8],
+                    "n_grid": [8, 16],
                     "lambda": 0.0,
-                    "reps": 1,
+                    "reps": 2,
                     "seed": 0,
                 },
             ),
@@ -268,7 +268,7 @@ class TestExperimentCommands:
                     "noise_variance": 0.1,
                     "n": 12,
                     "lambda_grid": [0.1, 1.0],
-                    "reps": 1,
+                    "reps": 2,
                     "seed": 0,
                 },
             ),
@@ -279,19 +279,27 @@ class TestExperimentCommands:
                     "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 20},
                     "noise_variance": 0.05,
                     "holdout": 100,
-                    "n_grid": [8],
+                    "n_grid": [8, 16],
                     "lambda": 0.05,
-                    "reps": 1,
+                    "reps": 2,
                     "seed": 0,
                 },
             ),
+            ("simulate", {**SIMULATE, "noise_variance": 0.1, "n_grid": [8, 16], "reps": 2, "seed": 0}),
+            ("probe-functionals", {**PROBE, "n_grid": [5, 10], "reps": 2, "seed": 0}),
         ],
     )
     def test_each_subcommand_runs(self, tmp_path, command, doc):
+        """Every sampled subcommand writes the same bytes on one worker thread and on three."""
         config = write_config(tmp_path, doc)
-        out = tmp_path / "rows.csv"
-        assert main([command, "--config", str(config), "--out", str(out)]) == 0
-        assert out.read_text().splitlines()[0].startswith("kind,")
+        outputs = []
+        for threads in ("1", "3"):
+            out = tmp_path / f"rows{threads}.csv"
+            assert main([command, "--config", str(config), "--out", str(out), "--threads", threads]) == 0
+            outputs.append(out.read_bytes())
+        columns = harness.PROBE_COLUMNS if command == "probe-functionals" else harness.CURVE_COLUMNS
+        assert outputs[0].decode().splitlines()[0] == ",".join(columns)
+        assert outputs[0] == outputs[1]
 
     def test_threads_env_default(self, tmp_path, monkeypatch):
         monkeypatch.setenv("KRRDETEQ_THREADS", "2")
@@ -364,6 +372,23 @@ class TestConfigValidation:
             ("deteq", {**DETEQ, "blocks": [[1.0, 2**62], [0.5, 2**62 + 5]], "alignment": [1.0, 1.0]}, "2**63"),
             # an 800 TB request fails at once, before any memory is touched
             ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "size": 10**14}}, "error: Unable to allocate"),
+            # JSON booleans are not numbers, in block lists either
+            ("deteq", {**DETEQ, "blocks": [[1.0, True]]}, "booleans"),
+            ("deteq", {**DETEQ, "blocks": [[True, 30]]}, "booleans"),
+            ("deteq", {**DETEQ, "alignment": [True]}, "booleans"),
+            ("simulate", {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, True]]}}, "booleans"),
+            # sub-documents reject keys their kind does not read, as top-level configs do
+            ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "typo_field": 3}}, "'typo_field'"),
+            ("simulate", {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 3]], "size": 3}}, "'size'"),
+            ("simulate", {**SIMULATE, "target": {"kind": "random_unit", "bogus": 1}}, "'bogus'"),
+            ("simulate", {**SIMULATE, "target": {"kind": "energies", "values": [1.0], "exponent": 1}}, "'exponent'"),
+            ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": True}}, "'exponent'"),
+            ("simulate", {**SIMULATE, "spectrum": {"kind": ["power_law"]}}, "spectrum kind"),
+            ("sphere", {**SPHERE, "energies": {"one": 1.0}}, "energies"),
+            ("sphere", {**SPHERE, "energies": {"1.5": 1.0}}, "energies"),
+            ("sphere", {**SPHERE, "energies": {"1": 1.0, "01": 0.5}}, "energies"),
+            ("estimate", {**ESTIMATE, "truncation": 500, "holdout": 20}, "truncation"),
+            ("estimate", {**ESTIMATE, "truncation": 0}, "truncation"),
         ],
     )
     def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, doc, needle):

@@ -246,7 +246,7 @@ class TestDeterministicEquivalents:
         base = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(s2)))
         for c in (0.03, 7.5):
             scaled = deterministic_equivalents(
-                ModelSpec(n=n, lam=c * lam, spectrum=s.scaled(c), alignment=al, noise=NoiseModel(s2))
+                ModelSpec(n=n, lam=c * lam, spectrum=Spectrum(c * s.values, s.multiplicities), alignment=al, noise=NoiseModel(s2))
             )
             assert scaled.effective.lambda_star == pytest.approx(c * base.effective.lambda_star, rel=1e-10)
             assert scaled.effective.mu_star == pytest.approx(base.effective.mu_star, rel=1e-10)

@@ -6,7 +6,6 @@ from krrdeteq.estimation import (
     EstimatedDecomposition,
     decomposition_to_model,
     estimate_spectrum,
-    plugin_risk_curve,
 )
 from krrdeteq.functionals import sample_gaussian_features
 from krrdeteq.krr import GramMatrix, KrrError
@@ -63,6 +62,11 @@ class TestEstimateSpectrum:
         assert est.noise_estimate == pytest.approx(s2, rel=0.25)
 
 
+def plugin_risk(est, n, lam, noise_variance, truncation=None):
+    """The closed-form risk of the model estimated from ``est``, as an ``estimate`` row predicts it."""
+    return deterministic_equivalents(decomposition_to_model(est, n, lam, noise_variance, truncation)).risk
+
+
 class TestPluginCurve:
     def test_exact_decomposition_matches_deteq_bitwise(self):
         p, n, lam, s2 = 12, 6, 0.3, 0.2
@@ -71,7 +75,7 @@ class TestPluginCurve:
         est = EstimatedDecomposition(
             eigenvalues=values, alignments=beta_sq, holdout_size=64, noise_estimate=None
         )
-        plug = plugin_risk_curve(est, [n], lam, s2, truncation=p)[0][1]
+        plug = plugin_risk(est, n, lam, s2, truncation=p)
         spec = ModelSpec(
             n=n,
             lam=lam,
@@ -81,20 +85,11 @@ class TestPluginCurve:
         )
         assert plug == deterministic_equivalents(spec).risk  # bit-for-bit
 
-    def test_empty_grid(self):
-        est = EstimatedDecomposition(np.array([1.0]), np.array([0.5]), holdout_size=8)
-        assert plugin_risk_curve(est, [], 0.1, 0.0) == []
-
-    def test_warns_past_holdout(self):
-        est = EstimatedDecomposition(np.array([1.0, 0.5]), np.array([0.5, 0.1]), holdout_size=4)
-        with pytest.warns(UserWarning, match="holdout"):
-            plugin_risk_curve(est, [4], 0.1, 0.0)
-
     def test_rank_one_closed_form(self):
         # single estimated eigenvalue: risk solvable by hand
         est = EstimatedDecomposition(np.array([1.0]), np.array([0.8]), holdout_size=32)
         n, lam = 4, 0.5
-        (n_out, risk) = plugin_risk_curve(est, [n], lam, 0.0)[0]
+        risk = plugin_risk(est, n, lam, 0.0)
         spec = ModelSpec(
             n=n,
             lam=lam,
@@ -103,7 +98,6 @@ class TestPluginCurve:
             noise=NoiseModel(0.0),
         )
         assert risk == pytest.approx(deterministic_equivalents(spec).risk, rel=1e-14)
-        assert n_out == n
 
     def test_truncation_folds_tail_into_residual(self):
         values = np.array([1.0, 0.5, 0.25, 0.125])

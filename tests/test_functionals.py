@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from krrdeteq import functionals
 from krrdeteq.deteq import solve_effective_reg
 from krrdeteq.functionals import (
     FeatureSample,
@@ -231,13 +232,26 @@ class TestConvergenceProbe:
         assert psi3 > 0
 
     def test_task_relative_errors(self):
-        # one replication: |phi_j - psi_j| / psi_j on the sample its derived seed draws
+        # one replication: |phi_j - psi_j| / psi_j on the sample its generator draws
         s = Spectrum.power_law(2.0, 40)
-        errs = _probe_task(s, 0.5, "identity", 3, (0, 30, 1))
+        errs = _probe_task(s, 0.5, IdentityMatrix(40), 30, derive_rng(3, 101, 0, 1))
         sample = sample_gaussian_features(s, 30, derive_rng(3, 101, 0, 1))
         phi = empirical_functionals(sample, 0.5, IdentityMatrix(40))
         psi = deterministic_functionals(s, 30, 0.5, IdentityMatrix(40))
         assert errs == tuple(abs(emp - pred) / pred for emp, pred in zip(phi, psi))
+        # the probe's replication 0 at grid index 0 draws from the stream (seed, 101, 0, 0)
+        rows = convergence_probe(s, [30], 0.5, reps=1, seed=3)
+        first = _probe_task(s, 0.5, IdentityMatrix(40), 30, derive_rng(3, 101, 0, 0))
+        assert [row["median_rel_err"] for row in rows] == list(first)
+
+    def test_bad_choice_raises_before_any_draw(self, monkeypatch):
+        draws = []
+        monkeypatch.setattr(functionals, "sample_gaussian_features", lambda *args: draws.append(args))
+        with pytest.raises(SpectrumError, match="unknown test-matrix choice"):
+            convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, a_choice="bogus", reps=2)
+        with pytest.raises(SpectrumError, match="dimension mismatch"):
+            convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, a_choice=np.eye(9), reps=2)
+        assert draws == []
 
     def test_csv_emission(self, tmp_path):
         s = Spectrum.power_law(2.0, 20)

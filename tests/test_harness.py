@@ -13,7 +13,7 @@ from krrdeteq.harness import (
     emit_results,
     run_experiment,
 )
-from krrdeteq.seeds import derive_rng, derive_seed
+from krrdeteq.seeds import derive_rng, derive_seed, replicate
 
 
 def tiny_gaussian_config(**overrides):
@@ -44,6 +44,21 @@ class TestSeeds:
         np.testing.assert_array_equal(a, a2)
         assert not np.array_equal(a, b)
 
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_replicate_groups_streams_per_grid_entry(self, threads):
+        """replicate returns reps results per grid entry; job (i, rep) sees derive_rng(seed, tag, i, rep)."""
+        grid = [5, 8, 13]
+        got = replicate(7, 42, grid, 4, lambda x, rng: (x, rng.random()), threads)
+        want = [[(x, derive_rng(7, 42, i, rep).random()) for rep in range(4)] for i, x in enumerate(grid)]
+        assert got == want
+
+    def test_replicate_empty_grid_or_reps(self):
+        def task(x, rng):
+            raise AssertionError("no job expected")
+
+        assert replicate(3, 1, [], 5, task, 3) == []
+        assert replicate(3, 1, [10, 20], 0, task, 3) == [[], []]
+
 
 class TestConfig:
     def test_unknown_kind(self):
@@ -71,6 +86,20 @@ class TestConfig:
     def test_lambda_alias(self):
         config = tiny_gaussian_config()
         assert config.lam == 0.1
+
+    def test_sub_document_keys_checked(self):
+        with pytest.raises(ConfigError, match="'typo_field'"):
+            run_experiment(tiny_gaussian_config(spectrum={"kind": "power_law", "exponent": 2.0, "size": 9, "typo_field": 3}))
+        with pytest.raises(ConfigError, match="'bogus'"):
+            run_experiment(tiny_gaussian_config(target={"kind": "random_unit", "bogus": 1}))
+
+    @pytest.mark.parametrize("truncation", [0, 21])
+    def test_truncation_within_holdout(self, truncation):
+        doc = {"kind": "estimate_and_predict", "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 9},
+               "holdout": 20, "n_grid": [4], "lambda": 0.1, "truncation": truncation}
+        with pytest.raises(ConfigError, match="truncation"):
+            ExperimentConfig.from_dict(doc)
+        assert ExperimentConfig.from_dict({**doc, "truncation": 20}).truncation == 20
 
     def test_overrides(self):
         config = tiny_gaussian_config().with_overrides(seed=99, threads=2)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
+from krrdeteq import krr
 from krrdeteq.functionals import FeatureSample, sample_gaussian_features
 from krrdeteq.krr import (
     TRACE_LEAF,
@@ -166,6 +167,23 @@ class TestFit:
         warnings.simplefilter("error")
         with pytest.raises(KrrError, match="residual nan"):
             fit_krr(GramMatrix(1e-300 * np.eye(2)), np.array([1e300, 1e300]), lam)
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    def test_certificate_holds_for_huge_labels(self, monkeypatch, scale):
+        # a wrong alpha fails the residual certificate, also where ||y||^2 overflows
+        dual = krr._dual
+
+        def wrong_dual(gram, y, lam):
+            y, alpha = dual(gram, y, lam)
+            return y, 3 * alpha
+
+        monkeypatch.setattr(krr, "_dual", wrong_dual)
+        with pytest.raises(KrrError, match="exceeds tolerance"):
+            fit_krr(GramMatrix(np.eye(2)), [scale, scale], 1.0)
+
+    def test_huge_labels_fit(self):
+        fit = fit_krr(GramMatrix(np.eye(2)), [1e200, 1e200], 1.0)
+        np.testing.assert_allclose(fit.alpha, [5e199, 5e199], rtol=1e-15)
 
     def test_predict(self):
         fit = fit_krr(GramMatrix(np.eye(2)), np.array([2.0, 4.0]), 1.0)

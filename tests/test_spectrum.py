@@ -84,6 +84,11 @@ class TestSpectrumType:
         with pytest.raises(SpectrumError, match="total trace"):
             Spectrum.from_blocks(blocks)
 
+    @pytest.mark.parametrize("block", [(1.0, True), (True, 2), (1.0, np.bool_(True)), (False, 1)])
+    def test_rejects_boolean_block_entries(self, block):
+        with pytest.raises(SpectrumError, match="booleans"):
+            Spectrum.from_blocks([(2.0, 3), block])
+
     def test_integral_float_multiplicity_accepted(self):
         s = Spectrum.from_blocks([(2.0, 3.0), (1.0, 2)])
         assert s.multiplicities.dtype == np.int64
@@ -335,6 +340,11 @@ class TestJsonRoundTrip:
         s = Spectrum.from_blocks([(1.0, 2)])
         doc = json.loads(model_to_json(s, Alignment(np.array([1.0])), NoiseModel(0.0)))
         assert set(doc) == {"blocks", "alignment", "residual_energy", "noise_variance"}
+
+    def test_boolean_alignment_rejected(self):
+        doc = {"blocks": [[1.0, 2]], "alignment": [True], "residual_energy": 0.0, "noise_variance": 0.0}
+        with pytest.raises(SpectrumError, match="booleans"):
+            model_from_json(doc)
 
     def test_mismatched_alignment_rejected(self):
         bad = {"blocks": [[1.0, 2], [0.5, 1]], "alignment": [1.0], "residual_energy": 0.0, "noise_variance": 0.0}

@@ -14,7 +14,7 @@ from krrdeteq.sphere import (
     exact_sphere_risk,
     SphereError,
     SphereKernel,
-    build_cyclic_target,
+    SphereTarget,
     dim_spherical,
     kernel_from_gaps,
     sample_sphere,
@@ -232,12 +232,12 @@ class TestSphereMoments:
 
 class TestCyclicTarget:
     def test_energy_accounting(self):
-        target = build_cyclic_target(24, {k: k**-2.0 for k in range(1, 8)})
+        target = SphereTarget(24, {k: k**-2.0 for k in range(1, 8)})
         assert target.total_energy == pytest.approx(sum(k**-2.0 for k in range(1, 8)), rel=1e-12)
 
     def test_level_energy_matches_request(self):
         d, k, energy = 24, 2, 0.37
-        target = build_cyclic_target(d, {k: energy})
+        target = SphereTarget(d, {k: energy})
         c = target.coeffs[k]
         assert c**2 * d * sphere_moment(d, k) == pytest.approx(energy, rel=1e-10)
         u = sample_sphere(d, 100_000, 3)
@@ -256,17 +256,17 @@ class TestCyclicTarget:
 
     def test_degenerate_levels_rejected(self):
         with pytest.raises(SphereError):
-            build_cyclic_target(5, {5: 1.0})
+            SphereTarget(5, {5: 1.0})
         with pytest.raises(SphereError):
-            build_cyclic_target(5, {6: 1.0})
+            SphereTarget(5, {6: 1.0})
         with pytest.raises(SphereError):
-            build_cyclic_target(5, {0: 1.0})
+            SphereTarget(5, {0: 1.0})
 
 
 class TestSphereSpectrum:
     def test_blocks_sorted_with_alignment(self):
         kern = kernel_from_gaps(24, 3, 8.0)
-        target = build_cyclic_target(24, {1: 1.0, 2: 0.25, 3: 1 / 9})
+        target = SphereTarget(24, {1: 1.0, 2: 0.25, 3: 1 / 9})
         model = sphere_spectrum(kern, target, NoiseModel(0.1), 16, 0.0)
         np.testing.assert_allclose(model.spectrum.values, [1.0, 1 / 8, 1 / 64], rtol=1e-15)
         np.testing.assert_array_equal(model.spectrum.multiplicities,
@@ -276,13 +276,13 @@ class TestSphereSpectrum:
 
     def test_unlearnable_level_goes_to_residual(self):
         kern = kernel_from_gaps(24, 2, 8.0)
-        target = build_cyclic_target(24, {1: 1.0, 5: 0.3})
+        target = SphereTarget(24, {1: 1.0, 5: 0.3})
         model = sphere_spectrum(kern, target, NoiseModel(0.0), 8, 0.1)
         assert model.alignment.residual_energy == pytest.approx(0.3, rel=1e-12)
 
     def test_dimension_mismatch(self):
         kern = kernel_from_gaps(24, 2, 8.0)
-        target = build_cyclic_target(10, {1: 1.0})
+        target = SphereTarget(10, {1: 1.0})
         with pytest.raises(SphereError):
             sphere_spectrum(kern, target, NoiseModel(0.0), 8, 0.1)
 
@@ -292,7 +292,7 @@ class TestSphereSpectrum:
         d, gap, levels, s2, n, lam = 24, 8.0, 7, 0.1, 128, 0.0
         kern = kernel_from_gaps(d, levels, gap)
         energies = {k: k**-2.0 for k in range(1, levels + 1)}
-        target = build_cyclic_target(d, energies)
+        target = SphereTarget(d, energies)
         model = sphere_spectrum(kern, target, NoiseModel(s2), n, lam)
         risk = deterministic_equivalents(model).risk
 
@@ -312,7 +312,7 @@ class TestSphereSpectrum:
 class TestExactRisk:
     def test_zero_coefficients(self):
         kern = kernel_from_gaps(10, 2, 4.0)
-        target = build_cyclic_target(10, {1: 0.5})
+        target = SphereTarget(10, {1: 0.5})
         u = sample_sphere(10, 6, 1)
         fit = fit_krr(GramMatrix(np.eye(6)), np.zeros(6), 1.0)
         val = exact_sphere_risk(fit, kern, target, 0.2, u)
@@ -320,7 +320,7 @@ class TestExactRisk:
 
     def test_all_zero(self):
         kern = kernel_from_gaps(10, 2, 4.0)
-        target = build_cyclic_target(10, {1: 0.0})
+        target = SphereTarget(10, {1: 0.0})
         u = sample_sphere(10, 4, 2)
         fit = fit_krr(GramMatrix(np.eye(4)), np.zeros(4), 1.0)
         assert exact_sphere_risk(fit, kern, target, 0.0, u) == pytest.approx(0.0, abs=1e-15)
@@ -328,7 +328,7 @@ class TestExactRisk:
     def test_agrees_with_monte_carlo(self):
         d, s2 = 24, 0.1
         kern = kernel_from_gaps(d, 7, 8.0)
-        target = build_cyclic_target(d, {k: k**-2.0 for k in range(1, 8)})
+        target = SphereTarget(d, {k: k**-2.0 for k in range(1, 8)})
         rng = np.random.default_rng(17)
         u = sample_sphere(d, 128, rng)
         y = target(u) + math.sqrt(s2) * rng.standard_normal(128)
@@ -341,7 +341,7 @@ class TestExactRisk:
     def test_streaming_matches_one_block(self, monkeypatch):
         d = 10
         kern = kernel_from_gaps(d, 3, 4.0)
-        target = build_cyclic_target(d, {1: 1.0, 2: 0.25})
+        target = SphereTarget(d, {1: 1.0, 2: 0.25})
         u = sample_sphere(d, 23, 5)
         fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
         whole = exact_sphere_risk(fit, kern, target, 0.1, u)
@@ -351,7 +351,7 @@ class TestExactRisk:
     def test_peak_memory_is_blocks_not_n_squared(self):
         d, n = 24, 1024
         kern = kernel_from_gaps(d, 7, 8.0)
-        target = build_cyclic_target(d, {k: k**-2.0 for k in range(1, 8)})
+        target = SphereTarget(d, {k: k**-2.0 for k in range(1, 8)})
         u = sample_sphere(d, n, 4)
         fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.0)
         tracemalloc.start()
@@ -364,7 +364,7 @@ class TestExactRisk:
 
     def test_dimension_checks(self):
         kern = kernel_from_gaps(10, 2, 4.0)
-        target = build_cyclic_target(24, {1: 1.0})
+        target = SphereTarget(24, {1: 1.0})
         fit = fit_krr(GramMatrix(np.eye(3)), np.zeros(3), 1.0)
         with pytest.raises(SphereError):
             exact_sphere_risk(fit, kern, target, 0.0, sample_sphere(10, 3, 0))
