@@ -132,15 +132,16 @@ def main(argv=None) -> int:
                 config = config.with_overrides(seed=args.seed, threads=_threads_override(args.threads))
                 rows, out = functools.partial(run_experiment, config), args.out or config.output_path
             del doc  # before the GC resumes, so no collection walks the parsed document
-        result = rows()
-        if out is None:
+        if out is None:  # before any work
             raise ConfigError("no output path: pass --out or set output_path in the config")
+        result = rows()
         emit_results(result, args.format, out)
         if result.n_failed:
             print(f"{result.n_failed} row(s) failed; see status column", file=sys.stderr)
             return 2
         return 0
-    except (OSError, KeyError, ValueError, MemoryError) as exc:
+    # ArithmeticError: a JSON integer too large for a float raises OverflowError when it is converted
+    except (OSError, KeyError, ValueError, MemoryError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

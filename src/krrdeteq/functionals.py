@@ -153,6 +153,7 @@ def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
     return first, second
 
 
+@np.errstate(all="ignore")  # a non-finite functional raises SpectrumError below, with no warning
 def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, float, float, float]:
     """The four resolvent trace functionals of the sample at test matrix ``a``.
 
@@ -195,10 +196,11 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
         phi4 = (phi1 - lam * tr_ar2) / n
     for name, val in (("phi1", phi1), ("phi2", phi2), ("phi3", phi3), ("phi4", phi4)):
         if not math.isfinite(val):
-            raise ArithmeticError(f"{name} is not finite")
+            raise SpectrumError(f"{name} is not finite")
     return phi1, phi2, phi3, phi4
 
 
+@np.errstate(all="ignore")  # a non-finite prediction raises SpectrumError below, with no warning
 def deterministic_functionals(
     spectrum: Spectrum, n: int, lam: float, a
 ) -> tuple[float, float, float, float]:
@@ -225,6 +227,9 @@ def deterministic_functionals(
         psi1 = float(np.dot(diag_a, sigma / (mu * sigma + lam)))
         psi3 = float(np.dot(diag_a, sigma**2 / (mu * sigma + lam) ** 2)) / denom
         psi4 = float(np.dot(diag_a, sigma**2 / (sigma + ls) ** 2)) / (n * n * denom)
+    for name, val in (("psi1", psi1), ("psi2", psi2), ("psi3", psi3), ("psi4", psi4)):
+        if not math.isfinite(val):
+            raise SpectrumError(f"{name} is not finite")
     return psi1, psi2, psi3, psi4
 
 
@@ -232,7 +237,7 @@ def _probe_task(spectrum, lam, a, n, rng):
     sample = sample_gaussian_features(spectrum, n, rng)
     phi = empirical_functionals(sample, lam, a)
     psi = deterministic_functionals(spectrum, n, lam, a)
-    return tuple(abs(emp - pred) / pred if pred != 0 else math.inf for emp, pred in zip(phi, psi))
+    return tuple(abs(emp - pred) / pred for emp, pred in zip(phi, psi))
 
 
 def convergence_probe(
@@ -248,8 +253,8 @@ def convergence_probe(
 
     Gaussian features; replication ``rep`` at grid index ``i`` draws from
     ``derive_rng(seed, 101, i, rep)`` (``seeds.replicate``), so the reduction is
-    independent of worker count.  Returns rows with keys
-    n, functional_index, median_rel_err, q25, q75, reps, seed.
+    independent of worker count.  Returns rows with keys n, functional_index, median_rel_err,
+    q25, q75, reps, seed; the table has no status column, so a failed replication raises SpectrumError.
     """
     n_grid = [int(v) for v in n_grid]
     if sorted(n_grid) != n_grid or not n_grid:
@@ -266,10 +271,12 @@ def convergence_probe(
     else:
         raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
     results = replicate(seed, 101, n_grid, reps, functools.partial(_probe_task, spectrum, lam, a), threads)
+    if failed := [f"n = {n}: {error}" for n, point in zip(n_grid, results) for _, error in point if error]:
+        raise SpectrumError(f"functional probe failed at {failed[0]}")
 
     rows = []
-    for n, errs in zip(n_grid, results):
-        q25, med, q75 = np.percentile(np.array(errs), [25, 50, 75], axis=0)
+    for n, point in zip(n_grid, results):
+        q25, med, q75 = np.percentile(np.array([errs for errs, _ in point]), [25, 50, 75], axis=0)
         rows += [
             {"n": n, "functional_index": j + 1, "median_rel_err": float(med[j]), "q25": float(q25[j]),
              "q75": float(q75[j]), "reps": reps, "seed": seed}

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import estimation, functionals, krr, sphere
 from .deteq import deterministic_equivalents
-from .seeds import derive_rng, map_tasks, replicate
+from .seeds import _error, _outcome, derive_rng, map_tasks, replicate
 from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, nu_diagnostic
 
 __all__ = ["ConfigError", "ExperimentConfig", "ExperimentResult", "run_experiment", "emit_results", "CURVE_COLUMNS"]
@@ -256,31 +256,25 @@ def _diagnostic_nu(spectrum: Spectrum, n: int, lam: float) -> float:
         return math.nan
 
 
-def _error(exc: Exception) -> str:
-    return f"{type(exc).__name__}: {exc}"
-
-
-def _outcome(call, *args) -> tuple[float, str | None]:
-    """One replication: ``(call(*args), None)``, or ``(nan, error)`` when it raises or returns a non-finite value."""
-    try:
-        value = call(*args)
-    except Exception as exc:  # record-and-continue
-        return math.nan, _error(exc)
-    return (value, None) if math.isfinite(value) else (math.nan, f"non-finite value {value!r}")
-
-
 def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> ExperimentResult:
     """One curve row per (n, lam) point: the risk of ``model_at(n, lam)`` beside the
     point's replication outcomes, a list of ``_outcome`` pairs (empty for ``deteq``).
 
-    The status names the prediction's error, else the first failed replication;
-    the empirical mean and std cover the replications that succeeded.  The nu
-    diagnostic is formed only for points with replications.
+    The status names the prediction's error, else the first failed replication,
+    else a non-finite empirical mean or std; those two cover the replications
+    that succeeded.  The nu diagnostic is formed only for points with replications.
     """
     rows = []
     for (n, lam), point in zip(points, outcomes):
         values = [value for value, error in point if error is None]
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a failed row, not a warning
+            stats = {
+                "empirical_mean": float(np.mean(values)) if values else math.nan,
+                "empirical_std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0 if values else math.nan,
+            }
         failure = next((error for _, error in point if error is not None), None)
+        if failure is None and values:
+            failure = next((f"non-finite {key} {v!r}" for key, v in stats.items() if not math.isfinite(v)), None)
         try:
             model = model_at(n, lam)
             pred = deterministic_equivalents(model)
@@ -291,9 +285,7 @@ def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> Experiment
             prediction = star = upsilon2 = nu = math.nan
             status = "error: " + _error(exc)
         rows.append({
-            "kind": kind, "n": n, "lambda": lam, "prediction": prediction,
-            "empirical_mean": float(np.mean(values)) if values else math.nan,
-            "empirical_std": float(np.std(values, ddof=1)) if len(values) > 1 else 0.0 if values else math.nan,
+            "kind": kind, "n": n, "lambda": lam, "prediction": prediction, **stats,
             "reps": reps, "seed": seed, "lambda_star": star, "upsilon2": upsilon2, "nu": nu, "status": status,
         })
     return ExperimentResult(rows, "curve")
@@ -302,8 +294,7 @@ def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> Experiment
 def _run_curve(config, tag, simulate, model_at) -> ExperimentResult:
     """Curve over ``config.n_grid``: replication ``rep`` at grid index ``i`` is
     ``simulate(n, derive_rng(seed, tag, i, rep))``."""
-    task = functools.partial(_outcome, simulate)
-    per_n = replicate(config.seed, tag, config.n_grid, config.reps, task, config.threads)
+    per_n = replicate(config.seed, tag, config.n_grid, config.reps, simulate, config.threads)
     points = [(n, config.lam) for n in config.n_grid]
     return _prediction_rows(config.kind, config.reps, config.seed, points, model_at, per_n)
 

@@ -4,12 +4,13 @@ Every stochastic task derives its generator from (root seed, integer key
 path) through splitmix64 folding, so results are independent of worker
 count and scheduling order: task (seed, k1, k2, ...) always sees the same
 stream.  ``replicate`` runs ``reps`` replications per grid entry, each on the
-stream (seed, tag, grid index, rep); every simulated curve and the
-functional probe go through it.
+stream (seed, tag, grid index, rep), and records each one's outcome under one
+failure rule; every simulated curve and the functional probe go through it.
 """
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -47,15 +48,28 @@ def map_tasks(tasks, worker, threads: int) -> list:
     return [worker(task) for task in tasks]
 
 
-def replicate(seed: int, tag: int, grid, reps: int, task, threads: int) -> list[list]:
-    """One list per grid entry x = grid[i] of ``task(x, derive_rng(seed, tag, i, rep))`` for rep < reps.
+def _error(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _outcome(call, *args) -> tuple:
+    """``(call(*args), None)``, or ``(nan, error)`` when it raises or returns a value that is not all finite."""
+    try:
+        value = call(*args)
+    except Exception as exc:  # record-and-continue
+        return math.nan, _error(exc)
+    return (value, None) if np.all(np.isfinite(value)) else (math.nan, f"non-finite value {value!r}")
+
+
+def replicate(seed: int, tag: int, grid, reps: int, task, threads: int) -> list[list[tuple]]:
+    """One list per grid entry x = grid[i] of the ``_outcome`` pairs of ``task(x, derive_rng(seed, tag, i, rep))``, rep < reps.
 
     The jobs run through ``map_tasks``, so the result does not depend on ``threads``.
     """
 
     def run(job):
         i, x, rep = job
-        return task(x, derive_rng(seed, tag, i, rep))
+        return _outcome(task, x, derive_rng(seed, tag, i, rep))
 
     jobs = [(i, x, rep) for i, x in enumerate(grid) for rep in range(reps)]
     results = map_tasks(jobs, run, threads)

@@ -1,4 +1,5 @@
 import contextlib
+import csv
 import gc
 import io
 import json
@@ -208,6 +209,12 @@ class TestExperimentCommands:
 
     def test_missing_file(self, tmp_path):
         assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
+
+    @pytest.mark.parametrize("command,doc,runner", [("simulate", SIMULATE, "run_experiment"), ("deteq", DETEQ, "_prediction_rows")])
+    def test_missing_output_path_fails_before_the_run(self, tmp_path, monkeypatch, capsys, command, doc, runner):
+        monkeypatch.setattr(cli, runner, lambda *args: pytest.fail("ran without an output path"))
+        assert main([command, "--config", str(write_config(tmp_path, doc))]) == 1
+        assert capsys.readouterr().err == "error: no output path: pass --out or set output_path in the config\n"
 
     def test_probe_functionals_command(self, tmp_path):
         config = write_config(
@@ -471,6 +478,16 @@ class TestRowFormat:
         assert math.isfinite(float(row["prediction"]))
         assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_std_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "curve.csv"
+        doc = {**SIMULATE, "noise_variance": 1e300, "reps": 3}
+        assert main(["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(out)]) == 2
+        row = dict(zip(*(line.split(",") for line in out.read_text().splitlines())))
+        assert (row["empirical_std"], row["status"]) == ("inf", "error: non-finite empirical_std inf")
+        assert math.isfinite(float(row["empirical_mean"]))
+        assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
+
     def test_simulate_failure_row(self, tmp_path):
         # lambda = 0 with rank 2 < n = 5: the prediction fails, and every fit
         # fails its rank check because of the 1e-300 eigenvalue
@@ -562,6 +579,60 @@ def test_negative_target_energy_is_one_error_line(tmp_path):
     proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 1
     assert proc.stderr.splitlines() == ["error: target values must be finite and >= 0"]
+
+
+def run_module(command, config, out):
+    """``python -m krrdeteq.cli command --config config --out out`` in a fresh interpreter."""
+    src = str(Path(krrdeteq.__file__).resolve().parents[1])
+    argv = [sys.executable, "-m", "krrdeteq.cli", command, "--config", str(config), "--out", str(out)]
+    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+PROBE_50 = {**PROBE, "spectrum": {**POWER_LAW, "size": 50}, "n_grid": [10, 20]}
+ERROR_CONTRACT = {
+    # a probe replication fails: a non-finite functional, then zero predictions
+    "probe-tiny-lambda": ("probe-functionals", {**PROBE_50, "lambda": 1e-300}),
+    "probe-huge-lambda": ("probe-functionals", {**PROBE_50, "lambda": 1e308}),
+    "probe-tiny-eigenvalue": ("probe-functionals", {**PROBE_50, "spectrum": {"kind": "blocks", "blocks": [[1e-300, 50]]}, "lambda": 1.0}),
+    # finite replications whose empirical std overflows
+    "simulate-huge-noise": ("simulate", {**SIMULATE, "noise_variance": 1e300, "reps": 3}),
+    "gcv-huge-noise": ("gcv-sweep", {**GCV, "noise_variance": 1e300, "reps": 3}),
+    "sphere-huge-noise": ("sphere", {**SPHERE, "lambda": 0.1, "noise_variance": 1e300, "reps": 3}),
+    "estimate-huge-noise": ("estimate", {**ESTIMATE, "noise_variance": 1e300, "reps": 3}),
+    # a number field that holds an integer too large for a float
+    "simulate-huge-lambda": ("simulate", {**SIMULATE, "lambda": HUGE}),
+    "sphere-huge-lambda": ("sphere", {**SPHERE, "lambda": HUGE}),
+    "probe-huge-int-lambda": ("probe-functionals", {**PROBE, "lambda": HUGE}),
+    "estimate-huge-lambda": ("estimate", {**ESTIMATE, "lambda": HUGE}),
+    "deteq-huge-lambda": ("deteq", {**DETEQ, "lambda": HUGE}),
+    "gcv-huge-lambda-grid": ("gcv-sweep", {**GCV, "lambda_grid": [0.1, HUGE]}),
+    "gcv-huge-noise-variance": ("gcv-sweep", {**GCV, "noise_variance": HUGE}),
+    "simulate-huge-exponent": ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": HUGE}}),
+    "simulate-huge-target": ("simulate", {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 30]]},
+                                          "target": {"kind": "energies", "values": [HUGE]}}),
+    "sphere-huge-gap": ("sphere", {**SPHERE, "gap": HUGE}),
+    "sphere-huge-energy": ("sphere", {**SPHERE, "energies": {"1": HUGE}}),
+    "deteq-huge-alignment": ("deteq", {**DETEQ, "alignment": [HUGE]}),
+    "deteq-huge-residual": ("deteq", {**DETEQ, "residual_energy": HUGE}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ERROR_CONTRACT))
+def test_error_contract(tmp_path, case):
+    """Exit 0, 1 or 2 with no traceback or warning; exit 1 is one error line and no table; no ok row holds nan or inf."""
+    command, doc = ERROR_CONTRACT[case]
+    out = tmp_path / "rows.csv"
+    proc = run_module(command, write_config(tmp_path, doc), out)
+    assert proc.returncode in (0, 1, 2), proc.stderr
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
+    if proc.returncode == 1:
+        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+        assert not out.exists()
+        return
+    with out.open(newline="") as handle:
+        ok = [row for row in csv.DictReader(handle) if row.get("status", "ok") == "ok"]  # probe rows have no status
+    assert not [row for row in ok if {"nan", "inf", "-inf"} & set(row.values())]
 
 
 def test_cli_import_leaves_out_scipy_special():

@@ -198,6 +198,21 @@ class TestDeterministicFunctionals:
         assert all(math.isfinite(v) and v >= 0 for v in psi)
 
 
+@pytest.mark.filterwarnings("error")
+class TestNonFinite:
+    """A functional that overflows raises SpectrumError, and numpy prints no warning."""
+
+    def test_empirical(self):
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 10, 0)
+        with pytest.raises(SpectrumError, match="phi3 is not finite"):
+            empirical_functionals(sample, 1e-300, IdentityMatrix(50))
+
+    def test_deterministic(self):
+        s = Spectrum.power_law(2.0, 50)
+        with pytest.raises(SpectrumError, match="psi1 is not finite"):
+            deterministic_functionals(s, 10, 0.1, RiskMatrix(np.full(50, 1e200)))
+
+
 class TestConvergenceProbe:
     def test_rejects_zero_reps(self):
         with pytest.raises(SpectrumError):
@@ -252,6 +267,15 @@ class TestConvergenceProbe:
         with pytest.raises(SpectrumError, match="dimension mismatch"):
             convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, a_choice=np.eye(9), reps=2)
         assert draws == []
+
+    @pytest.mark.filterwarnings("error")
+    def test_failed_replication_raises_before_any_row(self):
+        """The first failed replication names the probe's one error: a non-finite phi, or a zero psi."""
+        with pytest.raises(SpectrumError, match=r"^functional probe failed at n = 10: SpectrumError: phi3 is not finite$"):
+            convergence_probe(Spectrum.power_law(2.0, 50), [10, 20], 1e-300, reps=2)
+        tiny = Spectrum.from_blocks([(1e-300, 50)])
+        with pytest.raises(SpectrumError, match=r"^functional probe failed at n = 10: ZeroDivisionError"):
+            convergence_probe(tiny, [10, 20], 1.0, reps=2)
 
     def test_csv_emission(self, tmp_path):
         s = Spectrum.power_law(2.0, 20)

@@ -49,8 +49,23 @@ class TestSeeds:
         """replicate returns reps results per grid entry; job (i, rep) sees derive_rng(seed, tag, i, rep)."""
         grid = [5, 8, 13]
         got = replicate(7, 42, grid, 4, lambda x, rng: (x, rng.random()), threads)
-        want = [[(x, derive_rng(7, 42, i, rep).random()) for rep in range(4)] for i, x in enumerate(grid)]
+        want = [[((x, derive_rng(7, 42, i, rep).random()), None) for rep in range(4)] for i, x in enumerate(grid)]
         assert got == want
+
+    @pytest.mark.parametrize("threads", [1, 3])
+    def test_replicate_records_failures(self, threads):
+        """A task that raises, or returns a value that is not all finite, gives (nan, error); the rest complete."""
+
+        def task(x, rng):
+            if x == "raise":
+                raise KeyError("missing")
+            return {"nan": math.nan, "inf": -math.inf, "tuple": (1.0, math.nan), "ok": (1.0, rng.random())}[x]
+
+        got = replicate(3, 9, ["raise", "nan", "inf", "tuple", "ok"], 2, task, threads)
+        messages = ["KeyError: 'missing'", "non-finite value nan", "non-finite value -inf", "non-finite value (1.0, nan)"]
+        assert [[error for _, error in point] for point in got] == [[m, m] for m in messages] + [[None, None]]
+        assert all(math.isnan(value) for point in got[:4] for value, _ in point)
+        assert [value for value, _ in got[4]] == [(1.0, derive_rng(3, 9, 4, rep).random()) for rep in range(2)]
 
     def test_replicate_empty_grid_or_reps(self):
         def task(x, rng):
