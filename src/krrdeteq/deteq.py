@@ -27,8 +27,6 @@ __all__ = [
     "DetEquivalents",
     "solve_effective_reg",
     "deterministic_equivalents",
-    "truncated_risk_deteq",
-    "isotropic_effective_reg",
 ]
 
 RESIDUAL_RTOL = 1e-12
@@ -115,21 +113,6 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     )
 
 
-def isotropic_effective_reg(xi: float, p: int, n: int, lam: float) -> float:
-    """Closed-form root for a single-block spectrum {(xi, p)}.
-
-    From n*ls^2 + (n*xi - lam - p*xi)*ls - lam*xi = 0, the positive root.
-    Used as an independent oracle for the numeric solver.
-    """
-    b = n * xi - lam - p * xi
-    disc = b * b + 4.0 * n * lam * xi
-    root = (-b + math.sqrt(disc)) / (2.0 * n)
-    if root <= 0 and lam == 0:
-        # lam = 0 collapses the quadratic to n*ls + (n-p)*xi = 0
-        root = (p - n) * xi / n
-    return root
-
-
 def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     """Closed-form test/train risk predictions for one model instance.
 
@@ -158,15 +141,3 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     train = (spec.lam * stieltjes) ** 2 * risk
     return DetEquivalents(stieltjes, bias, variance, risk, train, eff)
 
-
-def truncated_risk_deteq(spec: ModelSpec, m: int) -> float:
-    """Risk prediction of the truncated model ``spec.truncated(m)`` at expanded cut m.
-
-    The top-m part keeps its alignment; the tail's trace joins lambda and its
-    target energy joins the residual, where it acts as extra label noise
-    beside sigma^2.  At m = 0 nothing is learned and the risk is the total
-    target energy plus sigma^2.
-    """
-    if m == 0:
-        return spec.alignment.total_energy + spec.noise.variance
-    return deterministic_equivalents(spec.truncated(m)).risk

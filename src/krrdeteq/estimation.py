@@ -26,14 +26,12 @@ class EstimatedDecomposition:
     """Holdout eigenvalues (nonincreasing) and squared alignment coefficients.
 
     Kept at full length m so that Parseval holds exactly:
-    sum_j alignments[j] = ||y||^2 / m.  ``noise_estimate`` averages the
-    alignment mass on numerically-zero eigendirections when any exist.
+    sum_j alignments[j] = ||y||^2 / m.
     """
 
     eigenvalues: np.ndarray
     alignments: np.ndarray
     holdout_size: int
-    noise_estimate: float | None = None
 
 
 def estimate_spectrum(gram: GramMatrix, y: np.ndarray) -> EstimatedDecomposition:
@@ -44,17 +42,7 @@ def estimate_spectrum(gram: GramMatrix, y: np.ndarray) -> EstimatedDecomposition
     mu = mu[::-1] / m
     v = v[:, ::-1]
     beta_sq = (v.T @ y) ** 2 / m
-    eigenvalues = np.maximum(mu, 0.0)
-    zero = eigenvalues <= EIG_FLOOR * max(eigenvalues[0], 0.0)
-    noise_estimate = None
-    if np.any(zero):
-        noise_estimate = float(beta_sq[zero].mean() * m)
-    return EstimatedDecomposition(
-        eigenvalues=eigenvalues,
-        alignments=beta_sq,
-        holdout_size=m,
-        noise_estimate=noise_estimate,
-    )
+    return EstimatedDecomposition(eigenvalues=np.maximum(mu, 0.0), alignments=beta_sq, holdout_size=m)
 
 
 def decomposition_to_model(

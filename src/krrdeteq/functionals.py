@@ -244,14 +244,15 @@ def convergence_probe(
     spectrum: Spectrum,
     n_grid,
     lam: float,
-    a_choice="identity",
+    a_choice: str = "identity",
     reps: int = 20,
     seed: int = 0,
     threads: int = 1,
 ) -> list[dict]:
     """Median relative errors |phi_j - psi_j| / psi_j per (n, j) over replications.
 
-    Gaussian features; replication ``rep`` at grid index ``i`` draws from
+    The test matrix ``a_choice`` is "identity" (A = I) or "rank_one" (a RiskMatrix
+    with beta = e_1).  Gaussian features; replication ``rep`` at grid index ``i`` draws from
     ``derive_rng(seed, 101, i, rep)`` (``seeds.replicate``), so the reduction is
     independent of worker count.  Returns rows with keys n, functional_index, median_rel_err,
     q25, q75, reps, seed; the table has no status column, so a failed replication raises SpectrumError.
@@ -262,14 +263,10 @@ def convergence_probe(
     if reps < 1:
         raise SpectrumError("reps must be a positive integer")
     p = spectrum.total_rank
-    if isinstance(a_choice, (np.ndarray, RiskMatrix, IdentityMatrix)):
-        a = _check_test_matrix(a_choice, p)
-    elif a_choice == "identity":
-        a = IdentityMatrix(p)
-    elif a_choice == "rank_one":
-        a = RiskMatrix(np.eye(1, p))  # beta = e_1
-    else:
+    # isinstance first: ``ndarray == "identity"`` compares elementwise
+    if not isinstance(a_choice, str) or a_choice not in ("identity", "rank_one"):
         raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
+    a = IdentityMatrix(p) if a_choice == "identity" else RiskMatrix(np.eye(1, p))  # rank one: beta = e_1
     results = replicate(seed, 101, n_grid, reps, functools.partial(_probe_task, spectrum, lam, a), threads)
     if failed := [f"n = {n}: {error}" for n, point in zip(n_grid, results) for _, error in point if error]:
         raise SpectrumError(f"functional probe failed at {failed[0]}")

@@ -107,12 +107,6 @@ class GegenbauerBasis:
         norms = [math.comb(k + d - 3, k) / math.sqrt(dim_spherical(d, k)) for k in range(self.kmax + 1)]
         object.__setattr__(self, "norms", np.array(norms))
 
-    def eval(self, k: int, t) -> np.ndarray:
-        """Q_k(t) for |t| <= 1 (inputs within 1e-12 of the interval are clamped)."""
-        if not 0 <= k <= self.kmax:
-            raise SphereError(f"degree {k} outside [0, kmax = {self.kmax}]")
-        return self.series(np.eye(k + 1)[k], np.atleast_1d(t))
-
     def series(self, coeffs: np.ndarray, t, out: np.ndarray | None = None) -> np.ndarray:
         """sum_k coeffs[k] * Q_k(t), carrying only two recurrence terms.
 
@@ -204,9 +198,6 @@ class SphereKernel:
 
     def _series_scale(self, level_values: np.ndarray) -> np.ndarray:
         return level_values * np.sqrt(self.multiplicities().astype(float))
-
-    def h_values(self, t) -> np.ndarray:
-        return self.basis.series(self._series_scale(self.coeffs), t)
 
     def h2_values(self, t) -> np.ndarray:
         """Second-moment kernel sum_k coeffs[k]^2 sqrt(B_{d,k}) Q_k(t)."""

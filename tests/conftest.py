@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
@@ -18,6 +20,30 @@ def sphere_quadrature(d, nodes=60):
     a = (d - 3) / 2.0
     x, w = roots_jacobi(nodes, a, a)
     return x, w / w.sum()
+
+
+def isotropic_effective_reg(xi, p, n, lam):
+    """Closed-form root for a single-block spectrum {(xi, p)}, the solver's independent oracle.
+
+    From n*ls^2 + (n*xi - lam - p*xi)*ls - lam*xi = 0, the positive root.
+    """
+    b = n * xi - lam - p * xi
+    disc = b * b + 4.0 * n * lam * xi
+    root = (-b + math.sqrt(disc)) / (2.0 * n)
+    if root <= 0 and lam == 0:
+        # lam = 0 collapses the quadratic to n*ls + (n-p)*xi = 0
+        root = (p - n) * xi / n
+    return root
+
+
+def gegenbauer(basis, k, t):
+    """Q_k(t) of a GegenbauerBasis; a degree above its kmax raises SphereError through ``series``."""
+    return basis.series(np.eye(k + 1)[k], np.atleast_1d(t))
+
+
+def h_values(kernel, t):
+    """The kernel function h(t) = sum_k coeffs[k] sqrt(B_{d,k}) Q_k(t) of a SphereKernel."""
+    return kernel.basis.series(kernel.coeffs * np.sqrt(kernel.multiplicities().astype(float)), t)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import time
 import numpy as np
 import pytest
 
-from krrdeteq.deteq import deterministic_equivalents, isotropic_effective_reg, solve_effective_reg
+from krrdeteq.deteq import deterministic_equivalents, solve_effective_reg
 from krrdeteq.estimation import decomposition_to_model, estimate_spectrum
 from krrdeteq.functionals import (
     RiskMatrix,
@@ -33,7 +33,7 @@ from krrdeteq.sphere import (
 )
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
-from conftest import random_spectrum, sphere_quadrature
+from conftest import gegenbauer, isotropic_effective_reg, random_spectrum, sphere_quadrature
 
 THREADS = 2
 
@@ -253,11 +253,11 @@ def test_a7_sphere_machinery():
     for d in (10, 24):
         basis = GegenbauerBasis(d, 10)
         x, w = sphere_quadrature(d)
-        vals = np.vstack([basis.eval(k, x) for k in range(11)])
+        vals = np.vstack([gegenbauer(basis, k, x) for k in range(11)])
         gram = (vals * w) @ vals.T
         worst_orth = max(worst_orth, float(np.abs(gram - np.eye(11)).max()))
         for k in range(11):
-            q1 = float(basis.eval(k, 1.0)[0])
+            q1 = float(gegenbauer(basis, k, 1.0)[0])
             worst_q1 = max(worst_q1, abs(q1**2 - dim_spherical(d, k)) / dim_spherical(d, k))
     # addition formula by Monte Carlo at 1e5 samples
     d = 24
@@ -270,9 +270,9 @@ def test_a7_sphere_machinery():
     t12 = float(np.clip(u1 @ u2 / d, -1, 1))
     addition_ok = True
     for j, k in ((1, 1), (3, 3), (2, 4)):
-        prod = basis.eval(j, t1) * basis.eval(k, t2)
+        prod = gegenbauer(basis, j, t1) * gegenbauer(basis, k, t2)
         se = float(prod.std(ddof=1)) / math.sqrt(len(prod))
-        expected = float(basis.eval(k, t12)[0]) / math.sqrt(dim_spherical(d, k)) if j == k else 0.0
+        expected = float(gegenbauer(basis, k, t12)[0]) / math.sqrt(dim_spherical(d, k)) if j == k else 0.0
         addition_ok = addition_ok and abs(float(prod.mean()) - expected) <= 3 * se
     # exact risk vs Monte Carlo across five random ridge fits
     kernel = kernel_from_gaps(d, 7, 8.0)

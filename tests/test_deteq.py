@@ -8,13 +8,11 @@ from krrdeteq import deteq
 from krrdeteq.deteq import (
     FixedPointError,
     deterministic_equivalents,
-    isotropic_effective_reg,
     solve_effective_reg,
-    truncated_risk_deteq,
 )
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, tail_rank, trace_resolvents
 
-from conftest import random_spectrum
+from conftest import isotropic_effective_reg, random_spectrum
 
 
 def certificate(spectrum, n, lam, eff):
@@ -317,15 +315,9 @@ class TestTruncatedModel:
         s = random_spectrum(rng)
         al = Alignment(rng.uniform(0, 1, size=s.n_blocks))
         spec = ModelSpec(n=25, lam=0.3, spectrum=s, alignment=al, noise=NoiseModel(0.1))
-        assert truncated_risk_deteq(spec, s.total_rank) == pytest.approx(
+        assert deterministic_equivalents(spec.truncated(s.total_rank)).risk == pytest.approx(
             deterministic_equivalents(spec).risk, rel=1e-12
         )
-
-    def test_truncated_risk_empty_cut(self):
-        s = Spectrum.from_blocks([(1.0, 4)])
-        al = Alignment(np.array([0.8]), residual_energy=0.1)
-        spec = ModelSpec(n=2, lam=0.5, spectrum=s, alignment=al, noise=NoiseModel(0.2))
-        assert truncated_risk_deteq(spec, 0) == pytest.approx(0.8 + 0.1 + 0.2, rel=1e-12)
 
     def test_truncated_risk_near_full_risk(self):
         s = Spectrum.from_blocks([(1.0, 50), (0.01, 10000)])
@@ -333,7 +325,7 @@ class TestTruncatedModel:
         spec = ModelSpec(n=100, lam=0.0, spectrum=s, alignment=al, noise=NoiseModel(0.05))
         m = 50
         full = deterministic_equivalents(spec).risk
-        reduced = truncated_risk_deteq(spec, m)
+        reduced = deterministic_equivalents(spec.truncated(m)).risk
         slack = 100 / tail_rank(s, m, 0.0)  # n / r_lambda(m)
         assert abs(full - reduced) <= 4 * slack * full
 
@@ -342,7 +334,7 @@ class TestTruncatedModel:
         s = Spectrum.from_blocks([(1.0, 4), (0.5, 2)])
         al = Alignment(np.array([0.8, 0.2]))
         spec = ModelSpec(n=3, lam=0.2, spectrum=s, alignment=al)
-        r = truncated_risk_deteq(spec, 2)
+        r = deterministic_equivalents(spec.truncated(2)).risk
         eff = truncated_solve(s, 2, 3, 0.2)
         ls = eff.lambda_star
         head_energy = 0.8 * 2 / 4

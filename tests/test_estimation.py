@@ -31,8 +31,6 @@ class TestEstimateSpectrum:
         assert np.abs(est.eigenvalues[1:]).max() <= 1e-10
         assert est.alignments[0] == pytest.approx(c**2, rel=1e-10)
         assert np.abs(est.alignments[1:]).max() <= 1e-20
-        # zero directions carry no label mass here, so noise reads as zero
-        assert est.noise_estimate == pytest.approx(0.0, abs=1e-18)
 
     def test_parseval(self, rng):
         x = rng.standard_normal((20, 6))
@@ -52,14 +50,6 @@ class TestEstimateSpectrum:
         with pytest.raises(KrrError, match="labels must be finite"):
             estimate_spectrum(GramMatrix(np.eye(2)), [np.nan, 1.0])
 
-    def test_noise_estimate_from_null_directions(self, rng):
-        # rank-deficient Gram: label mass on null directions estimates sigma^2
-        m, p, s2 = 400, 20, 0.5
-        sp = Spectrum.power_law(1.0, p)
-        sample = sample_gaussian_features(sp, m, rng)
-        y = np.sqrt(s2) * rng.standard_normal(m)
-        est = estimate_spectrum(GramMatrix(sample.matrix @ sample.matrix.T), y)
-        assert est.noise_estimate == pytest.approx(s2, rel=0.25)
 
 
 def plugin_risk(est, n, lam, noise_variance, truncation=None):
@@ -72,9 +62,7 @@ class TestPluginCurve:
         p, n, lam, s2 = 12, 6, 0.3, 0.2
         values = np.sort(np.exp(np.linspace(0, -3, p)))[::-1]
         beta_sq = np.linspace(0.5, 0.1, p)
-        est = EstimatedDecomposition(
-            eigenvalues=values, alignments=beta_sq, holdout_size=64, noise_estimate=None
-        )
+        est = EstimatedDecomposition(eigenvalues=values, alignments=beta_sq, holdout_size=64)
         plug = plugin_risk(est, n, lam, s2, truncation=p)
         spec = ModelSpec(
             n=n,

@@ -1,5 +1,6 @@
-"""Each public name is declared once, in its module's ``__all__``, and resolves from the package root."""
+"""Each public name is declared once, in its module's ``__all__``, resolves from the package root, and has a reader in ``src/`` or is contract."""
 
+import ast
 import importlib
 import inspect
 import pkgutil
@@ -14,6 +15,7 @@ MODULES = sorted(info.name for info in pkgutil.iter_modules(krrdeteq.__path__))
 # the modules whose ``__all__`` the package root star-imports
 ROOT_MODULES = ("deteq", "estimation", "functionals", "harness", "krr", "spectrum", "sphere")
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = Path(krrdeteq.__file__).resolve().parent
 
 
 def module(name):
@@ -59,3 +61,57 @@ def test_readme_imports():
     assert len(statements) >= 2
     for statement in statements:
         exec(statement, {})
+
+
+# public names with no reader in src/ that are the library's contract: what the README's module
+# table names, the closed-form predictions its introduction names, and the solver's certificate
+CONTRACT = {
+    "write_gram_binary", "read_gram_binary", "write_labels_binary", "read_labels_binary",
+    "tail_rank", "effective_rank", "train_error", "test_error_monte_carlo", "KrrFit.predict",
+    "SphereKernel.cross_gram", "model_to_json", "linear_sweep", "ModelSpec.truncated",
+    "DetEquivalents.bias", "DetEquivalents.stieltjes", "DetEquivalents.train", "EffectiveReg.residual",
+}
+
+
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    decorators = (dec.func if isinstance(dec, ast.Call) else dec for dec in node.decorator_list)
+    return any(isinstance(dec, ast.Name) and dec.id == "dataclass" for dec in decorators)
+
+
+def _public_members(node: ast.ClassDef):
+    """The public methods, properties and (for a dataclass) fields of a class body."""
+    for item in node.body:
+        if isinstance(item, ast.FunctionDef):
+            yield item.name
+        elif isinstance(item, ast.AnnAssign) and _is_dataclass(node) and isinstance(item.target, ast.Name):
+            yield item.target.id
+
+
+def test_every_public_name_has_a_program_reader():
+    """Each public name of a root module, and each public member of its classes, is read in ``src/`` or is contract.
+
+    A module-level name is read through a Name, an import or an attribute of its
+    module (``krr.gcv``); a class member only through an attribute, so a local
+    variable of the same name does not count.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    names, attrs = set(), set()
+    for tree in trees.values():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                names.add(node.id)
+            elif isinstance(node, ast.ImportFrom):
+                names.update(alias.name for alias in node.names)
+            elif isinstance(node, ast.Attribute):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in trees:
+                    names.add(node.attr)
+    unread = []
+    for name in ROOT_MODULES:
+        unread += [attr for attr in module(name).__all__ if attr not in names]
+        for node in trees[name].body:
+            if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
+                members = [m for m in _public_members(node) if not m.startswith("_")]
+                unread += [f"{node.name}.{m}" for m in members if m not in attrs]
+    extra = sorted(set(unread) - CONTRACT)
+    assert not extra, f"public names with no reader in src/: {extra}"

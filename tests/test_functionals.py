@@ -232,13 +232,6 @@ class TestConvergenceProbe:
             assert set(row) == {"n", "functional_index", "median_rel_err", "q25", "q75", "reps", "seed"}
             assert row["q25"] <= row["median_rel_err"] <= row["q75"]
 
-    def test_identity_choice_matches_dense_identity(self):
-        s = Spectrum.power_law(2.0, 30)
-        rows = convergence_probe(s, [5, 10], 0.5, a_choice="identity", reps=3, seed=4)
-        dense = convergence_probe(s, [5, 10], 0.5, a_choice=np.eye(30), reps=3, seed=4)
-        for row, ref in zip(rows, dense):
-            assert row["median_rel_err"] == pytest.approx(ref["median_rel_err"], rel=1e-9)
-
     def test_rank_one_choice_runs(self):
         s = Spectrum.power_law(2.0, 30)
         rows = convergence_probe(s, [6], 0.5, a_choice="rank_one", reps=2, seed=3)
@@ -264,7 +257,7 @@ class TestConvergenceProbe:
         monkeypatch.setattr(functionals, "sample_gaussian_features", lambda *args: draws.append(args))
         with pytest.raises(SpectrumError, match="unknown test-matrix choice"):
             convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, a_choice="bogus", reps=2)
-        with pytest.raises(SpectrumError, match="dimension mismatch"):
+        with pytest.raises(SpectrumError, match="unknown test-matrix choice"):
             convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, a_choice=np.eye(9), reps=2)
         assert draws == []
 

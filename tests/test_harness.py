@@ -159,6 +159,26 @@ class TestGaussianCurve:
         assert first["status"] == "error: non-finite value nan"
         assert math.isfinite(first["empirical_mean"]) and rest["status"] == "ok"
 
+    @pytest.mark.filterwarnings("error")
+    def test_overflowing_std_is_scaled(self, monkeypatch):
+        """Finite replications whose squared deviations overflow still give an ok row with a finite std."""
+        exact, values = krr.test_error_linear_exact, []
+
+        def recorded(*args):
+            values.append(exact(*args))
+            return values[-1]
+
+        monkeypatch.setattr(krr, "test_error_linear_exact", recorded)
+        config = tiny_gaussian_config(spectrum={"kind": "power_law", "exponent": 2.0, "size": 30}, noise_variance=1e300, n_grid=[8])
+        (row,) = run_experiment(config).rows
+        assert len(values) == 3
+        with np.errstate(over="ignore"):
+            assert np.std(values, ddof=1) == math.inf
+        scale = max(abs(v) for v in values)
+        assert row["status"] == "ok"
+        assert row["empirical_std"] == scale * float(np.std(np.divide(values, scale), ddof=1))
+        assert math.isfinite(row["empirical_std"]) and math.isfinite(row["empirical_mean"])
+
     def test_failure_recorded_and_rest_completed(self):
         # rank 30 < n = 50 at lambda 0: both prediction and fits fail there
         config = tiny_gaussian_config(
