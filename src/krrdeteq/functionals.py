@@ -209,21 +209,26 @@ def deterministic_functionals(
     With mu = lam / lambda_star:
     psi1 = Tr(A S (mu S + lam)^-1)               psi2 = Tr(S (S + ls)^-1) / n
     psi3 = Tr(A S^2 (mu S + lam)^-2) / (1 - U2)  psi4 = Tr(A S^2 (S + ls)^-2) / (n^2 (1 - U2))
+    As mu S + lam = mu (S + ls), A = I gives psi1 = n U1 / mu, psi3 = n U2 / (mu^2 (1 - U2)), psi4 = U2 / (n (1 - U2));
+    a RiskMatrix squares ratios, finite where S^2 underflows; a dense A keeps the S^2 sums, as their oracle.
     """
     eff = solve_effective_reg(spectrum, n, lam)
-    ls, mu = eff.lambda_star, eff.mu_star
-    sigma = spectrum.expand()
+    ls, mu = eff.lambda_star, np.float64(eff.mu_star)  # mu = 0 gives inf and the SpectrumError below
     denom = 1.0 - eff.upsilon2
     psi2 = eff.upsilon1
-    a = _check_test_matrix(a, sigma.size)
-    if isinstance(a, RiskMatrix):
-        b2 = a.beta**2
-        psi1 = float(np.sum(b2 / (sigma * (mu * sigma + lam))))
-        psi3 = float(np.sum(b2 / (mu * sigma + lam) ** 2)) / denom
-        psi4 = float(np.sum(b2 / (sigma + ls) ** 2)) / (n * n * denom)
+    a = _check_test_matrix(a, spectrum.total_rank)
+    if isinstance(a, IdentityMatrix):
+        psi1 = float(n * eff.upsilon1 / mu)
+        psi3 = float(n * eff.upsilon2 / mu / mu / denom)
+        psi4 = eff.upsilon2 / (n * denom)
+    elif isinstance(a, RiskMatrix):
+        sigma = spectrum.expand()
+        psi1 = float(np.sum(a.beta**2 / (sigma * (mu * sigma + lam))))
+        psi3 = float(np.sum(np.square(a.beta / (mu * sigma + lam)))) / denom
+        psi4 = float(np.sum(np.square(a.beta / (sigma + ls)))) / (n * n * denom)
     else:
         # only the diagonal of A enters; Tr(A D) = Tr(A^T D) for diagonal D
-        diag_a = np.ones(sigma.size) if isinstance(a, IdentityMatrix) else np.diagonal(a)
+        sigma, diag_a = spectrum.expand(), np.diagonal(a)
         psi1 = float(np.dot(diag_a, sigma / (mu * sigma + lam)))
         psi3 = float(np.dot(diag_a, sigma**2 / (mu * sigma + lam) ** 2)) / denom
         psi4 = float(np.dot(diag_a, sigma**2 / (sigma + ls) ** 2)) / (n * n * denom)

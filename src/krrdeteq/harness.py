@@ -262,19 +262,19 @@ def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> Experiment
 
     The status names the prediction's error, else the first failed replication,
     else a non-finite empirical mean or std; those two cover the replications
-    that succeeded, and the std is taken on the values scaled by their largest
-    magnitude when their squared deviations overflow.  The nu diagnostic is
-    formed only for points with replications.
+    that succeeded, taken on the values over s = 2^(e-1), e the exponent of the largest
+    magnitude, and scaled back: no sum overflows, and the bits are np.mean's and np.std's
+    unless a scaled value is subnormal.  The nu diagnostic is formed only for points with replications.
     """
     rows = []
     for (n, lam), point in zip(points, outcomes):
         values = [value for value, error in point if error is None]
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflow is a failed row, not a warning
-            std = float(np.std(values, ddof=1)) if len(values) > 1 else 0.0 if values else math.nan
-            if values and not math.isfinite(std):  # finite values (``seeds._outcome``) whose squares overflowed
-                scale = float(np.max(np.abs(values)))
-                std = scale * float(np.std(np.divide(values, scale), ddof=1))
-            stats = {"empirical_mean": float(np.mean(values)) if values else math.nan, "empirical_std": std}
+        stats = {"empirical_mean": math.nan, "empirical_std": math.nan}
+        if values:  # finite (``seeds._outcome``); 2^e itself overflows at e = 1024
+            scale = 2.0 ** (math.frexp(max(map(abs, values)))[1] - 1)
+            scaled = np.divide(values, scale)
+            std = float(np.std(scaled, ddof=1)) if len(values) > 1 else 0.0
+            stats = {"empirical_mean": scale * float(np.mean(scaled)), "empirical_std": scale * std}
         failure = next((error for _, error in point if error is not None), None)
         if failure is None and values:
             failure = next((f"non-finite {key} {v!r}" for key, v in stats.items() if not math.isfinite(v)), None)

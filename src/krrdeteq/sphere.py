@@ -16,9 +16,9 @@ normalization is closed form, with no quadrature.  These identities make
 test risk computable in closed form without ever constructing a harmonic
 basis.
 
-Gram builds and the exact risk stream over row blocks of about
-_BLOCK_ELEMENTS inner products, with the recurrence run in place inside a
-block, so their extra memory is that fixed budget, not O(n^2).
+Gram builds and the exact risk walk the same upper-triangle row blocks of
+about _BLOCK_ELEMENTS inner products, with the recurrence run in place inside
+a block, so the exact risk's extra memory is that fixed budget, not O(n^2).
 """
 
 from __future__ import annotations
@@ -196,13 +196,6 @@ class SphereKernel:
             raise SphereError(f"harmonic dimension {max(mults)} at d = {self.d} does not fit in int64")
         return np.array(mults, dtype=np.int64)
 
-    def _series_scale(self, level_values: np.ndarray) -> np.ndarray:
-        return level_values * np.sqrt(self.multiplicities().astype(float))
-
-    def h2_values(self, t) -> np.ndarray:
-        """Second-moment kernel sum_k coeffs[k]^2 sqrt(B_{d,k}) Q_k(t)."""
-        return self.basis.series(self._series_scale(self.coeffs**2), t)
-
     def _checked_points(self, points: np.ndarray) -> np.ndarray:
         u = np.asarray(points, dtype=float)
         if u.shape[1] != self.d:
@@ -213,19 +206,24 @@ class SphereKernel:
         """h(<a_i, b_j>/d), streamed in row blocks to bound peak memory."""
         a, b = self._checked_points(points_a), self._checked_points(points_b)
         out = np.empty((a.shape[0], b.shape[0]))
-        coeffs = self._series_scale(self.coeffs)
+        coeffs = self.coeffs * np.sqrt(self.multiplicities().astype(float))
         for rows in _row_blocks(a.shape[0], b.shape[0]):
             self.basis.series(coeffs, _inner_products(a[rows], b, self.d), out=out[rows])
         return out
+
+    def _upper_blocks(self, u: np.ndarray, out: np.ndarray | None = None):
+        """Yield (rows, h(<u[rows], u[rows.start:]>/d)) per upper-triangle row block, written into ``out`` when given."""
+        coeffs = self.coeffs * np.sqrt(self.multiplicities().astype(float))
+        for rows in _row_blocks(u.shape[0], u.shape[0]):
+            block = None if out is None else out[rows, rows.start :]
+            yield rows, self.basis.series(coeffs, _inner_products(u[rows], u[rows.start :], self.d), out=block)
 
     def gram(self, points: np.ndarray) -> np.ndarray:
         """h(<u_i, u_j>/d): the upper triangle in row blocks, mirrored, so exactly symmetric."""
         u = self._checked_points(points)
         n = u.shape[0]
         out = np.empty((n, n))
-        coeffs = self._series_scale(self.coeffs)
-        for rows in _row_blocks(n, n):
-            self.basis.series(coeffs, _inner_products(u[rows], u[rows.start :], self.d), out=out[rows, rows.start :])
+        for rows, _ in self._upper_blocks(u, out):
             out[rows.stop :, rows] = out[rows, rows.stop :].T
             diag = out[rows, rows]
             lower = np.tril_indices(diag.shape[0], -1)
@@ -352,9 +350,9 @@ def exact_sphere_risk(
 
     E_u[(f_*(u) - sum_i alpha_i h(<u_i,u>/d))^2] + sigma^2
       = ||f_*||^2 - 2 alpha^T v + alpha^T H2 alpha + sigma^2,
-    where v_i = sum_k xi_k (P_k f_*)(u_i) and H2 uses the squared-eigenvalue
-    kernel.  Both pieces follow from averaging the harmonic expansion of h
-    against itself and against the target.
+    where v_i = sum_k xi_k (P_k f_*)(u_i) and H2 is the Gram matrix of the
+    squared-eigenvalue kernel.  Both pieces follow from averaging the harmonic
+    expansion of h against itself and against the target.
     """
     u = np.asarray(train_points, dtype=float)
     if kernel.d != target.d or u.shape[1] != kernel.d:
@@ -366,8 +364,10 @@ def exact_sphere_risk(
     for k, _ in target.energies.items():
         if k <= kernel.kmax and kernel.coeffs[k] > 0:
             v += kernel.coeffs[k] * target.level_values(k, u)
-    # H2 alpha row block by row block, then one dot: the sum does not depend on the blocks
-    h2_alpha = np.empty(u.shape[0])
-    for rows in _row_blocks(u.shape[0], u.shape[0]):
-        h2_alpha[rows] = kernel.h2_values(_inner_products(u[rows], u, kernel.d)) @ alpha
+    # H2 is the Gram of the squared-coefficient kernel: each upper-triangle block
+    # adds to H2 alpha for its own rows and, transposed, for the rows below them
+    h2_alpha = np.zeros(u.shape[0])
+    for rows, block in SphereKernel(kernel.d, kernel.coeffs**2)._upper_blocks(u):
+        h2_alpha[rows] += block @ alpha[rows.start :]
+        h2_alpha[rows.stop :] += block[:, rows.stop - rows.start :].T @ alpha[rows]
     return target.total_energy - 2.0 * float(alpha @ v) + float(alpha @ h2_alpha) + float(noise_variance)

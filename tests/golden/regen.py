@@ -7,7 +7,8 @@ OpenBLAS pinned to one thread (``OPENBLAS_NUM_THREADS=1``) and ``--threads 1``,
 writes its CSV and JSON tables and its exit code and stderr
 (``expected/exits.json``), and prints the worst relative change of each numeric
 column against the goldens it replaces.  A change that moves outputs on purpose
-pastes that table into CHANGES.md.
+pastes that table into CHANGES.md.  It takes no arguments: given any, it prints
+its usage line and exits 2 without running a case.
 
 The goldens pin the bytes of the OpenBLAS build they were made with, at one BLAS
 thread: the numpy 2.4.6 and scipy 1.17.1 wheels (OpenBLAS 0.3.31 and 0.3.30,
@@ -121,7 +122,10 @@ def regenerate() -> None:
 
 
 if __name__ == "__main__":
-    if sys.argv[1:2] == ["--run"]:
+    if sys.argv[1:2] == ["--run"]:  # the child side of ``run_cases``
         _run_here(Path(sys.argv[2]), [int(t) for t in sys.argv[3:]])
+    elif sys.argv[1:]:
+        print("usage: python tests/golden/regen.py  (takes no arguments; rewrites every golden)", file=sys.stderr)
+        sys.exit(2)
     else:
         regenerate()

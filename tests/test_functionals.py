@@ -161,6 +161,20 @@ class TestDeterministicFunctionals:
             psi = deterministic_functionals(s, n, lam, IdentityMatrix(300))
             np.testing.assert_allclose(psi, deterministic_functionals(s, n, lam, np.eye(300)), rtol=1e-14)
 
+    def test_identity_predictions_survive_underflowing_squares(self):
+        """sigma^2 and (mu sigma + lam)^2 underflow at 1e-200; the predictions are scale-free,
+        so they equal the dense oracle's at sigma = lam = 1."""
+        tiny = deterministic_functionals(Spectrum.from_blocks([(1e-200, 50)]), 10, 1e-200, IdentityMatrix(50))
+        unit = deterministic_functionals(Spectrum.from_blocks([(1.0, 50)]), 10, 1.0, np.eye(50))
+        np.testing.assert_allclose(tiny, unit, rtol=1e-14)
+        np.testing.assert_allclose(tiny, (40.2425, 0.975753, 40.0073, 0.0235207), rtol=1e-5)
+
+    def test_risk_matrix_squares_ratios(self):
+        """beta^2 and sigma^2 are subnormal at 1e-160; psi3 and psi4 square ratios near 1 instead."""
+        tiny = deterministic_functionals(Spectrum.from_blocks([(1e-160, 50)]), 10, 1e-160, RiskMatrix(1e-160 * np.eye(1, 50)))
+        unit = deterministic_functionals(Spectrum.from_blocks([(1.0, 50)]), 10, 1.0, RiskMatrix(np.eye(1, 50)))
+        np.testing.assert_allclose(tiny[2:], unit[2:], rtol=1e-14)
+
     def test_dense_matrix_reads_only_its_diagonal(self, rng):
         s = Spectrum.power_law(2.0, 12)
         b = rng.standard_normal((12, 12))

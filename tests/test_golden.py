@@ -4,9 +4,11 @@ The goldens pin behaviour; they are not oracles.  ``python tests/golden/regen.py
 rewrites them and prints the worst relative change per numeric column.
 """
 
+import subprocess
+import sys
 from pathlib import Path
 
-from golden.regen import EXPECTED, run_cases
+from golden.regen import EXPECTED, HERE, run_cases
 
 
 def test_outputs_match_goldens(tmp_path):
@@ -18,3 +20,10 @@ def test_outputs_match_goldens(tmp_path):
         got = {path.name: path.read_bytes() for path in out.iterdir()}
         assert sorted(got) == sorted(expected), f"--threads {threads}"
         assert [name for name in sorted(expected) if got[name] != expected[name]] == [], f"--threads {threads}"
+
+
+def test_regen_rejects_arguments():
+    """Any argument is a usage error (exit 2), not a rewrite of every golden."""
+    proc = subprocess.run([sys.executable, str(HERE / "regen.py"), "--help"], capture_output=True, text=True, timeout=60)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("usage: python tests/golden/regen.py") and proc.stdout == ""

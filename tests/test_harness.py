@@ -10,10 +10,12 @@ from krrdeteq.harness import (
     ConfigError,
     ExperimentConfig,
     ExperimentResult,
+    _prediction_rows,
     emit_results,
     run_experiment,
 )
 from krrdeteq.seeds import derive_rng, derive_seed, replicate
+from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
 
 def tiny_gaussian_config(**overrides):
@@ -161,7 +163,8 @@ class TestGaussianCurve:
 
     @pytest.mark.filterwarnings("error")
     def test_overflowing_std_is_scaled(self, monkeypatch):
-        """Finite replications whose squared deviations overflow still give an ok row with a finite std."""
+        """Finite replications whose squared deviations (noise 1e300) or sum (noise 5e307) overflow
+        still give an ok row: both statistics are taken on the values over a power of two."""
         exact, values = krr.test_error_linear_exact, []
 
         def recorded(*args):
@@ -169,15 +172,35 @@ class TestGaussianCurve:
             return values[-1]
 
         monkeypatch.setattr(krr, "test_error_linear_exact", recorded)
-        config = tiny_gaussian_config(spectrum={"kind": "power_law", "exponent": 2.0, "size": 30}, noise_variance=1e300, n_grid=[8])
-        (row,) = run_experiment(config).rows
-        assert len(values) == 3
-        with np.errstate(over="ignore"):
-            assert np.std(values, ddof=1) == math.inf
-        scale = max(abs(v) for v in values)
-        assert row["status"] == "ok"
-        assert row["empirical_std"] == scale * float(np.std(np.divide(values, scale), ddof=1))
-        assert math.isfinite(row["empirical_std"]) and math.isfinite(row["empirical_mean"])
+        spectrum = {"kind": "power_law", "exponent": 2.0, "size": 30}
+        for noise, seed, overflowing in ((1e300, 4, np.std), (5e307, 0, np.mean)):
+            values.clear()
+            (row,) = run_experiment(tiny_gaussian_config(spectrum=spectrum, noise_variance=noise, n_grid=[8], seed=seed)).rows
+            assert len(values) == 3 and row["status"] == "ok"
+            with np.errstate(over="ignore"):
+                assert overflowing(values) == math.inf
+            scale = 2.0 ** (math.frexp(max(abs(v) for v in values))[1] - 1)
+            assert row["empirical_mean"] == scale * float(np.mean(np.divide(values, scale)))
+            assert row["empirical_std"] == scale * float(np.std(np.divide(values, scale), ddof=1))
+            # scaling by the largest magnitude instead agrees to rounding
+            largest = max(abs(v) for v in values)
+            assert row["empirical_std"] == pytest.approx(largest * float(np.std(np.divide(values, largest), ddof=1)), rel=1e-15)
+        assert row["empirical_mean"] == 8.902627145628714e307
+
+    def test_row_statistics_are_plain_mean_and_std_on_ordinary_values(self):
+        """The power-of-two scaling is exact: the row statistics are np.mean's and np.std's bits."""
+        rng = np.random.default_rng(31)
+        model = ModelSpec(n=8, lam=0.1, spectrum=Spectrum.from_blocks([(1.0, 10)]), alignment=Alignment([1.0]), noise=NoiseModel(0.1))
+        for reps in (1, 2, 3, 5):
+            base = 10.0 ** rng.uniform(-140, 140, size=(500, 1))
+            spread = 10.0 ** rng.uniform(-8, 1, size=(500, 1))
+            rows = base * (1.0 + spread * rng.standard_normal((500, reps)))
+            outcomes = [[(float(v), None) for v in row] for row in rows]
+            result = _prediction_rows("gaussian_curve", reps, 0, [(8, 0.1)] * 500, lambda n, lam: model, outcomes)
+            for row, values in zip(result.rows, rows):
+                assert row["status"] == "ok"
+                assert row["empirical_mean"] == float(np.mean(values))
+                assert row["empirical_std"] == (float(np.std(values, ddof=1)) if reps > 1 else 0.0)
 
     def test_failure_recorded_and_rest_completed(self):
         # rank 30 < n = 50 at lambda 0: both prediction and fits fail there

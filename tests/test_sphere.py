@@ -339,14 +339,45 @@ class TestExactRisk:
         assert abs(mc - exact) <= 3 * se
 
     def test_streaming_matches_one_block(self, monkeypatch):
-        d = 10
+        """The default budget (3 row blocks at n = 296 and 300) and 8-row blocks match one block,
+        and one block matches the dense H2, the Gram of the squared coefficients."""
+        d, s2 = 10, 0.1
         kern = kernel_from_gaps(d, 3, 4.0)
         target = SphereTarget(d, {1: 1.0, 2: 0.25})
-        u = sample_sphere(d, 23, 5)
+        for n in (23, 296, 300):
+            u = sample_sphere(d, n, 5)
+            fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
+            default = exact_sphere_risk(fit, kern, target, s2, u)
+            with monkeypatch.context() as m:
+                m.setattr(sphere, "_BLOCK_ELEMENTS", (n + 8) * n)
+                assert len(list(sphere._row_blocks(n, n))) == 1
+                whole = exact_sphere_risk(fit, kern, target, s2, u)
+                m.setattr(sphere, "_BLOCK_ELEMENTS", 7)
+                assert exact_sphere_risk(fit, kern, target, s2, u) == pytest.approx(whole, rel=1e-12)
+            assert default == pytest.approx(whole, rel=1e-12)
+            alpha = np.asarray(fit.alpha).ravel()
+            v = sum(kern.coeffs[k] * target.level_values(k, u) for k in target.energies)
+            h2 = SphereKernel(d, kern.coeffs**2).cross_gram(u, u)
+            assert whole == pytest.approx(target.total_energy - 2 * alpha @ v + alpha @ (h2 @ alpha) + s2, rel=1e-14)
+
+    def test_evaluates_as_many_series_entries_as_the_gram(self, monkeypatch):
+        d, n = 10, 300
+        kern = kernel_from_gaps(d, 3, 4.0)
+        target = SphereTarget(d, {1: 1.0})
+        u = sample_sphere(d, n, 1)
+        entries, series = [], GegenbauerBasis.series
+
+        def counted(self, coeffs, t, out=None):
+            entries.append(np.size(t))
+            return series(self, coeffs, t, out)
+
+        monkeypatch.setattr(GegenbauerBasis, "series", counted)
         fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
-        whole = exact_sphere_risk(fit, kern, target, 0.1, u)
-        monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", 7)
-        assert exact_sphere_risk(fit, kern, target, 0.1, u) == pytest.approx(whole, rel=1e-12)
+        gram_entries = sum(entries)
+        entries.clear()
+        exact_sphere_risk(fit, kern, target, 0.0, u)
+        # three row blocks of 104, 104 and 92 rows: 104 * 300 + 104 * 196 + 92 * 92 entries, not 300 * 300
+        assert len(entries) == 3 and sum(entries) == gram_entries == 60_048
 
     def test_peak_memory_is_blocks_not_n_squared(self):
         d, n = 24, 1024
