@@ -210,7 +210,7 @@ def deterministic_functionals(
     psi1 = Tr(A S (mu S + lam)^-1)               psi2 = Tr(S (S + ls)^-1) / n
     psi3 = Tr(A S^2 (mu S + lam)^-2) / (1 - U2)  psi4 = Tr(A S^2 (S + ls)^-2) / (n^2 (1 - U2))
     As mu S + lam = mu (S + ls), A = I gives psi1 = n U1 / mu, psi3 = n U2 / (mu^2 (1 - U2)), psi4 = U2 / (n (1 - U2));
-    a RiskMatrix squares ratios, finite where S^2 underflows; a dense A keeps the S^2 sums, as their oracle.
+    a RiskMatrix multiplies and squares ratios, finite where S^2 underflows; a dense A keeps the S^2 sums, as their oracle.
     """
     eff = solve_effective_reg(spectrum, n, lam)
     ls, mu = eff.lambda_star, np.float64(eff.mu_star)  # mu = 0 gives inf and the SpectrumError below
@@ -223,7 +223,7 @@ def deterministic_functionals(
         psi4 = eff.upsilon2 / (n * denom)
     elif isinstance(a, RiskMatrix):
         sigma = spectrum.expand()
-        psi1 = float(np.sum(a.beta**2 / (sigma * (mu * sigma + lam))))
+        psi1 = float(np.sum((a.beta / sigma) * (a.beta / (mu * sigma + lam))))
         psi3 = float(np.sum(np.square(a.beta / (mu * sigma + lam)))) / denom
         psi4 = float(np.sum(np.square(a.beta / (sigma + ls)))) / (n * n * denom)
     else:

@@ -365,9 +365,14 @@ def exact_sphere_risk(
         if k <= kernel.kmax and kernel.coeffs[k] > 0:
             v += kernel.coeffs[k] * target.level_values(k, u)
     # H2 is the Gram of the squared-coefficient kernel: each upper-triangle block
-    # adds to H2 alpha for its own rows and, transposed, for the rows below them
+    # adds to H2 alpha for its own rows and, transposed, for the rows below them.
+    # The coefficients are squared over s = 2^(e-1), e the exponent of the largest
+    # (s >= 1), and alpha taken times s: exact, so no square overflows, and every
+    # kernel with coefficients below 2 keeps s = 1
+    scale = max(2.0 ** (math.frexp(float(kernel.coeffs.max()))[1] - 1), 1.0)
+    alpha_s = alpha * scale
     h2_alpha = np.zeros(u.shape[0])
-    for rows, block in SphereKernel(kernel.d, kernel.coeffs**2)._upper_blocks(u):
-        h2_alpha[rows] += block @ alpha[rows.start :]
-        h2_alpha[rows.stop :] += block[:, rows.stop - rows.start :].T @ alpha[rows]
-    return target.total_energy - 2.0 * float(alpha @ v) + float(alpha @ h2_alpha) + float(noise_variance)
+    for rows, block in SphereKernel(kernel.d, (kernel.coeffs / scale) ** 2)._upper_blocks(u):
+        h2_alpha[rows] += block @ alpha_s[rows.start :]
+        h2_alpha[rows.stop :] += block[:, rows.stop - rows.start :].T @ alpha_s[rows]
+    return target.total_energy - 2.0 * float(alpha @ v) + float(alpha_s @ h2_alpha) + float(noise_variance)

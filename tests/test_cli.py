@@ -8,6 +8,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -48,6 +49,37 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
+def check_contract(directory, command, doc):
+    """Run ``main([command, --config, --out])`` on ``doc`` in this process and check the CLI's
+    error contract; returns (exit code, stderr text).
+
+    Warnings are recorded, repeats too, as pytest keeps them off stderr; an exception fails the
+    test. Exit 0, 1 or 2 and no warning; exit 1 is one ``error:`` line and no table; otherwise a
+    table whose failed rows set exit 2 and the one summary line, and whose ok rows hold no nan or
+    inf (``deteq`` rows, with reps 0, have nan empirical columns by design).
+    """
+    config, out, stderr = write_config(directory, doc), directory / "rows.csv", io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main([command, "--config", str(config), "--out", str(out)])
+    err = stderr.getvalue()
+    assert code in (0, 1, 2), err
+    assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
+    if code == 1:
+        assert len(err.splitlines()) == 1 and err.startswith("error: "), err
+        assert not out.exists()
+        return code, err
+    with out.open(newline="") as handle:
+        rows = list(csv.DictReader(handle))
+    ok = [row for row in rows if row.get("status", "ok") == "ok"]  # probe rows have no status
+    failed = len(rows) - len(ok)
+    assert (code, err) == ((2, f"{failed} row(s) failed; see status column\n") if failed else (0, ""))
+    for row in ok:
+        values = [row[k] for k in ("prediction", "lambda_star", "upsilon2")] if row.get("reps") == "0" else row.values()
+        assert not {"nan", "inf", "-inf"} & set(values), row
+    return code, err
+
+
 class TestDeteqCommand:
     def test_predictions_from_model_document(self, tmp_path):
         config = write_config(
@@ -71,17 +103,7 @@ class TestDeteqCommand:
         assert float(row["prediction"]) == pytest.approx(0.50009, rel=1e-3)
 
     def test_partial_failure_exit_code(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "blocks": [[1.0, 30]],
-                "alignment": [1.0],
-                "residual_energy": 0.0,
-                "noise_variance": 0.0,
-                "lambda": 0.0,
-                "n_grid": [10, 50],  # rank 30 <= 50: second row fails
-            },
-        )
+        config = write_config(tmp_path, DETEQ)
         out = tmp_path / "pred.csv"
         code = main(["deteq", "--config", str(config), "--out", str(out)])
         assert code == 2
@@ -217,17 +239,7 @@ class TestExperimentCommands:
         assert capsys.readouterr().err == "error: no output path: pass --out or set output_path in the config\n"
 
     def test_probe_functionals_command(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "kind": "functional_probe",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 30},
-                "lambda": 0.5,
-                "n_grid": [5],
-                "reps": 2,
-                "seed": 0,
-            },
-        )
+        config = write_config(tmp_path, {**PROBE, "seed": 0})
         out = tmp_path / "probe.csv"
         assert main(["probe-functionals", "--config", str(config), "--out", str(out)]) == 0
         assert out.read_text().startswith("n,functional_index,median_rel_err")
@@ -398,13 +410,9 @@ class TestConfigValidation:
             ("estimate", {**ESTIMATE, "truncation": 0}, "truncation"),
         ],
     )
-    def test_one_line_error_and_exit_1(self, tmp_path, capsys, command, doc, needle):
-        config = write_config(tmp_path, doc)
-        out = tmp_path / "rows.csv"
-        assert main([command, "--config", str(config), "--out", str(out)]) == 1
-        err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("error: ") and needle in err[0]
-        assert not out.exists()
+    def test_one_line_error_and_exit_1(self, tmp_path, command, doc, needle):
+        code, err = check_contract(tmp_path, command, doc)
+        assert code == 1 and needle in err
 
 
 # Any JSON value, built mostly from config field names and kind names so that
@@ -430,7 +438,7 @@ _VALUES = st.recursive(
 VALID = dict(zip(SUBCOMMANDS, (SIMULATE, SPHERE, GCV, PROBE, ESTIMATE, DETEQ)))
 
 
-@settings(max_examples=150, deadline=None)
+@settings(max_examples=150, deadline=None, derandomize=True)
 @given(
     command=st.sampled_from(SUBCOMMANDS),
     doc=st.dictionaries(_KEYS, _VALUES, max_size=8) | _VALUES,
@@ -440,12 +448,7 @@ def test_any_json_document_exits_0_1_or_2(command, doc, on_valid):
     if on_valid and isinstance(doc, dict):
         doc = {**VALID[command], **doc}  # a valid config with some fields replaced
     with tempfile.TemporaryDirectory() as tmp:
-        config = os.path.join(tmp, "config.json")
-        with open(config, "w") as handle:
-            json.dump(doc, handle)
-        with contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, "--config", config, "--out", os.path.join(tmp, "rows.csv")])
-    assert code in (0, 1, 2)
+        check_contract(Path(tmp), command, doc)
 
 
 class TestRowFormat:
@@ -525,57 +528,53 @@ SPAN_CALLS = {
         "sphere.sample_sphere": 1,
     },
 }
-# runs one workload's subcommand with the benchmark's tracer installed, as bench/child.py does,
-# and prints the declared spans that never fired and the calls per span
+# runs each (workload, config, out) subcommand with the benchmark's tracer installed once, as
+# bench/child.py does, and prints per workload the declared spans that never fired and the calls per span
 SPAN_SCRIPT = """
 import json, sys
 import krrdeteq.cli as cli
 import tracing, workloads
-name, config, out = sys.argv[1:]
 tracer = tracing.Tracer()
 tracing.install(tracer)
-tracer.wrap("cli.main", cli.main)([workloads.WORKLOADS[name].subcommand, "--config", config, "--out", out])
-calls = {span: stats["calls"] for span, stats in tracing.summarize(tracer.spans).items()}
-print(json.dumps([[s for s in workloads.WORKLOADS[name].spans if s not in calls], calls]))
+main = tracer.wrap("cli.main", cli.main)
+report = {}
+for name, config, out in json.loads(sys.argv[1]):
+    tracer.spans.clear()
+    main([workloads.WORKLOADS[name].subcommand, "--config", config, "--out", out])
+    calls = {span: stats["calls"] for span, stats in tracing.summarize(tracer.spans).items()}
+    report[name] = [[s for s in workloads.WORKLOADS[name].spans if s not in calls], calls]
+print(json.dumps(report))
 """
 
 
-@pytest.mark.parametrize("workload", sorted(SPAN_CONFIGS))
-def test_benchmark_spans_fire(tmp_path, workload):
-    """Every span the benchmark declares for a workload is still called by the CLI, as often as recorded."""
-    config = write_config(tmp_path, SPAN_CONFIGS[workload])
+@pytest.fixture(scope="module")
+def span_calls(tmp_path_factory):
+    """One child interpreter runs every SPAN_CONFIGS workload under the benchmark's tracer."""
+    tmp = tmp_path_factory.mktemp("spans")
+    runs = [[name, str(write_config(tmp, doc, f"{name}.json")), str(tmp / f"{name}.csv")] for name, doc in SPAN_CONFIGS.items()]
     src = str(Path(krrdeteq.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, str(BENCH)]), "OPENBLAS_NUM_THREADS": "1"}
     proc = subprocess.run(
-        [sys.executable, "-c", SPAN_SCRIPT, workload, str(config), str(tmp_path / "rows.csv")],
-        env=env,
-        cwd=tmp_path,
-        capture_output=True,
-        text=True,
-        timeout=120,
+        [sys.executable, "-c", SPAN_SCRIPT, json.dumps(runs)], env=env, cwd=tmp, capture_output=True, text=True, timeout=120
     )
     assert proc.returncode == 0, proc.stderr
-    missing, calls = json.loads(proc.stdout)
+    return json.loads(proc.stdout)
+
+
+@pytest.mark.parametrize("workload", sorted(SPAN_CONFIGS))
+def test_benchmark_spans_fire(span_calls, workload):
+    """Every span the benchmark declares for a workload is still called by the CLI, as often as recorded."""
+    missing, calls = span_calls[workload]
     assert missing == []
     assert calls == SPAN_CALLS[workload]
 
 
 def test_negative_target_energy_is_one_error_line(tmp_path):
-    """A negative target energy is a config error before any square root, so numpy prints no warning."""
+    """A negative target energy is a config error before any square root, so numpy gives no warning."""
     doc = {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1, 2]]}, "target": {"kind": "energies", "values": [-1]}}
-    config = write_config(tmp_path, doc)
-    src = str(Path(krrdeteq.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "krrdeteq.cli", "simulate", "--config", str(config), "--out", str(tmp_path / "c.csv")]
-    proc = subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 1
-    assert proc.stderr.splitlines() == ["error: target values must be finite and >= 0"]
-
-
-def run_module(command, config, out):
-    """``python -m krrdeteq.cli command --config config --out out`` in a fresh interpreter."""
-    src = str(Path(krrdeteq.__file__).resolve().parents[1])
-    argv = [sys.executable, "-m", "krrdeteq.cli", command, "--config", str(config), "--out", str(out)]
-    return subprocess.run(argv, env={**os.environ, "PYTHONPATH": src}, capture_output=True, text=True, timeout=120)
+    code, err = check_contract(tmp_path, "simulate", doc)
+    assert code == 1
+    assert err.splitlines() == ["error: target values must be finite and >= 0"]
 
 
 HUGE = 10**400  # a JSON integer beyond the float range
@@ -605,24 +604,15 @@ ERROR_CONTRACT = {
     "sphere-huge-energy": ("sphere", {**SPHERE, "energies": {"1": HUGE}}),
     "deteq-huge-alignment": ("deteq", {**DETEQ, "alignment": [HUGE]}),
     "deteq-huge-residual": ("deteq", {**DETEQ, "residual_energy": HUGE}),
+    # kernel coefficients whose squares overflow, with a finite prediction
+    "sphere-huge-coefficient": ("sphere", {**SPHERE, "d": 5, "levels": 3, "gap": 1e-100, "lambda": 0.1, "n_grid": [10]}),
 }
 
 
 @pytest.mark.parametrize("case", sorted(ERROR_CONTRACT))
 def test_error_contract(tmp_path, case):
-    """Exit 0, 1 or 2 with no traceback or warning; exit 1 is one error line and no table; no ok row holds nan or inf."""
-    command, doc = ERROR_CONTRACT[case]
-    out = tmp_path / "rows.csv"
-    proc = run_module(command, write_config(tmp_path, doc), out)
-    assert proc.returncode in (0, 1, 2), proc.stderr
-    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr, proc.stderr
-    if proc.returncode == 1:
-        assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
-        assert not out.exists()
-        return
-    with out.open(newline="") as handle:
-        ok = [row for row in csv.DictReader(handle) if row.get("status", "ok") == "ok"]  # probe rows have no status
-    assert not [row for row in ok if {"nan", "inf", "-inf"} & set(row.values())]
+    """Each hand-picked extreme config keeps the CLI's error contract."""
+    check_contract(tmp_path, *ERROR_CONTRACT[case])
 
 
 def test_cli_import_leaves_out_scipy_special():

@@ -170,10 +170,10 @@ class TestDeterministicFunctionals:
         np.testing.assert_allclose(tiny, (40.2425, 0.975753, 40.0073, 0.0235207), rtol=1e-5)
 
     def test_risk_matrix_squares_ratios(self):
-        """beta^2 and sigma^2 are subnormal at 1e-160; psi3 and psi4 square ratios near 1 instead."""
+        """beta^2 and sigma^2 are subnormal at 1e-160; every prediction takes ratios near 1 instead."""
         tiny = deterministic_functionals(Spectrum.from_blocks([(1e-160, 50)]), 10, 1e-160, RiskMatrix(1e-160 * np.eye(1, 50)))
         unit = deterministic_functionals(Spectrum.from_blocks([(1.0, 50)]), 10, 1.0, RiskMatrix(np.eye(1, 50)))
-        np.testing.assert_allclose(tiny[2:], unit[2:], rtol=1e-14)
+        np.testing.assert_allclose(tiny, unit, rtol=1e-14)
 
     def test_dense_matrix_reads_only_its_diagonal(self, rng):
         s = Spectrum.power_law(2.0, 12)
