@@ -25,6 +25,7 @@ from .harness import (
     check_entries,
     check_fields,
     check_nonnegative,
+    check_seed,
     emit_results,
     run_experiment,
 )
@@ -40,9 +41,8 @@ SUBCOMMAND_KIND = {
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's default 2
-        self.print_usage(sys.stderr)
-        raise SystemExit(f"error: {message}")
+    def error(self, message):  # an argv mistake is one error line and exit 1, as a config error is
+        raise ConfigError(message)
 
 
 def _add_common(sub):
@@ -66,9 +66,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _threads_override(value) -> int | None:
     """--threads, else KRRDETEQ_THREADS; None leaves the config's own threads (default 1)."""
-    if value is None:
-        value = os.environ.get("KRRDETEQ_THREADS") or None
-    return None if value is None else max(int(value), 1)
+    env = os.environ.get("KRRDETEQ_THREADS") or None
+    if value is not None or env is None:
+        return value
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError(f"KRRDETEQ_THREADS must be an integer, not {env!r}") from None
 
 
 DETEQ_FIELDS = (
@@ -91,7 +95,7 @@ def _deteq_rows(doc, seed: int | None):
     n_grid = check_entries(doc.get("n_grid") or [doc.get("n")], int, "n_grid (or [n])")
     if any(n < 1 for n in n_grid):
         raise ConfigError("every n_grid entry (or n) must be >= 1")
-    seed = doc.get("seed", 0) if seed is None else seed
+    seed = check_seed(doc.get("seed", 0) if seed is None else seed)
     model_at = functools.partial(ModelSpec, spectrum=spectrum, alignment=alignment, noise=noise)  # (n, lam)
     points = [(n, lam) for n in n_grid]
     return functools.partial(_prediction_rows, "deteq", 0, seed, points, model_at, [()] * len(points))
@@ -114,15 +118,8 @@ def _gc_paused():
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        if isinstance(exc.code, str):
-            print(exc.code, file=sys.stderr)
-            return 1
-        return 0 if exc.code in (0, None) else 1
-    try:
+        args = build_parser().parse_args(argv)
         with open(args.config) as handle, _gc_paused():
             doc = json.load(handle)
             if args.command == "deteq":
@@ -139,6 +136,8 @@ def main(argv=None) -> int:
         if result.n_failed:
             print(f"{result.n_failed} row(s) failed; see status column", file=sys.stderr)
             return 2
+        return 0
+    except SystemExit:  # -h/--help printed the help; argv mistakes raise ConfigError
         return 0
     # ArithmeticError: a JSON integer too large for a float raises OverflowError when it is converted
     except (OSError, KeyError, ValueError, MemoryError, ArithmeticError) as exc:

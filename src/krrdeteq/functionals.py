@@ -35,6 +35,8 @@ __all__ = [
 PRIMAL_RATIO = 4
 # rows (or columns) per block when R is mirrored or reduced, which bounds the temporaries
 _BLOCK = 256
+# below this fraction of p, p - lam Tr(R) has cancelled too far to give Tr(X^T X R)
+_CANCELLED = 2.0**-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -153,6 +155,17 @@ def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
     return first, second
 
 
+def _xr_sums(x: np.ndarray, r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
+    """(Tr(X^T X R), sum_j s_j ||column j of XR||^2), with XR formed a row block at a time."""
+    trace = weighted = 0.0
+    for i0 in range(0, x.shape[0], _BLOCK):
+        rows = x[i0 : i0 + _BLOCK]
+        xr = rows @ r
+        trace += float(np.vdot(xr, rows))
+        weighted += float(np.square(xr).sum(axis=0) @ sigma)
+    return trace, weighted
+
+
 @np.errstate(all="ignore")  # a non-finite functional raises SpectrumError below, with no warning
 def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, float, float, float]:
     """The four resolvent trace functionals of the sample at test matrix ``a``.
@@ -161,8 +174,9 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi3 = Tr(A S^1/2 R S R S^1/2)      phi4 = Tr(A S^1/2 R (X^T X / n) R S^1/2)
 
     ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
-    phi4 uses X^T X = (X^T X + lam) - lam, so only R and R^2 contractions are
-    needed.
+    phi2 uses Tr(X^T X R) = p - lam Tr(R) and phi4 X^T X = (X^T X + lam) - lam, so only R
+    and R^2 contractions are needed; where that leaves under _CANCELLED p, phi2 and the
+    structured phi4 read XR instead (the dense phi4 stays their oracle).
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
@@ -173,19 +187,21 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     sqrt_sigma = np.sqrt(sigma)
 
     r = _resolvent(x, lam)
-    # phi2 via Tr(X^T X R) = p - lam Tr(R)
-    phi2 = (p - lam * float(np.trace(r))) / n
+    tr_xxr = p - lam * float(np.trace(r))
+    if cancelled := tr_xxr < _CANCELLED * p:
+        tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
+    phi2 = tr_xxr / n
 
     if isinstance(a, RiskMatrix):
         u = a.beta / sqrt_sigma
         ru = r @ u
         phi1 = float(u @ ru)
         phi3 = float(np.dot(sigma, ru * ru))
-        phi4 = (phi1 - lam * float(ru @ ru)) / n
+        phi4 = (float(np.square(x @ ru).sum()) if cancelled else phi1 - lam * float(ru @ ru)) / n
     elif isinstance(a, IdentityMatrix):
         phi1 = float(np.dot(sigma, np.diagonal(r)))
         tr_sr2, phi3 = _weighted_squares(r, sigma)  # Tr(S R^2), Tr(M^2) with M = S^1/2 R S^1/2
-        phi4 = (phi1 - lam * tr_sr2) / n
+        phi4 = (tr_sxr if cancelled else phi1 - lam * tr_sr2) / n
     else:
         m = sqrt_sigma[:, None] * r * sqrt_sigma[None, :]
         am = a @ m

@@ -96,6 +96,13 @@ def check_nonnegative(name: str, value) -> None:
         raise ConfigError(f"{name} must be finite and >= 0")
 
 
+def check_seed(seed: int) -> int:
+    """A root seed names one stream only in [0, 2**64): derive_seed reduces it mod 2**64."""
+    if not 0 <= seed < 2**64:
+        raise ConfigError("seed must be in [0, 2**64)")
+    return seed
+
+
 @dataclass(frozen=True)
 class ExperimentConfig:
     """One experiment: kind, model parameters, replication count, seed."""
@@ -127,6 +134,7 @@ class ExperimentConfig:
             raise ConfigError("reps must be >= 1")
         if self.threads < 1:
             raise ConfigError("threads must be >= 1")
+        check_seed(self.seed)
         check_nonnegative("lambda", self.lam)
         for lam in self.lambda_grid:
             check_nonnegative("every lambda_grid entry", lam)

@@ -19,6 +19,7 @@ from krrdeteq.functionals import (
     deterministic_functionals,
     sample_gaussian_features,
 )
+from krrdeteq.harness import ExperimentConfig, run_experiment
 from krrdeteq.krr import GramMatrix, fit_krr, linear_sweep
 from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
 from krrdeteq.seeds import derive_rng
@@ -29,7 +30,6 @@ from krrdeteq.sphere import (
     exact_sphere_risk,
     kernel_from_gaps,
     sample_sphere,
-    sphere_spectrum,
 )
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
@@ -187,25 +187,13 @@ def test_a4_gcv_uniform_consistency():
 
 
 def test_a5_sphere_learning_curve():
+    """The shipped sphere_curve runner, at its default one worker thread: BLAS already uses the cores."""
     start = time.monotonic()
-    seed, d, gap, levels, s2, lam, reps = 3, 24, 8.0, 7, 0.1, 0.0, 20
-    kernel = kernel_from_gaps(d, levels, gap)
-    target = SphereTarget(d, {k: k**-2.0 for k in range(1, levels + 1)})
-    rows = []
-    for i, n in enumerate((8, 16, 32, 64, 128, 256, 512, 1024)):
-        pred = deterministic_equivalents(
-            sphere_spectrum(kernel, target, NoiseModel(s2), n, lam)
-        ).risk
-        vals = []
-        for rep in range(reps):
-            rng = derive_rng(seed, 2, i, rep)
-            points = sample_sphere(d, n, rng)
-            gram = GramMatrix(kernel.gram(points))
-            y = target(points) + math.sqrt(s2) * rng.standard_normal(n)
-            fit = fit_krr(gram, y, lam)
-            vals.append(exact_sphere_risk(fit, kernel, target, s2, points))
-        vals = np.array(vals)
-        rows.append((n, pred, float(vals.mean()), float(vals.std(ddof=1))))
+    config = ExperimentConfig.from_dict(
+        {"kind": "sphere_curve", "d": 24, "levels": 7, "gap": 8.0, "noise_variance": 0.1, "lambda": 0.0,
+         "n_grid": [8, 16, 32, 64, 128, 256, 512, 1024], "reps": 20, "seed": 3}
+    )
+    rows = [(r["n"], r["prediction"], r["empirical_mean"], r["empirical_std"]) for r in run_experiment(config).rows]
     bad = [
         (n, abs(mean - pred) / pred, std / mean)
         for n, pred, mean, std in rows

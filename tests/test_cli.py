@@ -2,6 +2,7 @@ import contextlib
 import csv
 import gc
 import io
+import itertools
 import json
 import math
 import os
@@ -37,11 +38,6 @@ DETEQ = {
     "lambda": 0.0,
     "n_grid": [10, 50],  # rank 30 <= 50: the second row fails
 }
-RANK_ERROR = (
-    '"error: SpectrumError: lambda = 0 requires spectrum rank > n, '
-    'otherwise the effective-regularization fixed point has no positive solution"'
-)
-
 
 def write_config(tmp_path, doc, name="config.json"):
     path = tmp_path / name
@@ -49,19 +45,21 @@ def write_config(tmp_path, doc, name="config.json"):
     return path
 
 
-def check_contract(directory, command, doc):
-    """Run ``main([command, --config, --out])`` on ``doc`` in this process and check the CLI's
-    error contract; returns (exit code, stderr text).
+def check_contract(directory, args, doc=None):
+    """Run ``main(args)`` in this process, with ``--config`` and ``--out`` appended when ``doc`` is a
+    config document, and check the CLI's error contract; returns (exit code, stderr text).
 
     Warnings are recorded, repeats too, as pytest keeps them off stderr; an exception fails the
     test. Exit 0, 1 or 2 and no warning; exit 1 is one ``error:`` line and no table; otherwise a
     table whose failed rows set exit 2 and the one summary line, and whose ok rows hold no nan or
     inf (``deteq`` rows, with reps 0, have nan empirical columns by design).
     """
-    config, out, stderr = write_config(directory, doc), directory / "rows.csv", io.StringIO()
+    out, stderr = directory / "rows.csv", io.StringIO()
+    if doc is not None:
+        args = [*args, "--config", str(write_config(directory, doc)), "--out", str(out)]
     with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
         warnings.simplefilter("always")
-        code = main([command, "--config", str(config), "--out", str(out)])
+        code = main(args)
     err = stderr.getvalue()
     assert code in (0, 1, 2), err
     assert not caught, [f"{w.category.__name__}: {w.message}" for w in caught]
@@ -78,6 +76,94 @@ def check_contract(directory, command, doc):
         values = [row[k] for k in ("prediction", "lambda_star", "upsilon2")] if row.get("reps") == "0" else row.values()
         assert not {"nan", "inf", "-inf"} & set(values), row
     return code, err
+
+
+def without(doc, *keys):
+    return {k: v for k, v in doc.items() if k not in keys}
+
+
+HUGE = 10**400  # a JSON integer beyond the float range
+PROBE_50 = {**PROBE, "spectrum": {**POWER_LAW, "size": 50}, "n_grid": [10, 20]}
+U64 = "seed must be in [0, 2**64)"
+# id -> (arguments, config document or None, needle or None). A document is written and passed
+# with --config and --out after the arguments; leading NAME=value arguments set the environment,
+# as in a shell. A needle means exit 1 with one error line that holds it.
+CONTRACT = {
+    # argv mistakes
+    "argv-no-subcommand": ((), None, "the following arguments are required: command"),
+    "argv-unknown-subcommand": (("frobnicate",), None, "invalid choice: 'frobnicate'"),
+    "argv-no-config": (("simulate",), None, "the following arguments are required: --config"),
+    "argv-missing-file": (("simulate", "--config", "missing.json"), None, "No such file"),
+    "argv-threads-abc": (("simulate", "--threads", "abc"), SIMULATE, "argument --threads: invalid int value: 'abc'"),
+    "argv-format-xml": (("simulate", "--format", "xml"), SIMULATE, "argument --format: invalid choice: 'xml'"),
+    "argv-kind-mismatch": (("sphere",), {"kind": "gaussian_curve", "n_grid": [4], "reps": 1}, "does not match"),
+    # one threads rule: the config's own check, whichever way the count arrives
+    "argv-threads-0": (("simulate", "--threads", "0"), SIMULATE, "threads must be >= 1"),
+    "argv-threads-negative": (("simulate", "--threads", "-2"), SIMULATE, "threads must be >= 1"),
+    "env-threads-0": (("KRRDETEQ_THREADS=0", "simulate"), SIMULATE, "threads must be >= 1"),
+    "env-threads-abc": (("KRRDETEQ_THREADS=abc", "simulate"), SIMULATE, "KRRDETEQ_THREADS must be an integer"),
+    # a seed outside [0, 2**64) would name the stream of its residue mod 2**64
+    "argv-seed-negative": (("simulate", "--seed", "-1"), SIMULATE, U64),
+    "simulate-seed-past-u64": (("simulate",), {**SIMULATE, "seed": 2**64}, U64),
+    "deteq-argv-seed-negative": (("deteq", "--seed", "-1"), DETEQ, U64),
+    "deteq-seed-past-u64": (("deteq",), {**DETEQ, "seed": 2**64}, U64),
+    # a negative target energy is a config error before any square root, so numpy gives no warning
+    "simulate-negative-target": (
+        ("simulate",),
+        {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1, 2]]}, "target": {"kind": "energies", "values": [-1]}},
+        "error: target values must be finite and >= 0\n",
+    ),
+    # extreme values, which keep the contract whatever the exit code. A probe replication
+    # fails: a non-finite functional, then zero predictions
+    "probe-tiny-lambda": (("probe-functionals",), {**PROBE_50, "lambda": 1e-300}, None),
+    "probe-huge-lambda": (("probe-functionals",), {**PROBE_50, "lambda": 1e308}, None),
+    "probe-tiny-eigenvalue": (("probe-functionals",), {**PROBE_50, "spectrum": {"kind": "blocks", "blocks": [[1e-300, 50]]}, "lambda": 1.0}, None),
+    # finite replications whose squared deviations overflow
+    "simulate-huge-noise": (("simulate",), {**SIMULATE, "noise_variance": 1e300, "reps": 3}, None),
+    "gcv-huge-noise": (("gcv-sweep",), {**GCV, "noise_variance": 1e300, "reps": 3}, None),
+    "sphere-huge-noise": (("sphere",), {**SPHERE, "lambda": 0.1, "noise_variance": 1e300, "reps": 3}, None),
+    "estimate-huge-noise": (("estimate",), {**ESTIMATE, "noise_variance": 1e300, "reps": 3}, None),
+    # a number field that holds an integer too large for a float
+    "simulate-huge-lambda": (("simulate",), {**SIMULATE, "lambda": HUGE}, None),
+    "sphere-huge-lambda": (("sphere",), {**SPHERE, "lambda": HUGE}, None),
+    "probe-huge-int-lambda": (("probe-functionals",), {**PROBE, "lambda": HUGE}, None),
+    "estimate-huge-lambda": (("estimate",), {**ESTIMATE, "lambda": HUGE}, None),
+    "deteq-huge-lambda": (("deteq",), {**DETEQ, "lambda": HUGE}, None),
+    "gcv-huge-lambda-grid": (("gcv-sweep",), {**GCV, "lambda_grid": [0.1, HUGE]}, None),
+    "gcv-huge-noise-variance": (("gcv-sweep",), {**GCV, "noise_variance": HUGE}, None),
+    "simulate-huge-exponent": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": HUGE}}, None),
+    "simulate-huge-target": (
+        ("simulate",),
+        {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 30]]}, "target": {"kind": "energies", "values": [HUGE]}},
+        None,
+    ),
+    "sphere-huge-gap": (("sphere",), {**SPHERE, "gap": HUGE}, None),
+    "sphere-huge-energy": (("sphere",), {**SPHERE, "energies": {"1": HUGE}}, None),
+    "deteq-huge-alignment": (("deteq",), {**DETEQ, "alignment": [HUGE]}, None),
+    "deteq-huge-residual": (("deteq",), {**DETEQ, "residual_energy": HUGE}, None),
+    # kernel coefficients whose squares overflow, with a finite prediction
+    "sphere-huge-coefficient": (("sphere",), {**SPHERE, "d": 5, "levels": 3, "gap": 1e-100, "lambda": 0.1, "n_grid": [10]}, None),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_error_contract(tmp_path, monkeypatch, case):
+    """Each hand-picked bad or extreme input keeps the CLI's error contract."""
+    args, doc, needle = CONTRACT[case]
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv("KRRDETEQ_THREADS", raising=False)
+    env = list(itertools.takewhile(lambda arg: "=" in arg, args))
+    for word in env:
+        monkeypatch.setenv(*word.split("=", 1))
+    code, err = check_contract(tmp_path, args[len(env):], doc)
+    assert needle is None or (code == 1 and needle in err), err
+
+
+@pytest.mark.parametrize("args", [["-h"], ["simulate", "--help"]])
+def test_help_exits_0_on_stdout(capsys, args):
+    assert main(args) == 0
+    printed = capsys.readouterr()
+    assert printed.out.startswith("usage: krrdeteq") and printed.err == ""
 
 
 class TestDeteqCommand:
@@ -101,15 +187,6 @@ class TestDeteqCommand:
         row = dict(zip(lines[0].split(","), lines[1].split(",")))
         assert float(row["lambda_star"]) == pytest.approx((101 + np.sqrt(10601)) / 200, rel=1e-10)
         assert float(row["prediction"]) == pytest.approx(0.50009, rel=1e-3)
-
-    def test_partial_failure_exit_code(self, tmp_path):
-        config = write_config(tmp_path, DETEQ)
-        out = tmp_path / "pred.csv"
-        code = main(["deteq", "--config", str(config), "--out", str(out)])
-        assert code == 2
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3
-        assert "error" in lines[2]
 
     def test_no_nu_diagnostic(self, tmp_path, monkeypatch):
         """nu describes how replications concentrate; deteq rows have none, so it is never formed."""
@@ -182,24 +259,6 @@ class TestDeteqCommand:
 
 
 class TestExperimentCommands:
-    def test_simulate_roundtrip(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "kind": "gaussian_curve",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 40},
-                "noise_variance": 0.1,
-                "n_grid": [8, 16],
-                "lambda": 0.1,
-                "reps": 2,
-                "seed": 3,
-            },
-        )
-        out = tmp_path / "curve.csv"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-        lines = out.read_text().strip().splitlines()
-        assert len(lines) == 3
-
     def test_seed_override_changes_output(self, tmp_path):
         doc = {
             "kind": "gaussian_curve",
@@ -218,49 +277,11 @@ class TestExperimentCommands:
         assert out1.read_bytes() != out2.read_bytes()
         assert out1.read_bytes() == out3.read_bytes()
 
-    def test_kind_mismatch_is_usage_error(self, tmp_path):
-        config = write_config(tmp_path, {"kind": "gaussian_curve", "n_grid": [4], "reps": 1})
-        out = tmp_path / "x.csv"
-        assert main(["sphere", "--config", str(config), "--out", str(out)]) == 1
-
-    def test_missing_config_flag_is_usage_error(self):
-        assert main(["simulate"]) == 1
-
-    def test_unknown_subcommand_is_usage_error(self):
-        assert main(["frobnicate"]) == 1
-
-    def test_missing_file(self, tmp_path):
-        assert main(["simulate", "--config", str(tmp_path / "nope.json"), "--out", "x.csv"]) == 1
-
     @pytest.mark.parametrize("command,doc,runner", [("simulate", SIMULATE, "run_experiment"), ("deteq", DETEQ, "_prediction_rows")])
     def test_missing_output_path_fails_before_the_run(self, tmp_path, monkeypatch, capsys, command, doc, runner):
         monkeypatch.setattr(cli, runner, lambda *args: pytest.fail("ran without an output path"))
         assert main([command, "--config", str(write_config(tmp_path, doc))]) == 1
         assert capsys.readouterr().err == "error: no output path: pass --out or set output_path in the config\n"
-
-    def test_probe_functionals_command(self, tmp_path):
-        config = write_config(tmp_path, {**PROBE, "seed": 0})
-        out = tmp_path / "probe.csv"
-        assert main(["probe-functionals", "--config", str(config), "--out", str(out)]) == 0
-        assert out.read_text().startswith("n,functional_index,median_rel_err")
-
-    def test_json_format(self, tmp_path):
-        config = write_config(
-            tmp_path,
-            {
-                "kind": "gaussian_curve",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 30},
-                "noise_variance": 0.0,
-                "n_grid": [8],
-                "lambda": 0.1,
-                "reps": 1,
-                "seed": 0,
-            },
-        )
-        out = tmp_path / "rows.json"
-        assert main(["simulate", "--config", str(config), "--out", str(out), "--format", "json"]) == 0
-        doc = json.loads(out.read_text())
-        assert doc["rows"][0]["status"] == "ok"
 
     @pytest.mark.parametrize(
         "command,doc",
@@ -320,23 +341,6 @@ class TestExperimentCommands:
         assert outputs[0].decode().splitlines()[0] == ",".join(columns)
         assert outputs[0] == outputs[1]
 
-    def test_threads_env_default(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("KRRDETEQ_THREADS", "2")
-        config = write_config(
-            tmp_path,
-            {
-                "kind": "gaussian_curve",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 30},
-                "noise_variance": 0.0,
-                "n_grid": [8],
-                "lambda": 0.1,
-                "reps": 2,
-                "seed": 0,
-            },
-        )
-        out = tmp_path / "c.csv"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 0
-
     @pytest.mark.parametrize(
         "config_threads,env,flag,expected",
         [
@@ -359,10 +363,6 @@ class TestExperimentCommands:
         argv = ["simulate", "--config", str(write_config(tmp_path, doc)), "--out", str(tmp_path / "c.csv")]
         assert main(argv + (["--threads", flag] if flag else [])) == 0
         assert seen == [expected]
-
-
-def without(doc, *keys):
-    return {k: v for k, v in doc.items() if k not in keys}
 
 
 class TestConfigValidation:
@@ -411,7 +411,7 @@ class TestConfigValidation:
         ],
     )
     def test_one_line_error_and_exit_1(self, tmp_path, command, doc, needle):
-        code, err = check_contract(tmp_path, command, doc)
+        code, err = check_contract(tmp_path, [command], doc)
         assert code == 1 and needle in err
 
 
@@ -448,20 +448,12 @@ def test_any_json_document_exits_0_1_or_2(command, doc, on_valid):
     if on_valid and isinstance(doc, dict):
         doc = {**VALID[command], **doc}  # a valid config with some fields replaced
     with tempfile.TemporaryDirectory() as tmp:
-        check_contract(Path(tmp), command, doc)
+        check_contract(Path(tmp), [command], doc)
 
 
 class TestRowFormat:
     """Failure rows hold only inputs, nan and the status text, so their bytes do not depend on BLAS."""
 
-    def test_deteq_failure_row_and_stderr(self, tmp_path, capsys):
-        config = write_config(tmp_path, DETEQ)
-        out = tmp_path / "pred.csv"
-        assert main(["deteq", "--config", str(config), "--out", str(out)]) == 2
-        assert out.read_text().splitlines()[2] == "deteq,50,0.0,nan,nan,nan,0,0,nan,nan," + RANK_ERROR
-        assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
-
-    @pytest.mark.filterwarnings("error")
     def test_deteq_nonfinite_prediction_is_a_failed_row(self, tmp_path, capsys):
         doc = {"blocks": [[1.0, 1], [0.5, 1]], "alignment": [1e308, 1e308], "residual_energy": 1e308}
         doc |= {"lambda": 0.1, "n": 1}
@@ -481,21 +473,6 @@ class TestRowFormat:
         assert math.isfinite(float(row["prediction"]))
         assert capsys.readouterr().err == "1 row(s) failed; see status column\n"
 
-    def test_simulate_failure_row(self, tmp_path):
-        # lambda = 0 with rank 2 < n = 5: the prediction fails, and every fit
-        # fails its rank check because of the 1e-300 eigenvalue
-        doc = {
-            "kind": "gaussian_curve",
-            "spectrum": {"kind": "blocks", "blocks": [[1.0, 1], [1e-300, 1]]},
-            "target": {"kind": "energies", "values": [1.0, 0.0]},
-            "n_grid": [5],
-            "lambda": 0.0,
-            "reps": 2,
-        }
-        config = write_config(tmp_path, doc)
-        out = tmp_path / "curve.csv"
-        assert main(["simulate", "--config", str(config), "--out", str(out)]) == 2
-        assert out.read_text().splitlines()[1] == "gaussian_curve,5,0.0,nan,nan,nan,2,0,nan,nan," + RANK_ERROR
 
 
 BENCH = Path(__file__).resolve().parents[1] / "bench"
@@ -567,52 +544,6 @@ def test_benchmark_spans_fire(span_calls, workload):
     missing, calls = span_calls[workload]
     assert missing == []
     assert calls == SPAN_CALLS[workload]
-
-
-def test_negative_target_energy_is_one_error_line(tmp_path):
-    """A negative target energy is a config error before any square root, so numpy gives no warning."""
-    doc = {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1, 2]]}, "target": {"kind": "energies", "values": [-1]}}
-    code, err = check_contract(tmp_path, "simulate", doc)
-    assert code == 1
-    assert err.splitlines() == ["error: target values must be finite and >= 0"]
-
-
-HUGE = 10**400  # a JSON integer beyond the float range
-PROBE_50 = {**PROBE, "spectrum": {**POWER_LAW, "size": 50}, "n_grid": [10, 20]}
-ERROR_CONTRACT = {
-    # a probe replication fails: a non-finite functional, then zero predictions
-    "probe-tiny-lambda": ("probe-functionals", {**PROBE_50, "lambda": 1e-300}),
-    "probe-huge-lambda": ("probe-functionals", {**PROBE_50, "lambda": 1e308}),
-    "probe-tiny-eigenvalue": ("probe-functionals", {**PROBE_50, "spectrum": {"kind": "blocks", "blocks": [[1e-300, 50]]}, "lambda": 1.0}),
-    # finite replications whose squared deviations overflow
-    "simulate-huge-noise": ("simulate", {**SIMULATE, "noise_variance": 1e300, "reps": 3}),
-    "gcv-huge-noise": ("gcv-sweep", {**GCV, "noise_variance": 1e300, "reps": 3}),
-    "sphere-huge-noise": ("sphere", {**SPHERE, "lambda": 0.1, "noise_variance": 1e300, "reps": 3}),
-    "estimate-huge-noise": ("estimate", {**ESTIMATE, "noise_variance": 1e300, "reps": 3}),
-    # a number field that holds an integer too large for a float
-    "simulate-huge-lambda": ("simulate", {**SIMULATE, "lambda": HUGE}),
-    "sphere-huge-lambda": ("sphere", {**SPHERE, "lambda": HUGE}),
-    "probe-huge-int-lambda": ("probe-functionals", {**PROBE, "lambda": HUGE}),
-    "estimate-huge-lambda": ("estimate", {**ESTIMATE, "lambda": HUGE}),
-    "deteq-huge-lambda": ("deteq", {**DETEQ, "lambda": HUGE}),
-    "gcv-huge-lambda-grid": ("gcv-sweep", {**GCV, "lambda_grid": [0.1, HUGE]}),
-    "gcv-huge-noise-variance": ("gcv-sweep", {**GCV, "noise_variance": HUGE}),
-    "simulate-huge-exponent": ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": HUGE}}),
-    "simulate-huge-target": ("simulate", {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 30]]},
-                                          "target": {"kind": "energies", "values": [HUGE]}}),
-    "sphere-huge-gap": ("sphere", {**SPHERE, "gap": HUGE}),
-    "sphere-huge-energy": ("sphere", {**SPHERE, "energies": {"1": HUGE}}),
-    "deteq-huge-alignment": ("deteq", {**DETEQ, "alignment": [HUGE]}),
-    "deteq-huge-residual": ("deteq", {**DETEQ, "residual_energy": HUGE}),
-    # kernel coefficients whose squares overflow, with a finite prediction
-    "sphere-huge-coefficient": ("sphere", {**SPHERE, "d": 5, "levels": 3, "gap": 1e-100, "lambda": 0.1, "n_grid": [10]}),
-}
-
-
-@pytest.mark.parametrize("case", sorted(ERROR_CONTRACT))
-def test_error_contract(tmp_path, case):
-    """Each hand-picked extreme config keeps the CLI's error contract."""
-    check_contract(tmp_path, *ERROR_CONTRACT[case])
 
 
 def test_cli_import_leaves_out_scipy_special():

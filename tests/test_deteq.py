@@ -268,7 +268,6 @@ class TestDeterministicEquivalents:
                 bias_num = float(np.einsum("i,i->", al.energies, shrink * shrink))
                 assert de.bias == (bias_num + 0.125) / (1.0 - de.effective.upsilon2)
 
-    @pytest.mark.filterwarnings("error")
     def test_nonfinite_risk_raises(self):
         s = Spectrum.from_blocks([(1.0, 1), (0.5, 1)])
         al = Alignment(np.array([1e308, 1e308]), residual_energy=1e308)

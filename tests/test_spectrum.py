@@ -78,7 +78,6 @@ class TestSpectrumType:
             Spectrum.from_blocks([(1.0, 2**62), (0.5, 2**62 + 5)])
         assert Spectrum.from_blocks([(1.0, 2**62), (0.5, 2**62 - 1)]).total_rank == 2**63 - 1
 
-    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("blocks", [[(1e300, 10**12)], [(1e308, 1), (1e308, 1)]])
     def test_total_trace_overflow_rejected(self, blocks):
         with pytest.raises(SpectrumError, match="total trace"):
