@@ -9,6 +9,7 @@ Each module's ``__all__`` is the one list of its public names; the names of
 the modules imported below can all be imported from the package root.
 """
 
+from .config import *
 from .deteq import *
 from .estimation import *
 from .functionals import *

@@ -17,18 +17,9 @@ import json
 import os
 import sys
 
+from .config import ConfigError, ExperimentConfig, check_threads, deteq_settings
 from .deteq import deterministic_equivalents  # noqa: F401 (unused; bench/tracing.py patches it here)
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    _prediction_rows,
-    check_entries,
-    check_fields,
-    check_nonnegative,
-    check_seed,
-    emit_results,
-    run_experiment,
-)
+from .harness import _prediction_rows, emit_results, run_experiment
 from .spectrum import ModelSpec, model_from_json
 
 SUBCOMMAND_KIND = {
@@ -64,38 +55,21 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _threads_override(value) -> int | None:
-    """--threads, else KRRDETEQ_THREADS; None leaves the config's own threads (default 1)."""
+def _threads_override(value, default=None) -> int | None:
+    """--threads, else KRRDETEQ_THREADS, else ``default``; None leaves the config's own threads (default 1)."""
     env = os.environ.get("KRRDETEQ_THREADS") or None
     if value is not None or env is None:
-        return value
+        return default if value is None else value
     try:
         return int(env)
     except ValueError:
         raise ConfigError(f"KRRDETEQ_THREADS must be an integer, not {env!r}") from None
 
 
-DETEQ_FIELDS = (
-    "blocks", "alignment", "residual_energy", "noise_variance", "lambda", "n", "n_grid", "seed", "output_path"
-)
-
-
-def _deteq_rows(doc, seed: int | None):
-    """Check a model document and build its model; returns the call that makes
-    its closed-form rows, one per n with no replications, without the document."""
-    check_fields(doc, DETEQ_FIELDS, "deteq")
-    for key in ("blocks", "alignment"):
-        if key not in doc:
-            raise ConfigError(f"deteq config requires {key!r}")
-    if "n" not in doc and "n_grid" not in doc:
-        raise ConfigError("deteq config requires 'n' or 'n_grid'")
+def _deteq_rows(doc, n_grid, lam: float, seed: int):
+    """Build a checked model document's model; returns the call that makes its
+    closed-form rows, one per n with no replications, without the document."""
     spectrum, alignment, noise = model_from_json(doc)
-    lam = float(doc.get("lambda", 0.0))
-    check_nonnegative("lambda", lam)
-    n_grid = check_entries(doc.get("n_grid") or [doc.get("n")], int, "n_grid (or [n])")
-    if any(n < 1 for n in n_grid):
-        raise ConfigError("every n_grid entry (or n) must be >= 1")
-    seed = check_seed(doc.get("seed", 0) if seed is None else seed)
     model_at = functools.partial(ModelSpec, spectrum=spectrum, alignment=alignment, noise=noise)  # (n, lam)
     points = [(n, lam) for n in n_grid]
     return functools.partial(_prediction_rows, "deteq", 0, seed, points, model_at, [()] * len(points))
@@ -122,8 +96,10 @@ def main(argv=None) -> int:
         args = build_parser().parse_args(argv)
         with open(args.config) as handle, _gc_paused():
             doc = json.load(handle)
-            if args.command == "deteq":
-                rows, out = _deteq_rows(doc, args.seed), args.out or doc.get("output_path")
+            if args.command == "deteq":  # the whole document is checked, then the model built
+                settings = deteq_settings(doc, args.seed)
+                check_threads(_threads_override(args.threads, default=1))  # no workers: checked, then unused
+                rows, out = _deteq_rows(doc, *settings), args.out or doc.get("output_path")
             else:
                 config = ExperimentConfig.from_dict(doc, kind=SUBCOMMAND_KIND[args.command])
                 config = config.with_overrides(seed=args.seed, threads=_threads_override(args.threads))

@@ -21,7 +21,7 @@ import krrdeteq
 import krrdeteq.cli as cli
 from krrdeteq import harness, krr
 from krrdeteq.cli import main
-from krrdeteq.harness import FIELD_TYPES, KIND_FIELDS
+from krrdeteq.config import FIELD_TYPES, KIND_FIELDS
 
 SUBCOMMANDS = ("simulate", "sphere", "gcv-sweep", "probe-functionals", "estimate", "deteq")
 POWER_LAW = {"kind": "power_law", "exponent": 2.0, "size": 30}
@@ -102,6 +102,11 @@ CONTRACT = {
     "argv-threads-negative": (("simulate", "--threads", "-2"), SIMULATE, "threads must be >= 1"),
     "env-threads-0": (("KRRDETEQ_THREADS=0", "simulate"), SIMULATE, "threads must be >= 1"),
     "env-threads-abc": (("KRRDETEQ_THREADS=abc", "simulate"), SIMULATE, "KRRDETEQ_THREADS must be an integer"),
+    "simulate-threads-0": (("simulate",), {**SIMULATE, "threads": 0}, "threads"),
+    # deteq has no workers, yet its count keeps the same rule
+    "deteq-argv-threads-0": (("deteq", "--threads", "0"), DETEQ, "threads must be >= 1"),
+    "deteq-env-threads-0": (("KRRDETEQ_THREADS=0", "deteq"), DETEQ, "threads must be >= 1"),
+    "deteq-env-threads-abc": (("KRRDETEQ_THREADS=abc", "deteq"), DETEQ, "KRRDETEQ_THREADS must be an integer"),
     # a seed outside [0, 2**64) would name the stream of its residue mod 2**64
     "argv-seed-negative": (("simulate", "--seed", "-1"), SIMULATE, U64),
     "simulate-seed-past-u64": (("simulate",), {**SIMULATE, "seed": 2**64}, U64),
@@ -113,6 +118,57 @@ CONTRACT = {
         {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1, 2]]}, "target": {"kind": "energies", "values": [-1]}},
         "error: target values must be finite and >= 0\n",
     ),
+    # malformed documents
+    "simulate-not-object": (("simulate",), [1, 2], "JSON object"),
+    "deteq-not-object": (("deteq",), [1, 2], "JSON object"),
+    "simulate-reps-string": (("simulate",), {**SIMULATE, "reps": "3"}, "'reps'"),
+    "simulate-negative-lambda": (("simulate",), {**SIMULATE, "lambda": -0.1}, "lambda"),
+    "simulate-inf-lambda": (("simulate",), {**SIMULATE, "lambda": math.inf}, "lambda"),
+    "simulate-nan-lambda": (("simulate",), {**SIMULATE, "lambda": math.nan}, "lambda"),
+    "gcv-negative-lambda-grid": (("gcv-sweep",), {**GCV, "lambda_grid": [-0.1, 1.0]}, "lambda_grid"),
+    "simulate-gap-field": (("simulate",), {**SIMULATE, "gap": 8.0}, "'gap'"),
+    "simulate-holdout-field": (("simulate",), {**SIMULATE, "holdout": 100}, "'holdout'"),
+    "simulate-n-grid-0": (("simulate",), {**SIMULATE, "n_grid": [0, 10]}, "n_grid"),
+    "probe-n-grid-0": (("probe-functionals",), {**PROBE, "n_grid": [0, 10]}, "n_grid"),
+    "estimate-truncation-past-holdout": (("estimate",), {**ESTIMATE, "truncation": 500, "holdout": 20}, "truncation"),
+    "estimate-truncation-0": (("estimate",), {**ESTIMATE, "truncation": 0}, "truncation"),
+    # an 800 TB request fails at once, before any memory is touched
+    "simulate-huge-size": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "size": 10**14}}, "error: Unable to allocate"),
+    # sub-documents reject keys their kind does not read, as top-level configs do
+    "simulate-spectrum-typo-field": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "typo_field": 3}}, "'typo_field'"),
+    "simulate-blocks-spectrum-size": (
+        ("simulate",), {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 3]], "size": 3}}, "'size'"
+    ),
+    "simulate-target-bogus-field": (("simulate",), {**SIMULATE, "target": {"kind": "random_unit", "bogus": 1}}, "'bogus'"),
+    "simulate-target-exponent-field": (
+        ("simulate",), {**SIMULATE, "target": {"kind": "energies", "values": [1.0], "exponent": 1}}, "'exponent'"
+    ),
+    "simulate-boolean-exponent": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": True}}, "'exponent'"),
+    "simulate-spectrum-kind-list": (("simulate",), {**SIMULATE, "spectrum": {"kind": ["power_law"]}}, "spectrum kind"),
+    "sphere-energies-word-key": (("sphere",), {**SPHERE, "energies": {"one": 1.0}}, "energies"),
+    "sphere-energies-fraction-key": (("sphere",), {**SPHERE, "energies": {"1.5": 1.0}}, "energies"),
+    "sphere-energies-duplicate-key": (("sphere",), {**SPHERE, "energies": {"1": 1.0, "01": 0.5}}, "energies"),
+    # JSON booleans are not numbers, in block lists either
+    "simulate-boolean-multiplicity": (
+        ("simulate",), {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, True]]}}, "booleans"
+    ),
+    "deteq-boolean-multiplicity": (("deteq",), {**DETEQ, "blocks": [[1.0, True]]}, "booleans"),
+    "deteq-boolean-eigenvalue": (("deteq",), {**DETEQ, "blocks": [[True, 30]]}, "booleans"),
+    "deteq-boolean-alignment": (("deteq",), {**DETEQ, "alignment": [True]}, "booleans"),
+    # the deteq model document
+    "deteq-no-alignment": (("deteq",), without(DETEQ, "alignment"), "'alignment'"),
+    "deteq-no-blocks": (("deteq",), without(DETEQ, "blocks"), "'blocks'"),
+    "deteq-no-n": (("deteq",), without(DETEQ, "n_grid"), "'n'"),
+    "deteq-negative-lambda": (("deteq",), {**DETEQ, "lambda": -1}, "lambda"),
+    "deteq-fractional-multiplicity": (("deteq",), {**DETEQ, "blocks": [[1.0, 2.7]]}, "multiplicities must be integers"),
+    "deteq-n-grid-0": (("deteq",), {**DETEQ, "n_grid": [0, 10]}, "n_grid"),
+    "deteq-negative-n": (("deteq",), {**without(DETEQ, "n_grid"), "n": -3}, "n_grid"),
+    "deteq-rank-past-2-63": (
+        ("deteq",), {**DETEQ, "blocks": [[1.0, 2**62], [0.5, 2**62 + 5]], "alignment": [1.0, 1.0]}, "2**63"
+    ),
+    # n_grid wins over n, even when it is empty
+    "deteq-empty-n-grid": (("deteq",), {**DETEQ, "n_grid": []}, "n_grid must be nonempty"),
+    "deteq-empty-n-grid-with-n": (("deteq",), {**DETEQ, "n": 5, "n_grid": []}, "n_grid must be nonempty"),
     # extreme values, which keep the contract whatever the exit code. A probe replication
     # fails: a non-finite functional, then zero predictions
     "probe-tiny-lambda": (("probe-functionals",), {**PROBE_50, "lambda": 1e-300}, None),
@@ -365,56 +421,6 @@ class TestExperimentCommands:
         assert seen == [expected]
 
 
-class TestConfigValidation:
-    @pytest.mark.parametrize(
-        "command,doc,needle",
-        [
-            ("simulate", [1, 2], "JSON object"),
-            ("deteq", [1, 2], "JSON object"),
-            ("simulate", {**SIMULATE, "reps": "3"}, "'reps'"),
-            ("simulate", {**SIMULATE, "lambda": -0.1}, "lambda"),
-            ("simulate", {**SIMULATE, "lambda": math.inf}, "lambda"),
-            ("simulate", {**SIMULATE, "lambda": math.nan}, "lambda"),
-            ("gcv-sweep", {**GCV, "lambda_grid": [-0.1, 1.0]}, "lambda_grid"),
-            ("simulate", {**SIMULATE, "gap": 8.0}, "'gap'"),
-            ("simulate", {**SIMULATE, "holdout": 100}, "'holdout'"),
-            ("deteq", without(DETEQ, "alignment"), "'alignment'"),
-            ("deteq", without(DETEQ, "blocks"), "'blocks'"),
-            ("deteq", without(DETEQ, "n_grid"), "'n'"),
-            ("deteq", {**DETEQ, "lambda": -1}, "lambda"),
-            ("deteq", {**DETEQ, "blocks": [[1.0, 2.7]]}, "multiplicities must be integers"),
-            ("simulate", {**SIMULATE, "threads": 0}, "threads"),
-            ("simulate", {**SIMULATE, "n_grid": [0, 10]}, "n_grid"),
-            ("probe-functionals", {**PROBE, "n_grid": [0, 10]}, "n_grid"),
-            ("deteq", {**DETEQ, "n_grid": [0, 10]}, "n_grid"),
-            ("deteq", {**without(DETEQ, "n_grid"), "n": -3}, "n_grid"),
-            ("deteq", {**DETEQ, "blocks": [[1.0, 2**62], [0.5, 2**62 + 5]], "alignment": [1.0, 1.0]}, "2**63"),
-            # an 800 TB request fails at once, before any memory is touched
-            ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "size": 10**14}}, "error: Unable to allocate"),
-            # JSON booleans are not numbers, in block lists either
-            ("deteq", {**DETEQ, "blocks": [[1.0, True]]}, "booleans"),
-            ("deteq", {**DETEQ, "blocks": [[True, 30]]}, "booleans"),
-            ("deteq", {**DETEQ, "alignment": [True]}, "booleans"),
-            ("simulate", {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, True]]}}, "booleans"),
-            # sub-documents reject keys their kind does not read, as top-level configs do
-            ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "typo_field": 3}}, "'typo_field'"),
-            ("simulate", {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 3]], "size": 3}}, "'size'"),
-            ("simulate", {**SIMULATE, "target": {"kind": "random_unit", "bogus": 1}}, "'bogus'"),
-            ("simulate", {**SIMULATE, "target": {"kind": "energies", "values": [1.0], "exponent": 1}}, "'exponent'"),
-            ("simulate", {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": True}}, "'exponent'"),
-            ("simulate", {**SIMULATE, "spectrum": {"kind": ["power_law"]}}, "spectrum kind"),
-            ("sphere", {**SPHERE, "energies": {"one": 1.0}}, "energies"),
-            ("sphere", {**SPHERE, "energies": {"1.5": 1.0}}, "energies"),
-            ("sphere", {**SPHERE, "energies": {"1": 1.0, "01": 0.5}}, "energies"),
-            ("estimate", {**ESTIMATE, "truncation": 500, "holdout": 20}, "truncation"),
-            ("estimate", {**ESTIMATE, "truncation": 0}, "truncation"),
-        ],
-    )
-    def test_one_line_error_and_exit_1(self, tmp_path, command, doc, needle):
-        code, err = check_contract(tmp_path, [command], doc)
-        assert code == 1 and needle in err
-
-
 # Any JSON value, built mostly from config field names and kind names so that
 # documents reach the field checks; every size is at most 50.
 _WORDS = sorted(KIND_FIELDS) + ["power_law", "blocks", "random_unit", "energies", "identity", "rank_one"]
@@ -544,6 +550,26 @@ def test_benchmark_spans_fire(span_calls, workload):
     missing, calls = span_calls[workload]
     assert missing == []
     assert calls == SPAN_CALLS[workload]
+
+
+def test_config_module_loads_without_numpy():
+    """``krrdeteq/config.py`` imports only the standard library: loaded by path, with no package
+    ``__init__`` to run, it checks a document of each kind while numpy and scipy stay unloaded."""
+    script = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("krrdeteq_config", sys.argv[1])
+config = sys.modules[spec.name] = importlib.util.module_from_spec(spec)  # dataclass looks its module up there
+spec.loader.exec_module(config)
+for command, doc in json.loads(sys.argv[2]):
+    config.deteq_settings(doc) if command == "deteq" else config.ExperimentConfig.from_dict(doc)
+print(sorted({"numpy", "scipy"} & set(sys.modules)))
+"""
+    path = str(Path(krrdeteq.__file__).resolve().parent / "config.py")
+    proc = subprocess.run(
+        [sys.executable, "-c", script, path, json.dumps(list(VALID.items()))], capture_output=True, text=True, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_leaves_out_scipy_special():

@@ -13,7 +13,7 @@ import krrdeteq
 
 MODULES = sorted(info.name for info in pkgutil.iter_modules(krrdeteq.__path__))
 # the modules whose ``__all__`` the package root star-imports
-ROOT_MODULES = ("deteq", "estimation", "functionals", "harness", "krr", "spectrum", "sphere")
+ROOT_MODULES = ("config", "deteq", "estimation", "functionals", "harness", "krr", "spectrum", "sphere")
 README = Path(__file__).resolve().parents[1] / "README.md"
 SRC = Path(krrdeteq.__file__).resolve().parent
 

@@ -4,15 +4,8 @@ import numpy as np
 import pytest
 
 from krrdeteq import krr
-from krrdeteq.harness import (
-    CURVE_COLUMNS,
-    ConfigError,
-    ExperimentConfig,
-    ExperimentResult,
-    _prediction_rows,
-    emit_results,
-    run_experiment,
-)
+from krrdeteq.config import ConfigError, ExperimentConfig
+from krrdeteq.harness import CURVE_COLUMNS, ExperimentResult, _prediction_rows, emit_results, run_experiment
 from krrdeteq.seeds import derive_rng, derive_seed, replicate
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
 
@@ -213,6 +206,15 @@ class TestSphereCurve:
                     {"kind": "sphere_curve", "n_grid": [4], "reps": 1, "seed": 0}
                 )
             )
+
+    def test_empty_energies_is_a_zero_target(self):
+        """Only absent or null energies mean the default k**-2 levels; an empty mapping is no energy at all."""
+        doc = {"kind": "sphere_curve", "d": 10, "gap": 8.0, "levels": 2, "noise_variance": 0.1, "n_grid": [8, 16],
+               "lambda": 0.1, "reps": 2, "seed": 3}
+        empty, zero, default = (run_experiment(ExperimentConfig.from_dict({**doc, "energies": energies})).rows
+                                for energies in ({}, {"1": 0.0}, None))
+        assert all(row["status"] == "ok" for row in empty)
+        assert empty == zero != default
 
 
 GCV_DOC = {
