@@ -130,24 +130,42 @@ def _full_rank(mu: np.ndarray) -> bool:
     return mu[-1] > 0 and mu[0] > RANK_TOL * mu[-1]
 
 
-def _shifted_factor(gram: GramMatrix, lam: float):
-    """Cholesky factor of K + lam I; KrrError when that matrix overflows or is not positive definite."""
+def _shifted(gram: GramMatrix, lam: float) -> np.ndarray:
+    """A fresh K + lam I; KrrError when it overflows."""
     # lam changes only the diagonal, so its largest entry decides overflow
     if not math.isfinite(float(gram.entries.diagonal().max()) + lam):
         raise KrrError("shifted Gram matrix K + lam I overflows")
+    shifted = gram.entries.copy()
+    shifted.flat[:: gram.n + 1] += lam
+    return shifted
+
+
+def _factor(shifted: np.ndarray):
+    """Lower Cholesky factor of a K + lam I from ``_shifted``, written over it; KrrError unless positive definite.
+
+    The transpose is Fortran-ordered, so LAPACK factors the buffer in place, and it
+    is the same matrix: GramMatrix entries are exactly symmetric.  Its entries are
+    finite (GramMatrix checks them, ``_shifted`` the diagonal), so no finite scan.
+    """
     try:
-        return cho_factor(gram.entries + lam * np.eye(gram.n), lower=True)
+        return cho_factor(shifted.T, lower=True, overwrite_a=True, check_finite=False)
     except np.linalg.LinAlgError as exc:
         raise KrrError(f"shifted Gram matrix is not positive definite: {exc}") from exc
 
 
-def _dual(gram: GramMatrix, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Checked labels y and alpha = (K + lam I)^-1 y: Cholesky at lam > 0, the eigenbasis at lam = 0."""
+def _checked(gram: GramMatrix, y, lam: float) -> np.ndarray:
+    """Labels as ``_labels`` checks them; KrrError unless lam is finite and nonnegative."""
     y = _labels(y, gram.n)
     if lam < 0 or not math.isfinite(lam):
         raise KrrError("lambda must be finite and nonnegative")
+    return y
+
+
+def _dual(gram: GramMatrix, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Checked labels y and alpha = (K + lam I)^-1 y: Cholesky at lam > 0, the eigenbasis at lam = 0."""
+    y = _checked(gram, y, lam)
     if lam > 0:
-        return y, cho_solve(_shifted_factor(gram, lam), y)
+        return y, cho_solve(_factor(_shifted(gram, lam)), y, check_finite=False)
     mu, v = gram.eigendecomposition()
     if not _full_rank(mu):
         raise KrrError("interpolation ill-posed: Gram matrix is rank deficient")
@@ -186,7 +204,7 @@ def _tri_inverse_into(low: np.ndarray, out: np.ndarray) -> float:
     """
     n = low.shape[0]
     if n <= TRACE_LEAF:
-        w = solve_triangular(low, np.eye(n), lower=True)
+        w = solve_triangular(low, np.eye(n), lower=True, check_finite=False)
         out[...] = w
         return float((w * w).sum())
     k = n // 2
@@ -196,15 +214,16 @@ def _tri_inverse_into(low: np.ndarray, out: np.ndarray) -> float:
     return sumsq + float((w21 * w21).sum())
 
 
-def _inv_trace(gram: GramMatrix, lam: float) -> float:
-    """Tr((K + lam)^-1): the sum of the cached 1/eigenvalues at lam = 0, else ||L^-1||_F^2
-    for the Cholesky factor L of K + lam I, inverted block-wise by ``_tri_inverse_into``."""
-    if lam == 0:
-        return float(np.sum(1.0 / gram.eigendecomposition()[0]))
-    n = gram.n
-    # a second factorization beside _dual's cho_factor, kept while bench/workloads.py declares its span (ROADMAP item 1)
-    low = np.linalg.cholesky(gram.entries + lam * np.eye(n))
-    return _tri_inverse_into(low, np.zeros((n, n)))
+def _inv_trace(shifted: np.ndarray) -> float:
+    """Tr(shifted^-1) = ||L^-1||_F^2 for numpy's Cholesky factor L of a K + lam I from ``_shifted``,
+    inverted block-wise by ``_tri_inverse_into``; KrrError unless positive definite."""
+    # a second factorization beside gcv's cho_factor, kept while bench/workloads.py declares its span (ROADMAP item 1)
+    try:
+        low = np.linalg.cholesky(shifted)
+    except np.linalg.LinAlgError:
+        _factor(shifted)  # raises the KrrError fit_krr reports for the same matrix
+        raise
+    return _tri_inverse_into(low, np.zeros_like(low))
 
 
 def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
@@ -215,9 +234,15 @@ def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
     KrrError when the score, alpha or the trace is not a finite float.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        _, alpha = _dual(gram, y, lam)
+        if lam > 0:
+            y, shifted = _checked(gram, y, lam), _shifted(gram, lam)
+            inv_trace = _inv_trace(shifted)  # before cho_factor overwrites the one copy
+            alpha = cho_solve(_factor(shifted), y, check_finite=False)
+        else:
+            _, alpha = _dual(gram, y, lam)
+            inv_trace = float(np.sum(1.0 / gram.eigendecomposition()[0]))
         try:
-            score = gram.n * float(alpha @ alpha) / _inv_trace(gram, lam) ** 2
+            score = gram.n * float(alpha @ alpha) / inv_trace**2
         except (OverflowError, ZeroDivisionError):  # the squared trace left the float range
             score = math.nan
     if not math.isfinite(score):

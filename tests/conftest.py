@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
-from krrdeteq.spectrum import Spectrum
+from krrdeteq.spectrum import Spectrum, trace_resolvents
 
 
 def random_spectrum(rng, max_blocks=50, lo=1e-6, hi=1.0):
@@ -34,6 +34,26 @@ def isotropic_effective_reg(xi, p, n, lam):
         # lam = 0 collapses the quadratic to n*ls + (n-p)*xi = 0
         root = (p - n) * xi / n
     return root
+
+
+def monotone_newton(spectrum, n, lam):
+    """The fixed point by plain monotone Newton, the solver's slow path: (root, residual, evaluations).
+
+    From the solver's start, each step s *= 1 - g / (s g'(s)) rises to the root of
+    the concave defect without overshooting, until |g| <= 1e-14 * n or s stops moving.
+    """
+    tol = 1e-12 * n
+    nxt = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
+    for evaluations in range(1, 501):
+        ls = nxt
+        t1, _, slope = trace_resolvents(spectrum, ls)
+        residual = n - lam / ls - t1
+        if abs(residual) <= 0.01 * tol:
+            break
+        nxt = ls * (1.0 - residual / (lam / ls + slope))
+        if nxt == ls or not nxt > 0:
+            break
+    return ls, residual, evaluations
 
 
 def gegenbauer(basis, k, t):

@@ -495,19 +495,19 @@ SPAN_CALLS = {
         "cli.main": 1, "deteq.deterministic_equivalents": 2, "deteq.solve_effective_reg": 2,
         "functionals.sample_gaussian_features": 1, "harness.emit_results": 1, "harness.run_experiment": 1,
         "krr.GramMatrix": 1, "krr.gcv": 2, "lapack.cho_factor": 2, "lapack.cho_solve": 2, "lapack.cholesky": 2,
-        "lapack.solve_triangular": 2, "spectrum.nu_diagnostic": 2, "spectrum.trace_resolvents": 14,
+        "lapack.solve_triangular": 2, "spectrum.nu_diagnostic": 2, "spectrum.trace_resolvents": 9,
     },
     "probe-identity": {
         "cli.main": 1, "deteq.solve_effective_reg": 2, "functionals.convergence_probe": 1,
         "functionals.deterministic_functionals": 2, "functionals.empirical_functionals": 2,
         "functionals.sample_gaussian_features": 2, "harness.emit_results": 1, "harness.run_experiment": 1,
-        "lapack.cho_factor": 2, "lapack.cho_solve": 2, "spectrum.trace_resolvents": 14,
+        "lapack.cho_factor": 2, "lapack.cho_solve": 2, "spectrum.trace_resolvents": 8,
     },
     "sphere-curve": {
         "cli.main": 1, "deteq.deterministic_equivalents": 1, "deteq.solve_effective_reg": 1,
         "harness.emit_results": 1, "harness.run_experiment": 1, "krr.GramMatrix": 1,
         "krr.GramMatrix.eigendecomposition": 1, "krr.fit_krr": 1, "lapack.eigh": 1, "spectrum.nu_diagnostic": 1,
-        "spectrum.trace_resolvents": 10, "sphere.SphereKernel.gram": 1, "sphere.exact_sphere_risk": 1,
+        "spectrum.trace_resolvents": 9, "sphere.SphereKernel.gram": 1, "sphere.exact_sphere_risk": 1,
         "sphere.sample_sphere": 1,
     },
 }

@@ -261,7 +261,7 @@ class TestStieltjes:
                 shifted = gram.entries + lam * np.eye(n)
                 linv = solve_triangular(np.linalg.cholesky(shifted), np.eye(n), lower=True)
                 full = float((linv * linv).sum())
-                trace = _inv_trace(gram, lam)
+                trace = _inv_trace(shifted)
                 if n <= TRACE_LEAF:
                     assert trace == full
                 assert trace == pytest.approx(full, rel=1e-13, abs=0)
