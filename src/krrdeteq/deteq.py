@@ -138,6 +138,14 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     )
 
 
+def _risk_denominator(eff: EffectiveReg) -> float:
+    """1 - Upsilon2, the denominator of the risk and of psi3 and psi4; FixedPointError at or below DENOM_FLOOR."""
+    denom = 1.0 - eff.upsilon2
+    if denom <= DENOM_FLOOR:
+        raise FixedPointError(f"degenerate denominator 1 - Upsilon2 = {denom:.3e}")
+    return denom
+
+
 def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     """Closed-form test/train risk predictions for one model instance.
 
@@ -145,12 +153,10 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     variance = sigma^2 * U2 / (1 - U2)
     risk = bias + variance + sigma^2
     train = (lam * stieltjes)^2 * risk,   stieltjes = 1/(n*ls).
-    A risk that is not finite raises SpectrumError.
+    1 - U2 <= DENOM_FLOOR raises FixedPointError; a risk that is not finite raises SpectrumError.
     """
     eff = solve_effective_reg(spec.spectrum, spec.n, spec.lam)
-    denom = 1.0 - eff.upsilon2
-    if denom <= DENOM_FLOOR:
-        raise FixedPointError(f"degenerate denominator 1 - Upsilon2 = {denom:.3e}")
+    denom = _risk_denominator(eff)
     ls = eff.lambda_star
     sigma2 = spec.noise.variance
     shrink = spec.spectrum.values + ls

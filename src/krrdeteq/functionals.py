@@ -17,7 +17,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
-from .deteq import solve_effective_reg
+from .deteq import _risk_denominator, solve_effective_reg
 from .seeds import replicate
 from .spectrum import Spectrum, SpectrumError
 
@@ -227,10 +227,11 @@ def deterministic_functionals(
     psi3 = Tr(A S^2 (mu S + lam)^-2) / (1 - U2)  psi4 = Tr(A S^2 (S + ls)^-2) / (n^2 (1 - U2))
     As mu S + lam = mu (S + ls), A = I gives psi1 = n U1 / mu, psi3 = n U2 / (mu^2 (1 - U2)), psi4 = U2 / (n (1 - U2));
     a RiskMatrix multiplies and squares ratios, finite where S^2 underflows; a dense A keeps the S^2 sums, as their oracle.
+    1 - U2 at or below the risk's floor raises FixedPointError, as in deteq.deterministic_equivalents.
     """
     eff = solve_effective_reg(spectrum, n, lam)
     ls, mu = eff.lambda_star, np.float64(eff.mu_star)  # mu = 0 gives inf and the SpectrumError below
-    denom = 1.0 - eff.upsilon2
+    denom = _risk_denominator(eff)
     psi2 = eff.upsilon1
     a = _check_test_matrix(a, spectrum.total_rank)
     if isinstance(a, IdentityMatrix):

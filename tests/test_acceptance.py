@@ -11,6 +11,7 @@ import time
 import numpy as np
 import pytest
 
+from krrdeteq.config import ExperimentConfig
 from krrdeteq.deteq import deterministic_equivalents, solve_effective_reg
 from krrdeteq.estimation import decomposition_to_model, estimate_spectrum
 from krrdeteq.functionals import (
@@ -19,7 +20,7 @@ from krrdeteq.functionals import (
     deterministic_functionals,
     sample_gaussian_features,
 )
-from krrdeteq.harness import ExperimentConfig, run_experiment
+from krrdeteq.harness import run_experiment
 from krrdeteq.krr import GramMatrix, fit_krr, linear_sweep
 from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
 from krrdeteq.seeds import derive_rng

@@ -14,7 +14,7 @@ from krrdeteq.deteq import (
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, tail_rank, trace_resolvents
 
 from conftest import isotropic_effective_reg, monotone_newton, random_spectrum
-from exact import fixed_point
+from exact import closed_forms, fixed_point
 
 
 def counted_solves(monkeypatch):
@@ -49,6 +49,44 @@ def brentq_root(spectrum, n, lam):
     lo = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
     hi = 2 * (lam + spectrum.trace) / n  # defect(hi) >= n/2 - T1(hi) >= 0
     return brentq(defect, lo, hi, xtol=5e-324, rtol=8.9e-16, maxiter=2000)
+
+
+def random_cases(ridgeless):
+    """60 random (spectrum, n, lam) from the ``rng`` fixture's seed; ``ridgeless`` draws lam = 0 a fifth of the time."""
+    rng = np.random.default_rng(20240911)
+    for _ in range(60):
+        s, n = random_spectrum(rng), int(rng.integers(1, 500))
+        lam = 0.0 if ridgeless and rng.uniform() >= 0.8 else float(rng.uniform(0.0, 10.0))
+        yield s, n, 1e-3 if lam == 0.0 and s.total_rank <= n else lam
+
+
+# The fixed-point case table, one family per check below; every case is solved once, by check_oracles.
+# power law: at subnormal lam the step relative to s must stay finite
+POWER_LAWS = (Spectrum.power_law(1.5, 3000), Spectrum.power_law(2.0, 3000))
+# xi = 1e-200 next to s ~ 1e-300: (xi + s)^2 underflows to 0 in the slope; the root is 4 at n = 10
+TINY_BLOCK = Spectrum.from_blocks([(1.0, 50), (1e-200, 5)])
+# log-uniform eigenvalues 2^-j: plain Newton multiplies s by only (1 + remaining log-distance)
+# per step; the last range spans every positive double, the longest climb (about 250 steps)
+GEOMETRIC = [
+    Spectrum.from_blocks([(2.0**-j, 1) for j in r]) for r in (range(1, 301), range(1, 501), range(-1000, 1075))
+]
+
+
+def check_oracles(family, cases, monkeypatch):
+    """Solve each (spectrum, n, lam) once against every oracle: certificate, bracket, Upsilons, brentq, and
+    plain monotone Newton, which also certifies and takes at least half the solver's resolvent evaluations."""
+    solve = counted_solves(monkeypatch)
+    for s, n, lam in cases:
+        case = (family, n, lam)
+        eff, evals = solve(s, n, lam)
+        root, residual, oracle_evals = monotone_newton(s, n, lam)
+        assert max(abs(certificate(s, n, lam, eff)), abs(eff.residual), abs(residual)) <= 1e-12 * n, case
+        assert lam / n <= eff.lambda_star <= (lam + s.trace) / n * (1 + 1e-12), case
+        assert 0.0 <= eff.upsilon2 <= eff.upsilon1 <= 1.0 + 1e-12, case
+        assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10), case
+        assert eff.lambda_star == pytest.approx(root, rel=1e-12), case
+        assert evals <= 2 * oracle_evals, (*case, evals, oracle_evals)
+        assert family != "tiny_block" or eff.lambda_star == pytest.approx(4.0, rel=1e-10), case
 
 
 def truncated_solve(s, m, n, lam):
@@ -97,58 +135,26 @@ class TestFixedPoint:
                 isotropic_effective_reg(xi, p, n, lam), rel=1e-10
             )
 
-    def test_certificate_and_bracket_random(self, rng):
-        for _ in range(60):
-            s = random_spectrum(rng)
-            n = int(rng.integers(1, 500))
-            lam = float(rng.uniform(0.0, 10.0))
-            if lam == 0.0 and s.total_rank <= n:
-                lam = 1e-3
-            eff = solve_effective_reg(s, n, lam)
-            assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
-            assert lam / n <= eff.lambda_star <= (lam + s.trace) / n * (1 + 1e-12)
-            assert 0.0 <= eff.upsilon2 <= eff.upsilon1 <= 1.0 + 1e-12
+    # one test per family of the case table; each applies every oracle through check_oracles
+    def test_certificate_and_bracket_random(self, monkeypatch):
+        check_oracles("random", random_cases(False), monkeypatch)
 
-    def test_brentq_oracle_random(self, rng):
-        for _ in range(60):
-            s = random_spectrum(rng)
-            n = int(rng.integers(1, 500))
-            lam = float(rng.uniform(0.0, 10.0)) if rng.uniform() < 0.8 else 0.0
-            if lam == 0.0 and s.total_rank <= n:
-                lam = 1e-3
-            eff = solve_effective_reg(s, n, lam)
-            assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10)
+    def test_brentq_oracle_random(self, monkeypatch):
+        check_oracles("random", random_cases(True), monkeypatch)
 
-    @pytest.mark.parametrize("lam", [0.0, 1e-300, 1e-310, 5e-324, 1e300])
+    @pytest.mark.parametrize("lam", [0.0, 5e-324, 1e-310, 1e-300, 1e-9, 1e-3, 1.0, 1e3, 1e300])
     @pytest.mark.parametrize("n", [1, 10, 100, 1000])
-    def test_brentq_oracle_power_law_extreme_lambda(self, n, lam):
-        # subnormal lam: the step relative to s must stay finite
-        s = Spectrum.power_law(1.5, 3000)
-        eff = solve_effective_reg(s, n, lam)
-        assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10)
-        assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
-        assert abs(eff.residual) <= 1e-12 * n
+    def test_brentq_oracle_power_law_extreme_lambda(self, n, lam, monkeypatch):
+        check_oracles("power_law", [(s, n, lam) for s in POWER_LAWS], monkeypatch)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-300])
-    def test_brentq_oracle_tiny_eigenvalue_block(self, lam):
-        # xi = 1e-200 next to s ~ 1e-300: (xi + s)^2 underflows to 0 in the slope
-        s = Spectrum.from_blocks([(1.0, 50), (1e-200, 5)])
-        eff = solve_effective_reg(s, 10, lam)
-        assert eff.lambda_star == pytest.approx(brentq_root(s, 10, lam), rel=1e-10)
-        assert eff.lambda_star == pytest.approx(4.0, rel=1e-10)
-        assert abs(eff.residual) <= 1e-12 * 10
+    def test_brentq_oracle_tiny_eigenvalue_block(self, lam, monkeypatch):
+        check_oracles("tiny_block", [(TINY_BLOCK, 10, lam)], monkeypatch)
 
     @pytest.mark.parametrize("lam", [0.0, 1e-100, 1e-300, 5e-324])
-    @pytest.mark.parametrize("blocks", [range(1, 301), range(1, 501), range(-1000, 1075)])
-    def test_brentq_oracle_geometric_spectrum(self, blocks, lam):
-        # log-uniform eigenvalues 2^-j: the climb from the start multiplies s by
-        # only (1 + remaining log-distance) per step; the last range spans every
-        # positive double and is the longest climb (about 250 steps)
-        s = Spectrum.from_blocks([(2.0**-j, 1) for j in blocks])
-        for n in (10, 100):
-            eff = solve_effective_reg(s, n, lam)
-            assert eff.lambda_star == pytest.approx(brentq_root(s, n, lam), rel=1e-10)
-            assert abs(certificate(s, n, lam, eff)) <= 1e-12 * n
+    @pytest.mark.parametrize("blocks", GEOMETRIC)
+    def test_brentq_oracle_geometric_spectrum(self, blocks, lam, monkeypatch):
+        check_oracles("geometric", [(blocks, n, lam) for n in (10, 100)], monkeypatch)
 
     def test_subnormal_lambda_root_at_or_below_smallest_float(self):
         # rank 3: the root 5e-324/(n - 3) is the smallest float at n = 4 and below it at n = 10
@@ -157,79 +163,50 @@ class TestFixedPoint:
         with pytest.raises(FixedPointError, match="did not converge"):
             solve_effective_reg(s, 10, 5e-324)
 
-    def test_resolvent_evaluations_per_solve(self, monkeypatch):
-        calls = []
-
-        def counted(spectrum, s):
-            calls.append(s)
-            return trace_resolvents(spectrum, s)
-
-        monkeypatch.setattr(deteq, "trace_resolvents", counted)
-        s = Spectrum.power_law(2.0, 20_000)
-        per_solve = []
-        for n in sorted({int(round(v)) for v in np.geomspace(10, 1e4, 16)}):
-            calls.clear()
-            solve_effective_reg(s, n, 1e-3)
-            per_solve.append(len(calls))
-        assert np.mean(per_solve) <= 12
-        assert max(per_solve) <= 30
-
     def test_log_step_evaluations_per_solve(self, monkeypatch):
-        # the grid above; plain monotone Newton takes 9.0 evaluations on average and 12 at most there
+        # a 20 000-block power law at 16 n; plain monotone Newton takes 9.0 evaluations on average and 12 at most there
         solve = counted_solves(monkeypatch)
         s = Spectrum.power_law(2.0, 20_000)
         per_solve = [solve(s, n, 1e-3)[1] for n in sorted({int(round(v)) for v in np.geomspace(10, 1e4, 16)})]
         assert np.mean(per_solve) <= 6
         assert max(per_solve) <= 8
 
-    def test_monotone_newton_oracle(self, rng, monkeypatch):
-        """Against plain monotone Newton: both certify, the roots agree to 1e-12 relative, and the
-        solver spends at most twice the oracle's resolvent evaluations on every case."""
-        solve = counted_solves(monkeypatch)
-        cases = []
-        for _ in range(60):
-            s, n = random_spectrum(rng), int(rng.integers(1, 500))
-            lam = float(rng.uniform(0.0, 10.0)) if rng.uniform() < 0.8 else 0.0
-            cases.append((s, n, 1e-3 if lam == 0.0 and s.total_rank <= n else lam))
-        for exponent in (1.5, 2.0):
-            s = Spectrum.power_law(exponent, 3000)
-            cases += [(s, n, lam) for n in (1, 10, 100, 1000) for lam in (0.0, 1e-300, 1e-9, 1e-3, 1.0, 1e3)]
-        for blocks in (range(1, 301), range(1, 501), range(-1000, 1075)):
-            s = Spectrum.from_blocks([(2.0**-j, 1) for j in blocks])
-            cases += [(s, n, lam) for n in (10, 100) for lam in (0.0, 1e-100, 1e-300, 5e-324)]
-        for s, n, lam in cases:
-            root, residual, oracle_evals = monotone_newton(s, n, lam)
-            eff, evals = solve(s, n, lam)
-            assert abs(residual) <= 1e-12 * n and abs(eff.residual) <= 1e-12 * n
-            assert eff.lambda_star == pytest.approx(root, rel=1e-12)
-            assert evals <= 2 * oracle_evals, (n, lam, evals, oracle_evals)
-
     def test_exact_oracle_random_spectra(self, rng):
-        """Against the 80-digit ``decimal`` fixed point on 30 random spectra spanning ten decades.
+        """deterministic_equivalents against the 80-digit ``decimal`` oracle on 30 random spectra spanning ten decades.
 
-        lambda_star is within 2e-12 * n / (s g'(s)) relative: the certificate |g| <= 1e-12 * n
+        lambda_star is within b = 2e-12 * n / (s g'(s)) relative: the certificate |g| <= 1e-12 * n
         moves a root of the concave defect by at most |g| / g', and the factor 2 covers the
-        rounding of g itself.  Upsilon_1 and Upsilon_2 are within 1e-13 relative.
+        rounding of g itself.  Upsilon_1 and Upsilon_2 are within 1e-13 relative.  Stieltjes
+        1/(n s) is within b.  1 - Upsilon_2 then moves by 1e-13 c relative, c = 1/(1 - Upsilon_2),
+        and a shrink factor (s/(xi + s))^2 by at most 2b, so bias, variance and risk are within
+        2b + 1e-13 c, and train = (lam Stieltjes)^2 risk within 4b + 1e-13 c.
         """
-        worst = dict.fromkeys(("lambda_star", "lambda_star / bound", "upsilon1", "upsilon2"), 0.0)
+        targets = np.random.default_rng(1)  # targets from a second stream, so ``rng`` draws only the spectra
+        outputs = ("lambda_star", "upsilon1", "upsilon2", "stieltjes", "bias", "variance", "risk", "train")
+        worst, worst_ratio = dict.fromkeys(outputs, 0.0), 0.0
         for _ in range(30):
             k = int(rng.integers(1, 61))
             values = np.sort(10.0 ** rng.uniform(-8, 2, k))[::-1]
             mults = rng.integers(1, 5, k)
             n = int(rng.integers(1, 2 * int(mults.sum()) + 1))
             lam = float(10.0 ** rng.uniform(-12, 1))
-            eff = solve_effective_reg(Spectrum(values, mults), n, lam)
-            exact = fixed_point(zip(values.tolist(), mults.tolist()), n, lam)
-            err = {
-                name: float(abs(Decimal(getattr(eff, name)) - getattr(exact, name)) / getattr(exact, name))
-                for name in ("lambda_star", "upsilon1", "upsilon2")
-            }
-            bound = 2e-12 * n / float(exact.scaled_slope)
-            assert err["lambda_star"] <= bound, (n, lam, err)
-            assert err["upsilon1"] <= 1e-13 and err["upsilon2"] <= 1e-13, (n, lam, err)
-            err["lambda_star / bound"] = err["lambda_star"] / bound
+            energies = 10.0 ** targets.uniform(-6, 2, k)
+            residual, noise = (float(v) for v in targets.uniform(0.0, 1.0, 2))
+            model = ModelSpec(n, lam, Spectrum(values, mults), Alignment(energies, residual), NoiseModel(noise))
+            det = deterministic_equivalents(model)
+            blocks = list(zip(values.tolist(), mults.tolist()))
+            point = fixed_point(blocks, n, lam)
+            exact = point._asdict() | closed_forms(point, blocks, energies.tolist(), residual, noise, n, lam)._asdict()
+            got = vars(det.effective) | vars(det)
+            err = {name: float(abs(Decimal(got[name]) - exact[name]) / exact[name]) for name in outputs}
+            b, c = 2e-12 * n / float(point.scaled_slope), 1.0 / float(1 - point.upsilon2)
+            bounds = dict(lambda_star=b, upsilon1=1e-13, upsilon2=1e-13, stieltjes=b, train=4 * b + 1e-13 * c)
+            bounds |= dict.fromkeys(("bias", "variance", "risk"), 2 * b + 1e-13 * c)
+            assert all(err[name] <= bounds[name] for name in outputs), (n, lam, err, bounds)
             worst = {name: max(value, err[name]) for name, value in worst.items()}
+            worst_ratio = max([worst_ratio] + [err[name] / bounds[name] for name in outputs])
         print("worst relative error against decimal: " + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
+        print(f"worst error / bound: {worst_ratio:.2e}")
 
     def test_ridgeless_needs_excess_rank(self):
         with pytest.raises(FixedPointError, match="no positive fixed point"):

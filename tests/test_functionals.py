@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from krrdeteq import functionals
-from krrdeteq.deteq import solve_effective_reg
+from krrdeteq.deteq import FixedPointError, deterministic_equivalents, solve_effective_reg
 from krrdeteq.functionals import (
     FeatureSample,
     IdentityMatrix,
@@ -17,7 +17,7 @@ from krrdeteq.functionals import (
     sample_gaussian_features,
 )
 from krrdeteq.seeds import derive_rng
-from krrdeteq.spectrum import Spectrum, SpectrumError
+from krrdeteq.spectrum import Alignment, ModelSpec, Spectrum, SpectrumError
 
 
 def reference_functionals(x, sigma_diag, lam, a_dense):
@@ -226,6 +226,15 @@ class TestDeterministicFunctionals:
             psi = deterministic_functionals(s, n, lam, a)
             assert psi[1] == pytest.approx(1 - lam / (n * eff.lambda_star), abs=1e-12)
             assert psi[3] / psi[2] == pytest.approx((eff.mu_star / n) ** 2, rel=1e-12)
+
+    def test_degenerate_denominator_raises_as_the_risk_does(self):
+        """At rank = n and lam = 1e-25, 1 - Upsilon2 = 1.9e-13 is below the risk's floor; psi4 was 4 % high there."""
+        s = Spectrum.from_blocks([(1.0, 10)])
+        with pytest.raises(FixedPointError, match="degenerate denominator"):
+            deterministic_equivalents(ModelSpec(n=10, lam=1e-25, spectrum=s, alignment=Alignment(np.zeros(1))))
+        for a in (IdentityMatrix(10), RiskMatrix(np.ones(10)), np.eye(10)):
+            with pytest.raises(FixedPointError, match="degenerate denominator"):
+                deterministic_functionals(s, 10, 1e-25, a)
 
     def test_rank_one_energy_contraction(self):
         # Tr(A Sigma^2) = ||beta||^2 stays finite however small the tail gets
