@@ -119,21 +119,25 @@ def _resolvent(x: np.ndarray, lam: float) -> np.ndarray:
 
     Primal (p <= PRIMAL_RATIO n): Cholesky of X^T X + lam, inverted in place by
     LAPACK potri.  Dual: (I - X^T (X X^T + lam)^-1 X) / lam, built in place.
+    SpectrumError if the factored matrix is not numerically positive definite.
     """
     n, p = x.shape
-    if p <= PRIMAL_RATIO * n:
-        gram = x.T @ x
-        gram.ravel()[:: p + 1] += lam
-        # gram is symmetric: its transpose is the same matrix in the Fortran
-        # order LAPACK overwrites without a copy
-        factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True)
-        r, info = dpotri(factor, lower=lower, overwrite_c=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"potri failed with info {info}")
-        return _mirror_lower(r).T
-    gram = x @ x.T
-    gram.ravel()[:: n + 1] += lam
-    gx = cho_solve(cho_factor(gram, lower=True, overwrite_a=True), x)
+    primal = p <= PRIMAL_RATIO * n
+    gram = x.T @ x if primal else x @ x.T
+    gram.ravel()[:: gram.shape[0] + 1] += lam
+    try:
+        if primal:
+            # gram is symmetric: its transpose is the same matrix in the Fortran
+            # order LAPACK overwrites without a copy
+            factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True)
+            r, info = dpotri(factor, lower=lower, overwrite_c=True)
+            if info != 0:
+                raise np.linalg.LinAlgError(f"potri failed with info {info}")
+            return _mirror_lower(r).T
+        gx = cho_solve(cho_factor(gram, lower=True, overwrite_a=True), x)
+    except np.linalg.LinAlgError as exc:
+        name = "X^T X + lambda" if primal else "X X^T + lambda"
+        raise SpectrumError(f"{name} is not numerically positive definite: {exc}") from exc
     r = x.T @ gx
     np.negative(r, out=r)
     r.ravel()[:: p + 1] += 1.0
@@ -174,9 +178,10 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi3 = Tr(A S^1/2 R S R S^1/2)      phi4 = Tr(A S^1/2 R (X^T X / n) R S^1/2)
 
     ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
-    phi2 uses Tr(X^T X R) = p - lam Tr(R) and phi4 X^T X = (X^T X + lam) - lam, so only R
-    and R^2 contractions are needed; where that leaves under _CANCELLED p, phi2 and the
-    structured phi4 read XR instead (the dense phi4 stays their oracle).
+    phi2 uses Tr(X^T X R) = p - lam Tr(R) and the structured phi4 X^T X = (X^T X + lam) - lam,
+    so only R and R^2 contractions are needed; where that leaves under _CANCELLED p, phi2 and
+    the structured phi4 read XR instead.  A dense A's phi4 reads X R S^1/2 at every lam, so it
+    is an independent reading of XR for the structured forms.
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
@@ -207,9 +212,8 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
         am = a @ m
         phi1 = float(np.trace(am))
         phi3 = float((am * m.T).sum())  # Tr(A M M)
-        sa = sqrt_sigma[:, None] * a * sqrt_sigma[None, :]
-        tr_ar2 = float(((sa @ r) * r).sum())  # Tr(S^1/2 A S^1/2 R R)
-        phi4 = (phi1 - lam * tr_ar2) / n
+        xrs = (x @ r) * sqrt_sigma  # X R S^1/2
+        phi4 = float(((xrs @ a) * xrs).sum()) / n
     for name, val in (("phi1", phi1), ("phi2", phi2), ("phi3", phi3), ("phi4", phi4)):
         if not math.isfinite(val):
             raise SpectrumError(f"{name} is not finite")

@@ -9,6 +9,7 @@ far below double precision.
     fixed_point(blocks, n, lam) -> FixedPoint(lambda_star, upsilon1, upsilon2, scaled_slope)
     closed_forms(point, blocks, energies, residual_energy, noise_variance, n, lam)
         -> ClosedForms(stieltjes, bias, variance, risk, train)
+    functionals(point, blocks, n, lam, beta=None) -> Functionals(psi1, psi2, psi3, psi4)
 
 ``blocks`` is a sequence of ``(eigenvalue, multiplicity)`` pairs.  The root s of
 the defect g(s) = n - lam/s - sum_k m_k xi_k/(xi_k + s) is found by bisection
@@ -16,7 +17,8 @@ in log s; Upsilon_1 = T1/n, Upsilon_2 = T2/n and s g'(s) are evaluated there.
 The last is the root's conditioning: a defect d at a nearby point moves it by
 about d / g'(s), so by d / (s g'(s)) relative.
 ``closed_forms`` evaluates the risk predictions at that root, with
-``energies[k]`` the target energy of block k.
+``energies[k]`` the target energy of block k, and ``functionals`` the four
+resolvent-functional predictions psi1-psi4 for A = I or a RiskMatrix.
 """
 
 from __future__ import annotations
@@ -92,3 +94,34 @@ def closed_forms(point: FixedPoint, blocks, energies, residual_energy: float, no
         risk = bias + variance + sigma2
         stieltjes = 1 / (n * s)
         return ClosedForms(stieltjes, bias, variance, risk, (Decimal(float(lam)) * stieltjes) ** 2 * risk)
+
+
+class Functionals(NamedTuple):
+    psi1: Decimal
+    psi2: Decimal
+    psi3: Decimal
+    psi4: Decimal
+
+
+def functionals(point: FixedPoint, blocks, n: int, lam: float, beta=None) -> Functionals:
+    """psi1-psi4 at the exact fixed point ``point``, for A = I (``beta`` None) or the RiskMatrix of ``beta``.
+
+    With mu = lam/s, A = I gives psi1 = n U1/mu, psi2 = U1, psi3 = n U2/(mu^2 (1 - U2)) and
+    psi4 = U2/(n (1 - U2)).  The RiskMatrix sums over the expanded directions i, with sigma_i the
+    eigenvalue of direction i: psi1 = sum beta_i^2/(sigma_i (mu sigma_i + lam)), psi2 = U1,
+    psi3 = sum beta_i^2/(mu sigma_i + lam)^2/(1 - U2) and psi4 = sum beta_i^2/(sigma_i + s)^2/(n^2 (1 - U2)).
+    Needs lam > 0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        s, u1, u2 = point.lambda_star, point.upsilon1, point.upsilon2
+        ridge, denom = Decimal(float(lam)), 1 - u2
+        mu = ridge / s
+        if beta is None:
+            return Functionals(n * u1 / mu, u1, n * u2 / (mu * mu * denom), u2 / (n * denom))
+        sigma = [Decimal(float(value)) for value, mult in blocks for _ in range(int(mult))]
+        squares = [Decimal(float(b)) ** 2 for b in beta]
+        psi1 = sum(b2 / (v * (mu * v + ridge)) for v, b2 in zip(sigma, squares))
+        psi3 = sum(b2 / (mu * v + ridge) ** 2 for v, b2 in zip(sigma, squares)) / denom
+        psi4 = sum(b2 / (v + s) ** 2 for v, b2 in zip(sigma, squares)) / (n * n * denom)
+        return Functionals(psi1, u1, psi3, psi4)

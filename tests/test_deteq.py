@@ -11,10 +11,11 @@ from krrdeteq.deteq import (
     deterministic_equivalents,
     solve_effective_reg,
 )
+from krrdeteq.functionals import IdentityMatrix, RiskMatrix, deterministic_functionals
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, tail_rank, trace_resolvents
 
 from conftest import isotropic_effective_reg, monotone_newton, random_spectrum
-from exact import closed_forms, fixed_point
+from exact import closed_forms, fixed_point, functionals
 
 
 def counted_solves(monkeypatch):
@@ -180,9 +181,15 @@ class TestFixedPoint:
         1/(n s) is within b.  1 - Upsilon_2 then moves by 1e-13 c relative, c = 1/(1 - Upsilon_2),
         and a shrink factor (s/(xi + s))^2 by at most 2b, so bias, variance and risk are within
         2b + 1e-13 c, and train = (lam Stieltjes)^2 risk within 4b + 1e-13 c.
+        deterministic_functionals at A = I and at a RiskMatrix: psi2 = Upsilon_1 is within 1e-13; psi1
+        (n Upsilon_1 s / lam, or the sum of beta^2 s / (lam xi (xi + s))) moves with s/(xi + s) by at most b,
+        so it is within b + 1e-13; psi3 and psi4 carry (s/(xi + s))^2 or Upsilon_2 and 1/(1 - Upsilon_2),
+        so they are within 2b + 2e-13 c.
         """
         targets = np.random.default_rng(1)  # targets from a second stream, so ``rng`` draws only the spectra
+        betas = np.random.default_rng(2)  # RiskMatrix beta from a third, so neither the spectra nor the targets move
         outputs = ("lambda_star", "upsilon1", "upsilon2", "stieltjes", "bias", "variance", "risk", "train")
+        outputs += tuple(f"{kind} psi{j}" for kind in ("I", "RiskMatrix") for j in range(1, 5))
         worst, worst_ratio = dict.fromkeys(outputs, 0.0), 0.0
         for _ in range(30):
             k = int(rng.integers(1, 61))
@@ -198,10 +205,16 @@ class TestFixedPoint:
             point = fixed_point(blocks, n, lam)
             exact = point._asdict() | closed_forms(point, blocks, energies.tolist(), residual, noise, n, lam)._asdict()
             got = vars(det.effective) | vars(det)
-            err = {name: float(abs(Decimal(got[name]) - exact[name]) / exact[name]) for name in outputs}
             b, c = 2e-12 * n / float(point.scaled_slope), 1.0 / float(1 - point.upsilon2)
             bounds = dict(lambda_star=b, upsilon1=1e-13, upsilon2=1e-13, stieltjes=b, train=4 * b + 1e-13 * c)
             bounds |= dict.fromkeys(("bias", "variance", "risk"), 2 * b + 1e-13 * c)
+            beta = betas.standard_normal(int(mults.sum()))
+            for kind, a, exact_beta in (("I", IdentityMatrix(beta.size), None), ("RiskMatrix", RiskMatrix(beta), beta)):
+                names = [f"{kind} psi{j}" for j in range(1, 5)]
+                got |= zip(names, deterministic_functionals(model.spectrum, n, lam, a))
+                exact |= zip(names, functionals(point, blocks, n, lam, exact_beta))
+                bounds |= zip(names, (b + 1e-13, 1e-13, 2 * b + 2e-13 * c, 2 * b + 2e-13 * c))
+            err = {name: float(abs(Decimal(got[name]) - exact[name]) / exact[name]) for name in outputs}
             assert all(err[name] <= bounds[name] for name in outputs), (n, lam, err, bounds)
             worst = {name: max(value, err[name]) for name, value in worst.items()}
             worst_ratio = max([worst_ratio] + [err[name] / bounds[name] for name in outputs])

@@ -20,27 +20,88 @@ from krrdeteq.seeds import derive_rng
 from krrdeteq.spectrum import Alignment, ModelSpec, Spectrum, SpectrumError
 
 
-def reference_functionals(x, sigma_diag, lam, a_dense):
-    """Literal dense-matrix oracle via an explicit inverse."""
-    p = x.shape[1]
+def reference_functionals(x, sigma_diag, lam, *a_dense):
+    """Literal dense-matrix oracle via an explicit inverse: (phi1, phi2, phi3, phi4) for each test matrix."""
+    n, p = x.shape
     r = np.linalg.inv(x.T @ x + lam * np.eye(p))
     s_half = np.diag(np.sqrt(sigma_diag))
     sigma = np.diag(sigma_diag)
-    phi1 = np.trace(a_dense @ s_half @ r @ s_half)
-    phi2 = np.trace((x.T @ x / x.shape[0]) @ r)
-    phi3 = np.trace(a_dense @ s_half @ r @ sigma @ r @ s_half)
-    phi4 = np.trace(a_dense @ s_half @ r @ (x.T @ x / x.shape[0]) @ r @ s_half)
-    return phi1, phi2, phi3, phi4
+    m1 = s_half @ r @ s_half
+    m3 = s_half @ r @ sigma @ r @ s_half
+    m4 = s_half @ r @ (x.T @ x / n) @ r @ s_half
+    phi2 = np.trace((x.T @ x / n) @ r)
+    return [(np.trace(a @ m1), phi2, np.trace(a @ m3), np.trace(a @ m4)) for a in a_dense]
 
 
-def svd_phi2_phi4(x, sigma_diag, lam, u=None):
-    """phi2, and phi4 at A = I (or at the RiskMatrix with beta = S^1/2 u), from X = U diag(s) V^T:
+def svd_phi2_phi4(svd, sigma_diag, lam, u=None):
+    """phi2, and phi4 at A = I (or at the RiskMatrix with beta = S^1/2 u), from the thin ``svd`` X = U diag(s) V^T:
     X^T X R = V diag(s^2 / (s^2 + lam)) V^T and R X^T X R = V diag(s^2 / (s^2 + lam)^2) V^T, free of cancellation."""
-    _, s, vt = np.linalg.svd(x, full_matrices=False)
+    left, s, vt = svd
     s2 = s * s
     w = s2 / (s2 + lam) ** 2
     quad = sigma_diag @ (vt.T**2 @ w) if u is None else w @ (vt @ u) ** 2
-    return float(np.sum(s2 / (s2 + lam))) / x.shape[0], float(quad) / x.shape[0]
+    return float(np.sum(s2 / (s2 + lam))) / left.shape[0], float(quad) / left.shape[0]
+
+
+# rows (n, p, lambdas), grouped by the test that runs them, each through every oracle of check_functional_oracles;
+# p <= PRIMAL_RATIO * n takes the primal route, larger p the dual
+FUNCTIONAL_CASES = {
+    "primal and dual": [(40, 120, [0.3]), (20, 120, [0.3])],
+    "risk matrix": [(10, 15, [0.3])],
+    "skew": [(6, 8, [0.9])],
+    "dual trace": [(9, 30, [0.3])],
+    "identity": [(12, 5, [0.7]), (100, 300, [0.7]), (4, 40, [0.7]), (20, 300, [0.7])],
+    "large lambda": [(n, 50, [float(lam) for lam in 10.0 ** np.arange(-2, 15)]) for n in (5, 20, 200)],
+    "primal resolvent": [(12, 5, [0.3])],
+    "dual resolvent": [(10, 60, [0.3])],
+}
+
+
+def check_functional_oracles(monkeypatch, rows):
+    """Every oracle on every (n, p, lam) of ``rows``, with 7-row blocks: a primal R of p >= 15 is mirrored
+    in three or more blocks, Tr(S R^2) and ||S^1/2 R S^1/2||_F^2 reduce over two or more row blocks of R
+    at p >= 8, and the cancelled phi2 and phi4 over two or more row blocks of X at n >= 8.
+
+    X draws power_law(2.0, p) at seed 0; B, K and beta come from default_rng(1), with A = B B^T and
+    skew part K - K^T.  Every bound is relative, |got - want| <= bound * (|want| + floor):
+    - R against np.linalg.inv(X^T X + lam) 1e-10 with floor 3e-4 / lam (atol 1e-13 at lam = 0.3),
+      and the primal R exactly symmetric;
+    - each dense matrix (A, A + skew, eye, the RiskMatrix's outer form) against reference_functionals 1e-9;
+    - A + skew against A 1e-10;
+    - IdentityMatrix against eye 1e-12 at lam <= 1; above, 1e-9, the 2^20 eps that _CANCELLED allows;
+    - RiskMatrix against its outer form 1e-9, and phi2, phi4 of both structured forms against svd_phi2_phi4 1e-9.
+    """
+    monkeypatch.setattr(functionals, "_BLOCK", 7)
+    worst = {}
+
+    @np.errstate(divide="ignore", invalid="ignore")  # a zero reference reads as an infinite error
+    def check(oracle, where, got, want, bound, floor=0.0):
+        err = float(np.max(np.abs(np.subtract(got, want)) / (np.abs(want) + floor)))
+        worst[oracle] = max(worst.get(oracle, 0.0), err)
+        assert err <= bound, f"{oracle} at (n, p, lam) = {where}: relative error {err:.2e} > {bound:.0e}"
+
+    for n, p, lams in rows:
+        s = Spectrum.power_law(2.0, p)
+        sigma, sample = s.expand(), sample_gaussian_features(s, n, 0)
+        x, draws = sample.matrix, np.random.default_rng(1)
+        b, k, beta = draws.standard_normal((p, p)), draws.standard_normal((p, p)), draws.standard_normal(p)
+        a, w, u, svd = b @ b.T, beta / sigma, beta / np.sqrt(sigma), np.linalg.svd(x, full_matrices=False)
+        dense = {"A": a, "A + skew": a + k - k.T, "eye": np.eye(p), "outer": np.outer(w, w)}
+        for lam in lams:
+            where, r = (n, p, lam), _resolvent(x, lam)
+            check("R vs inv", where, r, np.linalg.inv(x.T @ x + lam * np.eye(p)), 1e-10, 3e-4 / lam)
+            assert p > functionals.PRIMAL_RATIO * n or np.array_equal(r, r.T), f"primal R not symmetric at {where}"
+            phi = {name: empirical_functionals(sample, lam, matrix) for name, matrix in dense.items()}
+            for name, ref in zip(dense, reference_functionals(x, sigma, lam, *dense.values())):
+                check(f"{name} vs reference", where, phi[name], ref, 1e-9)
+            phi["I"] = empirical_functionals(sample, lam, IdentityMatrix(p))
+            phi["RiskMatrix"] = empirical_functionals(sample, lam, RiskMatrix(beta))
+            check("A + skew vs A", where, phi["A + skew"], phi["A"], 1e-10)
+            check("I vs eye", where, phi["I"], phi["eye"], 1e-12 if lam <= 1 else 1e-9)
+            check("RiskMatrix vs outer", where, phi["RiskMatrix"], phi["outer"], 1e-9)
+            check("I vs svd", where, phi["I"][1::2], svd_phi2_phi4(svd, sigma, lam), 1e-9)
+            check("RiskMatrix vs svd", where, phi["RiskMatrix"][1::2], svd_phi2_phi4(svd, sigma, lam, u), 1e-9)
+    print("worst relative error: " + ", ".join(f"{name} {err:.1e}" for name, err in worst.items()))
 
 
 def test_feature_draw_is_scaled_normal_draw():
@@ -75,87 +136,32 @@ class TestEmpiricalFunctionals:
         assert phi[0] == phi[2] == phi[3] == 0.0
         assert phi[1] > 0
 
-    def test_matches_dense_oracle_primal_and_dual(self, rng):
-        for n, p in ((12, 5), (4, 40)):  # primal path / dual path
-            s = Spectrum.power_law(1.3, p)
-            sample = sample_gaussian_features(s, n, rng)
-            b = rng.standard_normal((p, p))
-            a = b @ b.T
-            phi = empirical_functionals(sample, 0.7, a)
-            ref = reference_functionals(sample.matrix, s.expand(), 0.7, a)
-            np.testing.assert_allclose(phi, ref, rtol=1e-9)
+    def test_matches_dense_oracle_primal_and_dual(self, monkeypatch):
+        check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["primal and dual"])
 
-    def test_risk_matrix_matches_dense_equivalent(self, rng):
-        p, n = 15, 10
-        s = Spectrum.power_law(2.0, p)
-        sample = sample_gaussian_features(s, n, rng)
-        beta = rng.standard_normal(p)
-        sigma = s.expand()
-        a_dense = np.outer(beta / sigma, beta / sigma)
-        phi_struct = empirical_functionals(sample, 0.4, RiskMatrix(beta))
-        phi_dense = empirical_functionals(sample, 0.4, a_dense)
-        np.testing.assert_allclose(phi_struct, phi_dense, rtol=1e-9)
+    def test_risk_matrix_matches_dense_equivalent(self, monkeypatch):
+        check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["risk matrix"])
 
-    def test_symmetrization_invariance(self, rng):
-        p, n = 8, 6
-        s = Spectrum.power_law(1.0, p)
-        sample = sample_gaussian_features(s, n, rng)
-        b = rng.standard_normal((p, p))
-        a = b @ b.T
-        skew = rng.standard_normal((p, p))
-        skew = skew - skew.T
-        phi_sym = empirical_functionals(sample, 0.9, a)
-        phi_askew = empirical_functionals(sample, 0.9, a + skew)
-        np.testing.assert_allclose(phi_askew, phi_sym, rtol=1e-10)
+    def test_symmetrization_invariance(self, monkeypatch):
+        check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["skew"])
 
-    def test_dual_form_trace_identity(self, rng):
-        # Tr(A S^1/2 R S^1/2) == (Tr(A S) - Tr(A S^1/2 X^T G X S^1/2)) / lam
-        p, n, lam = 30, 9, 0.3
-        s = Spectrum.power_law(1.5, p)
-        sample = sample_gaussian_features(s, n, rng)
-        x = sample.matrix
-        b = rng.standard_normal((p, p))
-        a = b @ b.T
-        phi1 = empirical_functionals(sample, lam, a)[0]
-        s_half = np.diag(np.sqrt(s.expand()))
-        g = np.linalg.inv(x @ x.T + lam * np.eye(n))
-        dual = (np.trace(a @ np.diag(s.expand())) - np.trace(a @ s_half @ x.T @ g @ x @ s_half)) / lam
-        assert phi1 == pytest.approx(dual, rel=1e-8)
+    def test_dual_form_trace_identity(self, monkeypatch):
+        check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["dual trace"])
 
-    @pytest.mark.parametrize("n,p", [(12, 5), (100, 300), (4, 40), (20, 300)])  # primal x2, dual x2
-    def test_identity_matrix_matches_dense_oracle(self, rng, n, p):
-        s = Spectrum.power_law(1.3, p)
-        sample = sample_gaussian_features(s, n, rng)
-        phi = empirical_functionals(sample, 0.7, IdentityMatrix(p))
-        ref = reference_functionals(sample.matrix, s.expand(), 0.7, np.eye(p))
-        np.testing.assert_allclose(phi, ref, rtol=1e-9)
-        np.testing.assert_allclose(phi, empirical_functionals(sample, 0.7, np.eye(p)), rtol=1e-12)
+    @pytest.mark.parametrize("row", FUNCTIONAL_CASES["identity"], ids=lambda row: f"{row[0]}-{row[1]}")
+    def test_identity_matrix_matches_dense_oracle(self, monkeypatch, row):
+        check_functional_oracles(monkeypatch, [row])
 
-    @pytest.mark.parametrize("n", [5, 20, 200])  # dual, then primal
-    def test_large_lambda_matches_svd_oracle(self, n):
-        """Where lam Tr(R) cancels p, phi2 and the structured phi4 read XR: no more than the
-        2^20 eps that the cancellation threshold allows is lost, up to lam = 1e14."""
-        s = Spectrum.power_law(2.0, 50)
-        sigma, beta = s.expand(), np.eye(1, 50)[0]
-        sample = sample_gaussian_features(s, n, 0)
-        for lam in 10.0 ** np.arange(-2, 15):
-            want = svd_phi2_phi4(sample.matrix, sigma, lam)
-            np.testing.assert_allclose(empirical_functionals(sample, lam, IdentityMatrix(50))[1::2], want, rtol=1e-9)
-            want = (want[0], svd_phi2_phi4(sample.matrix, sigma, lam, beta / np.sqrt(sigma))[1])
-            np.testing.assert_allclose(empirical_functionals(sample, lam, RiskMatrix(beta))[1::2], want, rtol=1e-9)
-            assert empirical_functionals(sample, lam, np.eye(50))[1] == pytest.approx(want[0], rel=1e-9)
+    @pytest.mark.parametrize("row", FUNCTIONAL_CASES["large lambda"], ids=lambda row: str(row[0]))
+    def test_large_lambda_matches_svd_oracle(self, monkeypatch, row):
+        check_functional_oracles(monkeypatch, [row])
 
-    @pytest.mark.parametrize("n,p", [(12, 5), (100, 300), (700, 600)])
-    def test_primal_resolvent_is_exact_symmetric_inverse(self, rng, n, p):
-        # p = 300 and 600 span two and three mirror blocks
-        x = rng.standard_normal((n, p))
-        r = _resolvent(x, 0.3)
-        assert np.array_equal(r, r.T)
-        np.testing.assert_allclose(r, np.linalg.inv(x.T @ x + 0.3 * np.eye(p)), rtol=1e-10, atol=1e-13)
+    @pytest.mark.parametrize("row", FUNCTIONAL_CASES["primal resolvent"], ids=lambda row: f"{row[0]}-{row[1]}")
+    def test_primal_resolvent_is_exact_symmetric_inverse(self, monkeypatch, row):
+        check_functional_oracles(monkeypatch, [row])
 
-    def test_dual_resolvent_matches_inverse(self, rng):
-        x = rng.standard_normal((10, 60))
-        np.testing.assert_allclose(_resolvent(x, 0.3), np.linalg.inv(x.T @ x + 0.3 * np.eye(60)), rtol=1e-9, atol=1e-12)
+    def test_dual_resolvent_matches_inverse(self, monkeypatch):
+        check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["dual resolvent"])
 
     def test_rejects_bad_inputs(self, rng):
         s = Spectrum.power_law(1.0, 4)
@@ -169,6 +175,13 @@ class TestEmpiricalFunctionals:
         for a in (IdentityMatrix(5), RiskMatrix(np.ones(5)), np.eye(4)[:, :3]):
             with pytest.raises(SpectrumError, match="dimension mismatch"):
                 empirical_functionals(sample, 1.0, a)
+        # X^T X + lam (n = 20, primal) and X X^T + lam (three equal rows, dual) fail their Cholesky
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 20, 0)
+        with pytest.raises(SpectrumError, match=r"^X\^T X \+ lambda is not numerically positive definite"):
+            empirical_functionals(sample, 1e-17, IdentityMatrix(50))
+        sample = FeatureSample(matrix=np.repeat(sample.matrix[:1], 3, axis=0), covariance=sample.covariance)
+        with pytest.raises(SpectrumError, match=r"^X X\^T \+ lambda is not numerically positive definite"):
+            empirical_functionals(sample, 1e-300, IdentityMatrix(50))
 
 
 class TestDeterministicFunctionals:

@@ -8,7 +8,6 @@ from scipy.optimize import brentq
 from krrdeteq import sphere
 from krrdeteq.deteq import deterministic_equivalents
 from krrdeteq.krr import GramMatrix, fit_krr
-from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
 from krrdeteq.sphere import (
     GegenbauerBasis,
     exact_sphere_risk,
@@ -325,19 +324,6 @@ class TestExactRisk:
         fit = fit_krr(GramMatrix(np.eye(4)), np.zeros(4), 1.0)
         assert exact_sphere_risk(fit, kern, target, 0.0, u) == pytest.approx(0.0, abs=1e-15)
 
-    def test_agrees_with_monte_carlo(self):
-        d, s2 = 24, 0.1
-        kern = kernel_from_gaps(d, 7, 8.0)
-        target = SphereTarget(d, {k: k**-2.0 for k in range(1, 8)})
-        rng = np.random.default_rng(17)
-        u = sample_sphere(d, 128, rng)
-        y = target(u) + math.sqrt(s2) * rng.standard_normal(128)
-        fit = fit_krr(GramMatrix(kern.gram(u)), y, 0.0)
-        exact = exact_sphere_risk(fit, kern, target, s2, u)
-        test_points = sample_sphere(d, 20_000, rng)
-        mc, se = monte_carlo_risk(fit, kern.cross_gram, target, s2, u, test_points)
-        assert abs(mc - exact) <= 3 * se
-
     def test_streaming_matches_one_block(self, monkeypatch):
         """The default budget (3 row blocks at n = 296 and 300) and 8-row blocks match one block,
         and one block matches the dense H2, the Gram of the squared coefficients."""
@@ -399,23 +385,4 @@ class TestExactRisk:
         fit = fit_krr(GramMatrix(np.eye(3)), np.zeros(3), 1.0)
         with pytest.raises(SphereError):
             exact_sphere_risk(fit, kern, target, 0.0, sample_sphere(10, 3, 0))
-
-
-class TestAdditionFormula:
-    def test_projector_composition(self):
-        # E_u[Q_j(<u1,u>/d) Q_k(<u,u2>/d)] = delta_jk Q_k(<u1,u2>/d)/sqrt(B_dk)
-        d = 24
-        basis = GegenbauerBasis(d, 4)
-        rng = np.random.default_rng(23)
-        u1 = sample_sphere(d, 1, rng)[0]
-        u2 = sample_sphere(d, 1, rng)[0]
-        u = sample_sphere(d, 30_000, rng)
-        t1 = np.clip(u @ u1 / d, -1, 1)
-        t2 = np.clip(u @ u2 / d, -1, 1)
-        t12 = float(np.clip(u1 @ u2 / d, -1, 1))
-        for j, k in ((2, 2), (2, 3)):
-            prod = gegenbauer(basis, j, t1) * gegenbauer(basis, k, t2)
-            se = float(prod.std(ddof=1)) / math.sqrt(len(prod))
-            expected = float(gegenbauer(basis, k, t12)[0]) / math.sqrt(dim_spherical(d, k)) if j == k else 0.0
-            assert abs(float(prod.mean()) - expected) <= 3 * se
 
