@@ -31,9 +31,7 @@ __all__ = [
     "convergence_probe",
 ]
 
-# primal (p x p) factorization up to this aspect ratio, dual (n x n) beyond
-PRIMAL_RATIO = 4
-# rows (or columns) per block when R is mirrored or reduced, which bounds the temporaries
+# rows (or columns) per block when R or X^T GX is mirrored or reduced, which bounds the temporaries
 _BLOCK = 256
 # below this fraction of p, p - lam Tr(R) has cancelled too far to give Tr(X^T X R)
 _CANCELLED = 2.0**-20
@@ -114,35 +112,69 @@ def _mirror_lower(r: np.ndarray) -> np.ndarray:
     return r
 
 
+def _dual_gx(x: np.ndarray, lam: float) -> np.ndarray:
+    """GX = (X X^T + lam)^-1 X by Cholesky; X R = GX, so the dual route reads XR with no cancellation.
+
+    SpectrumError if X X^T + lam is not numerically positive definite.
+    """
+    gram = x @ x.T
+    gram.ravel()[:: gram.shape[0] + 1] += lam
+    try:
+        return cho_solve(cho_factor(gram, lower=True, overwrite_a=True), x)
+    except np.linalg.LinAlgError as exc:
+        raise SpectrumError(f"X X^T + lambda is not numerically positive definite: {exc}") from exc
+
+
+def _dual_resolvent(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
+    """R = (I - X^T GX) / lam, built in place."""
+    r = x.T @ gx
+    np.negative(r, out=r)
+    r.ravel()[:: r.shape[0] + 1] += 1.0
+    r /= lam
+    return r
+
+
 def _resolvent(x: np.ndarray, lam: float) -> np.ndarray:
     """R = (X^T X + lam)^-1; R is the only p x p array formed here.
 
-    Primal (p <= PRIMAL_RATIO n): Cholesky of X^T X + lam, inverted in place by
-    LAPACK potri.  Dual: (I - X^T (X X^T + lam)^-1 X) / lam, built in place.
-    SpectrumError if the factored matrix is not numerically positive definite.
+    Primal (p <= n): Cholesky of X^T X + lam, inverted in place by LAPACK potri.
+    Dual (p > n): _dual_resolvent from _dual_gx.  SpectrumError if the factored
+    matrix is not numerically positive definite.
     """
     n, p = x.shape
-    primal = p <= PRIMAL_RATIO * n
-    gram = x.T @ x if primal else x @ x.T
-    gram.ravel()[:: gram.shape[0] + 1] += lam
+    if p > n:
+        return _dual_resolvent(x, _dual_gx(x, lam), lam)
+    gram = x.T @ x
+    gram.ravel()[:: p + 1] += lam
     try:
-        if primal:
-            # gram is symmetric: its transpose is the same matrix in the Fortran
-            # order LAPACK overwrites without a copy
-            factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True)
-            r, info = dpotri(factor, lower=lower, overwrite_c=True)
-            if info != 0:
-                raise np.linalg.LinAlgError(f"potri failed with info {info}")
-            return _mirror_lower(r).T
-        gx = cho_solve(cho_factor(gram, lower=True, overwrite_a=True), x)
+        # gram is symmetric: its transpose is the same matrix in the Fortran
+        # order LAPACK overwrites without a copy
+        factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True)
+        r, info = dpotri(factor, lower=lower, overwrite_c=True)
+        if info != 0:
+            raise np.linalg.LinAlgError(f"potri failed with info {info}")
     except np.linalg.LinAlgError as exc:
-        name = "X^T X + lambda" if primal else "X X^T + lambda"
-        raise SpectrumError(f"{name} is not numerically positive definite: {exc}") from exc
-    r = x.T @ gx
-    np.negative(r, out=r)
-    r.ravel()[:: p + 1] += 1.0
-    r /= lam
-    return r
+        raise SpectrumError(f"X^T X + lambda is not numerically positive definite: {exc}") from exc
+    return _mirror_lower(r).T
+
+
+def _dual_weighted_squares(x: np.ndarray, gx: np.ndarray, lam: float, sigma: np.ndarray) -> float:
+    """sum_ij s_i s_j R_ij^2 for the dual R = (I - X^T GX) / lam, with no p x p array.
+
+    Reduces the lower triangle of X^T GX one row block at a time: the block's diagonal
+    square counts once, the columns left of it twice, as R is symmetric.
+    """
+    p = x.shape[1]
+    total = 0.0
+    for i0 in range(0, p, _BLOCK):
+        i1 = min(i0 + _BLOCK, p)
+        rows = x[:, i0:i1].T @ gx[:, :i1]  # rows i0:i1 of X^T GX, up to the diagonal block
+        rows.ravel()[i0 :: i1 + 1] -= 1.0  # rows now hold -lam R
+        np.square(rows, out=rows)
+        weights = sigma[:i1].copy()
+        weights[:i0] *= 2.0
+        total += float(sigma[i0:i1] @ (rows @ weights))
+    return total / lam / lam
 
 
 def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
@@ -170,6 +202,15 @@ def _xr_sums(x: np.ndarray, r: np.ndarray, sigma: np.ndarray) -> tuple[float, fl
     return trace, weighted
 
 
+def _dense_functionals(a: np.ndarray, r: np.ndarray, xr: np.ndarray, sqrt_sigma: np.ndarray) -> tuple[float, float, float]:
+    """(phi1, phi3, phi4) of a dense A from R and XR: Tr(A M), Tr(A M M) with M = S^1/2 R S^1/2, and phi4."""
+    m = sqrt_sigma[:, None] * r * sqrt_sigma[None, :]
+    am = a @ m
+    xrs = xr * sqrt_sigma  # X R S^1/2
+    phi4 = float(((xrs @ a) * xrs).sum()) / xr.shape[0]
+    return float(np.trace(am)), float((am * m.T).sum()), phi4
+
+
 @np.errstate(all="ignore")  # a non-finite functional raises SpectrumError below, with no warning
 def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, float, float, float]:
     """The four resolvent trace functionals of the sample at test matrix ``a``.
@@ -178,10 +219,14 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi3 = Tr(A S^1/2 R S R S^1/2)      phi4 = Tr(A S^1/2 R (X^T X / n) R S^1/2)
 
     ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
-    phi2 uses Tr(X^T X R) = p - lam Tr(R) and the structured phi4 X^T X = (X^T X + lam) - lam,
-    so only R and R^2 contractions are needed; where that leaves under _CANCELLED p, phi2 and
-    the structured phi4 read XR instead.  A dense A's phi4 reads X R S^1/2 at every lam, so it
-    is an independent reading of XR for the structured forms.
+    Dual route (p > n): XR = GX with G = (X X^T + lam)^-1, so phi2 and phi4 read GX and
+    never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  The structured forms form
+    no p x p array: RiskMatrix reads Ru = (u - X^T (GX u)) / lam, and IdentityMatrix reduces
+    R's lower triangle a row block at a time.  Primal route (p <= n): R by potri, phi2 from
+    Tr(X^T X R) = p - lam Tr(R) and the structured phi4 from X^T X = (X^T X + lam) - lam, so
+    only R and R^2 contractions are needed; where that leaves under _CANCELLED p, phi2 and
+    the structured phi4 read XR instead.  A dense A forms R on both routes, as the oracle
+    of the structured forms, and its phi4 reads X R S^1/2 at every lam.
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
@@ -191,29 +236,41 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     sigma = sample.covariance.expand()
     sqrt_sigma = np.sqrt(sigma)
 
-    r = _resolvent(x, lam)
-    tr_xxr = p - lam * float(np.trace(r))
-    if cancelled := tr_xxr < _CANCELLED * p:
-        tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
-    phi2 = tr_xxr / n
-
-    if isinstance(a, RiskMatrix):
-        u = a.beta / sqrt_sigma
-        ru = r @ u
-        phi1 = float(u @ ru)
-        phi3 = float(np.dot(sigma, ru * ru))
-        phi4 = (float(np.square(x @ ru).sum()) if cancelled else phi1 - lam * float(ru @ ru)) / n
-    elif isinstance(a, IdentityMatrix):
-        phi1 = float(np.dot(sigma, np.diagonal(r)))
-        tr_sr2, phi3 = _weighted_squares(r, sigma)  # Tr(S R^2), Tr(M^2) with M = S^1/2 R S^1/2
-        phi4 = (tr_sxr if cancelled else phi1 - lam * tr_sr2) / n
+    if p > n:
+        gx = _dual_gx(x, lam)
+        xgx = np.einsum("ki,ki->i", x, gx)  # diagonal of X^T GX = X^T X R
+        phi2 = float(xgx.sum()) / n
+        if isinstance(a, RiskMatrix):
+            u = a.beta / sqrt_sigma
+            gxu = gx @ u  # X R u
+            ru = (u - x.T @ gxu) / lam
+            phi1 = float(u @ ru)
+            phi3 = float(np.dot(sigma, ru * ru))
+            phi4 = float(gxu @ gxu) / n
+        elif isinstance(a, IdentityMatrix):
+            phi1 = float(np.dot(sigma, 1.0 - xgx)) / lam
+            phi3 = _dual_weighted_squares(x, gx, lam, sigma)
+            phi4 = float(np.dot(np.einsum("ki,ki->i", gx, gx), sigma)) / n
+        else:
+            phi1, phi3, phi4 = _dense_functionals(a, _dual_resolvent(x, gx, lam), gx, sqrt_sigma)
     else:
-        m = sqrt_sigma[:, None] * r * sqrt_sigma[None, :]
-        am = a @ m
-        phi1 = float(np.trace(am))
-        phi3 = float((am * m.T).sum())  # Tr(A M M)
-        xrs = (x @ r) * sqrt_sigma  # X R S^1/2
-        phi4 = float(((xrs @ a) * xrs).sum()) / n
+        r = _resolvent(x, lam)
+        tr_xxr = p - lam * float(np.trace(r))
+        if cancelled := tr_xxr < _CANCELLED * p:
+            tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
+        phi2 = tr_xxr / n
+        if isinstance(a, RiskMatrix):
+            u = a.beta / sqrt_sigma
+            ru = r @ u
+            phi1 = float(u @ ru)
+            phi3 = float(np.dot(sigma, ru * ru))
+            phi4 = (float(np.square(x @ ru).sum()) if cancelled else phi1 - lam * float(ru @ ru)) / n
+        elif isinstance(a, IdentityMatrix):
+            phi1 = float(np.dot(sigma, np.diagonal(r)))
+            tr_sr2, phi3 = _weighted_squares(r, sigma)  # Tr(S R^2), Tr(M^2) with M = S^1/2 R S^1/2
+            phi4 = (tr_sxr if cancelled else phi1 - lam * tr_sr2) / n
+        else:
+            phi1, phi3, phi4 = _dense_functionals(a, r, x @ r, sqrt_sigma)
     for name, val in (("phi1", phi1), ("phi2", phi2), ("phi3", phi3), ("phi4", phi4)):
         if not math.isfinite(val):
             raise SpectrumError(f"{name} is not finite")

@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -33,20 +34,30 @@ def reference_functionals(x, sigma_diag, lam, *a_dense):
     return [(np.trace(a @ m1), phi2, np.trace(a @ m3), np.trace(a @ m4)) for a in a_dense]
 
 
-def svd_phi2_phi4(svd, sigma_diag, lam, u=None):
-    """phi2, and phi4 at A = I (or at the RiskMatrix with beta = S^1/2 u), from the thin ``svd`` X = U diag(s) V^T:
-    X^T X R = V diag(s^2 / (s^2 + lam)) V^T and R X^T X R = V diag(s^2 / (s^2 + lam)^2) V^T, free of cancellation."""
-    left, s, vt = svd
-    s2 = s * s
-    w = s2 / (s2 + lam) ** 2
-    quad = sigma_diag @ (vt.T**2 @ w) if u is None else w @ (vt @ u) ** 2
-    return float(np.sum(s2 / (s2 + lam))) / left.shape[0], float(quad) / left.shape[0]
+def svd_functionals(x, sigma_diag, lam, u=None):
+    """(phi1, phi2, phi3, phi4) at A = I (or at the RiskMatrix with beta = S^1/2 u) from the full SVD
+    X = U diag(s) V^T, with s padded by zeros to p: R = V diag(d) V^T with d = 1 / (s^2 + lam),
+    X^T X R = V diag(s^2 d) V^T and R X^T X R = V diag(s^2 d^2) V^T.  Every sum has terms of one
+    sign, so no functional cancels, at any lam."""
+    n, p = x.shape
+    s2 = np.zeros(p)
+    _, s, vt = np.linalg.svd(x)
+    s2[: s.size] = s * s
+    d = 1.0 / (s2 + lam)
+    phi2 = float(np.sum(s2 * d)) / n
+    if u is None:
+        v2 = vt.T**2
+        m = (np.sqrt(sigma_diag)[:, None] * vt.T * d) @ (vt * np.sqrt(sigma_diag))  # S^1/2 R S^1/2
+        return float(sigma_diag @ (v2 @ d)), phi2, float(np.sum(m * m)), float(sigma_diag @ (v2 @ (s2 * d * d))) / n
+    vu = vt @ u
+    ru = vt.T @ (vu * d)
+    return float(vu @ (vu * d)), phi2, float(sigma_diag @ (ru * ru)), float(np.sum(s2 * (vu * d) ** 2)) / n
 
 
 # rows (n, p, lambdas), grouped by the test that runs them, each through every oracle of check_functional_oracles;
-# p <= PRIMAL_RATIO * n takes the primal route, larger p the dual
+# p <= n takes the primal route, larger p the dual
 FUNCTIONAL_CASES = {
-    "primal and dual": [(40, 120, [0.3]), (20, 120, [0.3])],
+    "primal and dual": [(40, 120, [0.3]), (20, 120, [0.3]), (120, 120, [0.3]), (119, 120, [0.3])],
     "risk matrix": [(10, 15, [0.3])],
     "skew": [(6, 8, [0.9])],
     "dual trace": [(9, 30, [0.3])],
@@ -54,13 +65,15 @@ FUNCTIONAL_CASES = {
     "large lambda": [(n, 50, [float(lam) for lam in 10.0 ** np.arange(-2, 15)]) for n in (5, 20, 200)],
     "primal resolvent": [(12, 5, [0.3])],
     "dual resolvent": [(10, 60, [0.3])],
+    "small lambda": [(5, 50, [1e-8]), (20, 50, [1e-8, 1e-12, 1e-17])],
 }
 
 
-def check_functional_oracles(monkeypatch, rows):
+def check_functional_oracles(monkeypatch, rows, inverse=True):
     """Every oracle on every (n, p, lam) of ``rows``, with 7-row blocks: a primal R of p >= 15 is mirrored
     in three or more blocks, Tr(S R^2) and ||S^1/2 R S^1/2||_F^2 reduce over two or more row blocks of R
-    at p >= 8, and the cancelled phi2 and phi4 over two or more row blocks of X at n >= 8.
+    at p >= 8, the cancelled phi2 and phi4 over two or more row blocks of X at n >= 8, and the dual
+    ||S^1/2 R S^1/2||_F^2 over two or more row blocks of X^T GX at p >= 8.
 
     X draws power_law(2.0, p) at seed 0; B, K and beta come from default_rng(1), with A = B B^T and
     skew part K - K^T.  Every bound is relative, |got - want| <= bound * (|want| + floor):
@@ -69,7 +82,11 @@ def check_functional_oracles(monkeypatch, rows):
     - each dense matrix (A, A + skew, eye, the RiskMatrix's outer form) against reference_functionals 1e-9;
     - A + skew against A 1e-10;
     - IdentityMatrix against eye 1e-12 at lam <= 1; above, 1e-9, the 2^20 eps that _CANCELLED allows;
-    - RiskMatrix against its outer form 1e-9, and phi2, phi4 of both structured forms against svd_phi2_phi4 1e-9.
+    - RiskMatrix against its outer form 1e-9, and both structured forms against svd_functionals 1e-9.
+    ``inverse=False`` leaves out the two oracles built on np.linalg.inv (R against inv, and
+    reference_functionals): at small lam the inverse of X^T X + lam, of condition s_max^2 / lam, is itself
+    off in its leading digits (reference_functionals' phi4 by 8e-2 at (5, 50, 1e-8)), so there the
+    cancellation-free svd_functionals is the oracle.
     """
     monkeypatch.setattr(functionals, "_BLOCK", 7)
     worst = {}
@@ -85,22 +102,23 @@ def check_functional_oracles(monkeypatch, rows):
         sigma, sample = s.expand(), sample_gaussian_features(s, n, 0)
         x, draws = sample.matrix, np.random.default_rng(1)
         b, k, beta = draws.standard_normal((p, p)), draws.standard_normal((p, p)), draws.standard_normal(p)
-        a, w, u, svd = b @ b.T, beta / sigma, beta / np.sqrt(sigma), np.linalg.svd(x, full_matrices=False)
+        a, w, u = b @ b.T, beta / sigma, beta / np.sqrt(sigma)
         dense = {"A": a, "A + skew": a + k - k.T, "eye": np.eye(p), "outer": np.outer(w, w)}
         for lam in lams:
             where, r = (n, p, lam), _resolvent(x, lam)
-            check("R vs inv", where, r, np.linalg.inv(x.T @ x + lam * np.eye(p)), 1e-10, 3e-4 / lam)
-            assert p > functionals.PRIMAL_RATIO * n or np.array_equal(r, r.T), f"primal R not symmetric at {where}"
+            assert p > n or np.array_equal(r, r.T), f"primal R not symmetric at {where}"
             phi = {name: empirical_functionals(sample, lam, matrix) for name, matrix in dense.items()}
-            for name, ref in zip(dense, reference_functionals(x, sigma, lam, *dense.values())):
-                check(f"{name} vs reference", where, phi[name], ref, 1e-9)
+            if inverse:
+                check("R vs inv", where, r, np.linalg.inv(x.T @ x + lam * np.eye(p)), 1e-10, 3e-4 / lam)
+                for name, ref in zip(dense, reference_functionals(x, sigma, lam, *dense.values())):
+                    check(f"{name} vs reference", where, phi[name], ref, 1e-9)
             phi["I"] = empirical_functionals(sample, lam, IdentityMatrix(p))
             phi["RiskMatrix"] = empirical_functionals(sample, lam, RiskMatrix(beta))
             check("A + skew vs A", where, phi["A + skew"], phi["A"], 1e-10)
             check("I vs eye", where, phi["I"], phi["eye"], 1e-12 if lam <= 1 else 1e-9)
             check("RiskMatrix vs outer", where, phi["RiskMatrix"], phi["outer"], 1e-9)
-            check("I vs svd", where, phi["I"][1::2], svd_phi2_phi4(svd, sigma, lam), 1e-9)
-            check("RiskMatrix vs svd", where, phi["RiskMatrix"][1::2], svd_phi2_phi4(svd, sigma, lam, u), 1e-9)
+            check("I vs svd", where, phi["I"], svd_functionals(x, sigma, lam), 1e-9)
+            check("RiskMatrix vs svd", where, phi["RiskMatrix"], svd_functionals(x, sigma, lam, u), 1e-9)
     print("worst relative error: " + ", ".join(f"{name} {err:.1e}" for name, err in worst.items()))
 
 
@@ -163,6 +181,23 @@ class TestEmpiricalFunctionals:
     def test_dual_resolvent_matches_inverse(self, monkeypatch):
         check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["dual resolvent"])
 
+    @pytest.mark.parametrize("row", FUNCTIONAL_CASES["small lambda"], ids=lambda row: f"{row[0]}-{row[1]}")
+    def test_small_lambda_matches_svd_oracle(self, monkeypatch, row):
+        check_functional_oracles(monkeypatch, [row], inverse=False)
+
+    @pytest.mark.parametrize("a", [IdentityMatrix(600), RiskMatrix(np.ones(600))], ids=["identity", "risk"])
+    def test_structured_dual_forms_no_p_by_p_array(self, a):
+        """At p > n the structured forms read X R = GX and never form R: the peak allocation
+        stays under one p x p array of doubles (the dual R's blocks of X^T GX stay under _BLOCK p)."""
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, 600), 40, 0)
+        tracemalloc.start()
+        try:
+            empirical_functionals(sample, 0.3, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 600 * 600 * 8, f"peak allocation {peak} bytes"
+
     def test_rejects_bad_inputs(self, rng):
         s = Spectrum.power_law(1.0, 4)
         sample = sample_gaussian_features(s, 3, rng)
@@ -175,10 +210,12 @@ class TestEmpiricalFunctionals:
         for a in (IdentityMatrix(5), RiskMatrix(np.ones(5)), np.eye(4)[:, :3]):
             with pytest.raises(SpectrumError, match="dimension mismatch"):
                 empirical_functionals(sample, 1.0, a)
-        # X^T X + lam (n = 20, primal) and X X^T + lam (three equal rows, dual) fail their Cholesky
-        sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 20, 0)
+        # X^T X + lam (three equal columns, primal) and X X^T + lam (three equal rows, dual) fail their Cholesky
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 60, 0)
+        x = sample.matrix.copy()
+        x[:, 1:3] = x[:, :1]
         with pytest.raises(SpectrumError, match=r"^X\^T X \+ lambda is not numerically positive definite"):
-            empirical_functionals(sample, 1e-17, IdentityMatrix(50))
+            empirical_functionals(FeatureSample(matrix=x, covariance=sample.covariance), 1e-300, IdentityMatrix(50))
         sample = FeatureSample(matrix=np.repeat(sample.matrix[:1], 3, axis=0), covariance=sample.covariance)
         with pytest.raises(SpectrumError, match=r"^X X\^T \+ lambda is not numerically positive definite"):
             empirical_functionals(sample, 1e-300, IdentityMatrix(50))
