@@ -31,7 +31,8 @@ __all__ = [
     "convergence_probe",
 ]
 
-# rows (or columns) per block when R or X^T GX is mirrored or reduced, which bounds the temporaries
+# rows (or columns) per block when R is mirrored or reduced, and columns per panel of GX on the dual
+# route, which bounds the temporaries
 _BLOCK = 256
 # below this fraction of p, p - lam Tr(R) has cancelled too far to give Tr(X^T X R)
 _CANCELLED = 2.0**-20
@@ -112,17 +113,37 @@ def _mirror_lower(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _dual_gx(x: np.ndarray, lam: float) -> np.ndarray:
-    """GX = (X X^T + lam)^-1 X by Cholesky; X R = GX, so the dual route reads XR with no cancellation.
+def _dual_factor(x: np.ndarray, lam: float):
+    """Cholesky factor of X X^T + lam, formed and factored in one n x n array.
 
     SpectrumError if X X^T + lam is not numerically positive definite.
     """
     gram = x @ x.T
     gram.ravel()[:: gram.shape[0] + 1] += lam
     try:
-        return cho_solve(cho_factor(gram, lower=True, overwrite_a=True), x)
+        # gram is symmetric: its transpose is the same matrix in the Fortran
+        # order LAPACK overwrites without a copy
+        return cho_factor(gram.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"X X^T + lambda is not numerically positive definite: {exc}") from exc
+
+
+def _dual_gx(x: np.ndarray, lam: float) -> np.ndarray:
+    """GX = (X X^T + lam)^-1 X, whole; X R = GX, so the dual route reads XR with no cancellation."""
+    return cho_solve(_dual_factor(x, lam), x)
+
+
+def _gx_panels(x: np.ndarray, factor):
+    """(i0, i1, GX[:, i0:i1], diagonal i0:i1 of X^T GX) for each _BLOCK-column panel of GX.
+
+    Each panel is solved when it is reached, so at most one n x _BLOCK panel of GX is held.
+    X's finite check is the factor's: X X^T + lam is finite only if X is.
+    """
+    p = x.shape[1]
+    for i0 in range(0, p, _BLOCK):
+        i1 = min(i0 + _BLOCK, p)
+        panel = cho_solve(factor, x[:, i0:i1], check_finite=False)
+        yield i0, i1, panel, np.einsum("ki,ki->i", x[:, i0:i1], panel)
 
 
 def _dual_resolvent(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
@@ -158,23 +179,48 @@ def _resolvent(x: np.ndarray, lam: float) -> np.ndarray:
     return _mirror_lower(r).T
 
 
-def _dual_weighted_squares(x: np.ndarray, gx: np.ndarray, lam: float, sigma: np.ndarray) -> float:
-    """sum_ij s_i s_j R_ij^2 for the dual R = (I - X^T GX) / lam, with no p x p array.
+def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float, float, float, float]:
+    """(phi1, phi2, phi3, phi4) at A = I on the dual route, from GX one panel at a time.
 
-    Reduces the lower triangle of X^T GX one row block at a time: the block's diagonal
-    square counts once, the columns left of it twice, as R is symmetric.
+    With d the diagonal of X^T GX: phi1 = sum_i s_i (1 - d_i) / lam, phi2 = sum d / n and
+    phi4 = sum_j s_j ||GX_j||^2 / n.  phi3 = sum_ij s_i s_j R_ij^2 with R = (I - X^T GX) / lam
+    reduces R's lower triangle: X^T GX is symmetric, so its rows i0:i1, up to the diagonal
+    block, are panel^T X[:, :i1]; the block's diagonal square counts once, the columns left
+    of it twice.
     """
-    p = x.shape[1]
-    total = 0.0
-    for i0 in range(0, p, _BLOCK):
-        i1 = min(i0 + _BLOCK, p)
-        rows = x[:, i0:i1].T @ gx[:, :i1]  # rows i0:i1 of X^T GX, up to the diagonal block
+    n, p = x.shape
+    xgx, gx_squares = np.empty(p), np.empty(p)
+    squares = 0.0
+    for i0, i1, panel, diag in _gx_panels(x, _dual_factor(x, lam)):
+        xgx[i0:i1] = diag
+        gx_squares[i0:i1] = np.einsum("ki,ki->i", panel, panel)
+        rows = panel.T @ x[:, :i1]  # rows i0:i1 of X^T GX, up to the diagonal block
         rows.ravel()[i0 :: i1 + 1] -= 1.0  # rows now hold -lam R
         np.square(rows, out=rows)
         weights = sigma[:i1].copy()
         weights[:i0] *= 2.0
-        total += float(sigma[i0:i1] @ (rows @ weights))
-    return total / lam / lam
+        squares += float(sigma[i0:i1] @ (rows @ weights))
+    phi1 = float(np.dot(sigma, 1.0 - xgx)) / lam
+    return phi1, float(xgx.sum()) / n, squares / lam / lam, float(np.dot(gx_squares, sigma)) / n
+
+
+def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> tuple[float, float, float, float]:
+    """(phi1, phi2, phi3, phi4) of the RiskMatrix with u = S^-1/2 beta on the dual route.
+
+    GX u = X R u and the diagonal of X^T GX are summed one panel at a time.  Ru = (u - X^T GX u) / lam
+    cancels where u lies in X's row space, so one step of iterative refinement follows: with the
+    residual e = u - X^T X Ru - lam Ru, formed without cancellation, Ru += R e = (e - X^T G X e) / lam.
+    """
+    n, p = x.shape
+    factor = _dual_factor(x, lam)
+    xgx, gxu = np.empty(p), np.zeros(n)
+    for i0, i1, panel, diag in _gx_panels(x, factor):
+        xgx[i0:i1] = diag
+        gxu += panel @ u[i0:i1]
+    ru = (u - x.T @ gxu) / lam
+    e = u - x.T @ (x @ ru) - lam * ru
+    ru += (e - x.T @ cho_solve(factor, x @ e, check_finite=False)) / lam
+    return float(u @ ru), float(xgx.sum()) / n, float(np.dot(sigma, ru * ru)), float(gxu @ gxu) / n
 
 
 def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
@@ -220,13 +266,15 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
 
     ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
     Dual route (p > n): XR = GX with G = (X X^T + lam)^-1, so phi2 and phi4 read GX and
-    never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  The structured forms form
-    no p x p array: RiskMatrix reads Ru = (u - X^T (GX u)) / lam, and IdentityMatrix reduces
-    R's lower triangle a row block at a time.  Primal route (p <= n): R by potri, phi2 from
-    Tr(X^T X R) = p - lam Tr(R) and the structured phi4 from X^T X = (X^T X + lam) - lam, so
-    only R and R^2 contractions are needed; where that leaves under _CANCELLED p, phi2 and
-    the structured phi4 read XR instead.  A dense A forms R on both routes, as the oracle
-    of the structured forms, and its phi4 reads X R S^1/2 at every lam.
+    never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  The structured forms hold
+    neither GX whole nor a p x p array: GX is solved and reduced one _BLOCK-column panel at
+    a time.  IdentityMatrix reduces R's lower triangle from each panel; RiskMatrix reads
+    Ru = (u - X^T (GX u)) / lam, refined by one step of iterative refinement.  Primal route
+    (p <= n): R by potri, phi2 from Tr(X^T X R) = p - lam Tr(R) and the structured phi4 from
+    X^T X = (X^T X + lam) - lam, so only R and R^2 contractions are needed; where that leaves
+    under _CANCELLED p, phi2 and the structured phi4 read XR instead.  A dense A forms R whole
+    on both routes (and GX whole on the dual), as the oracle of the structured forms, and its
+    phi4 reads X R S^1/2 at every lam.
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
@@ -237,21 +285,13 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     sqrt_sigma = np.sqrt(sigma)
 
     if p > n:
-        gx = _dual_gx(x, lam)
-        xgx = np.einsum("ki,ki->i", x, gx)  # diagonal of X^T GX = X^T X R
-        phi2 = float(xgx.sum()) / n
         if isinstance(a, RiskMatrix):
-            u = a.beta / sqrt_sigma
-            gxu = gx @ u  # X R u
-            ru = (u - x.T @ gxu) / lam
-            phi1 = float(u @ ru)
-            phi3 = float(np.dot(sigma, ru * ru))
-            phi4 = float(gxu @ gxu) / n
+            phi1, phi2, phi3, phi4 = _dual_risk(x, lam, a.beta / sqrt_sigma, sigma)
         elif isinstance(a, IdentityMatrix):
-            phi1 = float(np.dot(sigma, 1.0 - xgx)) / lam
-            phi3 = _dual_weighted_squares(x, gx, lam, sigma)
-            phi4 = float(np.dot(np.einsum("ki,ki->i", gx, gx), sigma)) / n
+            phi1, phi2, phi3, phi4 = _dual_identity(x, lam, sigma)
         else:
+            gx = _dual_gx(x, lam)
+            phi2 = float(np.einsum("ki,ki->", x, gx)) / n  # Tr(X^T GX) = Tr(X^T X R)
             phi1, phi3, phi4 = _dense_functionals(a, _dual_resolvent(x, gx, lam), gx, sqrt_sigma)
     else:
         r = _resolvent(x, lam)

@@ -186,17 +186,37 @@ class TestEmpiricalFunctionals:
         check_functional_oracles(monkeypatch, [row], inverse=False)
 
     @pytest.mark.parametrize("a", [IdentityMatrix(600), RiskMatrix(np.ones(600))], ids=["identity", "risk"])
-    def test_structured_dual_forms_no_p_by_p_array(self, a):
+    def test_structured_dual_forms_no_p_by_p_array(self, monkeypatch, a):
         """At p > n the structured forms read X R = GX and never form R: the peak allocation
-        stays under one p x p array of doubles (the dual R's blocks of X^T GX stay under _BLOCK p)."""
+        stays under one p x p array of doubles (the rows of X^T GX reduced per panel stay under
+        _BLOCK p).  GX is never held whole either: with 7-column panels the peak stays under one
+        n x p array of doubles, which GX alone would reach."""
         sample = sample_gaussian_features(Spectrum.power_law(2.0, 600), 40, 0)
-        tracemalloc.start()
-        try:
-            empirical_functionals(sample, 0.3, a)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+
+        def peak_bytes():
+            tracemalloc.start()
+            try:
+                empirical_functionals(sample, 0.3, a)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak = peak_bytes()
         assert peak < 600 * 600 * 8, f"peak allocation {peak} bytes"
+        monkeypatch.setattr(functionals, "_BLOCK", 7)
+        peak = peak_bytes()
+        assert peak < 40 * 600 * 8, f"peak allocation {peak} bytes with 7-column panels"
+
+    @pytest.mark.parametrize("n", [200, 800])
+    def test_dual_risk_matrix_at_probe_size(self, n):
+        """The probe's rank-one form (beta = e_1 on the top covariance direction, which lies mostly in
+        X's row space) at its own size: Ru refined once keeps phi1-phi4 within 1e-13 of svd_functionals
+        (the unrefined (u - X^T GX u) / lam is off by 4e-12 in phi1 and 8e-12 in phi3 at n = 800)."""
+        s = Spectrum.power_law(2.0, 2000)
+        sigma, sample = s.expand(), sample_gaussian_features(s, n, 1)
+        beta = np.eye(1, 2000).ravel()
+        phi = empirical_functionals(sample, 0.1, RiskMatrix(beta))
+        np.testing.assert_allclose(phi, svd_functionals(sample.matrix, sigma, 0.1, beta / np.sqrt(sigma)), rtol=1e-13, atol=0)
 
     def test_rejects_bad_inputs(self, rng):
         s = Spectrum.power_law(1.0, 4)
@@ -217,8 +237,9 @@ class TestEmpiricalFunctionals:
         with pytest.raises(SpectrumError, match=r"^X\^T X \+ lambda is not numerically positive definite"):
             empirical_functionals(FeatureSample(matrix=x, covariance=sample.covariance), 1e-300, IdentityMatrix(50))
         sample = FeatureSample(matrix=np.repeat(sample.matrix[:1], 3, axis=0), covariance=sample.covariance)
-        with pytest.raises(SpectrumError, match=r"^X X\^T \+ lambda is not numerically positive definite"):
-            empirical_functionals(sample, 1e-300, IdentityMatrix(50))
+        for a in (IdentityMatrix(50), RiskMatrix(np.ones(50)), np.eye(50)):
+            with pytest.raises(SpectrumError, match=r"^X X\^T \+ lambda is not numerically positive definite"):
+                empirical_functionals(sample, 1e-300, a)
 
 
 class TestDeterministicFunctionals:
