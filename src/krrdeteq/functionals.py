@@ -31,8 +31,8 @@ __all__ = [
     "convergence_probe",
 ]
 
-# rows (or columns) per block when R is mirrored or reduced, and columns per panel of GX on the dual
-# route, which bounds the temporaries
+# rows (or columns) per block when R is mirrored or reduced; on the dual route, the columns of the one
+# reused panel buffer of GX and the side of the one reused tile of X^T GX, which bound the temporaries
 _BLOCK = 256
 # below this fraction of p, p - lam Tr(R) has cancelled too far to give Tr(X^T X R)
 _CANCELLED = 2.0**-20
@@ -136,13 +136,17 @@ def _dual_gx(x: np.ndarray, lam: float) -> np.ndarray:
 def _gx_panels(x: np.ndarray, factor):
     """(i0, i1, GX[:, i0:i1], diagonal i0:i1 of X^T GX) for each _BLOCK-column panel of GX.
 
-    Each panel is solved when it is reached, so at most one n x _BLOCK panel of GX is held.
-    X's finite check is the factor's: X X^T + lam is finite only if X is.
+    Every panel is copied from X into one n x _BLOCK Fortran-order buffer and solved there in
+    place, so one panel of GX is held at a time; the next panel overwrites it.  X's finite check
+    is the factor's: X X^T + lam is finite only if X is.
     """
     p = x.shape[1]
+    buf = np.empty((x.shape[0], min(_BLOCK, p)), order="F")
     for i0 in range(0, p, _BLOCK):
         i1 = min(i0 + _BLOCK, p)
-        panel = cho_solve(factor, x[:, i0:i1], check_finite=False)
+        panel = buf[:, : i1 - i0]
+        panel[...] = x[:, i0:i1]
+        panel = cho_solve(factor, panel, overwrite_b=True, check_finite=False)
         yield i0, i1, panel, np.einsum("ki,ki->i", x[:, i0:i1], panel)
 
 
@@ -184,22 +188,26 @@ def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float,
 
     With d the diagonal of X^T GX: phi1 = sum_i s_i (1 - d_i) / lam, phi2 = sum d / n and
     phi4 = sum_j s_j ||GX_j||^2 / n.  phi3 = sum_ij s_i s_j R_ij^2 with R = (I - X^T GX) / lam
-    reduces R's lower triangle: X^T GX is symmetric, so its rows i0:i1, up to the diagonal
-    block, are panel^T X[:, :i1]; the block's diagonal square counts once, the columns left
-    of it twice.
+    reduces R's lower triangle in _BLOCK x _BLOCK tiles: X^T GX is symmetric, so its tile
+    (i0:i1, j0:j1) left of and on the diagonal is panel^T X[:, j0:j1]; the diagonal tile's
+    squares count once, the tiles left of it twice.  Every tile is formed in one reused buffer.
     """
     n, p = x.shape
     xgx, gx_squares = np.empty(p), np.empty(p)
+    # flat, so that each (possibly narrower) tile is a contiguous view whose ravel() is no copy
+    flat = np.empty(min(_BLOCK, p) ** 2)
     squares = 0.0
     for i0, i1, panel, diag in _gx_panels(x, _dual_factor(x, lam)):
         xgx[i0:i1] = diag
         gx_squares[i0:i1] = np.einsum("ki,ki->i", panel, panel)
-        rows = panel.T @ x[:, :i1]  # rows i0:i1 of X^T GX, up to the diagonal block
-        rows.ravel()[i0 :: i1 + 1] -= 1.0  # rows now hold -lam R
-        np.square(rows, out=rows)
-        weights = sigma[:i1].copy()
-        weights[:i0] *= 2.0
-        squares += float(sigma[i0:i1] @ (rows @ weights))
+        for j0 in range(0, i1, _BLOCK):
+            j1 = min(j0 + _BLOCK, i1)
+            tile = flat[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
+            np.matmul(panel.T, x[:, j0:j1], out=tile)  # tile (i0:i1, j0:j1) of X^T GX
+            if diagonal := j0 == i0:
+                tile.ravel()[:: j1 - j0 + 1] -= 1.0  # the diagonal tile now holds -lam R
+            np.square(tile, out=tile)
+            squares += (1.0 if diagonal else 2.0) * float(sigma[i0:i1] @ (tile @ sigma[j0:j1]))
     phi1 = float(np.dot(sigma, 1.0 - xgx)) / lam
     return phi1, float(xgx.sum()) / n, squares / lam / lam, float(np.dot(gx_squares, sigma)) / n
 
@@ -268,7 +276,8 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     Dual route (p > n): XR = GX with G = (X X^T + lam)^-1, so phi2 and phi4 read GX and
     never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  The structured forms hold
     neither GX whole nor a p x p array: GX is solved and reduced one _BLOCK-column panel at
-    a time.  IdentityMatrix reduces R's lower triangle from each panel; RiskMatrix reads
+    a time, in one reused panel buffer.  IdentityMatrix reduces R's lower triangle from each
+    panel one _BLOCK x _BLOCK tile at a time, in one reused tile buffer; RiskMatrix reads
     Ru = (u - X^T (GX u)) / lam, refined by one step of iterative refinement.  Primal route
     (p <= n): R by potri, phi2 from Tr(X^T X R) = p - lam Tr(R) and the structured phi4 from
     X^T X = (X^T X + lam) - lam, so only R and R^2 contractions are needed; where that leaves

@@ -205,6 +205,7 @@ def _run_gcv_sweep(config: ExperimentConfig) -> ExperimentResult:
         try:
             sample, y = draw(n, derive_rng(config.seed, 3, rep))
             gram = krr.GramMatrix(sample.matrix @ sample.matrix.T)
+            del sample  # the n x p features are dead once the Gram is built: free them before the lambda loop
         except Exception as exc:  # record-and-continue: a failed draw or Gram fails every lambda
             return [(math.nan, _error(exc))] * len(config.lambda_grid)
         return [_outcome(krr.gcv, gram, y, lam) for lam in config.lambda_grid]

@@ -73,7 +73,7 @@ def check_functional_oracles(monkeypatch, rows, inverse=True):
     """Every oracle on every (n, p, lam) of ``rows``, with 7-row blocks: a primal R of p >= 15 is mirrored
     in three or more blocks, Tr(S R^2) and ||S^1/2 R S^1/2||_F^2 reduce over two or more row blocks of R
     at p >= 8, the cancelled phi2 and phi4 over two or more row blocks of X at n >= 8, and the dual
-    ||S^1/2 R S^1/2||_F^2 over two or more row blocks of X^T GX at p >= 8.
+    ||S^1/2 R S^1/2||_F^2 over three or more 7 x 7 tiles of X^T GX at p >= 8, one of them off the diagonal.
 
     X draws power_law(2.0, p) at seed 0; B, K and beta come from default_rng(1), with A = B B^T and
     skew part K - K^T.  Every bound is relative, |got - want| <= bound * (|want| + floor):
@@ -188,10 +188,14 @@ class TestEmpiricalFunctionals:
     @pytest.mark.parametrize("a", [IdentityMatrix(600), RiskMatrix(np.ones(600))], ids=["identity", "risk"])
     def test_structured_dual_forms_no_p_by_p_array(self, monkeypatch, a):
         """At p > n the structured forms read X R = GX and never form R: the peak allocation
-        stays under one p x p array of doubles (the rows of X^T GX reduced per panel stay under
-        _BLOCK p).  GX is never held whole either: with 7-column panels the peak stays under one
-        n x p array of doubles, which GX alone would reach."""
-        sample = sample_gaussian_features(Spectrum.power_law(2.0, 600), 40, 0)
+        stays under one p x p array of doubles.  GX is never held whole either: with 7-column
+        panels the peak stays under one n x p array of doubles, which GX alone would reach.
+        What they hold is the n x n factor, one reused n x _BLOCK panel of GX and, for the
+        identity, one reused _BLOCK x _BLOCK tile of X^T GX, beside O(p) vectors: with 7-column
+        panels the identity's peak stays under n^2 + 2 n _BLOCK + _BLOCK^2 + 8 p doubles, which
+        a _BLOCK x p slab of X^T GX would exceed."""
+        n, p = 40, 600
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, p), n, 0)
 
         def peak_bytes():
             tracemalloc.start()
@@ -202,10 +206,14 @@ class TestEmpiricalFunctionals:
                 tracemalloc.stop()
 
         peak = peak_bytes()
-        assert peak < 600 * 600 * 8, f"peak allocation {peak} bytes"
-        monkeypatch.setattr(functionals, "_BLOCK", 7)
+        assert peak < p * p * 8, f"peak allocation {peak} bytes"
+        block = 7
+        monkeypatch.setattr(functionals, "_BLOCK", block)
         peak = peak_bytes()
-        assert peak < 40 * 600 * 8, f"peak allocation {peak} bytes with 7-column panels"
+        assert peak < n * p * 8, f"peak allocation {peak} bytes with 7-column panels"
+        if isinstance(a, IdentityMatrix):
+            bound = 8 * (n * n + 2 * n * block + block * block + 8 * p)
+            assert peak < bound, f"peak allocation {peak} bytes with 7-column panels, over {bound}"
 
     @pytest.mark.parametrize("n", [200, 800])
     def test_dual_risk_matrix_at_probe_size(self, n):
