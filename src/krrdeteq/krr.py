@@ -7,8 +7,9 @@ minimum-norm interpolation reading of lambda -> 0.  The GCV denominator
 Tr((K + lam)^-1) at lam > 0 is ||L^-1||_F^2 for the Cholesky factor L, with
 L^-1 formed block-wise: triangular solves on blocks of at most TRACE_LEAF rows
 and two matrix products per split.  ``linear_sweep`` reuses one
-eigendecomposition across a lambda grid for linear features and is tested for
-agreement with the per-lambda direct path.
+eigendecomposition across a lambda grid for linear features.  Every route is
+checked against the others, case by case, in the ``KRR_CASES`` table of
+``tests/test_krr.py``.
 """
 
 from __future__ import annotations
@@ -255,20 +256,26 @@ def linear_sweep(sample, theta_star, y, lambda_grid, noise_variance: float = 0.0
 
     One Gram eigendecomposition serves the whole grid; primal coefficients
     come from theta_hat = X^T alpha(lambda) and the test error includes the
-    noise floor.  Agrees with the per-lambda direct path (tested), just
-    cheaper on dense grids.  Labels are checked as in every entry point;
-    lambda = 0 on a rank-deficient Gram gives a row of NaN.
+    noise floor.  Agrees with the per-lambda direct path (tested on every
+    feature row of ``KRR_CASES``), just cheaper on dense grids.  Labels,
+    lambdas and theta_star are checked as in every entry point, before any
+    work; lambda = 0 on a rank-deficient Gram gives a row of NaN.
     """
     x = np.asarray(sample.matrix, dtype=float)
     sigma = sample.covariance.expand()
     theta_star = np.asarray(theta_star, dtype=float).ravel()
     y = _labels(y, x.shape[0])
+    if theta_star.size != x.shape[1]:
+        raise KrrError("feature/target dimensions disagree")
+    lambda_grid = [float(lam) for lam in lambda_grid]
+    if not all(0 <= lam < math.inf for lam in lambda_grid):  # NaN fails both comparisons
+        raise KrrError("lambda must be finite and nonnegative")
     gram = GramMatrix(x @ x.T)
     mu, v = gram.eigendecomposition()
     c = v.T @ y
     n = gram.n
     rows = []
-    for lam in map(float, lambda_grid):
+    for lam in lambda_grid:
         row = {"lambda": lam} | dict.fromkeys(("gcv", "train_error", "stieltjes", "test_error"), math.nan)
         rows.append(row)
         if lam == 0 and not _full_rank(mu):

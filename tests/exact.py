@@ -10,6 +10,7 @@ far below double precision.
     closed_forms(point, blocks, energies, residual_energy, noise_variance, n, lam)
         -> ClosedForms(stieltjes, bias, variance, risk, train)
     functionals(point, blocks, n, lam, beta=None) -> Functionals(psi1, psi2, psi3, psi4)
+    spectral_gcv(mu, c, n, lam) -> SpectralGcv(gcv, train, stieltjes)
 
 ``blocks`` is a sequence of ``(eigenvalue, multiplicity)`` pairs.  The root s of
 the defect g(s) = n - lam/s - sum_k m_k xi_k/(xi_k + s) is found by bisection
@@ -19,6 +20,9 @@ about d / g'(s), so by d / (s g'(s)) relative.
 ``closed_forms`` evaluates the risk predictions at that root, with
 ``energies[k]`` the target energy of block k, and ``functionals`` the four
 resolvent-functional predictions psi1-psi4 for A = I or a RiskMatrix.
+``spectral_gcv`` is the data side: the GCV score, train error and Stieltjes
+value of a Gram matrix given exactly by its eigenvalues and the labels in its
+eigenbasis.
 """
 
 from __future__ import annotations
@@ -125,3 +129,25 @@ def functionals(point: FixedPoint, blocks, n: int, lam: float, beta=None) -> Fun
         psi3 = sum(b2 / (mu * v + ridge) ** 2 for v, b2 in zip(sigma, squares)) / denom
         psi4 = sum(b2 / (v + s) ** 2 for v, b2 in zip(sigma, squares)) / (n * n * denom)
         return Functionals(psi1, u1, psi3, psi4)
+
+
+class SpectralGcv(NamedTuple):
+    gcv: Decimal
+    train: Decimal
+    stieltjes: Decimal
+
+
+def spectral_gcv(mu, c, n: int, lam: float) -> SpectralGcv:
+    """GCV, train error and Stieltjes value of the Gram matrix V diag(mu) V^T with labels y = V c.
+
+    With r_i = 1/(mu_i + lam): gcv = n sum (c_i r_i)^2 / (sum r_i)^2, train = lam^2 sum (c_i r_i)^2 / n
+    and stieltjes = sum r_i / n, the n ||alpha||^2 / Tr((K + lam)^-1)^2, ||y - K alpha||^2 / n and
+    Tr((K + lam)^-1) / n of krrdeteq.krr.  Needs every mu_i + lam > 0.
+    """
+    with localcontext() as ctx:
+        ctx.prec = DIGITS
+        ridge = Decimal(float(lam))
+        r = [1 / (Decimal(float(m)) + ridge) for m in mu]
+        quad = sum((Decimal(float(ci)) * ri) ** 2 for ci, ri in zip(c, r))
+        trace = sum(r)
+        return SpectralGcv(n * quad / trace**2, ridge**2 * quad / n, trace / n)

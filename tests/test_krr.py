@@ -1,13 +1,16 @@
 import math
 import struct
+from typing import NamedTuple
 
 import numpy as np
 import pytest
+from numpy.linalg import norm
 from scipy.linalg import cho_factor, cho_solve, solve_triangular
 
 from krrdeteq import krr
 from krrdeteq.functionals import FeatureSample, sample_gaussian_features
 from krrdeteq.krr import (
+    RANK_TOL,
     TRACE_LEAF,
     GramMatrix,
     KrrError,
@@ -20,10 +23,29 @@ from krrdeteq.krr import (
     write_gram_binary,
     write_labels_binary,
 )
-from krrdeteq.krr import _inv_trace
+from krrdeteq.krr import _full_rank, _inv_trace
 from krrdeteq.krr import test_error_linear_exact as exact_linear_risk
 from krrdeteq.krr import test_error_monte_carlo as monte_carlo_risk
+from krrdeteq.sphere import kernel_from_gaps, sample_sphere
 from krrdeteq.spectrum import Spectrum
+
+from exact import spectral_gcv
+
+EPS = np.finfo(float).eps
+SPHERE = kernel_from_gaps(6, 3, 4.0)  # levels 1-3 on the sphere in R^6: rank 6 + 20 + 50 = 76
+TRACE_SIZES = (1, 2, 63, 64, 65, 100, 128, 129, 257, 400)
+WIDE = (0.0, 1e-12, 1e-6, 1e-2, 1.0, 1e3)
+SHARED = (0.0, 1e-9, 1e-3, 0.7, 40.0)
+EDGE = (0.0, 1e-9, 0.7)
+NOISE = 0.01  # the noise floor of linear_sweep and the exact linear risk
+
+
+class Row(NamedTuple):
+    kind: str  # random, sphere, features, near rank or diagonal: see krr_case
+    n: int
+    lams: tuple
+    eigenvalues: tuple = ()  # near rank and diagonal: the Gram's eigenvalues, before rounding
+    seed: int = 0
 
 
 def random_spd_gram(rng, n):
@@ -31,24 +53,148 @@ def random_spd_gram(rng, n):
     return GramMatrix(b @ b.T / n)
 
 
-def gcv_reference(gram, y, lam):
-    """GCV with its own solve: the eigenbasis at lam = 0, a Cholesky solve at lam > 0."""
-    y = np.asarray(y, dtype=float).ravel()
-    if lam == 0:
-        mu, v = gram.eigendecomposition()
-        c = v.T @ y
-        num, denom = float(np.sum((c / mu) ** 2)), float(np.sum(1.0 / mu))
+def geometric(low, n):
+    return tuple(np.geomspace(low, 1.0, n))
+
+
+# rows grouped by the test that runs them, each through every oracle of check_krr_oracles; every grid includes 0
+KRR_CASES = {
+    "certificate": [Row("random", 2 + i % 28, (0.0, 0.02 * (i + 1)), seed=i) for i in range(100)],
+    "train identity": [Row("random", 2 + 7 * i % 23, (0.0, 1e-3, 0.5, 3.0), seed=100 + i) for i in range(10)],
+    "gcv identity": [Row("random", 3 + 5 * i % 17, (0.0, 1e-2, 0.7, 2.0), seed=200 + i) for i in range(10)],
+    # every size draws its Q from default_rng(20240911), the seed of the rng fixture in conftest.py
+    "inverse trace": [
+        Row("near rank", n, WIDE, geometric(low, n), 20240911) for n in TRACE_SIZES for low in (1.0, 1e-6, 1e-15)
+    ],
+    "shared solve": [
+        row
+        for seed in range(300, 305)
+        for row in (
+            Row("random", 9, SHARED, seed=seed),
+            Row("diagonal", 4, SHARED, (1e-6, 0.5, 2.0, 30.0), seed),
+            Row("near rank", 8, SHARED, geometric(1e-9, 8), seed),
+            Row("sphere", 40, SHARED, seed=seed),
+        )
+    ],
+    "positive lambda": [Row("features", 12, (0.0, 0.7), seed=1)],
+    "stieltjes range": [Row("features", 12, (0.0, 0.7), seed=2)],
+    "sweep": [Row("features", 12, (0.0, 1e-3, 0.1, 1.0, 25.0), seed=3)],
+    "sweep risk": [Row("features", 25, (0.0, 1e-2, 0.3, 2.0), seed=4)],
+    "isotropic": [Row("diagonal", 6, (0.0, 0.5, 1.0, 10.0), (2.0,) * 6)],
+    "spectral": [Row("diagonal", n, WIDE, geometric(low, n)) for n in (6, 40, 130) for low in (1, 1e-3, 1e-9)],
+    # eigenvalue ratios on each side of RANK_TOL = 1e-10, and sphere Grams below and above their rank
+    "rank boundary": [
+        Row(kind, 8, EDGE, geometric(low, 8), 8) for kind in ("near rank", "diagonal") for low in (1e-9, 1e-12)
+    ]
+    + [Row("sphere", n, EDGE, seed=n) for n in (70, 100)],
+}
+
+
+def krr_case(row):
+    """The row's Gram and labels y, with its FeatureSample and theta for the kinds with features X.
+
+    Every draw comes from default_rng(row.seed).  A random Gram is random_spd_gram's, a sphere Gram SPHERE's on
+    sample_sphere points, and a near rank Gram Q diag(eigenvalues) Q^T; each has standard normal labels.  The
+    features kind draws X from power_law(1.5, 40), and the diagonal kind takes X = [diag(root) | 0] with root^2 the
+    eigenvalues, a Gram diag(fl(root^2)) that eigh decomposes exactly; their labels are y = X theta + 0.1 noise.
+    """
+    rng = np.random.default_rng(row.seed)
+    if row.kind == "random":
+        return random_spd_gram(rng, row.n), rng.standard_normal(row.n), None, None
+    if row.kind == "sphere":
+        return GramMatrix(SPHERE.gram(sample_sphere(SPHERE.d, row.n, rng))), rng.standard_normal(row.n), None, None
+    if row.kind == "near rank":
+        q = np.linalg.qr(rng.standard_normal((row.n, row.n)))[0]
+        return GramMatrix((q * row.eigenvalues) @ q.T), rng.standard_normal(row.n), None, None
+    if row.kind == "features":
+        sample = sample_gaussian_features(Spectrum.power_law(1.5, 40), row.n, rng)
     else:
-        shifted = gram.entries + lam * np.eye(gram.n)
-        z = cho_solve(cho_factor(shifted, lower=True), y)
-        linv = solve_triangular(np.linalg.cholesky(shifted), np.eye(gram.n), lower=True)
-        num, denom = float(z @ z), float((linv * linv).sum())
-    return gram.n * num / denom**2
+        root = np.diag(np.sqrt(row.eigenvalues))
+        sample = FeatureSample(np.hstack([root, 0 * root]), Spectrum.from_blocks([(1.0, 2 * row.n)]))
+    theta = rng.standard_normal(sample.matrix.shape[1])
+    y = sample.matrix @ theta + 0.1 * rng.standard_normal(row.n)
+    return GramMatrix(sample.matrix @ sample.matrix.T), y, sample, theta
 
 
-def dense_stieltjes(gram, lam):
-    """Tr((K + lam)^-1) / n from a dense inverse."""
-    return float(np.trace(np.linalg.inv(gram.entries + lam * np.eye(gram.n)))) / gram.n
+def check_krr_oracles(monkeypatch, family, rows=None):
+    """Every oracle on every (Gram, lam) of ``rows``, by default the family's rows of KRR_CASES.
+
+    Bounds are relative.  Those that depend on conditioning scale kappa, the condition number of K + lam (from the
+    row's eigenvalues where it states them), or shrink, the cancellation in a train error y - K alpha = lam alpha, by
+    16 eps: about six times the worst error measured, and below the old tests' bounds on their cases.  fit_krr
+    keeps its certificate wherever n eps kappa <= 1e-10, and elsewhere may fail only that certificate.  At lam = 0,
+    every route follows _full_rank.  ``pytest -s`` prints each oracle's worst error / bound.
+    """
+    worst, traces = {}, []
+
+    def recorded_trace(shifted):  # the Tr((K + lam)^-1) that gcv divides by
+        traces.append(_inv_trace(shifted))
+        return traces[-1]
+
+    def check(oracle, got, want, bound):
+        err = 0.0 if np.array_equal(got, want, equal_nan=True) else float(norm(np.subtract(got, want)) / norm(want))
+        worst[oracle] = max(worst.get(oracle, 0.0), err / bound if bound else err)
+        assert err <= bound, f"{oracle} at (family, kind, low, n, lam, seed) = {where}: error {err:.2e} > {bound:.1e}"
+
+    monkeypatch.setattr(krr, "_inv_trace", recorded_trace)
+    for row in KRR_CASES[family] if rows is None else rows:
+        gram, y, sample, theta = krr_case(row)
+        n, low = row.n, min(row.eigenvalues, default=None)
+        mu, v = gram.eigendecomposition()
+        c, full_rank = v.T @ y, _full_rank(mu)
+        bottom, top = (max(mu[0], 0.0), mu[-1]) if low is None else (low, max(row.eigenvalues))
+        assert low is None or full_rank == (low > RANK_TOL * top), (family, row.kind, low, n)
+        sweep = linear_sweep(sample, theta, y, row.lams, NOISE) if sample else [None] * len(row.lams)
+        for lam, swept in zip(row.lams, sweep):
+            where = (family, row.kind, low, n, lam, row.seed)
+            if lam == 0 and not full_rank:
+                for solve in (fit_krr, gcv):
+                    with pytest.raises(KrrError, match="ill-posed"):
+                        solve(gram, y, lam)
+                assert swept is None or all(math.isnan(value) for value in list(swept.values())[1:]), where
+                continue
+            kappa, shrink = (top + lam) / (bottom + lam), (top + lam) / lam if lam else math.inf
+            try:
+                fit = fit_krr(gram, y, lam)
+                check("certificate", gram.entries @ fit.alpha + lam * fit.alpha, y, 1e-8)
+            except KrrError as exc:
+                assert "residual" in str(exc) and n * EPS * kappa > 1e-10, (where, str(exc))
+                fit = None
+            alpha = krr._dual(gram, y, lam)[1] if fit is None else fit.alpha
+            check("alpha vs eigenbasis", alpha, v @ (c / (mu + lam)), 1e-13 + 16 * EPS * kappa)
+            score = gcv(gram, y, lam)
+            if lam == 0:
+                trace, stieltjes, train = float(np.sum(1.0 / mu)), math.nan, 0.0
+                reference = n * float(np.sum((c / mu) ** 2)) / trace**2  # the reference GCV from the eigenbasis
+            else:
+                shifted = gram.entries + lam * np.eye(n)
+                linv = solve_triangular(np.linalg.cholesky(shifted), np.eye(n), lower=True)
+                trace, full = traces[-1], float((linv * linv).sum())
+                stieltjes = float(np.trace(np.linalg.inv(shifted))) / n
+                check("trace vs full", trace, full, 0.0 if n <= TRACE_LEAF else 1e-13)
+                check("trace vs dense", trace / n, stieltjes, 1e-13 + EPS * kappa)
+                assert swept is None or 0 < swept["stieltjes"] <= 1 / lam, where
+                z = cho_solve(cho_factor(shifted, lower=True), y)  # the reference GCV's own solve
+                reference = n * float(z @ z) / full**2
+            check("gcv vs reference", score, reference, 0.0 if lam > 0 and n <= TRACE_LEAF else 1e-13)
+            check("gcv vs fit", score, n * float(alpha @ alpha) / trace**2, 0.0)
+            if fit is not None and lam > 0:
+                train = train_error(fit, y)
+                check("train identity", train, lam**2 * float(alpha @ alpha) / n, max(1e-10, 16 * EPS * shrink))
+                check("gcv vs train", score, train / (lam * stieltjes) ** 2, max(1e-10, 16 * EPS * shrink))
+            if swept is not None:  # at lam = 0 its train error is 0 and its Stieltjes value NaN
+                want = {"gcv": (score, kappa), "stieltjes": (stieltjes, kappa)}
+                if fit is not None:
+                    want["train_error"] = train, shrink
+                    want["test_error"] = exact_linear_risk(sample, theta, y, lam, NOISE), kappa
+                for key, (value, cond) in want.items():
+                    check(f"sweep {key}", swept[key], value, max(1e-8, 16 * EPS * cond))
+            if row.kind == "diagonal":
+                exact = [float(value) for value in spectral_gcv(np.diag(gram.entries), y, n, lam)]
+                check("gcv vs exact", score, exact[0], 1e-14)
+                keys = ("gcv", "train_error", "stieltjes") if lam else ("gcv", "train_error")
+                check("sweep vs exact", [swept[key] for key in keys], exact[: len(keys)], 1e-14)
+    print(f"{family}: worst error / bound: " + ", ".join(f"{name} {ratio:.1e}" for name, ratio in worst.items()))
 
 
 class TestGramMatrix:
@@ -143,15 +289,11 @@ class TestFit:
         with pytest.raises(KrrError, match="ill-posed"):
             fit_krr(GramMatrix(k), np.array([1.0, 2.0, 3.0]), 0.0)
 
-    def test_residual_certificate_random(self, rng):
-        for _ in range(100):
-            n = int(rng.integers(2, 30))
-            gram = random_spd_gram(rng, n)
-            y = rng.standard_normal(n)
-            lam = float(rng.uniform(0, 2.0))
-            fit = fit_krr(gram, y, lam)
-            resid = gram.entries @ fit.alpha + lam * fit.alpha - y
-            assert np.linalg.norm(resid) <= 1e-8 * np.linalg.norm(y)
+    def test_residual_certificate_random(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "certificate")
+
+    def test_ridgeless_rank_decision(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "rank boundary")
 
     @pytest.mark.parametrize("lam", [0.0, 1.0])
     @pytest.mark.parametrize("bad", [math.nan, math.inf])
@@ -202,25 +344,8 @@ class TestTrainError:
         fit = fit_krr(GramMatrix(np.eye(4)), np.zeros(4), 0.5)
         assert train_error(fit, np.zeros(4)) == 0.0
 
-    def test_identity_with_dual_norm(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(2, 25))
-            gram = random_spd_gram(rng, n)
-            y = rng.standard_normal(n)
-            lam = float(rng.uniform(1e-3, 3.0))
-            fit = fit_krr(gram, y, lam)
-            assert train_error(fit, y) == pytest.approx(
-                lam**2 * float(fit.alpha @ fit.alpha) / n, rel=1e-10
-            )
-
-
-def sweep_at(rng, lam):
-    """The linear_sweep row at one lambda, on 12 Gaussian samples of 40 features."""
-    spectrum = Spectrum.power_law(1.5, 40)
-    sample = sample_gaussian_features(spectrum, 12, rng)
-    theta = rng.standard_normal(40)
-    (row,) = linear_sweep(sample, theta, sample.matrix @ theta, [lam])
-    return row
+    def test_identity_with_dual_norm(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "train identity")
 
 
 class TestStieltjes:
@@ -241,33 +366,15 @@ class TestStieltjes:
         y = np.array([1.0, -2.0, 2.0])
         assert gcv(GramMatrix(np.eye(3)), y, 1e12) == pytest.approx(3.0, rel=1e-12)
 
-    def test_requires_positive_lambda(self, rng):
-        row = sweep_at(rng, 0.0)
-        assert math.isnan(row["stieltjes"]) and math.isfinite(row["gcv"])
+    def test_requires_positive_lambda(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "positive lambda")
 
-    def test_range(self, rng):
-        lam = 0.7
-        assert 0 < sweep_at(rng, lam)["stieltjes"] <= 1 / lam
+    def test_range(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "stieltjes range")
 
-    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 100, 128, 129, 257, 400])
-    def test_block_inverse_trace_matches_full_solves(self, rng, n):
-        # ||L^-1||_F^2 against L^-1 solved in one piece, and against a dense inverse up to
-        # the conditioning both carry; one block of at most TRACE_LEAF rows is that same
-        # solve, bit for bit
-        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
-        for spread in (1.0, 1e-6, 1e-15):
-            gram = GramMatrix((q * np.geomspace(spread, 1.0, n)) @ q.T)
-            for lam in (1e-12, 1e-6, 1e-2, 1.0, 1e3):
-                shifted = gram.entries + lam * np.eye(n)
-                linv = solve_triangular(np.linalg.cholesky(shifted), np.eye(n), lower=True)
-                full = float((linv * linv).sum())
-                trace = _inv_trace(shifted)
-                if n <= TRACE_LEAF:
-                    assert trace == full
-                assert trace == pytest.approx(full, rel=1e-13, abs=0)
-                cond = (1.0 + lam) / (spread + lam)
-                dense = float(np.trace(np.linalg.inv(shifted)))
-                assert trace == pytest.approx(dense, rel=1e-13 + np.finfo(float).eps * cond, abs=0)
+    @pytest.mark.parametrize("n", TRACE_SIZES)
+    def test_block_inverse_trace_matches_full_solves(self, monkeypatch, n):
+        check_krr_oracles(monkeypatch, "inverse trace", [row for row in KRR_CASES["inverse trace"] if row.n == n])
 
 
 class TestGcv:
@@ -275,12 +382,11 @@ class TestGcv:
         val = gcv(GramMatrix(np.array([[3.0]])), np.array([2.0]), 1.0)
         assert val == pytest.approx(4.0, rel=1e-12)
 
-    def test_isotropic_gram_independent_of_lambda(self, rng):
-        y = rng.standard_normal(6)
-        g = GramMatrix(2.0 * np.eye(6))
-        vals = [gcv(g, y, lam) for lam in (0.0, 0.5, 1.0, 10.0)]
-        expected = float(y @ y) / 6
-        np.testing.assert_allclose(vals, expected, rtol=1e-10)
+    def test_isotropic_gram_independent_of_lambda(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "isotropic")
+
+    def test_matches_exact_spectral_gcv(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "spectral")
 
     def test_zero_labels(self):
         assert gcv(GramMatrix(np.eye(3)), np.zeros(3), 0.5) == 0.0
@@ -296,36 +402,15 @@ class TestGcv:
             with pytest.raises(KrrError, match="not positive definite"):
                 solve(gram, y, 0.5)
 
-    def test_matches_train_over_scaled_stieltjes(self, rng):
-        for _ in range(10):
-            n = int(rng.integers(3, 20))
-            gram = random_spd_gram(rng, n)
-            y = rng.standard_normal(n)
-            lam = float(rng.uniform(1e-2, 2.0))
-            fit = fit_krr(gram, y, lam)
-            lhs = gcv(gram, y, lam)
-            rhs = train_error(fit, y) / (lam * dense_stieltjes(gram, lam)) ** 2
-            assert lhs == pytest.approx(rhs, rel=1e-10)
+    def test_matches_train_over_scaled_stieltjes(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "gcv identity")
 
 
 class TestGcvSharesTheFitSolve:
-    """gcv takes alpha from the solve fit_krr uses; the reference keeps its own solve."""
+    """gcv takes alpha from the solve fit_krr uses."""
 
-    @staticmethod
-    def grams(rng):
-        yield random_spd_gram(rng, 9)
-        yield GramMatrix(np.diag([1e-6, 0.5, 2.0, 30.0]))
-        # near interpolation: eigenvalues down to 1e-9 of the top one
-        q, _ = np.linalg.qr(rng.standard_normal((8, 8)))
-        yield GramMatrix(q @ np.diag(np.geomspace(1e-9, 1.0, 8)) @ q.T)
-
-    def test_matches_reference(self, rng):
-        for gram in self.grams(rng):
-            for _ in range(5):
-                y = rng.standard_normal(gram.n)
-                for lam in (1e-9, 1e-3, 0.7, 40.0):
-                    assert gcv(gram, y, lam) == gcv_reference(gram, y, lam)
-                assert gcv(gram, y, 0.0) == pytest.approx(gcv_reference(gram, y, 0.0), rel=1e-13, abs=0)
+    def test_matches_reference(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "shared solve")
 
     def test_defined_where_the_fit_certificate_fails(self):
         # Gaussian features, n = 390 close to p = 400, labels on the five smallest
@@ -401,6 +486,18 @@ class TestErrorContract:
         with pytest.raises(KrrError, match="Gram size 0"):
             linear_sweep(empty, np.ones(3), [], [0.0, 1.0])
 
+    @pytest.mark.parametrize("lam", [-1.0, -1e-300, math.nan, math.inf])
+    def test_linear_sweep_checks_lambdas(self, rng, lam):
+        sample = sample_gaussian_features(Spectrum.from_blocks([(1.0, 3)]), 4, rng)
+        with pytest.raises(KrrError, match="lambda must be finite and nonnegative"):
+            linear_sweep(sample, np.ones(3), np.zeros(4), [0.0, lam])
+
+    @pytest.mark.parametrize("size", [1, 4])
+    def test_linear_sweep_checks_target_size(self, rng, size):
+        sample = sample_gaussian_features(Spectrum.from_blocks([(1.0, 3)]), 4, rng)
+        with pytest.raises(KrrError, match="feature/target dimensions disagree"):
+            linear_sweep(sample, np.ones(size), np.zeros(4), [1.0])
+
     @pytest.mark.parametrize("head", [b"KRRG\x01\x02", b"KRRG" + struct.pack("<Q", 2**62)])
     def test_gram_reader_short_header_or_huge_n(self, tmp_path, head):
         path = tmp_path / "k.krrg"
@@ -417,29 +514,11 @@ class TestErrorContract:
 
 
 class TestSweeps:
-    def test_eig_matches_direct(self, rng):
-        spectrum = Spectrum.power_law(1.5, 40)
-        sample = sample_gaussian_features(spectrum, 12, rng)
-        theta = rng.standard_normal(40)
-        y = sample.matrix @ theta + 0.1 * rng.standard_normal(12)
-        gram = GramMatrix(sample.matrix @ sample.matrix.T)
-        rows = linear_sweep(sample, theta, y, [1e-3, 0.1, 1.0, 25.0])
-        for row in rows:
-            lam = row["lambda"]
-            assert row["gcv"] == pytest.approx(gcv(gram, y, lam), rel=1e-8)
-            assert row["train_error"] == pytest.approx(train_error(fit_krr(gram, y, lam), y), rel=1e-8)
-            assert row["stieltjes"] == pytest.approx(dense_stieltjes(gram, lam), rel=1e-8)
+    def test_eig_matches_direct(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "sweep")
 
-    def test_linear_sweep_matches_pointwise(self, rng):
-        spectrum = Spectrum.power_law(1.5, 40)
-        sample = sample_gaussian_features(spectrum, 25, rng)
-        theta = rng.standard_normal(40)
-        y = sample.matrix @ theta + 0.1 * rng.standard_normal(25)
-        grid = [1e-2, 0.3, 2.0]
-        rows = linear_sweep(sample, theta, y, grid, noise_variance=0.01)
-        for row in rows:
-            direct = exact_linear_risk(sample, theta, y, row["lambda"], 0.01)
-            assert row["test_error"] == pytest.approx(direct, rel=1e-8)
+    def test_linear_sweep_matches_pointwise(self, monkeypatch):
+        check_krr_oracles(monkeypatch, "sweep risk")
 
 
 class TestLinearTestError:
