@@ -150,7 +150,7 @@ class ExperimentConfig:
             if _sub_kind(self.target, TARGET_FIELDS, "random_unit", "target") == "energies":
                 for value in check_entries(self.target.get("values", ()), _NUMBER, "target values"):
                     check_nonnegative("target values", value)
-        if self.kind == "sphere_curve" and (self.d < 3 or self.levels < 1 or self.gap <= 0):
+        if self.kind == "sphere_curve" and (self.d < 3 or self.levels < 1 or not self.gap > 0):  # NaN fails too
             raise ConfigError("sphere_curve requires d >= 3, levels >= 1, gap > 0")
 
     @classmethod

@@ -113,24 +113,16 @@ def _mirror_lower(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _dual_factor(x: np.ndarray, lam: float):
-    """Cholesky factor of X X^T + lam, formed and factored in one n x n array.
-
-    SpectrumError if X X^T + lam is not numerically positive definite.
-    """
-    gram = x @ x.T
+def _factor(gram: np.ndarray, lam: float, name: str):
+    """Lower Cholesky factor of gram + lam, shifted and factored in place: ``gram`` is X^T X or X X^T,
+    named by ``name`` in the SpectrumError raised unless the shifted matrix is numerically positive definite."""
     gram.ravel()[:: gram.shape[0] + 1] += lam
     try:
         # gram is symmetric: its transpose is the same matrix in the Fortran
         # order LAPACK overwrites without a copy
         return cho_factor(gram.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"X X^T + lambda is not numerically positive definite: {exc}") from exc
-
-
-def _dual_gx(x: np.ndarray, lam: float) -> np.ndarray:
-    """GX = (X X^T + lam)^-1 X, whole; X R = GX, so the dual route reads XR with no cancellation."""
-    return cho_solve(_dual_factor(x, lam), x)
+        raise SpectrumError(f"{name} + lambda is not numerically positive definite: {exc}") from exc
 
 
 def _gx_panels(x: np.ndarray, factor):
@@ -150,37 +142,30 @@ def _gx_panels(x: np.ndarray, factor):
         yield i0, i1, panel, np.einsum("ki,ki->i", x[:, i0:i1], panel)
 
 
-def _dual_resolvent(x: np.ndarray, gx: np.ndarray, lam: float) -> np.ndarray:
-    """R = (I - X^T GX) / lam, built in place."""
-    r = x.T @ gx
-    np.negative(r, out=r)
-    r.ravel()[:: r.shape[0] + 1] += 1.0
-    r /= lam
-    return r
+def _primal_resolvent(x: np.ndarray, lam: float) -> np.ndarray:
+    """R = (X^T X + lam)^-1 for p <= n: the factor of X^T X + lam, inverted in place by LAPACK potri."""
+    r, info = dpotri(*_factor(x.T @ x, lam, "X^T X"), overwrite_c=True)
+    if info != 0:
+        raise SpectrumError(f"X^T X + lambda is not numerically positive definite: potri failed with info {info}")
+    return _mirror_lower(r).T
 
 
-def _resolvent(x: np.ndarray, lam: float) -> np.ndarray:
-    """R = (X^T X + lam)^-1; R is the only p x p array formed here.
+def _resolvent(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """(R, XR), both whole: a dense A's path on both routes, and the oracle of the structured forms.
 
-    Primal (p <= n): Cholesky of X^T X + lam, inverted in place by LAPACK potri.
-    Dual (p > n): _dual_resolvent from _dual_gx.  SpectrumError if the factored
-    matrix is not numerically positive definite.
+    Primal (p <= n): potri's R and X R.  Dual (p > n): XR = GX with G = (X X^T + lam)^-1, which
+    never cancels, and R = (I - X^T GX) / lam, built in place.
     """
     n, p = x.shape
-    if p > n:
-        return _dual_resolvent(x, _dual_gx(x, lam), lam)
-    gram = x.T @ x
-    gram.ravel()[:: p + 1] += lam
-    try:
-        # gram is symmetric: its transpose is the same matrix in the Fortran
-        # order LAPACK overwrites without a copy
-        factor, lower = cho_factor(gram.T, lower=True, overwrite_a=True)
-        r, info = dpotri(factor, lower=lower, overwrite_c=True)
-        if info != 0:
-            raise np.linalg.LinAlgError(f"potri failed with info {info}")
-    except np.linalg.LinAlgError as exc:
-        raise SpectrumError(f"X^T X + lambda is not numerically positive definite: {exc}") from exc
-    return _mirror_lower(r).T
+    if p <= n:
+        r = _primal_resolvent(x, lam)
+        return r, x @ r
+    gx = cho_solve(_factor(x @ x.T, lam, "X X^T"), x)
+    r = x.T @ gx
+    np.negative(r, out=r)
+    r.ravel()[:: p + 1] += 1.0
+    r /= lam
+    return r, gx
 
 
 def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float, float, float, float]:
@@ -197,7 +182,7 @@ def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float,
     # flat, so that each (possibly narrower) tile is a contiguous view whose ravel() is no copy
     flat = np.empty(min(_BLOCK, p) ** 2)
     squares = 0.0
-    for i0, i1, panel, diag in _gx_panels(x, _dual_factor(x, lam)):
+    for i0, i1, panel, diag in _gx_panels(x, _factor(x @ x.T, lam, "X X^T")):
         xgx[i0:i1] = diag
         gx_squares[i0:i1] = np.einsum("ki,ki->i", panel, panel)
         for j0 in range(0, i1, _BLOCK):
@@ -220,7 +205,7 @@ def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> t
     residual e = u - X^T X Ru - lam Ru, formed without cancellation, Ru += R e = (e - X^T G X e) / lam.
     """
     n, p = x.shape
-    factor = _dual_factor(x, lam)
+    factor = _factor(x @ x.T, lam, "X X^T")
     xgx, gxu = np.empty(p), np.zeros(n)
     for i0, i1, panel, diag in _gx_panels(x, factor):
         xgx[i0:i1] = diag
@@ -265,6 +250,14 @@ def _dense_functionals(a: np.ndarray, r: np.ndarray, xr: np.ndarray, sqrt_sigma:
     return float(np.trace(am)), float((am * m.T).sum()), phi4
 
 
+def _finite(prefix: str, values: tuple[float, ...]) -> tuple[float, ...]:
+    """``values``, or SpectrumError naming the first that is not finite as ``prefix`` 1, 2, ..."""
+    for j, value in enumerate(values, 1):
+        if not math.isfinite(value):
+            raise SpectrumError(f"{prefix}{j} is not finite")
+    return values
+
+
 @np.errstate(all="ignore")  # a non-finite functional raises SpectrumError below, with no warning
 def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, float, float, float]:
     """The four resolvent trace functionals of the sample at test matrix ``a``.
@@ -273,17 +266,18 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi3 = Tr(A S^1/2 R S R S^1/2)      phi4 = Tr(A S^1/2 R (X^T X / n) R S^1/2)
 
     ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
+    A dense A reads R and XR whole from _resolvent on both routes, as the oracle of the
+    structured forms: phi2 = <X, XR> / n, and phi4 reads X R S^1/2 at every lam.
     Dual route (p > n): XR = GX with G = (X X^T + lam)^-1, so phi2 and phi4 read GX and
     never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  The structured forms hold
     neither GX whole nor a p x p array: GX is solved and reduced one _BLOCK-column panel at
     a time, in one reused panel buffer.  IdentityMatrix reduces R's lower triangle from each
     panel one _BLOCK x _BLOCK tile at a time, in one reused tile buffer; RiskMatrix reads
     Ru = (u - X^T (GX u)) / lam, refined by one step of iterative refinement.  Primal route
-    (p <= n): R by potri, phi2 from Tr(X^T X R) = p - lam Tr(R) and the structured phi4 from
-    X^T X = (X^T X + lam) - lam, so only R and R^2 contractions are needed; where that leaves
-    under _CANCELLED p, phi2 and the structured phi4 read XR instead.  A dense A forms R whole
-    on both routes (and GX whole on the dual), as the oracle of the structured forms, and its
-    phi4 reads X R S^1/2 at every lam.
+    (p <= n): R by potri.  The RiskMatrix phi4 is ||X R u||^2 / n, one n x p product at every
+    lam.  phi2 reads Tr(X^T X R) = p - lam Tr(R), and the identity's phi4 writes X^T X as
+    (X^T X + lam) - lam, so only R and R^2 contractions are needed; where p - lam Tr(R) falls
+    under _CANCELLED p, both read XR a row block at a time instead.
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
@@ -293,17 +287,17 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     sigma = sample.covariance.expand()
     sqrt_sigma = np.sqrt(sigma)
 
-    if p > n:
+    if not isinstance(a, (RiskMatrix, IdentityMatrix)):
+        r, xr = _resolvent(x, lam)
+        phi2 = float(np.einsum("ki,ki->", x, xr)) / n  # Tr(X^T X R)
+        phi1, phi3, phi4 = _dense_functionals(a, r, xr, sqrt_sigma)
+    elif p > n:
         if isinstance(a, RiskMatrix):
             phi1, phi2, phi3, phi4 = _dual_risk(x, lam, a.beta / sqrt_sigma, sigma)
-        elif isinstance(a, IdentityMatrix):
-            phi1, phi2, phi3, phi4 = _dual_identity(x, lam, sigma)
         else:
-            gx = _dual_gx(x, lam)
-            phi2 = float(np.einsum("ki,ki->", x, gx)) / n  # Tr(X^T GX) = Tr(X^T X R)
-            phi1, phi3, phi4 = _dense_functionals(a, _dual_resolvent(x, gx, lam), gx, sqrt_sigma)
+            phi1, phi2, phi3, phi4 = _dual_identity(x, lam, sigma)
     else:
-        r = _resolvent(x, lam)
+        r = _primal_resolvent(x, lam)
         tr_xxr = p - lam * float(np.trace(r))
         if cancelled := tr_xxr < _CANCELLED * p:
             tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
@@ -311,19 +305,13 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
         if isinstance(a, RiskMatrix):
             u = a.beta / sqrt_sigma
             ru = r @ u
-            phi1 = float(u @ ru)
-            phi3 = float(np.dot(sigma, ru * ru))
-            phi4 = (float(np.square(x @ ru).sum()) if cancelled else phi1 - lam * float(ru @ ru)) / n
-        elif isinstance(a, IdentityMatrix):
+            phi1, phi3 = float(u @ ru), float(np.dot(sigma, ru * ru))
+            phi4 = float(np.square(x @ ru).sum()) / n
+        else:
             phi1 = float(np.dot(sigma, np.diagonal(r)))
             tr_sr2, phi3 = _weighted_squares(r, sigma)  # Tr(S R^2), Tr(M^2) with M = S^1/2 R S^1/2
             phi4 = (tr_sxr if cancelled else phi1 - lam * tr_sr2) / n
-        else:
-            phi1, phi3, phi4 = _dense_functionals(a, r, x @ r, sqrt_sigma)
-    for name, val in (("phi1", phi1), ("phi2", phi2), ("phi3", phi3), ("phi4", phi4)):
-        if not math.isfinite(val):
-            raise SpectrumError(f"{name} is not finite")
-    return phi1, phi2, phi3, phi4
+    return _finite("phi", (phi1, phi2, phi3, phi4))
 
 
 @np.errstate(all="ignore")  # a non-finite prediction raises SpectrumError below, with no warning
@@ -359,10 +347,7 @@ def deterministic_functionals(
         psi1 = float(np.dot(diag_a, sigma / (mu * sigma + lam)))
         psi3 = float(np.dot(diag_a, sigma**2 / (mu * sigma + lam) ** 2)) / denom
         psi4 = float(np.dot(diag_a, sigma**2 / (sigma + ls) ** 2)) / (n * n * denom)
-    for name, val in (("psi1", psi1), ("psi2", psi2), ("psi3", psi3), ("psi4", psi4)):
-        if not math.isfinite(val):
-            raise SpectrumError(f"{name} is not finite")
-    return psi1, psi2, psi3, psi4
+    return _finite("psi", (psi1, psi2, psi3, psi4))
 
 
 def _probe_task(spectrum, lam, a, n, rng):

@@ -142,11 +142,14 @@ def _shifted(gram: GramMatrix, lam: float) -> np.ndarray:
 
 
 def _factor(shifted: np.ndarray):
-    """Lower Cholesky factor of a K + lam I from ``_shifted``, written over it; KrrError unless positive definite.
+    """Lower Cholesky factor of a fresh, exactly symmetric, finite matrix, written over it; KrrError
+    unless positive definite.  The matrix is a K + lam I from ``_shifted`` or the X^T X of the
+    ridgeless least squares in ``test_error_linear_exact``.
 
-    The transpose is Fortran-ordered, so LAPACK factors the buffer in place, and it
-    is the same matrix: GramMatrix entries are exactly symmetric.  Its entries are
-    finite (GramMatrix checks them, ``_shifted`` the diagonal), so no finite scan.
+    The transpose is Fortran-ordered, so LAPACK factors the buffer in place, and it is the
+    same matrix: GramMatrix entries are exactly symmetric, and numpy forms X^T X by syrk.
+    Its entries are finite (GramMatrix checks them, ``_shifted`` the diagonal, and a
+    non-finite X^T X fails the rank check before it), so no finite scan.
     """
     try:
         return cho_factor(shifted.T, lower=True, overwrite_a=True, check_finite=False)
@@ -312,7 +315,7 @@ def test_error_linear_exact(sample, theta_star, y, lam: float, noise_variance: f
         h = x.T @ x
         if not _full_rank(np.linalg.eigvalsh(h)):
             raise KrrError("ridgeless least squares ill-posed: features rank deficient")
-        theta_hat = cho_solve(cho_factor(h, lower=True), x.T @ y)
+        theta_hat = cho_solve(_factor(h), x.T @ y)
     else:
         theta_hat = x.T @ fit_krr(GramMatrix(x @ x.T), y, lam).alpha
     diff = theta_star - theta_hat

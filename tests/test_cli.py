@@ -145,6 +145,7 @@ CONTRACT = {
     ),
     "simulate-boolean-exponent": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "exponent": True}}, "'exponent'"),
     "simulate-spectrum-kind-list": (("simulate",), {**SIMULATE, "spectrum": {"kind": ["power_law"]}}, "spectrum kind"),
+    "sphere-nan-gap": (("sphere",), {**SPHERE, "gap": math.nan}, "gap > 0"),
     "sphere-energies-word-key": (("sphere",), {**SPHERE, "energies": {"one": 1.0}}, "energies"),
     "sphere-energies-fraction-key": (("sphere",), {**SPHERE, "energies": {"1.5": 1.0}}, "energies"),
     "sphere-energies-duplicate-key": (("sphere",), {**SPHERE, "energies": {"1": 1.0, "01": 0.5}}, "energies"),

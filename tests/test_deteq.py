@@ -1,18 +1,30 @@
+import json
 import math
 from decimal import Decimal
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from krrdeteq import deteq
+from krrdeteq.config import deteq_settings
 from krrdeteq.deteq import (
     FixedPointError,
     deterministic_equivalents,
     solve_effective_reg,
 )
 from krrdeteq.functionals import IdentityMatrix, RiskMatrix, deterministic_functionals
-from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, tail_rank, trace_resolvents
+from krrdeteq.spectrum import (
+    Alignment,
+    ModelSpec,
+    NoiseModel,
+    Spectrum,
+    SpectrumError,
+    model_from_json,
+    tail_rank,
+    trace_resolvents,
+)
 
 from conftest import isotropic_effective_reg, monotone_newton, random_spectrum
 from exact import closed_forms, fixed_point, functionals
@@ -261,7 +273,33 @@ class TestFixedPoint:
             assert eff.upsilon1 == pytest.approx(1 - lam / (n * eff.lambda_star), abs=1e-12)
 
 
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+
+
 class TestDeterministicEquivalents:
+    @pytest.mark.parametrize("case", sorted(name for name, case in GOLDEN_CASES.items() if case["command"] == "deteq"))
+    def test_golden_documents_match_exact_oracle(self, case):
+        """Each golden ``deteq`` document, parsed as the CLI parses it, against the 80-digit ``decimal`` oracle:
+        at every n with a fixed point, lambda_star, Upsilon_2, risk, train, bias and variance are within 1e-13
+        relative (train is exactly 0 at lam = 0).  At lam = 0 and n >= rank there is none: SpectrumError."""
+        doc = GOLDEN_CASES[case]["config"]
+        n_grid, lam, _ = deteq_settings(doc)
+        spectrum, alignment, noise = model_from_json(doc)
+        blocks, energies = doc["blocks"], doc["alignment"]
+        residual, noise_variance = doc.get("residual_energy", 0.0), doc.get("noise_variance", 0.0)
+        for n in n_grid:
+            if lam == 0 and spectrum.total_rank <= n:
+                with pytest.raises(SpectrumError, match="requires spectrum rank > n"):
+                    deterministic_equivalents(ModelSpec(n, lam, spectrum, alignment, noise))
+                continue
+            det = deterministic_equivalents(ModelSpec(n, lam, spectrum, alignment, noise))
+            point = fixed_point(blocks, n, lam)
+            exact = point._asdict() | closed_forms(point, blocks, energies, residual, noise_variance, n, lam)._asdict()
+            got = vars(det.effective) | vars(det)
+            for name in ("lambda_star", "upsilon2", "risk", "train", "bias", "variance"):
+                err = abs(Decimal(got[name]) - exact[name])
+                assert err <= Decimal("1e-13") * abs(exact[name]), (case, n, name, got[name], float(exact[name]))
+
     def test_zero_target_variance_formula(self):
         # any spectrum; with all-zero alignment the bias vanishes and
         # V = sigma^2 * U2 / (1 - U2)

@@ -54,8 +54,9 @@ def svd_functionals(x, sigma_diag, lam, u=None):
     return float(vu @ (vu * d)), phi2, float(sigma_diag @ (ru * ru)), float(np.sum(s2 * (vu * d) ** 2)) / n
 
 
-# rows (n, p, lambdas), grouped by the test that runs them, each through every oracle of check_functional_oracles;
-# p <= n takes the primal route, larger p the dual
+# rows (n, p, lambdas) or (n, p, lambdas, j), grouped by the test that runs them, each through every oracle of
+# check_functional_oracles; p <= n takes the primal route, larger p the dual.  A row's j sets the RiskMatrix's beta
+# to e_j, the covariance direction j (0 the largest); without one, beta is a standard normal draw
 FUNCTIONAL_CASES = {
     "primal and dual": [(40, 120, [0.3]), (20, 120, [0.3]), (120, 120, [0.3]), (119, 120, [0.3])],
     "risk matrix": [(10, 15, [0.3])],
@@ -66,6 +67,9 @@ FUNCTIONAL_CASES = {
     "primal resolvent": [(12, 5, [0.3])],
     "dual resolvent": [(10, 60, [0.3])],
     "small lambda": [(5, 50, [1e-8]), (20, 50, [1e-8, 1e-12, 1e-17])],
+    # beta = e_p, the smallest-variance direction, at large lam on the primal route: phi1 - lam ||Ru||^2 cancels
+    # there while p - lam Tr(R) stays above _CANCELLED p
+    "smallest direction": [(200, 50, [1e4, 1e6, 3e6], 49)],
 }
 
 
@@ -76,9 +80,11 @@ def check_functional_oracles(monkeypatch, rows, inverse=True):
     ||S^1/2 R S^1/2||_F^2 over three or more 7 x 7 tiles of X^T GX at p >= 8, one of them off the diagonal.
 
     X draws power_law(2.0, p) at seed 0; B, K and beta come from default_rng(1), with A = B B^T and
-    skew part K - K^T.  Every bound is relative, |got - want| <= bound * (|want| + floor):
+    skew part K - K^T; a row that names j replaces beta by e_j after the same draws.  Every bound is
+    relative, |got - want| <= bound * (|want| + floor):
     - R against np.linalg.inv(X^T X + lam) 1e-10 with floor 3e-4 / lam (atol 1e-13 at lam = 0.3),
       and the primal R exactly symmetric;
+    - XR against X np.linalg.inv(X^T X + lam) 1e-10 with the same floor;
     - each dense matrix (A, A + skew, eye, the RiskMatrix's outer form) against reference_functionals 1e-9;
     - A + skew against A 1e-10;
     - IdentityMatrix against eye 1e-12 at lam <= 1; above, 1e-9, the 2^20 eps that _CANCELLED allows;
@@ -97,19 +103,23 @@ def check_functional_oracles(monkeypatch, rows, inverse=True):
         worst[oracle] = max(worst.get(oracle, 0.0), err)
         assert err <= bound, f"{oracle} at (n, p, lam) = {where}: relative error {err:.2e} > {bound:.0e}"
 
-    for n, p, lams in rows:
+    for n, p, lams, *direction in rows:
         s = Spectrum.power_law(2.0, p)
         sigma, sample = s.expand(), sample_gaussian_features(s, n, 0)
         x, draws = sample.matrix, np.random.default_rng(1)
         b, k, beta = draws.standard_normal((p, p)), draws.standard_normal((p, p)), draws.standard_normal(p)
+        if direction:
+            beta = np.eye(1, p, direction[0]).ravel()
         a, w, u = b @ b.T, beta / sigma, beta / np.sqrt(sigma)
         dense = {"A": a, "A + skew": a + k - k.T, "eye": np.eye(p), "outer": np.outer(w, w)}
         for lam in lams:
-            where, r = (n, p, lam), _resolvent(x, lam)
+            where, (r, xr) = (n, p, lam), _resolvent(x, lam)
             assert p > n or np.array_equal(r, r.T), f"primal R not symmetric at {where}"
             phi = {name: empirical_functionals(sample, lam, matrix) for name, matrix in dense.items()}
             if inverse:
-                check("R vs inv", where, r, np.linalg.inv(x.T @ x + lam * np.eye(p)), 1e-10, 3e-4 / lam)
+                inv = np.linalg.inv(x.T @ x + lam * np.eye(p))
+                check("R vs inv", where, r, inv, 1e-10, 3e-4 / lam)
+                check("XR vs inv", where, xr, x @ inv, 1e-10, 3e-4 / lam)
                 for name, ref in zip(dense, reference_functionals(x, sigma, lam, *dense.values())):
                     check(f"{name} vs reference", where, phi[name], ref, 1e-9)
             phi["I"] = empirical_functionals(sample, lam, IdentityMatrix(p))
@@ -184,6 +194,12 @@ class TestEmpiricalFunctionals:
     @pytest.mark.parametrize("row", FUNCTIONAL_CASES["small lambda"], ids=lambda row: f"{row[0]}-{row[1]}")
     def test_small_lambda_matches_svd_oracle(self, monkeypatch, row):
         check_functional_oracles(monkeypatch, [row], inverse=False)
+
+    @pytest.mark.parametrize("row", FUNCTIONAL_CASES["smallest direction"], ids=lambda row: f"{row[0]}-{row[1]}")
+    def test_primal_risk_matrix_smallest_direction(self, monkeypatch, row):
+        """beta = e_p at large lam on the primal route: phi4 reads ||X R u||^2; phi1 - lam ||Ru||^2
+        would be 2.6e-9 off svd_functionals at lam = 3e6."""
+        check_functional_oracles(monkeypatch, [row])
 
     @pytest.mark.parametrize("a", [IdentityMatrix(600), RiskMatrix(np.ones(600))], ids=["identity", "risk"])
     def test_structured_dual_forms_no_p_by_p_array(self, monkeypatch, a):
