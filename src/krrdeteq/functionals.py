@@ -5,6 +5,12 @@ R = (X^T X + lam)^{-1}, four trace functionals of a p.s.d. test matrix A are
 evaluated empirically and predicted in closed form from the effective
 regularization.  A convergence probe measures how fast the empirical values
 concentrate on the predictions as n grows.
+
+On the dual route (p > n), X X^T and the structured forms' level-3 products run on scipy's
+BLAS, the OpenBLAS copy that also runs the Cholesky factor and solves: numpy and scipy each
+bundle their own OpenBLAS, and at more than one BLAS thread their two thread pools contend
+when one loop calls both.  X X^T is one ``dsyrk``; each tile of X^T GX is one ``dgemm``,
+which reads its block of X's columns from one reused C-ordered n x _BLOCK column buffer.
 """
 
 from __future__ import annotations
@@ -15,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.blas import dgemm, dsyrk
 from scipy.linalg.lapack import dpotri
 
 from .deteq import _risk_denominator, solve_effective_reg
@@ -32,7 +39,8 @@ __all__ = [
 ]
 
 # rows (or columns) per block when R is mirrored or reduced; on the dual route, the columns of the one
-# reused panel buffer of GX and the side of the one reused tile of X^T GX, which bound the temporaries
+# reused panel buffer of GX and of the one reused column buffer of X, and the side of the one reused
+# tile of X^T GX, which bound the temporaries
 _BLOCK = 256
 # below this fraction of p, p - lam Tr(R) has cancelled too far to give Tr(X^T X R)
 _CANCELLED = 2.0**-20
@@ -115,7 +123,9 @@ def _mirror_lower(r: np.ndarray) -> np.ndarray:
 
 def _factor(gram: np.ndarray, lam: float, name: str):
     """Lower Cholesky factor of gram + lam, shifted and factored in place: ``gram`` is X^T X or X X^T,
-    named by ``name`` in the SpectrumError raised unless the shifted matrix is numerically positive definite."""
+    of which only the upper triangle of the C-ordered ``gram`` (the lower triangle LAPACK reads) need
+    be set.  ``name`` names it in the SpectrumError raised unless the shifted matrix is finite and
+    numerically positive definite; the finite check is cho_factor's, so X gets no pass of its own."""
     gram.ravel()[:: gram.shape[0] + 1] += lam
     try:
         # gram is symmetric: its transpose is the same matrix in the Fortran
@@ -123,6 +133,14 @@ def _factor(gram: np.ndarray, lam: float, name: str):
         return cho_factor(gram.T, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"{name} + lambda is not numerically positive definite: {exc}") from exc
+    except ValueError as exc:  # cho_factor's finite check; LinAlgError, a ValueError too, is caught above
+        raise SpectrumError(f"{name} + lambda is not finite") from exc
+
+
+def _dual_gram(x: np.ndarray) -> np.ndarray:
+    """X X^T as the C-ordered transpose of scipy's ``dsyrk`` result, whose lower triangle alone is set:
+    x.T is already Fortran-ordered, so nothing is copied, and _factor reads only that triangle."""
+    return dsyrk(1.0, x.T, trans=1, lower=1).T
 
 
 def _gx_panels(x: np.ndarray, factor):
@@ -160,7 +178,7 @@ def _resolvent(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if p <= n:
         r = _primal_resolvent(x, lam)
         return r, x @ r
-    gx = cho_solve(_factor(x @ x.T, lam, "X X^T"), x)
+    gx = cho_solve(_factor(_dual_gram(x), lam, "X X^T"), x)
     r = x.T @ gx
     np.negative(r, out=r)
     r.ravel()[:: p + 1] += 1.0
@@ -175,20 +193,26 @@ def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float,
     phi4 = sum_j s_j ||GX_j||^2 / n.  phi3 = sum_ij s_i s_j R_ij^2 with R = (I - X^T GX) / lam
     reduces R's lower triangle in _BLOCK x _BLOCK tiles: X^T GX is symmetric, so its tile
     (i0:i1, j0:j1) left of and on the diagonal is panel^T X[:, j0:j1]; the diagonal tile's
-    squares count once, the tiles left of it twice.  Every tile is formed in one reused buffer.
+    squares count once, the tiles left of it twice.  Every tile is formed in one reused buffer,
+    as the transpose X[:, j0:j1]^T panel by scipy's dgemm, which reads X[:, j0:j1] from one
+    reused C-ordered n x _BLOCK column buffer: a plain row copy, whose transpose is the
+    Fortran operand dgemm takes without a copy of its own.
     """
     n, p = x.shape
     xgx, gx_squares = np.empty(p), np.empty(p)
-    # flat, so that each (possibly narrower) tile is a contiguous view whose ravel() is no copy
-    flat = np.empty(min(_BLOCK, p) ** 2)
+    # flat, so that each (possibly narrower) tile or column block is a contiguous view whose
+    # ravel() and transpose are no copy
+    flat, columns = np.empty(min(_BLOCK, p) ** 2), np.empty(n * min(_BLOCK, p))
     squares = 0.0
-    for i0, i1, panel, diag in _gx_panels(x, _factor(x @ x.T, lam, "X X^T")):
+    for i0, i1, panel, diag in _gx_panels(x, _factor(_dual_gram(x), lam, "X X^T")):
         xgx[i0:i1] = diag
         gx_squares[i0:i1] = np.einsum("ki,ki->i", panel, panel)
         for j0 in range(0, i1, _BLOCK):
             j1 = min(j0 + _BLOCK, i1)
             tile = flat[: (i1 - i0) * (j1 - j0)].reshape(i1 - i0, j1 - j0)
-            np.matmul(panel.T, x[:, j0:j1], out=tile)  # tile (i0:i1, j0:j1) of X^T GX
+            xj = columns[: n * (j1 - j0)].reshape(n, j1 - j0)
+            np.copyto(xj, x[:, j0:j1])
+            dgemm(1.0, xj.T, panel, c=tile.T, overwrite_c=1)  # tile (i0:i1, j0:j1) of X^T GX
             if diagonal := j0 == i0:
                 tile.ravel()[:: j1 - j0 + 1] -= 1.0  # the diagonal tile now holds -lam R
             np.square(tile, out=tile)
@@ -205,7 +229,7 @@ def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> t
     residual e = u - X^T X Ru - lam Ru, formed without cancellation, Ru += R e = (e - X^T G X e) / lam.
     """
     n, p = x.shape
-    factor = _factor(x @ x.T, lam, "X X^T")
+    factor = _factor(_dual_gram(x), lam, "X X^T")
     xgx, gxu = np.empty(p), np.zeros(n)
     for i0, i1, panel, diag in _gx_panels(x, factor):
         xgx[i0:i1] = diag

@@ -1,3 +1,5 @@
+from decimal import Decimal
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from krrdeteq.estimation import (
 from krrdeteq.functionals import sample_gaussian_features
 from krrdeteq.krr import GramMatrix, KrrError
 from krrdeteq.spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
+
+from exact import closed_forms, fixed_point
 
 
 class TestEstimateSpectrum:
@@ -101,6 +105,46 @@ class TestPluginCurve:
         model = decomposition_to_model(est, 4, 0.1, noise_variance=0.5, truncation=2)
         assert model.alignment.energies[0] == pytest.approx(0.4 - 0.005, rel=1e-12)
         assert model.alignment.energies[1] == 0.0  # clamped
+
+    @pytest.mark.parametrize(
+        ("truncation", "kept_level", "tail_level"),
+        [
+            pytest.param(12, (0.4, 2e-3), 0.05, id="coordinates-clamped"),
+            pytest.param(12, (0.4, 0.1), 4e-3, id="residual-clamped"),
+            pytest.param(None, (0.4, 2e-3), 4e-3, id="both-clamped-rank-floor"),
+        ],
+    )
+    def test_clamped_energies_match_exact_oracle(self, truncation, kept_level, tail_level):
+        """The plug-in prediction against the 80-digit ``decimal`` oracle, with the noise subtraction done
+        exactly: each kept energy is max(a_j - s2/m, 0) and the residual max(sum of the tail - (m - keep) s2/m, 0).
+        The kept energies alternate between the two ``kept_level``s and the tail holds ``tail_level``s (scaled
+        by draws in [0.5, 1.5]), against s2/m = 0.0125: a low level clamps.  The last case keeps
+        m/2 = 20 directions by default, but only 16 eigenvalues clear the numerical-rank floor.
+        lambda_star, risk, bias, variance and train are within 1e-13 relative."""
+        m, s2 = 40, 0.5
+        draws = np.random.default_rng(5)
+        values, keep = np.arange(1.0, m + 1) ** -1.5, truncation
+        if truncation is None:
+            values[16:] *= 1e-13  # below EIG_FLOOR relative to the top
+            keep = 16
+        alignments = draws.uniform(0.5, 1.5, m) * np.where(np.arange(m) < keep, np.resize(kept_level, m), tail_level)
+        est = EstimatedDecomposition(eigenvalues=values, alignments=alignments, holdout_size=m)
+        shift = Decimal(s2) / m
+        energies = [max(Decimal(a) - shift, Decimal(0)) for a in alignments[:keep].tolist()]
+        residual = max(sum(Decimal(a) for a in alignments[keep:].tolist()) - (m - keep) * shift, Decimal(0))
+        assert any(e == 0 for e in energies) == (kept_level[1] < s2 / m)
+        assert (residual == 0) == (tail_level < s2 / m)
+        blocks = [(v, 1) for v in values[:keep].tolist()]
+        for n, lam in ((10, 1e-3), (50, 0.1), (200, 1e-6)):
+            model = decomposition_to_model(est, n, lam, s2, truncation)
+            assert model.spectrum.total_rank == keep
+            det = deterministic_equivalents(model)
+            point = fixed_point(blocks, n, lam)
+            exact = point._asdict() | closed_forms(point, blocks, energies, residual, s2, n, lam)._asdict()
+            got = vars(det.effective) | vars(det)
+            for name in ("lambda_star", "risk", "bias", "variance", "train"):
+                err = abs(Decimal(got[name]) - exact[name])
+                assert err <= Decimal("1e-13") * exact[name], (n, lam, name, got[name], float(exact[name]))
 
     def test_bad_truncation(self):
         est = EstimatedDecomposition(np.array([1.0]), np.array([0.5]), holdout_size=8)

@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -206,10 +208,11 @@ class TestEmpiricalFunctionals:
         """At p > n the structured forms read X R = GX and never form R: the peak allocation
         stays under one p x p array of doubles.  GX is never held whole either: with 7-column
         panels the peak stays under one n x p array of doubles, which GX alone would reach.
-        What they hold is the n x n factor, one reused n x _BLOCK panel of GX and, for the
-        identity, one reused _BLOCK x _BLOCK tile of X^T GX, beside O(p) vectors: with 7-column
-        panels the identity's peak stays under n^2 + 2 n _BLOCK + _BLOCK^2 + 8 p doubles, which
-        a _BLOCK x p slab of X^T GX would exceed."""
+        What they hold is the n x n factor (scipy's dsyrk result, factored in place), one reused
+        n x _BLOCK panel of GX and, for the identity, one reused n x _BLOCK column buffer of X
+        and one reused _BLOCK x _BLOCK tile of X^T GX, beside O(p) vectors: with 7-column panels
+        the identity's peak stays under n^2 + 2 n _BLOCK + _BLOCK^2 + 8 p doubles, which a
+        _BLOCK x p slab of X^T GX would exceed."""
         n, p = 40, 600
         sample = sample_gaussian_features(Spectrum.power_law(2.0, p), n, 0)
 
@@ -230,6 +233,35 @@ class TestEmpiricalFunctionals:
         if isinstance(a, IdentityMatrix):
             bound = 8 * (n * n + 2 * n * block + block * block + 8 * p)
             assert peak < bound, f"peak allocation {peak} bytes with 7-column panels, over {bound}"
+
+    def test_dual_route_runs_on_scipy_blas(self, monkeypatch):
+        """The dual route's level-3 products run on scipy's OpenBLAS, beside its Cholesky calls: X X^T is
+        one dsyrk per call for every test-matrix kind, and the identity forms each tile of X^T GX's lower
+        triangle with one dgemm, T (T + 1) / 2 of them with T = ceil(p / _BLOCK).  numpy's ``@`` in
+        their place would bring numpy's own OpenBLAS thread pool back into the loop."""
+        n, p, block = 9, 30, 7
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, p), n, 0)
+        monkeypatch.setattr(functionals, "_BLOCK", block)
+        kinds = (IdentityMatrix(p), RiskMatrix(np.ones(p)), np.eye(p))
+        expected = [empirical_functionals(sample, 0.3, a) for a in kinds]
+        calls = Counter()
+
+        def counted(name):
+            real = getattr(functionals, name)
+
+            def call(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+
+            return call
+
+        for name in ("dsyrk", "dgemm"):
+            monkeypatch.setattr(functionals, name, counted(name))
+        tiles = math.ceil(p / block) * (math.ceil(p / block) + 1) // 2
+        for a, want, dgemm_calls in zip(kinds, expected, (tiles, 0, 0)):
+            calls.clear()
+            assert empirical_functionals(sample, 0.3, a) == want
+            assert (calls["dsyrk"], calls["dgemm"]) == (1, dgemm_calls), type(a).__name__
 
     @pytest.mark.parametrize("n", [200, 800])
     def test_dual_risk_matrix_at_probe_size(self, n):
@@ -347,6 +379,19 @@ class TestNonFinite:
         sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 10, 0)
         with pytest.raises(SpectrumError, match="phi3 is not finite"):
             empirical_functionals(sample, 1e-300, IdentityMatrix(50))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
+    @pytest.mark.parametrize("kind", ["identity", "risk", "dense"])
+    @pytest.mark.parametrize(("n", "name"), [(10, "X X^T"), (60, "X^T X")], ids=["dual", "primal"])
+    def test_non_finite_features(self, n, name, kind, value):
+        """A NaN or inf in X, or an entry whose square overflows, makes the Gram that is factored non-finite:
+        SpectrumError names it, from the factor's own finite check."""
+        s = Spectrum.power_law(2.0, 50)
+        x = sample_gaussian_features(s, n, 0).matrix
+        x[3, 7] = value
+        a = {"identity": IdentityMatrix(50), "risk": RiskMatrix(np.ones(50)), "dense": np.eye(50)}[kind]
+        with pytest.raises(SpectrumError, match=f"^{re.escape(name + ' + lambda is not finite')}$"):
+            empirical_functionals(FeatureSample(matrix=x, covariance=s), 0.3, a)
 
     def test_deterministic(self):
         s = Spectrum.power_law(2.0, 50)
