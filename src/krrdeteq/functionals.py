@@ -42,8 +42,6 @@ __all__ = [
 # reused panel buffer of GX and of the one reused column buffer of X, and the side of the one reused
 # tile of X^T GX, which bound the temporaries
 _BLOCK = 256
-# below this fraction of p, p - lam Tr(R) has cancelled too far to give Tr(X^T X R)
-_CANCELLED = 2.0**-20
 
 
 @dataclass(frozen=True, eq=False)
@@ -240,18 +238,12 @@ def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> t
     return float(u @ ru), float(xgx.sum()) / n, float(np.dot(sigma, ru * ru)), float(gxu @ gxu) / n
 
 
-def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
-    """(sum_ij s_i r_ij^2, sum_ij s_i s_j r_ij^2), one row block at a time.
-
-    For symmetric R these are Tr(S R^2) and ||S^1/2 R S^1/2||_F^2.
-    """
-    first = second = 0.0
+def _weighted_squares(r: np.ndarray, sigma: np.ndarray) -> float:
+    """sum_ij s_i s_j r_ij^2 = ||S^1/2 R S^1/2||_F^2, one row block of R at a time."""
+    total = 0.0
     for i0 in range(0, r.shape[0], _BLOCK):
-        sq = np.square(r[i0 : i0 + _BLOCK])
-        s = sigma[i0 : i0 + _BLOCK]
-        first += float(s @ sq.sum(axis=1))
-        second += float(s @ (sq @ sigma))
-    return first, second
+        total += float(sigma[i0 : i0 + _BLOCK] @ (np.square(r[i0 : i0 + _BLOCK]) @ sigma))
+    return total
 
 
 def _xr_sums(x: np.ndarray, r: np.ndarray, sigma: np.ndarray) -> tuple[float, float]:
@@ -298,15 +290,17 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     a time, in one reused panel buffer.  IdentityMatrix reduces R's lower triangle from each
     panel one _BLOCK x _BLOCK tile at a time, in one reused tile buffer; RiskMatrix reads
     Ru = (u - X^T (GX u)) / lam, refined by one step of iterative refinement.  Primal route
-    (p <= n): R by potri.  The RiskMatrix phi4 is ||X R u||^2 / n, one n x p product at every
-    lam.  phi2 reads Tr(X^T X R) = p - lam Tr(R), and the identity's phi4 writes X^T X as
-    (X^T X + lam) - lam, so only R and R^2 contractions are needed; where p - lam Tr(R) falls
-    under _CANCELLED p, both read XR a row block at a time instead.
+    (p <= n): R by potri, and XR formed a row block of X at a time, which gives phi2 =
+    <X, XR> / n and the identity's phi4 = sum_j s_j ||column j of XR||^2 / n at every lam:
+    p - lam Tr(R) and phi1 - lam Tr(S R^2), equal in exact arithmetic, lose digits as lam
+    grows.  The RiskMatrix phi4 is ||X R u||^2 / n.
     """
     if lam <= 0 or not math.isfinite(lam):
         raise SpectrumError("empirical functionals require lambda > 0")
     x = sample.matrix
     n, p = x.shape
+    if n == 0:
+        raise SpectrumError("empirical functionals require a sample with at least one row")
     a = _check_test_matrix(a, p)
     sigma = sample.covariance.expand()
     sqrt_sigma = np.sqrt(sigma)
@@ -322,9 +316,7 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
             phi1, phi2, phi3, phi4 = _dual_identity(x, lam, sigma)
     else:
         r = _primal_resolvent(x, lam)
-        tr_xxr = p - lam * float(np.trace(r))
-        if cancelled := tr_xxr < _CANCELLED * p:
-            tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
+        tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
         phi2 = tr_xxr / n
         if isinstance(a, RiskMatrix):
             u = a.beta / sqrt_sigma
@@ -333,8 +325,8 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
             phi4 = float(np.square(x @ ru).sum()) / n
         else:
             phi1 = float(np.dot(sigma, np.diagonal(r)))
-            tr_sr2, phi3 = _weighted_squares(r, sigma)  # Tr(S R^2), Tr(M^2) with M = S^1/2 R S^1/2
-            phi4 = (tr_sxr if cancelled else phi1 - lam * tr_sr2) / n
+            phi3 = _weighted_squares(r, sigma)  # Tr(M^2) with M = S^1/2 R S^1/2
+            phi4 = tr_sxr / n
     return _finite("phi", (phi1, phi2, phi3, phi4))
 
 
@@ -401,8 +393,12 @@ def convergence_probe(
     n_grid = [int(v) for v in n_grid]
     if sorted(n_grid) != n_grid or not n_grid:
         raise SpectrumError("n grid must be nonempty and increasing")
+    if n_grid[0] < 1:
+        raise SpectrumError("n grid entries must be positive integers")
     if reps < 1:
         raise SpectrumError("reps must be a positive integer")
+    if threads < 1:
+        raise SpectrumError("threads must be a positive integer")
     p = spectrum.total_rank
     # isinstance first: ``ndarray == "identity"`` compares elementwise
     if not isinstance(a_choice, str) or a_choice not in ("identity", "rank_one"):

@@ -65,20 +65,23 @@ FUNCTIONAL_CASES = {
     "skew": [(6, 8, [0.9])],
     "dual trace": [(9, 30, [0.3])],
     "identity": [(12, 5, [0.7]), (100, 300, [0.7]), (4, 40, [0.7]), (20, 300, [0.7])],
-    "large lambda": [(n, 50, [float(lam) for lam in 10.0 ** np.arange(-2, 15)]) for n in (5, 20, 200)],
+    # then two primal rows where p - lam Tr(R) keeps few bits of Tr(X^T X R): a phi2 or identity phi4 that
+    # read it, or phi1 - lam Tr(S R^2), was 2.9e-11 off svd_functionals at (800, 200, 3e6)
+    "large lambda": [(n, 50, [float(lam) for lam in 10.0 ** np.arange(-2, 15)]) for n in (5, 20, 200)]
+    + [(800, 200, [3e6]), (60, 50, [1e6])],
     "primal resolvent": [(12, 5, [0.3])],
     "dual resolvent": [(10, 60, [0.3])],
     "small lambda": [(5, 50, [1e-8]), (20, 50, [1e-8, 1e-12, 1e-17])],
-    # beta = e_p, the smallest-variance direction, at large lam on the primal route: phi1 - lam ||Ru||^2 cancels
-    # there while p - lam Tr(R) stays above _CANCELLED p
+    # beta = e_p, the smallest-variance direction, at large lam on the primal route, where phi1 - lam ||Ru||^2
+    # would cancel as the RiskMatrix phi4
     "smallest direction": [(200, 50, [1e4, 1e6, 3e6], 49)],
 }
 
 
 def check_functional_oracles(monkeypatch, rows, inverse=True):
     """Every oracle on every (n, p, lam) of ``rows``, with 7-row blocks: a primal R of p >= 15 is mirrored
-    in three or more blocks, Tr(S R^2) and ||S^1/2 R S^1/2||_F^2 reduce over two or more row blocks of R
-    at p >= 8, the cancelled phi2 and phi4 over two or more row blocks of X at n >= 8, and the dual
+    in three or more blocks, ||S^1/2 R S^1/2||_F^2 reduces over two or more row blocks of R at p >= 8,
+    the primal structured phi2 and phi4 over two or more row blocks of X at n >= 8, and the dual
     ||S^1/2 R S^1/2||_F^2 over three or more 7 x 7 tiles of X^T GX at p >= 8, one of them off the diagonal.
 
     X draws power_law(2.0, p) at seed 0; B, K and beta come from default_rng(1), with A = B B^T and
@@ -89,8 +92,9 @@ def check_functional_oracles(monkeypatch, rows, inverse=True):
     - XR against X np.linalg.inv(X^T X + lam) 1e-10 with the same floor;
     - each dense matrix (A, A + skew, eye, the RiskMatrix's outer form) against reference_functionals 1e-9;
     - A + skew against A 1e-10;
-    - IdentityMatrix against eye 1e-12 at lam <= 1; above, 1e-9, the 2^20 eps that _CANCELLED allows;
-    - RiskMatrix against its outer form 1e-9, and both structured forms against svd_functionals 1e-9.
+    - IdentityMatrix against eye 1e-12, and against svd_functionals 1e-12;
+    - RiskMatrix against its outer form 1e-9, and against svd_functionals 1e-9: the dual rows at small lam
+      reach 8.8e-13.
     ``inverse=False`` leaves out the two oracles built on np.linalg.inv (R against inv, and
     reference_functionals): at small lam the inverse of X^T X + lam, of condition s_max^2 / lam, is itself
     off in its leading digits (reference_functionals' phi4 by 8e-2 at (5, 50, 1e-8)), so there the
@@ -127,9 +131,9 @@ def check_functional_oracles(monkeypatch, rows, inverse=True):
             phi["I"] = empirical_functionals(sample, lam, IdentityMatrix(p))
             phi["RiskMatrix"] = empirical_functionals(sample, lam, RiskMatrix(beta))
             check("A + skew vs A", where, phi["A + skew"], phi["A"], 1e-10)
-            check("I vs eye", where, phi["I"], phi["eye"], 1e-12 if lam <= 1 else 1e-9)
+            check("I vs eye", where, phi["I"], phi["eye"], 1e-12)
             check("RiskMatrix vs outer", where, phi["RiskMatrix"], phi["outer"], 1e-9)
-            check("I vs svd", where, phi["I"], svd_functionals(x, sigma, lam), 1e-9)
+            check("I vs svd", where, phi["I"], svd_functionals(x, sigma, lam), 1e-12)
             check("RiskMatrix vs svd", where, phi["RiskMatrix"], svd_functionals(x, sigma, lam, u), 1e-9)
     print("worst relative error: " + ", ".join(f"{name} {err:.1e}" for name, err in worst.items()))
 
@@ -152,6 +156,14 @@ class TestEmpiricalFunctionals:
         assert phi[1] == pytest.approx(0.0, abs=1e-14)
         assert phi[2] == pytest.approx(5 / 4.0, rel=1e-12)
         assert phi[3] == pytest.approx(0.0, abs=1e-14)
+
+    @pytest.mark.parametrize("a", [IdentityMatrix(5), RiskMatrix(np.ones(5)), np.eye(5)], ids=["identity", "risk", "dense"])
+    def test_sample_without_rows_raises_before_blas(self, capfd, a):
+        """A 0 x p sample raises SpectrumError before any BLAS call, so no BLAS error reaches stderr."""
+        sample = FeatureSample(matrix=np.zeros((0, 5)), covariance=Spectrum.power_law(2.0, 5))
+        with pytest.raises(SpectrumError, match="at least one row"):
+            empirical_functionals(sample, 0.5, a)
+        assert capfd.readouterr().err == ""
 
     def test_scalar_instance(self):
         s = Spectrum.from_blocks([(1.0, 1)])
@@ -439,6 +451,19 @@ class TestConvergenceProbe:
         with pytest.raises(SpectrumError, match="unknown test-matrix choice"):
             convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, a_choice=np.eye(9), reps=2)
         assert draws == []
+
+    @pytest.mark.parametrize(
+        "grid, threads, message",
+        [([4, 8], 0, "threads"), ([4, 8], -3, "threads"), ([0, 8], 1, "n grid"), ([-2, 8], 2, "n grid")],
+        ids=["threads 0", "threads -3", "n 0", "n -2"],
+    )
+    def test_bad_threads_or_n_raises_before_any_draw(self, monkeypatch, capfd, grid, threads, message):
+        draws = []
+        monkeypatch.setattr(functionals, "sample_gaussian_features", lambda *args: draws.append(args))
+        with pytest.raises(SpectrumError, match=message):
+            convergence_probe(Spectrum.power_law(2.0, 10), grid, 0.5, reps=2, threads=threads)
+        assert draws == []
+        assert capfd.readouterr().err == ""
 
     def test_failed_replication_raises_before_any_row(self):
         """The first failed replication names the probe's one error: a non-finite phi, or a zero psi."""
