@@ -6,11 +6,12 @@ evaluated empirically and predicted in closed form from the effective
 regularization.  A convergence probe measures how fast the empirical values
 concentrate on the predictions as n grows.
 
-On the dual route (p > n), X X^T and the structured forms' level-3 products run on scipy's
+On the dual route (p > n), X X^T and the structured forms' matrix products run on scipy's
 BLAS, the OpenBLAS copy that also runs the Cholesky factor and solves: numpy and scipy each
 bundle their own OpenBLAS, and at more than one BLAS thread their two thread pools contend
 when one loop calls both.  X X^T is one ``dsyrk``; each tile of X^T GX is one ``dgemm``,
-which reads its block of X's columns from one reused C-ordered n x _BLOCK column buffer.
+which reads its block of X's columns from one reused C-ordered n x _BLOCK column buffer;
+the RiskMatrix form's matrix-vector products are ``dgemv`` calls.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
-from scipy.linalg.blas import dgemm, dsyrk
+from scipy.linalg.blas import dgemm, dgemv, dsyrk
 from scipy.linalg.lapack import dpotri
 
 from .deteq import _risk_denominator, solve_effective_reg
@@ -225,16 +226,18 @@ def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> t
     GX u = X R u and the diagonal of X^T GX are summed one panel at a time.  Ru = (u - X^T GX u) / lam
     cancels where u lies in X's row space, so one step of iterative refinement follows: with the
     residual e = u - X^T X Ru - lam Ru, formed without cancellation, Ru += R e = (e - X^T G X e) / lam.
+    Every matrix-vector product runs on scipy's ``dgemv``, beside the Cholesky solves.
     """
     n, p = x.shape
     factor = _factor(_dual_gram(x), lam, "X X^T")
     xgx, gxu = np.empty(p), np.zeros(n)
     for i0, i1, panel, diag in _gx_panels(x, factor):
         xgx[i0:i1] = diag
-        gxu += panel @ u[i0:i1]
-    ru = (u - x.T @ gxu) / lam
-    e = u - x.T @ (x @ ru) - lam * ru
-    ru += (e - x.T @ cho_solve(factor, x @ e, check_finite=False)) / lam
+        dgemv(1.0, panel, u[i0:i1], beta=1.0, y=gxu, overwrite_y=1)  # gxu += panel u[i0:i1], in place
+    # x.T is Fortran-ordered, so dgemv reads X in place: X^T v as is, X v with trans=1
+    ru = (u - dgemv(1.0, x.T, gxu)) / lam
+    e = u - dgemv(1.0, x.T, dgemv(1.0, x.T, ru, trans=1)) - lam * ru
+    ru += (e - dgemv(1.0, x.T, cho_solve(factor, dgemv(1.0, x.T, e, trans=1), check_finite=False))) / lam
     return float(u @ ru), float(xgx.sum()) / n, float(np.dot(sigma, ru * ru)), float(gxu @ gxu) / n
 
 

@@ -204,8 +204,10 @@ def _run_gcv_sweep(config: ExperimentConfig) -> ExperimentResult:
     def one_rep(rep):
         try:
             sample, y = draw(n, derive_rng(config.seed, 3, rep))
-            gram = krr.GramMatrix(sample.matrix @ sample.matrix.T)
-            del sample  # the n x p features are dead once the Gram is built: free them before the lambda loop
+            xxt = sample.matrix @ sample.matrix.T
+            del sample  # free the n x p features before GramMatrix allocates its n x n check buffer
+            gram = krr.GramMatrix(xxt)
+            del xxt  # gram holds its own symmetrized copy: free the product before the lambda loop
         except Exception as exc:  # record-and-continue: a failed draw or Gram fails every lambda
             return [(math.nan, _error(exc))] * len(config.lambda_grid)
         return [_outcome(krr.gcv, gram, y, lam) for lam in config.lambda_grid]

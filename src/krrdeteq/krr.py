@@ -6,7 +6,10 @@ an eigendecomposition with an explicit full-rank check, matching the
 minimum-norm interpolation reading of lambda -> 0.  The GCV denominator
 Tr((K + lam)^-1) at lam > 0 is ||L^-1||_F^2 for the Cholesky factor L, with
 L^-1 formed block-wise: triangular solves on blocks of at most TRACE_LEAF rows
-and two matrix products per split.  ``linear_sweep`` reuses one
+and two matrix products per split.  Those products run on scipy's ``dgemm``, the
+OpenBLAS copy that also runs cho_factor, cho_solve and the triangular solves: numpy
+and scipy each bundle their own OpenBLAS, and at more than one BLAS thread their
+two thread pools contend when one loop calls both.  ``linear_sweep`` reuses one
 eigendecomposition across a lambda grid for linear features.  Every route is
 checked against the others, case by case, in the ``KRR_CASES`` table of
 ``tests/test_krr.py``.
@@ -21,6 +24,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, norm, solve_triangular
+from scipy.linalg.blas import dgemm
 
 __all__ = [
     "KrrError",
@@ -204,7 +208,9 @@ def _tri_inverse_into(low: np.ndarray, out: np.ndarray) -> float:
 
     A block of at most TRACE_LEAF rows is solved against the identity.  A larger one
     is split in two, L = [[L11, 0], [L21, L22]], so W = [[W11, 0], [-W22 L21 W11, W22]]
-    (the blocked ``trtri`` of Du Croz & Higham 1992): two matrix products per split.
+    (the blocked ``trtri`` of Du Croz & Higham 1992): two matrix products per split, on scipy's
+    ``dgemm``.  They form the transpose W21^T = -(W11^T L21^T) W22^T, the association W22 (L21 W11)
+    taken on the Fortran-ordered transposes of the C-ordered blocks.
     """
     n = low.shape[0]
     if n <= TRACE_LEAF:
@@ -213,15 +219,16 @@ def _tri_inverse_into(low: np.ndarray, out: np.ndarray) -> float:
         return float((w * w).sum())
     k = n // 2
     sumsq = _tri_inverse_into(low[:k, :k], out[:k, :k]) + _tri_inverse_into(low[k:, k:], out[k:, k:])
-    w21 = out[k:, k:] @ (low[k:, :k] @ out[:k, :k])
-    np.negative(w21, out=out[k:, :k])
-    return sumsq + float((w21 * w21).sum())
+    w21t = dgemm(-1.0, dgemm(1.0, out[:k, :k].T, low[k:, :k].T), out[k:, k:].T)
+    out[k:, :k] = w21t.T
+    return sumsq + float((w21t * w21t).sum())
 
 
 def _inv_trace(shifted: np.ndarray) -> float:
     """Tr(shifted^-1) = ||L^-1||_F^2 for numpy's Cholesky factor L of a K + lam I from ``_shifted``,
     inverted block-wise by ``_tri_inverse_into``; KrrError unless positive definite."""
-    # a second factorization beside gcv's cho_factor, kept while bench/workloads.py declares its span (ROADMAP item 1)
+    # a second factorization beside gcv's cho_factor, kept while bench/workloads.py declares its span (ROADMAP
+    # item 1); the last call on numpy's OpenBLAS pool in gcv's lambda loop
     try:
         low = np.linalg.cholesky(shifted)
     except np.linalg.LinAlgError:

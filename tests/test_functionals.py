@@ -247,10 +247,11 @@ class TestEmpiricalFunctionals:
             assert peak < bound, f"peak allocation {peak} bytes with 7-column panels, over {bound}"
 
     def test_dual_route_runs_on_scipy_blas(self, monkeypatch):
-        """The dual route's level-3 products run on scipy's OpenBLAS, beside its Cholesky calls: X X^T is
+        """The dual route's matrix products run on scipy's OpenBLAS, beside its Cholesky calls: X X^T is
         one dsyrk per call for every test-matrix kind, and the identity forms each tile of X^T GX's lower
-        triangle with one dgemm, T (T + 1) / 2 of them with T = ceil(p / _BLOCK).  numpy's ``@`` in
-        their place would bring numpy's own OpenBLAS thread pool back into the loop."""
+        triangle with one dgemm, T (T + 1) / 2 of them with T = ceil(p / _BLOCK).  The RiskMatrix form
+        takes one dgemv per panel for GX u and five for Ru and its refinement, T + 5 in all.  numpy's
+        ``@`` in their place would bring numpy's own OpenBLAS thread pool back into the loop."""
         n, p, block = 9, 30, 7
         sample = sample_gaussian_features(Spectrum.power_law(2.0, p), n, 0)
         monkeypatch.setattr(functionals, "_BLOCK", block)
@@ -267,13 +268,13 @@ class TestEmpiricalFunctionals:
 
             return call
 
-        for name in ("dsyrk", "dgemm"):
+        for name in ("dsyrk", "dgemm", "dgemv"):
             monkeypatch.setattr(functionals, name, counted(name))
-        tiles = math.ceil(p / block) * (math.ceil(p / block) + 1) // 2
-        for a, want, dgemm_calls in zip(kinds, expected, (tiles, 0, 0)):
+        panels = math.ceil(p / block)
+        for a, want, products in zip(kinds, expected, ((panels * (panels + 1) // 2, 0), (0, panels + 5), (0, 0))):
             calls.clear()
             assert empirical_functionals(sample, 0.3, a) == want
-            assert (calls["dsyrk"], calls["dgemm"]) == (1, dgemm_calls), type(a).__name__
+            assert (calls["dsyrk"], calls["dgemm"], calls["dgemv"]) == (1, *products), type(a).__name__
 
     @pytest.mark.parametrize("n", [200, 800])
     def test_dual_risk_matrix_at_probe_size(self, n):

@@ -1,9 +1,10 @@
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from krrdeteq import krr
+from krrdeteq import functionals, krr
 from krrdeteq.config import ConfigError, ExperimentConfig
 from krrdeteq.harness import CURVE_COLUMNS, ExperimentResult, _prediction_rows, emit_results, run_experiment
 from krrdeteq.seeds import derive_rng, derive_seed, replicate
@@ -236,6 +237,27 @@ class TestGcvSweep:
         monkeypatch.setattr(krr, "GramMatrix", refuse)
         rows = run_experiment(ExperimentConfig.from_dict(GCV_DOC)).rows
         assert [row["status"] for row in rows] == ["error: KrrError: no Gram"] * 3
+
+    def test_features_freed_before_the_gram_is_built(self, monkeypatch):
+        """Each replication's n x p features are gone before GramMatrix allocates its n x n check buffer,
+        so the two never share the workload's memory peak."""
+        features, built = [], []
+        draw, gram = functionals.sample_gaussian_features, krr.GramMatrix
+
+        def tracked_draw(*args, **kwargs):
+            sample = draw(*args, **kwargs)
+            features.append(weakref.ref(sample.matrix))
+            return sample
+
+        def checked_gram(entries):
+            built.append(features[-1]() is None)
+            return gram(entries)
+
+        monkeypatch.setattr(functionals, "sample_gaussian_features", tracked_draw)
+        monkeypatch.setattr(krr, "GramMatrix", checked_gram)
+        rows = run_experiment(ExperimentConfig.from_dict(GCV_DOC | {"threads": 1})).rows
+        assert all(row["status"] == "ok" for row in rows)
+        assert built == [True] * GCV_DOC["reps"]
 
 
 class TestEmission:

@@ -405,6 +405,25 @@ class TestGcv:
     def test_matches_train_over_scaled_stieltjes(self, monkeypatch):
         check_krr_oracles(monkeypatch, "gcv identity")
 
+    def test_inverse_trace_runs_on_scipy_blas(self, monkeypatch, rng):
+        """The block inverse's two products per split run on scipy's dgemm, beside its triangular solves:
+        n = 400 splits 7 times above TRACE_LEAF = 64 rows (400, twice 200, four times 100), so 14 calls.
+        numpy's ``@`` in their place would bring numpy's own OpenBLAS thread pool into gcv's lambda loop."""
+        a = rng.standard_normal((400, 400))
+        shifted = a @ a.T / 400 + 0.1 * np.eye(400)
+        expected = _inv_trace(shifted)
+        calls = 0
+        real = krr.dgemm
+
+        def counted(*args, **kwargs):
+            nonlocal calls
+            calls += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(krr, "dgemm", counted)
+        assert _inv_trace(shifted) == expected
+        assert calls == 14
+
 
 class TestGcvSharesTheFitSolve:
     """gcv takes alpha from the solve fit_krr uses."""
