@@ -52,7 +52,8 @@ class EffectiveReg:
     """Solved effective regularization for one (n, spectrum, lambda) triple.
 
     ``residual`` is the defect n - lam/lambda_star - T1(lambda_star) at the
-    returned root, the solution certificate.
+    returned root, the solution certificate; ``evaluations`` is the number of
+    resolvent sums (``trace_resolvents`` calls) the solve made.
     """
 
     lambda_star: float
@@ -60,6 +61,7 @@ class EffectiveReg:
     upsilon1: float
     upsilon2: float
     residual: float
+    evaluations: int
 
 
 @dataclass(frozen=True)
@@ -108,7 +110,7 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     # lam/n underflows to 0 for the smallest subnormal lam
     nxt = max(lam / n, 5e-324) if lam > 0 else 1e-300 * spectrum.trace / n
     left = 0.0  # the largest plain Newton iterate so far, never right of the root
-    for _ in range(2 * MAX_NEWTON):
+    for evaluations in range(1, 2 * MAX_NEWTON + 1):
         ls = nxt
         t1, t2, slope = trace_resolvents(spectrum, ls)
         residual = n - lam / ls - t1
@@ -135,6 +137,7 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
         upsilon1=t1 / n,
         upsilon2=t2 / n,
         residual=residual,
+        evaluations=evaluations,
     )
 
 

@@ -6,11 +6,11 @@ evaluated empirically and predicted in closed form from the effective
 regularization.  A convergence probe measures how fast the empirical values
 concentrate on the predictions as n grows.
 
-On the dual route (p > n), X X^T and the structured forms' matrix products run on scipy's
-BLAS, the OpenBLAS copy that also runs the Cholesky factor and solves: numpy and scipy each
-bundle their own OpenBLAS, and at more than one BLAS thread their two thread pools contend
-when one loop calls both.  X X^T is one ``dsyrk``; each tile of X^T GX is one ``dgemm``,
-which reads its block of X's columns from one reused C-ordered n x _BLOCK column buffer;
+Both routes' Gram, X^T X on the primal route (p <= n) and X X^T on the dual route (p > n), is one
+scipy ``dsyrk``.  The dual route's matrix products run on scipy's BLAS too, the OpenBLAS copy that
+also runs the Cholesky factor and solves: numpy and scipy each bundle their own OpenBLAS, and at more
+than one BLAS thread their two thread pools contend when one loop calls both.  Each tile of X^T GX is
+one ``dgemm``, which reads its block of X's columns from one reused C-ordered n x _BLOCK column buffer;
 the RiskMatrix form's matrix-vector products are ``dgemv`` calls.
 """
 
@@ -136,10 +136,10 @@ def _factor(gram: np.ndarray, lam: float, name: str):
         raise SpectrumError(f"{name} + lambda is not finite") from exc
 
 
-def _dual_gram(x: np.ndarray) -> np.ndarray:
-    """X X^T as the C-ordered transpose of scipy's ``dsyrk`` result, whose lower triangle alone is set:
-    x.T is already Fortran-ordered, so nothing is copied, and _factor reads only that triangle."""
-    return dsyrk(1.0, x.T, trans=1, lower=1).T
+def _gram(x: np.ndarray) -> np.ndarray:
+    """X^T X when p <= n, X X^T when p > n: the C-ordered transpose of scipy's ``dsyrk`` result, whose lower
+    triangle alone is set.  x.T is Fortran-ordered, so nothing is copied, and _factor reads only that triangle."""
+    return dsyrk(1.0, x.T, trans=int(x.shape[1] > x.shape[0]), lower=1).T
 
 
 def _gx_panels(x: np.ndarray, factor):
@@ -161,7 +161,7 @@ def _gx_panels(x: np.ndarray, factor):
 
 def _primal_resolvent(x: np.ndarray, lam: float) -> np.ndarray:
     """R = (X^T X + lam)^-1 for p <= n: the factor of X^T X + lam, inverted in place by LAPACK potri."""
-    r, info = dpotri(*_factor(x.T @ x, lam, "X^T X"), overwrite_c=True)
+    r, info = dpotri(*_factor(_gram(x), lam, "X^T X"), overwrite_c=True)
     if info != 0:
         raise SpectrumError(f"X^T X + lambda is not numerically positive definite: potri failed with info {info}")
     return _mirror_lower(r).T
@@ -177,7 +177,7 @@ def _resolvent(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if p <= n:
         r = _primal_resolvent(x, lam)
         return r, x @ r
-    gx = cho_solve(_factor(_dual_gram(x), lam, "X X^T"), x)
+    gx = cho_solve(_factor(_gram(x), lam, "X X^T"), x)
     r = x.T @ gx
     np.negative(r, out=r)
     r.ravel()[:: p + 1] += 1.0
@@ -203,7 +203,7 @@ def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float,
     # ravel() and transpose are no copy
     flat, columns = np.empty(min(_BLOCK, p) ** 2), np.empty(n * min(_BLOCK, p))
     squares = 0.0
-    for i0, i1, panel, diag in _gx_panels(x, _factor(_dual_gram(x), lam, "X X^T")):
+    for i0, i1, panel, diag in _gx_panels(x, _factor(_gram(x), lam, "X X^T")):
         xgx[i0:i1] = diag
         gx_squares[i0:i1] = np.einsum("ki,ki->i", panel, panel)
         for j0 in range(0, i1, _BLOCK):
@@ -229,7 +229,7 @@ def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> t
     Every matrix-vector product runs on scipy's ``dgemv``, beside the Cholesky solves.
     """
     n, p = x.shape
-    factor = _factor(_dual_gram(x), lam, "X X^T")
+    factor = _factor(_gram(x), lam, "X X^T")
     xgx, gxu = np.empty(p), np.zeros(n)
     for i0, i1, panel, diag in _gx_panels(x, factor):
         xgx[i0:i1] = diag

@@ -4,9 +4,9 @@ All solvers work from the n x n Gram matrix.  ``fit_krr`` and ``gcv`` share
 one dual solve: a fresh Cholesky factorization per lambda > 0, and at lam = 0
 an eigendecomposition with an explicit full-rank check, matching the
 minimum-norm interpolation reading of lambda -> 0.  The GCV denominator
-Tr((K + lam)^-1) at lam > 0 is ||L^-1||_F^2 for the Cholesky factor L, with
-L^-1 formed block-wise: triangular solves on blocks of at most TRACE_LEAF rows
-and two matrix products per split.  Those products run on scipy's ``dgemm``, the
+Tr((K + lam)^-1) at lam > 0 is ||L^-1||_F^2 for the Cholesky factor L, which
+``_tri_inverse`` inverts in place, block-wise: triangular solves on blocks of at most
+TRACE_LEAF rows and two matrix products per split.  Those products run on scipy's ``dgemm``, the
 OpenBLAS copy that also runs cho_factor, cho_solve and the triangular solves: numpy
 and scipy each bundle their own OpenBLAS, and at more than one BLAS thread their
 two thread pools contend when one loop calls both.  ``linear_sweep`` reuses one
@@ -45,7 +45,7 @@ __all__ = [
 PSD_TOL = 1e-8
 RANK_TOL = 1e-10
 FIT_RTOL = 1e-8
-TRACE_LEAF = 64  # rows of a triangular block that _tri_inverse_into solves directly
+TRACE_LEAF = 64  # rows of a block of the trace's factor that _tri_inverse inverts directly, in place
 
 GRAM_MAGIC = b"KRRG"
 LABEL_MAGIC = b"KRRY"
@@ -161,17 +161,12 @@ def _factor(shifted: np.ndarray):
         raise KrrError(f"shifted Gram matrix is not positive definite: {exc}") from exc
 
 
-def _checked(gram: GramMatrix, y, lam: float) -> np.ndarray:
-    """Labels as ``_labels`` checks them; KrrError unless lam is finite and nonnegative."""
+def _dual(gram: GramMatrix, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
+    """Labels checked by ``_labels`` and alpha = (K + lam I)^-1 y: Cholesky at lam > 0, the eigenbasis at
+    lam = 0; KrrError unless lam is finite and nonnegative."""
     y = _labels(y, gram.n)
     if lam < 0 or not math.isfinite(lam):
         raise KrrError("lambda must be finite and nonnegative")
-    return y
-
-
-def _dual(gram: GramMatrix, y, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """Checked labels y and alpha = (K + lam I)^-1 y: Cholesky at lam > 0, the eigenbasis at lam = 0."""
-    y = _checked(gram, y, lam)
     if lam > 0:
         return y, cho_solve(_factor(_shifted(gram, lam)), y, check_finite=False)
     mu, v = gram.eigendecomposition()
@@ -203,54 +198,50 @@ def train_error(fit: KrrFit, y: np.ndarray) -> float:
     return float(resid @ resid) / y.size
 
 
-def _tri_inverse_into(low: np.ndarray, out: np.ndarray) -> float:
-    """Write W = L^-1 of a lower-triangular L into ``out`` (zero above the diagonal) and return ||W||_F^2.
+def _tri_inverse(low: np.ndarray) -> float:
+    """Overwrite a lower-triangular L (zero above the diagonal) with W = L^-1 and return ||W||_F^2.
 
     A block of at most TRACE_LEAF rows is solved against the identity.  A larger one
     is split in two, L = [[L11, 0], [L21, L22]], so W = [[W11, 0], [-W22 L21 W11, W22]]
-    (the blocked ``trtri`` of Du Croz & Higham 1992): two matrix products per split, on scipy's
-    ``dgemm``.  They form the transpose W21^T = -(W11^T L21^T) W22^T, the association W22 (L21 W11)
-    taken on the Fortran-ordered transposes of the C-ordered blocks.
+    (the blocked ``trtri`` of Du Croz & Higham 1992): W11 and W22 go over their blocks, then
+    W21 over L21, from two products on scipy's ``dgemm`` that form W21^T = -(W11^T L21^T) W22^T,
+    the association W22 (L21 W11) on the Fortran-ordered transposes of the C-ordered blocks.
+    Squares are summed on each contiguous result, not on the strided block it is copied into.
     """
     n = low.shape[0]
     if n <= TRACE_LEAF:
         w = solve_triangular(low, np.eye(n), lower=True, check_finite=False)
-        out[...] = w
+        low[...] = w
         return float((w * w).sum())
     k = n // 2
-    sumsq = _tri_inverse_into(low[:k, :k], out[:k, :k]) + _tri_inverse_into(low[k:, k:], out[k:, k:])
-    w21t = dgemm(-1.0, dgemm(1.0, out[:k, :k].T, low[k:, :k].T), out[k:, k:].T)
-    out[k:, :k] = w21t.T
+    sumsq = _tri_inverse(low[:k, :k]) + _tri_inverse(low[k:, k:])
+    w21t = dgemm(-1.0, dgemm(1.0, low[:k, :k].T, low[k:, :k].T), low[k:, k:].T)
+    low[k:, :k] = w21t.T
     return sumsq + float((w21t * w21t).sum())
 
 
 def _inv_trace(shifted: np.ndarray) -> float:
     """Tr(shifted^-1) = ||L^-1||_F^2 for numpy's Cholesky factor L of a K + lam I from ``_shifted``,
-    inverted block-wise by ``_tri_inverse_into``; KrrError unless positive definite."""
-    # a second factorization beside gcv's cho_factor, kept while bench/workloads.py declares its span (ROADMAP
+    inverted in place by ``_tri_inverse``.  The exactly symmetric ``shifted`` is passed as its
+    Fortran-ordered transpose, which numpy factors without a strided copy."""
+    # a second factorization beside _dual's cho_factor, kept while bench/workloads.py declares its span (ROADMAP
     # item 1); the last call on numpy's OpenBLAS pool in gcv's lambda loop
-    try:
-        low = np.linalg.cholesky(shifted)
-    except np.linalg.LinAlgError:
-        _factor(shifted)  # raises the KrrError fit_krr reports for the same matrix
-        raise
-    return _tri_inverse_into(low, np.zeros_like(low))
+    return _tri_inverse(np.linalg.cholesky(shifted.T))
 
 
 def gcv(gram: GramMatrix, y: np.ndarray, lam: float) -> float:
     """Generalized cross-validation score n ||alpha||^2 / Tr((K+lam)^-1)^2.
 
-    alpha are the fit's dual coefficients without its residual certificate, so the
-    score stays defined near interpolation and at lam = 0 for a full-rank K.
+    alpha comes from the fit's own solve, ``_dual``, without its residual certificate, so the
+    score stays defined near interpolation and at lam = 0 for a full-rank K.  ``_dual`` raises
+    the KrrError for a K + lam I that is not positive definite before the trace factors it again.
     KrrError when the score, alpha or the trace is not a finite float.
     """
     with np.errstate(over="ignore", invalid="ignore"):
+        _, alpha = _dual(gram, y, lam)
         if lam > 0:
-            y, shifted = _checked(gram, y, lam), _shifted(gram, lam)
-            inv_trace = _inv_trace(shifted)  # before cho_factor overwrites the one copy
-            alpha = cho_solve(_factor(shifted), y, check_finite=False)
+            inv_trace = _inv_trace(_shifted(gram, lam))
         else:
-            _, alpha = _dual(gram, y, lam)
             inv_trace = float(np.sum(1.0 / gram.eigendecomposition()[0]))
         try:
             score = gram.n * float(alpha @ alpha) / inv_trace**2

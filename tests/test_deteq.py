@@ -87,11 +87,13 @@ GEOMETRIC = [
 
 def check_oracles(family, cases, monkeypatch):
     """Solve each (spectrum, n, lam) once against every oracle: certificate, bracket, Upsilons, brentq, and
-    plain monotone Newton, which also certifies and takes at least half the solver's resolvent evaluations."""
+    plain monotone Newton, which also certifies and takes at least half the solver's resolvent evaluations.
+    The solve's own ``evaluations`` count equals the counted trace_resolvents calls."""
     solve = counted_solves(monkeypatch)
     for s, n, lam in cases:
         case = (family, n, lam)
         eff, evals = solve(s, n, lam)
+        assert eff.evaluations == evals, case
         root, residual, oracle_evals = monotone_newton(s, n, lam)
         assert max(abs(certificate(s, n, lam, eff)), abs(eff.residual), abs(residual)) <= 1e-12 * n, case
         assert lam / n <= eff.lambda_star <= (lam + s.trace) / n * (1 + 1e-12), case

@@ -64,12 +64,14 @@ def test_readme_imports():
 
 
 # public names with no reader in src/ that are the library's contract: what the README's module
-# table names, the closed-form predictions its introduction names, and the solver's certificate
+# table names, the closed-form predictions its introduction names, and the solver's certificate and
+# evaluation count
 CONTRACT = {
     "write_gram_binary", "read_gram_binary", "write_labels_binary", "read_labels_binary",
     "tail_rank", "effective_rank", "train_error", "test_error_monte_carlo", "KrrFit.predict",
     "SphereKernel.cross_gram", "model_to_json", "linear_sweep", "ModelSpec.truncated",
     "DetEquivalents.bias", "DetEquivalents.stieltjes", "DetEquivalents.train", "EffectiveReg.residual",
+    "EffectiveReg.evaluations",
 }
 
 

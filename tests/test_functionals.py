@@ -251,12 +251,15 @@ class TestEmpiricalFunctionals:
         one dsyrk per call for every test-matrix kind, and the identity forms each tile of X^T GX's lower
         triangle with one dgemm, T (T + 1) / 2 of them with T = ceil(p / _BLOCK).  The RiskMatrix form
         takes one dgemv per panel for GX u and five for Ru and its refinement, T + 5 in all.  numpy's
-        ``@`` in their place would bring numpy's own OpenBLAS thread pool back into the loop."""
+        ``@`` in their place would bring numpy's own OpenBLAS thread pool back into the loop.  The
+        primal route's X^T X is the same one dsyrk."""
         n, p, block = 9, 30, 7
         sample = sample_gaussian_features(Spectrum.power_law(2.0, p), n, 0)
+        primal = sample_gaussian_features(Spectrum.power_law(2.0, n), p, 0)  # p rows of n features
         monkeypatch.setattr(functionals, "_BLOCK", block)
-        kinds = (IdentityMatrix(p), RiskMatrix(np.ones(p)), np.eye(p))
-        expected = [empirical_functionals(sample, 0.3, a) for a in kinds]
+        cases = [(sample, a) for a in (IdentityMatrix(p), RiskMatrix(np.ones(p)), np.eye(p))]
+        cases.append((primal, IdentityMatrix(n)))
+        expected = [empirical_functionals(x, 0.3, a) for x, a in cases]
         calls = Counter()
 
         def counted(name):
@@ -271,10 +274,11 @@ class TestEmpiricalFunctionals:
         for name in ("dsyrk", "dgemm", "dgemv"):
             monkeypatch.setattr(functionals, name, counted(name))
         panels = math.ceil(p / block)
-        for a, want, products in zip(kinds, expected, ((panels * (panels + 1) // 2, 0), (0, panels + 5), (0, 0))):
+        products = ((panels * (panels + 1) // 2, 0), (0, panels + 5), (0, 0), (0, 0))
+        for (x, a), want, counts in zip(cases, expected, products):
             calls.clear()
-            assert empirical_functionals(sample, 0.3, a) == want
-            assert (calls["dsyrk"], calls["dgemm"], calls["dgemv"]) == (1, *products), type(a).__name__
+            assert empirical_functionals(x, 0.3, a) == want
+            assert (calls["dsyrk"], calls["dgemm"], calls["dgemv"]) == (1, *counts), (type(a).__name__, x.matrix.shape)
 
     @pytest.mark.parametrize("n", [200, 800])
     def test_dual_risk_matrix_at_probe_size(self, n):

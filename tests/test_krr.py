@@ -1,5 +1,6 @@
 import math
 import struct
+import tracemalloc
 from typing import NamedTuple
 
 import numpy as np
@@ -424,12 +425,44 @@ class TestGcv:
         assert _inv_trace(shifted) == expected
         assert calls == 14
 
+    def test_inverse_trace_inverts_its_factor_in_place(self, rng):
+        """_inv_trace overwrites numpy's Cholesky factor with its inverse: at n = 400 it allocates the factor
+        and the products' temporaries, under two n x n arrays of doubles, which the factor and a separate
+        n x n output buffer would pass.  Its input is left as it was."""
+        n = 400
+        a = rng.standard_normal((n, n))
+        shifted = a @ a.T / n + 0.1 * np.eye(n)
+        before = shifted.copy()
+        tracemalloc.start()
+        try:
+            _inv_trace(shifted)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 * n * n * 8, f"peak allocation {peak} bytes"
+        assert np.array_equal(shifted, before)
+
 
 class TestGcvSharesTheFitSolve:
     """gcv takes alpha from the solve fit_krr uses."""
 
     def test_matches_reference(self, monkeypatch):
         check_krr_oracles(monkeypatch, "shared solve")
+
+    def test_one_dual_solve_per_call(self, monkeypatch, rng):
+        """At lam > 0, as at lam = 0, alpha is _dual's, called once: gcv keeps no solve of its own."""
+        dual, calls = krr._dual, []
+
+        def counted(gram, y, lam):
+            calls.append(lam)
+            return dual(gram, y, lam)
+
+        monkeypatch.setattr(krr, "_dual", counted)
+        gram, y = random_spd_gram(rng, 70), rng.standard_normal(70)
+        for lam in (1e-3, 0.7, 0.0):
+            calls.clear()
+            gcv(gram, y, lam)
+            assert calls == [lam]
 
     def test_defined_where_the_fit_certificate_fails(self):
         # Gaussian features, n = 390 close to p = 400, labels on the five smallest
