@@ -6,12 +6,13 @@ evaluated empirically and predicted in closed form from the effective
 regularization.  A convergence probe measures how fast the empirical values
 concentrate on the predictions as n grows.
 
-Both routes' Gram, X^T X on the primal route (p <= n) and X X^T on the dual route (p > n), is one
-scipy ``dsyrk``.  The dual route's matrix products run on scipy's BLAS too, the OpenBLAS copy that
-also runs the Cholesky factor and solves: numpy and scipy each bundle their own OpenBLAS, and at more
-than one BLAS thread their two thread pools contend when one loop calls both.  Each tile of X^T GX is
-one ``dgemm``, which reads its block of X's columns from one reused C-ordered n x _BLOCK column buffer;
-the RiskMatrix form's matrix-vector products are ``dgemv`` calls.
+One ``_factor(x, lam)`` forms the route's Gram, X^T X when p <= n and X X^T when p > n, as one scipy
+``dsyrk``, and shifts and factors it in place.  The dual route runs its products on scipy's OpenBLAS too,
+beside the Cholesky work: numpy and scipy each bundle their own, and at more than one BLAS thread their
+two thread pools contend when one loop calls both.  Its structured forms walk GX one panel at a time,
+filling the diagonal of X^T GX; each tile of X^T GX is one ``dgemm`` that reads X's columns from one
+reused C-ordered n x _BLOCK buffer, and the RiskMatrix products are ``dgemv`` calls.  The probe solves
+each grid point's closed forms once.
 """
 
 from __future__ import annotations
@@ -120,30 +121,26 @@ def _mirror_lower(r: np.ndarray) -> np.ndarray:
     return r
 
 
-def _factor(gram: np.ndarray, lam: float, name: str):
-    """Lower Cholesky factor of gram + lam, shifted and factored in place: ``gram`` is X^T X or X X^T,
-    of which only the upper triangle of the C-ordered ``gram`` (the lower triangle LAPACK reads) need
-    be set.  ``name`` names it in the SpectrumError raised unless the shifted matrix is finite and
+def _factor(x: np.ndarray, lam: float):
+    """Lower Cholesky factor of the route's Gram + lam, X^T X when p <= n and X X^T when p > n: scipy's
+    ``dsyrk`` of the Fortran-ordered x.T (no copy) sets the lower triangle LAPACK reads, which is shifted
+    and factored in place.  SpectrumError names the Gram unless the shifted matrix is finite and
     numerically positive definite; the finite check is cho_factor's, so X gets no pass of its own."""
-    gram.ravel()[:: gram.shape[0] + 1] += lam
+    dual = x.shape[1] > x.shape[0]
+    name = "X X^T" if dual else "X^T X"
+    gram = dsyrk(1.0, x.T, trans=int(dual), lower=1)
+    gram.ravel(order="F")[:: gram.shape[0] + 1] += lam  # a view of the Fortran-ordered Gram: its diagonal
     try:
-        # gram is symmetric: its transpose is the same matrix in the Fortran
-        # order LAPACK overwrites without a copy
-        return cho_factor(gram.T, lower=True, overwrite_a=True)
+        return cho_factor(gram, lower=True, overwrite_a=True)
     except np.linalg.LinAlgError as exc:
         raise SpectrumError(f"{name} + lambda is not numerically positive definite: {exc}") from exc
     except ValueError as exc:  # cho_factor's finite check; LinAlgError, a ValueError too, is caught above
         raise SpectrumError(f"{name} + lambda is not finite") from exc
 
 
-def _gram(x: np.ndarray) -> np.ndarray:
-    """X^T X when p <= n, X X^T when p > n: the C-ordered transpose of scipy's ``dsyrk`` result, whose lower
-    triangle alone is set.  x.T is Fortran-ordered, so nothing is copied, and _factor reads only that triangle."""
-    return dsyrk(1.0, x.T, trans=int(x.shape[1] > x.shape[0]), lower=1).T
-
-
-def _gx_panels(x: np.ndarray, factor):
-    """(i0, i1, GX[:, i0:i1], diagonal i0:i1 of X^T GX) for each _BLOCK-column panel of GX.
+def _gx_panels(x: np.ndarray, factor, xgx: np.ndarray):
+    """(i0, i1, GX[:, i0:i1]) for each _BLOCK-column panel of GX, with the diagonal i0:i1 of X^T GX
+    written into ``xgx[i0:i1]`` first.
 
     Every panel is copied from X into one n x _BLOCK Fortran-order buffer and solved there in
     place, so one panel of GX is held at a time; the next panel overwrites it.  X's finite check
@@ -156,12 +153,13 @@ def _gx_panels(x: np.ndarray, factor):
         panel = buf[:, : i1 - i0]
         panel[...] = x[:, i0:i1]
         panel = cho_solve(factor, panel, overwrite_b=True, check_finite=False)
-        yield i0, i1, panel, np.einsum("ki,ki->i", x[:, i0:i1], panel)
+        np.einsum("ki,ki->i", x[:, i0:i1], panel, out=xgx[i0:i1])
+        yield i0, i1, panel
 
 
 def _primal_resolvent(x: np.ndarray, lam: float) -> np.ndarray:
     """R = (X^T X + lam)^-1 for p <= n: the factor of X^T X + lam, inverted in place by LAPACK potri."""
-    r, info = dpotri(*_factor(_gram(x), lam, "X^T X"), overwrite_c=True)
+    r, info = dpotri(*_factor(x, lam), overwrite_c=True)
     if info != 0:
         raise SpectrumError(f"X^T X + lambda is not numerically positive definite: potri failed with info {info}")
     return _mirror_lower(r).T
@@ -177,7 +175,7 @@ def _resolvent(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
     if p <= n:
         r = _primal_resolvent(x, lam)
         return r, x @ r
-    gx = cho_solve(_factor(_gram(x), lam, "X X^T"), x)
+    gx = cho_solve(_factor(x, lam), x)
     r = x.T @ gx
     np.negative(r, out=r)
     r.ravel()[:: p + 1] += 1.0
@@ -203,8 +201,7 @@ def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float,
     # ravel() and transpose are no copy
     flat, columns = np.empty(min(_BLOCK, p) ** 2), np.empty(n * min(_BLOCK, p))
     squares = 0.0
-    for i0, i1, panel, diag in _gx_panels(x, _factor(_gram(x), lam, "X X^T")):
-        xgx[i0:i1] = diag
+    for i0, i1, panel in _gx_panels(x, _factor(x, lam), xgx):
         gx_squares[i0:i1] = np.einsum("ki,ki->i", panel, panel)
         for j0 in range(0, i1, _BLOCK):
             j1 = min(j0 + _BLOCK, i1)
@@ -229,10 +226,9 @@ def _dual_risk(x: np.ndarray, lam: float, u: np.ndarray, sigma: np.ndarray) -> t
     Every matrix-vector product runs on scipy's ``dgemv``, beside the Cholesky solves.
     """
     n, p = x.shape
-    factor = _factor(_gram(x), lam, "X X^T")
+    factor = _factor(x, lam)
     xgx, gxu = np.empty(p), np.zeros(n)
-    for i0, i1, panel, diag in _gx_panels(x, factor):
-        xgx[i0:i1] = diag
+    for i0, i1, panel in _gx_panels(x, factor, xgx):
         dgemv(1.0, panel, u[i0:i1], beta=1.0, y=gxu, overwrite_y=1)  # gxu += panel u[i0:i1], in place
     # x.T is Fortran-ordered, so dgemv reads X in place: X^T v as is, X v with trans=1
     ru = (u - dgemv(1.0, x.T, gxu)) / lam
@@ -369,11 +365,10 @@ def deterministic_functionals(
     return _finite("psi", (psi1, psi2, psi3, psi4))
 
 
-def _probe_task(spectrum, lam, a, n, rng):
-    sample = sample_gaussian_features(spectrum, n, rng)
-    phi = empirical_functionals(sample, lam, a)
-    psi = deterministic_functionals(spectrum, n, lam, a)
-    return tuple(abs(emp - pred) / pred for emp, pred in zip(phi, psi))
+def _probe_task(spectrum, lam, a, psi, n, rng):
+    """|phi_j - psi_j| / psi_j of one replication: phi on the sample ``rng`` draws, then psi(n)."""
+    phi = empirical_functionals(sample_gaussian_features(spectrum, n, rng), lam, a)
+    return tuple(abs(emp - pred) / pred for emp, pred in zip(phi, psi(n)))
 
 
 def convergence_probe(
@@ -390,8 +385,11 @@ def convergence_probe(
     The test matrix ``a_choice`` is "identity" (A = I) or "rank_one" (a RiskMatrix
     with beta = e_1).  Gaussian features; replication ``rep`` at grid index ``i`` draws from
     ``derive_rng(seed, 101, i, rep)`` (``seeds.replicate``), so the reduction is
-    independent of worker count.  Returns rows with keys n, functional_index, median_rel_err,
-    q25, q75, reps, seed; the table has no status column, so a failed replication raises SpectrumError.
+    independent of worker count.  psi depends on n alone: a ``functools.cache`` over n solves each
+    grid point's once (workers that reach it together may each solve it, to the same bits) and
+    stores no raise, so a failing psi fails every replication of its point.  Returns rows with keys
+    n, functional_index, median_rel_err, q25, q75, reps, seed; the table has no status column, so a
+    failed replication raises SpectrumError.
     """
     n_grid = [int(v) for v in n_grid]
     if sorted(n_grid) != n_grid or not n_grid:
@@ -407,7 +405,8 @@ def convergence_probe(
     if not isinstance(a_choice, str) or a_choice not in ("identity", "rank_one"):
         raise SpectrumError(f"unknown test-matrix choice {a_choice!r}")
     a = IdentityMatrix(p) if a_choice == "identity" else RiskMatrix(np.eye(1, p))  # rank one: beta = e_1
-    results = replicate(seed, 101, n_grid, reps, functools.partial(_probe_task, spectrum, lam, a), threads)
+    psi = functools.cache(lambda n: deterministic_functionals(spectrum, n, lam, a))
+    results = replicate(seed, 101, n_grid, reps, functools.partial(_probe_task, spectrum, lam, a, psi), threads)
     if failed := [f"n = {n}: {error}" for n, point in zip(n_grid, results) for _, error in point if error]:
         raise SpectrumError(f"functional probe failed at {failed[0]}")
 

@@ -122,6 +122,7 @@ CONTRACT = {
     "simulate-not-object": (("simulate",), [1, 2], "JSON object"),
     "deteq-not-object": (("deteq",), [1, 2], "JSON object"),
     "simulate-reps-string": (("simulate",), {**SIMULATE, "reps": "3"}, "'reps'"),
+    "simulate-reps-0": (("simulate",), {**SIMULATE, "reps": 0}, "reps must be >= 1"),
     "simulate-negative-lambda": (("simulate",), {**SIMULATE, "lambda": -0.1}, "lambda"),
     "simulate-inf-lambda": (("simulate",), {**SIMULATE, "lambda": math.inf}, "lambda"),
     "simulate-nan-lambda": (("simulate",), {**SIMULATE, "lambda": math.nan}, "lambda"),
@@ -129,9 +130,14 @@ CONTRACT = {
     "simulate-gap-field": (("simulate",), {**SIMULATE, "gap": 8.0}, "'gap'"),
     "simulate-holdout-field": (("simulate",), {**SIMULATE, "holdout": 100}, "'holdout'"),
     "simulate-n-grid-0": (("simulate",), {**SIMULATE, "n_grid": [0, 10]}, "n_grid"),
+    "simulate-n-grid-decreasing": (("simulate",), {**SIMULATE, "n_grid": [20, 10]}, "n_grid must be nonempty and strictly increasing"),
+    "simulate-n-grid-empty": (("simulate",), {**SIMULATE, "n_grid": []}, "n_grid must be nonempty and strictly increasing"),
     "probe-n-grid-0": (("probe-functionals",), {**PROBE, "n_grid": [0, 10]}, "n_grid"),
     "estimate-truncation-past-holdout": (("estimate",), {**ESTIMATE, "truncation": 500, "holdout": 20}, "truncation"),
     "estimate-truncation-0": (("estimate",), {**ESTIMATE, "truncation": 0}, "truncation"),
+    "estimate-truncation-holdout-plus-1": (
+        ("estimate",), {**ESTIMATE, "truncation": 21, "holdout": 20}, "truncation must be in [1, holdout = 20]"
+    ),
     # an 800 TB request fails at once, before any memory is touched
     "simulate-huge-size": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "size": 10**14}}, "error: Unable to allocate"),
     # sub-documents reject keys their kind does not read, as top-level configs do
@@ -499,10 +505,10 @@ SPAN_CALLS = {
         "lapack.solve_triangular": 2, "spectrum.nu_diagnostic": 2, "spectrum.trace_resolvents": 9,
     },
     "probe-identity": {
-        "cli.main": 1, "deteq.solve_effective_reg": 2, "functionals.convergence_probe": 1,
-        "functionals.deterministic_functionals": 2, "functionals.empirical_functionals": 2,
+        "cli.main": 1, "deteq.solve_effective_reg": 1, "functionals.convergence_probe": 1,
+        "functionals.deterministic_functionals": 1, "functionals.empirical_functionals": 2,
         "functionals.sample_gaussian_features": 2, "harness.emit_results": 1, "harness.run_experiment": 1,
-        "lapack.cho_factor": 2, "lapack.cho_solve": 2, "spectrum.trace_resolvents": 8,
+        "lapack.cho_factor": 2, "lapack.cho_solve": 2, "spectrum.trace_resolvents": 4,
     },
     "sphere-curve": {
         "cli.main": 1, "deteq.deterministic_equivalents": 1, "deteq.solve_effective_reg": 1,

@@ -1,5 +1,6 @@
 import math
 import re
+import sys
 import tracemalloc
 from collections import Counter
 
@@ -436,17 +437,66 @@ class TestConvergenceProbe:
             assert row["q25"] <= row["median_rel_err"] <= row["q75"]
 
     def test_task_relative_errors(self):
-        # one replication: |phi_j - psi_j| / psi_j on the sample its generator draws
+        # one replication: |phi_j - psi_j| / psi_j on the sample its generator draws, against the psi it is given
         s = Spectrum.power_law(2.0, 40)
-        errs = _probe_task(s, 0.5, IdentityMatrix(40), 30, derive_rng(3, 101, 0, 1))
+        psi = deterministic_functionals(s, 30, 0.5, IdentityMatrix(40))
+        errs = _probe_task(s, 0.5, IdentityMatrix(40), {30: psi}.get, 30, derive_rng(3, 101, 0, 1))
         sample = sample_gaussian_features(s, 30, derive_rng(3, 101, 0, 1))
         phi = empirical_functionals(sample, 0.5, IdentityMatrix(40))
-        psi = deterministic_functionals(s, 30, 0.5, IdentityMatrix(40))
         assert errs == tuple(abs(emp - pred) / pred for emp, pred in zip(phi, psi))
         # the probe's replication 0 at grid index 0 draws from the stream (seed, 101, 0, 0)
         rows = convergence_probe(s, [30], 0.5, reps=1, seed=3)
-        first = _probe_task(s, 0.5, IdentityMatrix(40), 30, derive_rng(3, 101, 0, 0))
+        first = _probe_task(s, 0.5, IdentityMatrix(40), {30: psi}.get, 30, derive_rng(3, 101, 0, 0))
         assert [row["median_rel_err"] for row in rows] == list(first)
+
+    @pytest.mark.parametrize("threads", [1, 4])
+    def test_closed_forms_solved_once_per_grid_point(self, monkeypatch, threads):
+        """psi depends on (spectrum, n, lambda) alone, so the replications of a grid point share one solve.
+
+        With more workers than cores and a short switch interval, workers that reach a grid point
+        together may each solve it, but the rows stay those of one worker."""
+        calls = Counter()
+        psi = functionals.deterministic_functionals
+
+        def counted(spectrum, n, lam, a):
+            calls[n] += 1
+            return psi(spectrum, n, lam, a)
+
+        s = Spectrum.power_law(2.0, 30)
+        expected = convergence_probe(s, [5, 10], 0.5, reps=3, seed=11)
+        monkeypatch.setattr(functionals, "deterministic_functionals", counted)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            assert convergence_probe(s, [5, 10], 0.5, reps=3, seed=11, threads=threads) == expected
+        finally:
+            sys.setswitchinterval(interval)
+        if threads == 1:
+            assert calls == {5: 1, 10: 1}
+        else:
+            assert set(calls) == {5, 10} and max(calls.values()) <= 3
+
+    def test_failing_closed_forms_fail_every_replication(self, monkeypatch):
+        """A raise is not cached: each replication calls psi again, after its own phi, and the first names the error."""
+        calls, order = [], []
+        phi = functionals.empirical_functionals
+
+        def empirical(sample, lam, a):
+            order.append("phi")
+            return phi(sample, lam, a)
+
+        def failing(spectrum, n, lam, a):
+            calls.append(n)
+            order.append("psi")
+            raise SpectrumError("psi3 is not finite")
+
+        monkeypatch.setattr(functionals, "empirical_functionals", empirical)
+        monkeypatch.setattr(functionals, "deterministic_functionals", failing)
+        message = r"^functional probe failed at n = 5: SpectrumError: psi3 is not finite$"
+        with pytest.raises(SpectrumError, match=message):
+            convergence_probe(Spectrum.power_law(2.0, 30), [5, 10], 0.5, reps=3)
+        assert calls == [5, 5, 5, 10, 10, 10]
+        assert order == ["phi", "psi"] * 6
 
     def test_bad_choice_raises_before_any_draw(self, monkeypatch):
         draws = []
