@@ -71,21 +71,29 @@ class TestSeeds:
 
 
 class TestConfig:
-    """The positive cases, and an unknown kind, which the CLI cannot express (each subcommand fixes its
-    kind); the CONTRACT table in tests/test_cli.py holds the other malformed configs."""
+    """The positive cases, an unknown kind, which the CLI cannot express (each subcommand fixes its kind),
+    and the unknown-field and truncation checks on the config itself; the CONTRACT table in
+    tests/test_cli.py holds the other malformed configs, each through the CLI."""
 
     def test_unknown_kind(self):
         with pytest.raises(ConfigError):
             ExperimentConfig.from_dict({"kind": "mystery", "reps": 1})
 
+    def test_unknown_field(self):
+        with pytest.raises(ConfigError):
+            tiny_gaussian_config(typo_field=1)
+
     def test_lambda_alias(self):
         config = tiny_gaussian_config()
         assert config.lam == 0.1
 
-    def test_truncation_may_equal_holdout(self):
+    @pytest.mark.parametrize("truncation", [0, 21])
+    def test_truncation_within_holdout(self, truncation):
         doc = {"kind": "estimate_and_predict", "spectrum": {"kind": "power_law", "exponent": 2.0, "size": 9},
-               "holdout": 20, "n_grid": [4], "lambda": 0.1, "truncation": 20}
-        assert ExperimentConfig.from_dict(doc).truncation == 20
+               "holdout": 20, "n_grid": [4], "lambda": 0.1, "truncation": truncation}
+        with pytest.raises(ConfigError, match="truncation"):
+            ExperimentConfig.from_dict(doc)
+        assert ExperimentConfig.from_dict({**doc, "truncation": 20}).truncation == 20
 
     def test_overrides(self):
         config = tiny_gaussian_config().with_overrides(seed=99, threads=2)
