@@ -1,15 +1,17 @@
 """Empirical resolvent functionals and their closed-form counterparts.
 
 For a feature matrix X (rows x_i = Sigma^{1/2} z_i) and resolvent
-R = (X^T X + lam)^{-1}, four trace functionals of a p.s.d. test matrix A are
+R = (X^T X + lam)^{-1}, four trace functionals of a test matrix A are
 evaluated empirically and predicted in closed form from the effective
-regularization.  A convergence probe measures how fast the empirical values
-concentrate on the predictions as n grows.
+regularization.  A is one of two structured forms, IdentityMatrix or the
+RiskMatrix Sigma^-1 beta beta^T Sigma^-1; no dense p x p A is accepted.  A
+convergence probe measures how fast the empirical values concentrate on the
+predictions as n grows.
 
 One ``_factor(x, lam)`` forms the route's Gram, X^T X when p <= n and X X^T when p > n, as one scipy
 ``dsyrk``, and shifts and factors it in place.  The dual route runs its products on scipy's OpenBLAS too,
 beside the Cholesky work: numpy and scipy each bundle their own, and at more than one BLAS thread their
-two thread pools contend when one loop calls both.  Its structured forms walk GX one panel at a time,
+two thread pools contend when one loop calls both.  Both forms walk GX one panel at a time,
 filling the diagonal of X^T GX; each tile of X^T GX is one ``dgemm`` that reads X's columns from one
 reused C-ordered n x _BLOCK buffer, and the RiskMatrix products are ``dgemv`` calls.  The probe solves
 each grid point's closed forms once.
@@ -95,18 +97,16 @@ def sample_gaussian_features(spectrum: Spectrum, n: int, seed) -> FeatureSample:
     return FeatureSample(matrix=z, covariance=spectrum)
 
 
-def _check_test_matrix(a, p: int):
-    """``a`` as a RiskMatrix, IdentityMatrix or dense float array; SpectrumError unless it is p x p."""
-    if isinstance(a, RiskMatrix):
-        shape = (a.beta.size, a.beta.size)
-    elif isinstance(a, IdentityMatrix):
-        shape = (a.size, a.size)
+def _check_test_matrix(a, p: int) -> None:
+    """SpectrumError unless ``a`` is a p x p IdentityMatrix or RiskMatrix."""
+    if isinstance(a, IdentityMatrix):
+        size = a.size
+    elif isinstance(a, RiskMatrix):
+        size = a.beta.size
     else:
-        a = np.asarray(a, dtype=float)
-        shape = a.shape
-    if shape != (p, p):
+        raise SpectrumError(f"test matrix must be an IdentityMatrix or a RiskMatrix, not {type(a).__name__}")
+    if size != p:
         raise SpectrumError("test matrix dimension mismatch")
-    return a
 
 
 def _mirror_lower(r: np.ndarray) -> np.ndarray:
@@ -163,24 +163,6 @@ def _primal_resolvent(x: np.ndarray, lam: float) -> np.ndarray:
     if info != 0:
         raise SpectrumError(f"X^T X + lambda is not numerically positive definite: potri failed with info {info}")
     return _mirror_lower(r).T
-
-
-def _resolvent(x: np.ndarray, lam: float) -> tuple[np.ndarray, np.ndarray]:
-    """(R, XR), both whole: a dense A's path on both routes, and the oracle of the structured forms.
-
-    Primal (p <= n): potri's R and X R.  Dual (p > n): XR = GX with G = (X X^T + lam)^-1, which
-    never cancels, and R = (I - X^T GX) / lam, built in place.
-    """
-    n, p = x.shape
-    if p <= n:
-        r = _primal_resolvent(x, lam)
-        return r, x @ r
-    gx = cho_solve(_factor(x, lam), x)
-    r = x.T @ gx
-    np.negative(r, out=r)
-    r.ravel()[:: p + 1] += 1.0
-    r /= lam
-    return r, gx
 
 
 def _dual_identity(x: np.ndarray, lam: float, sigma: np.ndarray) -> tuple[float, float, float, float]:
@@ -256,15 +238,6 @@ def _xr_sums(x: np.ndarray, r: np.ndarray, sigma: np.ndarray) -> tuple[float, fl
     return trace, weighted
 
 
-def _dense_functionals(a: np.ndarray, r: np.ndarray, xr: np.ndarray, sqrt_sigma: np.ndarray) -> tuple[float, float, float]:
-    """(phi1, phi3, phi4) of a dense A from R and XR: Tr(A M), Tr(A M M) with M = S^1/2 R S^1/2, and phi4."""
-    m = sqrt_sigma[:, None] * r * sqrt_sigma[None, :]
-    am = a @ m
-    xrs = xr * sqrt_sigma  # X R S^1/2
-    phi4 = float(((xrs @ a) * xrs).sum()) / xr.shape[0]
-    return float(np.trace(am)), float((am * m.T).sum()), phi4
-
-
 def _finite(prefix: str, values: tuple[float, ...]) -> tuple[float, ...]:
     """``values``, or SpectrumError naming the first that is not finite as ``prefix`` 1, 2, ..."""
     for j, value in enumerate(values, 1):
@@ -280,14 +253,12 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     phi1 = Tr(A S^1/2 R S^1/2)          phi2 = Tr((X^T X / n) R)
     phi3 = Tr(A S^1/2 R S R S^1/2)      phi4 = Tr(A S^1/2 R (X^T X / n) R S^1/2)
 
-    ``a`` is a dense symmetric p.s.d. array, a RiskMatrix or an IdentityMatrix.
-    A dense A reads R and XR whole from _resolvent on both routes, as the oracle of the
-    structured forms: phi2 = <X, XR> / n, and phi4 reads X R S^1/2 at every lam.
+    ``a`` is an IdentityMatrix or a RiskMatrix; any other type raises SpectrumError.
     Dual route (p > n): XR = GX with G = (X X^T + lam)^-1, so phi2 and phi4 read GX and
-    never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  The structured forms hold
-    neither GX whole nor a p x p array: GX is solved and reduced one _BLOCK-column panel at
-    a time, in one reused panel buffer.  IdentityMatrix reduces R's lower triangle from each
-    panel one _BLOCK x _BLOCK tile at a time, in one reused tile buffer; RiskMatrix reads
+    never cancel; R = (I - X^T GX) / lam gives phi1 and phi3.  Neither form holds GX whole
+    nor a p x p array: GX is solved and reduced one _BLOCK-column panel at a time, in one
+    reused panel buffer.  IdentityMatrix reduces R's lower triangle from each panel one
+    _BLOCK x _BLOCK tile at a time, in one reused tile buffer; RiskMatrix reads
     Ru = (u - X^T (GX u)) / lam, refined by one step of iterative refinement.  Primal route
     (p <= n): R by potri, and XR formed a row block of X at a time, which gives phi2 =
     <X, XR> / n and the identity's phi4 = sum_j s_j ||column j of XR||^2 / n at every lam:
@@ -300,17 +271,12 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
     n, p = x.shape
     if n == 0:
         raise SpectrumError("empirical functionals require a sample with at least one row")
-    a = _check_test_matrix(a, p)
+    _check_test_matrix(a, p)
     sigma = sample.covariance.expand()
-    sqrt_sigma = np.sqrt(sigma)
 
-    if not isinstance(a, (RiskMatrix, IdentityMatrix)):
-        r, xr = _resolvent(x, lam)
-        phi2 = float(np.einsum("ki,ki->", x, xr)) / n  # Tr(X^T X R)
-        phi1, phi3, phi4 = _dense_functionals(a, r, xr, sqrt_sigma)
-    elif p > n:
+    if p > n:
         if isinstance(a, RiskMatrix):
-            phi1, phi2, phi3, phi4 = _dual_risk(x, lam, a.beta / sqrt_sigma, sigma)
+            phi1, phi2, phi3, phi4 = _dual_risk(x, lam, a.beta / np.sqrt(sigma), sigma)
         else:
             phi1, phi2, phi3, phi4 = _dual_identity(x, lam, sigma)
     else:
@@ -318,7 +284,7 @@ def empirical_functionals(sample: FeatureSample, lam: float, a) -> tuple[float, 
         tr_xxr, tr_sxr = _xr_sums(x, r, sigma)  # tr_sxr = Tr(S R X^T X R)
         phi2 = tr_xxr / n
         if isinstance(a, RiskMatrix):
-            u = a.beta / sqrt_sigma
+            u = a.beta / np.sqrt(sigma)
             ru = r @ u
             phi1, phi3 = float(u @ ru), float(np.dot(sigma, ru * ru))
             phi4 = float(np.square(x @ ru).sum()) / n
@@ -339,29 +305,24 @@ def deterministic_functionals(
     psi1 = Tr(A S (mu S + lam)^-1)               psi2 = Tr(S (S + ls)^-1) / n
     psi3 = Tr(A S^2 (mu S + lam)^-2) / (1 - U2)  psi4 = Tr(A S^2 (S + ls)^-2) / (n^2 (1 - U2))
     As mu S + lam = mu (S + ls), A = I gives psi1 = n U1 / mu, psi3 = n U2 / (mu^2 (1 - U2)), psi4 = U2 / (n (1 - U2));
-    a RiskMatrix multiplies and squares ratios, finite where S^2 underflows; a dense A keeps the S^2 sums, as their oracle.
+    a RiskMatrix multiplies and squares ratios, finite where S^2 underflows.  ``a`` is checked first, so a
+    rejected test matrix costs no fixed-point solve.
     1 - U2 at or below the risk's floor raises FixedPointError, as in deteq.deterministic_equivalents.
     """
+    _check_test_matrix(a, spectrum.total_rank)
     eff = solve_effective_reg(spectrum, n, lam)
     ls, mu = eff.lambda_star, np.float64(eff.mu_star)  # mu = 0 gives inf and the SpectrumError below
     denom = _risk_denominator(eff)
     psi2 = eff.upsilon1
-    a = _check_test_matrix(a, spectrum.total_rank)
     if isinstance(a, IdentityMatrix):
         psi1 = float(n * eff.upsilon1 / mu)
         psi3 = float(n * eff.upsilon2 / mu / mu / denom)
         psi4 = eff.upsilon2 / (n * denom)
-    elif isinstance(a, RiskMatrix):
+    else:
         sigma = spectrum.expand()
         psi1 = float(np.sum((a.beta / sigma) * (a.beta / (mu * sigma + lam))))
         psi3 = float(np.sum(np.square(a.beta / (mu * sigma + lam)))) / denom
         psi4 = float(np.sum(np.square(a.beta / (sigma + ls)))) / (n * n * denom)
-    else:
-        # only the diagonal of A enters; Tr(A D) = Tr(A^T D) for diagonal D
-        sigma, diag_a = spectrum.expand(), np.diagonal(a)
-        psi1 = float(np.dot(diag_a, sigma / (mu * sigma + lam)))
-        psi3 = float(np.dot(diag_a, sigma**2 / (mu * sigma + lam) ** 2)) / denom
-        psi4 = float(np.dot(diag_a, sigma**2 / (sigma + ls) ** 2)) / (n * n * denom)
     return _finite("psi", (psi1, psi2, psi3, psi4))
 
 

@@ -15,6 +15,7 @@ from krrdeteq.config import ExperimentConfig
 from krrdeteq.deteq import deterministic_equivalents, solve_effective_reg
 from krrdeteq.estimation import decomposition_to_model, estimate_spectrum
 from krrdeteq.functionals import (
+    IdentityMatrix,
     RiskMatrix,
     convergence_probe,
     deterministic_functionals,
@@ -109,7 +110,7 @@ def test_a2_algebraic_identities():
         p = s.total_rank
         if p <= 4000:
             beta = rng.standard_normal(p)
-            for a in (np.eye(p), RiskMatrix(beta)):
+            for a in (IdentityMatrix(p), RiskMatrix(beta)):
                 psi = deterministic_functionals(s, n, lam, a)
                 worst = max(worst, abs(psi[1] - (1 - lam / (n * eff.lambda_star))))
                 worst = max(worst, abs(psi[3] / psi[2] - (eff.mu_star / n) ** 2) / (eff.mu_star / n) ** 2)

@@ -1,4 +1,4 @@
-"""Each public name is declared once, in its module's ``__all__``, resolves from the package root, and has a reader in ``src/`` or is contract."""
+"""Each public name is declared once, in its module's ``__all__``, resolves from the package root, and has a reader in ``src/`` or is contract; each private module-level name has a reader in ``src/``."""
 
 import ast
 import importlib
@@ -117,3 +117,39 @@ def test_every_public_name_has_a_program_reader():
                 unread += [f"{node.name}.{m}" for m in members if m not in attrs]
     extra = sorted(set(unread) - CONTRACT)
     assert not extra, f"public names with no reader in src/: {extra}"
+
+
+def _module_level_names(tree: ast.Module):
+    """The names a module's top-level statements define: functions, classes and assignment targets."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+
+
+def test_every_private_name_has_a_program_reader():
+    """Each private module-level name of ``src/`` is read in ``src/``: as a Name in its own module, through
+    ``from .<module> import``, or as an attribute of its module (``functionals._BLOCK``).  A docstring or
+    comment that mentions it does not count, so a helper that only the tests call has no place in ``src/``.
+    """
+    trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
+    reads = set()  # (module, name) pairs
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                reads.add((name, node.id))
+            elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
+                reads.update((node.module, alias.name) for alias in node.names)
+            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in trees:
+                reads.add((node.value.id, node.attr))
+    private = [
+        (name, attr)
+        for name, tree in trees.items()
+        for attr in _module_level_names(tree)
+        if attr.startswith("_") and not attr.startswith("__")
+    ]
+    assert private, "no private module-level names found"
+    unread = sorted(f"{name}.{attr}" for name, attr in private if (name, attr) not in reads)
+    assert not unread, f"private names with no reader in src/: {unread}"

@@ -4,6 +4,7 @@ import sys
 import tracemalloc
 from collections import Counter
 
+import exact
 import numpy as np
 import pytest
 
@@ -13,8 +14,10 @@ from krrdeteq.functionals import (
     FeatureSample,
     IdentityMatrix,
     RiskMatrix,
+    _factor,
+    _gx_panels,
+    _primal_resolvent,
     _probe_task,
-    _resolvent,
     convergence_probe,
     deterministic_functionals,
     empirical_functionals,
@@ -61,9 +64,8 @@ def svd_functionals(x, sigma_diag, lam, u=None):
 # check_functional_oracles; p <= n takes the primal route, larger p the dual.  A row's j sets the RiskMatrix's beta
 # to e_j, the covariance direction j (0 the largest); without one, beta is a standard normal draw
 FUNCTIONAL_CASES = {
-    "primal and dual": [(40, 120, [0.3]), (20, 120, [0.3]), (120, 120, [0.3]), (119, 120, [0.3])],
+    "primal and dual": [(40, 120, [0.3]), (20, 120, [0.3]), (120, 120, [0.3]), (119, 120, [0.3]), (6, 8, [0.9])],
     "risk matrix": [(10, 15, [0.3])],
-    "skew": [(6, 8, [0.9])],
     "dual trace": [(9, 30, [0.3])],
     "identity": [(12, 5, [0.7]), (100, 300, [0.7]), (4, 40, [0.7]), (20, 300, [0.7])],
     # then two primal rows where p - lam Tr(R) keeps few bits of Tr(X^T X R): a phi2 or identity phi4 that
@@ -82,21 +84,21 @@ FUNCTIONAL_CASES = {
 def check_functional_oracles(monkeypatch, rows, inverse=True):
     """Every oracle on every (n, p, lam) of ``rows``, with 7-row blocks: a primal R of p >= 15 is mirrored
     in three or more blocks, ||S^1/2 R S^1/2||_F^2 reduces over two or more row blocks of R at p >= 8,
-    the primal structured phi2 and phi4 over two or more row blocks of X at n >= 8, and the dual
-    ||S^1/2 R S^1/2||_F^2 over three or more 7 x 7 tiles of X^T GX at p >= 8, one of them off the diagonal.
+    the primal structured phi2 and phi4 over two or more row blocks of X at n >= 8, the dual GX is solved
+    in two or more 7-column panels at p >= 8, and the dual ||S^1/2 R S^1/2||_F^2 reduces over three or
+    more 7 x 7 tiles of X^T GX at p >= 8, one of them off the diagonal.
 
-    X draws power_law(2.0, p) at seed 0; B, K and beta come from default_rng(1), with A = B B^T and
-    skew part K - K^T; a row that names j replaces beta by e_j after the same draws.  Every bound is
-    relative, |got - want| <= bound * (|want| + floor):
-    - R against np.linalg.inv(X^T X + lam) 1e-10 with floor 3e-4 / lam (atol 1e-13 at lam = 0.3),
-      and the primal R exactly symmetric;
-    - XR against X np.linalg.inv(X^T X + lam) 1e-10 with the same floor;
-    - each dense matrix (A, A + skew, eye, the RiskMatrix's outer form) against reference_functionals 1e-9;
-    - A + skew against A 1e-10;
-    - IdentityMatrix against eye 1e-12, and against svd_functionals 1e-12;
-    - RiskMatrix against its outer form 1e-9, and against svd_functionals 1e-9: the dual rows at small lam
-      reach 8.8e-13.
-    ``inverse=False`` leaves out the two oracles built on np.linalg.inv (R against inv, and
+    X draws power_law(2.0, p) at seed 0; beta is the p standard normals that default_rng(1) draws after
+    its first 2 p^2, and a row that names j replaces it by e_j.  Every bound is relative,
+    |got - want| <= bound * (|want| + floor):
+    - primal rows: the library's R (_primal_resolvent) exactly symmetric, and against
+      np.linalg.inv(X^T X + lam) 1e-10 with floor 3e-4 / lam (atol 1e-13 at lam = 0.3);
+    - dual rows: the library's GX (the panels of _gx_panels) against X np.linalg.inv(X^T X + lam) 1e-10
+      with the same floor;
+    - IdentityMatrix against reference_functionals at eye 1e-9, and against svd_functionals 1e-12;
+    - RiskMatrix against reference_functionals at its outer form 1e-9, and against svd_functionals 1e-9:
+      the dual rows at small lam reach 8.8e-13.
+    ``inverse=False`` leaves out the oracles built on np.linalg.inv (R or GX against inv, and
     reference_functionals): at small lam the inverse of X^T X + lam, of condition s_max^2 / lam, is itself
     off in its leading digits (reference_functionals' phi4 by 8e-2 at (5, 50, 1e-8)), so there the
     cancellation-free svd_functionals is the oracle.
@@ -113,27 +115,29 @@ def check_functional_oracles(monkeypatch, rows, inverse=True):
     for n, p, lams, *direction in rows:
         s = Spectrum.power_law(2.0, p)
         sigma, sample = s.expand(), sample_gaussian_features(s, n, 0)
-        x, draws = sample.matrix, np.random.default_rng(1)
-        b, k, beta = draws.standard_normal((p, p)), draws.standard_normal((p, p)), draws.standard_normal(p)
+        x = sample.matrix
+        beta = np.random.default_rng(1).standard_normal(2 * p * p + p)[2 * p * p :]
         if direction:
             beta = np.eye(1, p, direction[0]).ravel()
-        a, w, u = b @ b.T, beta / sigma, beta / np.sqrt(sigma)
-        dense = {"A": a, "A + skew": a + k - k.T, "eye": np.eye(p), "outer": np.outer(w, w)}
+        w, u = beta / sigma, beta / np.sqrt(sigma)
         for lam in lams:
-            where, (r, xr) = (n, p, lam), _resolvent(x, lam)
-            assert p > n or np.array_equal(r, r.T), f"primal R not symmetric at {where}"
-            phi = {name: empirical_functionals(sample, lam, matrix) for name, matrix in dense.items()}
+            where = (n, p, lam)
+            phi = {"I": empirical_functionals(sample, lam, IdentityMatrix(p))}
+            phi["RiskMatrix"] = empirical_functionals(sample, lam, RiskMatrix(beta))
+            if p <= n:
+                r = _primal_resolvent(x, lam)
+                assert np.array_equal(r, r.T), f"primal R not symmetric at {where}"
             if inverse:
                 inv = np.linalg.inv(x.T @ x + lam * np.eye(p))
-                check("R vs inv", where, r, inv, 1e-10, 3e-4 / lam)
-                check("XR vs inv", where, xr, x @ inv, 1e-10, 3e-4 / lam)
-                for name, ref in zip(dense, reference_functionals(x, sigma, lam, *dense.values())):
+                if p <= n:
+                    check("R vs inv", where, r, inv, 1e-10, 3e-4 / lam)
+                else:
+                    gx = np.empty((n, p))
+                    for i0, i1, panel in _gx_panels(x, _factor(x, lam), np.empty(p)):
+                        gx[:, i0:i1] = panel
+                    check("GX vs inv", where, gx, x @ inv, 1e-10, 3e-4 / lam)
+                for name, ref in zip(phi, reference_functionals(x, sigma, lam, np.eye(p), np.outer(w, w))):
                     check(f"{name} vs reference", where, phi[name], ref, 1e-9)
-            phi["I"] = empirical_functionals(sample, lam, IdentityMatrix(p))
-            phi["RiskMatrix"] = empirical_functionals(sample, lam, RiskMatrix(beta))
-            check("A + skew vs A", where, phi["A + skew"], phi["A"], 1e-10)
-            check("I vs eye", where, phi["I"], phi["eye"], 1e-12)
-            check("RiskMatrix vs outer", where, phi["RiskMatrix"], phi["outer"], 1e-9)
             check("I vs svd", where, phi["I"], svd_functionals(x, sigma, lam), 1e-12)
             check("RiskMatrix vs svd", where, phi["RiskMatrix"], svd_functionals(x, sigma, lam, u), 1e-9)
     print("worst relative error: " + ", ".join(f"{name} {err:.1e}" for name, err in worst.items()))
@@ -152,13 +156,13 @@ class TestEmpiricalFunctionals:
     def test_zero_feature_matrix(self):
         s = Spectrum.from_blocks([(1.0, 5)])
         sample = FeatureSample(matrix=np.zeros((3, 5)), covariance=s)
-        phi = empirical_functionals(sample, 2.0, np.eye(5))
+        phi = empirical_functionals(sample, 2.0, IdentityMatrix(5))
         assert phi[0] == pytest.approx(5 / 2.0, rel=1e-12)
         assert phi[1] == pytest.approx(0.0, abs=1e-14)
         assert phi[2] == pytest.approx(5 / 4.0, rel=1e-12)
         assert phi[3] == pytest.approx(0.0, abs=1e-14)
 
-    @pytest.mark.parametrize("a", [IdentityMatrix(5), RiskMatrix(np.ones(5)), np.eye(5)], ids=["identity", "risk", "dense"])
+    @pytest.mark.parametrize("a", [IdentityMatrix(5), RiskMatrix(np.ones(5))], ids=["identity", "risk"])
     def test_sample_without_rows_raises_before_blas(self, capfd, a):
         """A 0 x p sample raises SpectrumError before any BLAS call, so no BLAS error reaches stderr."""
         sample = FeatureSample(matrix=np.zeros((0, 5)), covariance=Spectrum.power_law(2.0, 5))
@@ -169,30 +173,27 @@ class TestEmpiricalFunctionals:
     def test_scalar_instance(self):
         s = Spectrum.from_blocks([(1.0, 1)])
         sample = FeatureSample(matrix=np.array([[2.0]]), covariance=s)
-        phi = empirical_functionals(sample, 1.0, np.array([[1.0]]))
+        phi = empirical_functionals(sample, 1.0, IdentityMatrix(1))
         np.testing.assert_allclose(phi, [0.2, 0.8, 0.04, 0.16], rtol=1e-12)
 
     def test_zero_test_matrix(self, rng):
         s = Spectrum.power_law(1.0, 6)
         sample = sample_gaussian_features(s, 4, rng)
-        phi = empirical_functionals(sample, 0.5, np.zeros((6, 6)))
+        phi = empirical_functionals(sample, 0.5, RiskMatrix(np.zeros(6)))
         assert phi[0] == phi[2] == phi[3] == 0.0
         assert phi[1] > 0
 
-    def test_matches_dense_oracle_primal_and_dual(self, monkeypatch):
+    def test_matches_oracles_primal_and_dual(self, monkeypatch):
         check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["primal and dual"])
 
     def test_risk_matrix_matches_dense_equivalent(self, monkeypatch):
         check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["risk matrix"])
 
-    def test_symmetrization_invariance(self, monkeypatch):
-        check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["skew"])
-
     def test_dual_form_trace_identity(self, monkeypatch):
         check_functional_oracles(monkeypatch, FUNCTIONAL_CASES["dual trace"])
 
     @pytest.mark.parametrize("row", FUNCTIONAL_CASES["identity"], ids=lambda row: f"{row[0]}-{row[1]}")
-    def test_identity_matrix_matches_dense_oracle(self, monkeypatch, row):
+    def test_identity_matrix_matches_oracles(self, monkeypatch, row):
         check_functional_oracles(monkeypatch, [row])
 
     @pytest.mark.parametrize("row", FUNCTIONAL_CASES["large lambda"], ids=lambda row: str(row[0]))
@@ -249,7 +250,7 @@ class TestEmpiricalFunctionals:
 
     def test_dual_route_runs_on_scipy_blas(self, monkeypatch):
         """The dual route's matrix products run on scipy's OpenBLAS, beside its Cholesky calls: X X^T is
-        one dsyrk per call for every test-matrix kind, and the identity forms each tile of X^T GX's lower
+        one dsyrk per call for both test-matrix kinds, and the identity forms each tile of X^T GX's lower
         triangle with one dgemm, T (T + 1) / 2 of them with T = ceil(p / _BLOCK).  The RiskMatrix form
         takes one dgemv per panel for GX u and five for Ru and its refinement, T + 5 in all.  numpy's
         ``@`` in their place would bring numpy's own OpenBLAS thread pool back into the loop.  The
@@ -258,7 +259,7 @@ class TestEmpiricalFunctionals:
         sample = sample_gaussian_features(Spectrum.power_law(2.0, p), n, 0)
         primal = sample_gaussian_features(Spectrum.power_law(2.0, n), p, 0)  # p rows of n features
         monkeypatch.setattr(functionals, "_BLOCK", block)
-        cases = [(sample, a) for a in (IdentityMatrix(p), RiskMatrix(np.ones(p)), np.eye(p))]
+        cases = [(sample, a) for a in (IdentityMatrix(p), RiskMatrix(np.ones(p)))]
         cases.append((primal, IdentityMatrix(n)))
         expected = [empirical_functionals(x, 0.3, a) for x, a in cases]
         calls = Counter()
@@ -275,7 +276,7 @@ class TestEmpiricalFunctionals:
         for name in ("dsyrk", "dgemm", "dgemv"):
             monkeypatch.setattr(functionals, name, counted(name))
         panels = math.ceil(p / block)
-        products = ((panels * (panels + 1) // 2, 0), (0, panels + 5), (0, 0), (0, 0))
+        products = ((panels * (panels + 1) // 2, 0), (0, panels + 5), (0, 0))
         for (x, a), want, counts in zip(cases, expected, products):
             calls.clear()
             assert empirical_functionals(x, 0.3, a) == want
@@ -295,14 +296,19 @@ class TestEmpiricalFunctionals:
     def test_rejects_bad_inputs(self, rng):
         s = Spectrum.power_law(1.0, 4)
         sample = sample_gaussian_features(s, 3, rng)
-        with pytest.raises(SpectrumError):
-            empirical_functionals(sample, 0.0, np.eye(4))
-        with pytest.raises(SpectrumError):
-            empirical_functionals(sample, 1.0, np.eye(5))
+        # lam = 0 on the dual route (3 rows) and on the primal one (6 rows): at the primal route's lam = 0
+        # X^T X alone factors and every functional is finite, so only the lam check can raise there
+        for rows in (sample, sample_gaussian_features(s, 6, rng)):
+            for a in (IdentityMatrix(4), RiskMatrix(np.ones(4))):
+                with pytest.raises(SpectrumError, match="^empirical functionals require lambda > 0$"):
+                    empirical_functionals(rows, 0.0, a)
         with pytest.raises(SpectrumError):
             FeatureSample(matrix=np.zeros((2, 3)), covariance=Spectrum.power_law(1.0, 4))
-        for a in (IdentityMatrix(5), RiskMatrix(np.ones(5)), np.eye(4)[:, :3]):
+        for a in (IdentityMatrix(5), RiskMatrix(np.ones(5))):
             with pytest.raises(SpectrumError, match="dimension mismatch"):
+                empirical_functionals(sample, 1.0, a)
+        for a in (np.eye(4), [[1.0]]):
+            with pytest.raises(SpectrumError, match=f"^test matrix must be an IdentityMatrix or a RiskMatrix, not {type(a).__name__}$"):
                 empirical_functionals(sample, 1.0, a)
         # X^T X + lam (three equal columns, primal) and X X^T + lam (three equal rows, dual) fail their Cholesky
         sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 60, 0)
@@ -311,7 +317,7 @@ class TestEmpiricalFunctionals:
         with pytest.raises(SpectrumError, match=r"^X\^T X \+ lambda is not numerically positive definite"):
             empirical_functionals(FeatureSample(matrix=x, covariance=sample.covariance), 1e-300, IdentityMatrix(50))
         sample = FeatureSample(matrix=np.repeat(sample.matrix[:1], 3, axis=0), covariance=sample.covariance)
-        for a in (IdentityMatrix(50), RiskMatrix(np.ones(50)), np.eye(50)):
+        for a in (IdentityMatrix(50), RiskMatrix(np.ones(50))):
             with pytest.raises(SpectrumError, match=r"^X X\^T \+ lambda is not numerically positive definite"):
                 empirical_functionals(sample, 1e-300, a)
 
@@ -319,21 +325,24 @@ class TestEmpiricalFunctionals:
 class TestDeterministicFunctionals:
     def test_identity_matrix_psi2_isotropic(self):
         s = Spectrum.from_blocks([(1.0, 200)])
-        psi = deterministic_functionals(s, 100, 1.0, np.eye(200))
+        psi = deterministic_functionals(s, 100, 1.0, IdentityMatrix(200))
         ls = (101 + math.sqrt(10601)) / 200
         assert psi[1] == pytest.approx(1 - 1 / (100 * ls), rel=1e-10)
 
     def test_identity_matrix_equals_dense_identity(self):
+        """psi1-psi4 of IdentityMatrix against those of A = I in the 80-digit exact.functionals, at the exact fixed point."""
         s = Spectrum.power_law(1.5, 300)
+        blocks = list(zip(s.values.tolist(), s.multiplicities.tolist()))
         for n, lam in ((50, 0.2), (500, 1e-3)):
             psi = deterministic_functionals(s, n, lam, IdentityMatrix(300))
-            np.testing.assert_allclose(psi, deterministic_functionals(s, n, lam, np.eye(300)), rtol=1e-14)
+            want = [float(v) for v in exact.functionals(exact.fixed_point(blocks, n, lam), blocks, n, lam)]
+            np.testing.assert_allclose(psi, want, rtol=1e-14)
 
     def test_identity_predictions_survive_underflowing_squares(self):
         """sigma^2 and (mu sigma + lam)^2 underflow at 1e-200; the predictions are scale-free,
-        so they equal the dense oracle's at sigma = lam = 1."""
+        so they equal those at sigma = lam = 1, and the values given to 1e-5."""
         tiny = deterministic_functionals(Spectrum.from_blocks([(1e-200, 50)]), 10, 1e-200, IdentityMatrix(50))
-        unit = deterministic_functionals(Spectrum.from_blocks([(1.0, 50)]), 10, 1.0, np.eye(50))
+        unit = deterministic_functionals(Spectrum.from_blocks([(1.0, 50)]), 10, 1.0, IdentityMatrix(50))
         np.testing.assert_allclose(tiny, unit, rtol=1e-14)
         np.testing.assert_allclose(tiny, (40.2425, 0.975753, 40.0073, 0.0235207), rtol=1e-5)
 
@@ -343,31 +352,40 @@ class TestDeterministicFunctionals:
         unit = deterministic_functionals(Spectrum.from_blocks([(1.0, 50)]), 10, 1.0, RiskMatrix(np.eye(1, 50)))
         np.testing.assert_allclose(tiny, unit, rtol=1e-14)
 
-    def test_dense_matrix_reads_only_its_diagonal(self, rng):
-        s = Spectrum.power_law(2.0, 12)
-        b = rng.standard_normal((12, 12))
-        a = b @ b.T
-        skew = np.triu(rng.standard_normal((12, 12)), 1)
-        expected = deterministic_functionals(s, 6, 0.3, np.diag(np.diag(a)))
-        assert deterministic_functionals(s, 6, 0.3, a) == expected
-        assert deterministic_functionals(s, 6, 0.3, a + skew) == expected
-
-    def test_rejects_size_mismatch(self):
-        s = Spectrum.power_law(2.0, 12)
-        for a in (IdentityMatrix(11), RiskMatrix(np.ones(13)), np.eye(12)[:, :11], np.ones(12)):
-            with pytest.raises(SpectrumError, match="dimension mismatch"):
-                deterministic_functionals(s, 6, 0.3, a)
+    def test_rejects_size_mismatch(self, monkeypatch):
+        """A test matrix of the wrong size, or of a type other than IdentityMatrix and RiskMatrix, raises its
+        SpectrumError before any fixed-point solve: at n = rank = 10 and lam = 0, which has no positive fixed
+        point, the test matrix is still what is reported."""
+        solves = []
+        real = functionals.solve_effective_reg
+        monkeypatch.setattr(functionals, "solve_effective_reg", lambda *args: solves.append(args) or real(*args))
+        power = (Spectrum.power_law(2.0, 12), 6, 0.3)
+        ridgeless = (Spectrum.from_blocks([(1.0, 10)]), 10, 0.0)
+        mismatch, dense = "^test matrix dimension mismatch$", "^test matrix must be an IdentityMatrix or a RiskMatrix, not ndarray$"
+        cases = [
+            (power, IdentityMatrix(11), mismatch),
+            (power, RiskMatrix(np.ones(13)), mismatch),
+            (ridgeless, IdentityMatrix(3), mismatch),
+            (power, np.eye(12), dense),
+            (ridgeless, np.eye(10), dense),
+        ]
+        for (spectrum, n, lam), a, message in cases:
+            with pytest.raises(SpectrumError, match=message):
+                deterministic_functionals(spectrum, n, lam, a)
+        assert solves == []
+        deterministic_functionals(*power, IdentityMatrix(12))
+        assert len(solves) == 1
 
     def test_zero_matrix(self):
         s = Spectrum.from_blocks([(1.0, 10)])
-        psi = deterministic_functionals(s, 5, 1.0, np.zeros((10, 10)))
+        psi = deterministic_functionals(s, 5, 1.0, RiskMatrix(np.zeros(10)))
         assert psi[0] == psi[2] == psi[3] == 0.0
 
     def test_exact_identities(self, rng):
         s = Spectrum.power_law(2.0, 80)
         n, lam = 20, 0.25
         eff = solve_effective_reg(s, n, lam)
-        for a in (np.eye(80), RiskMatrix(rng.standard_normal(80))):
+        for a in (IdentityMatrix(80), RiskMatrix(rng.standard_normal(80))):
             psi = deterministic_functionals(s, n, lam, a)
             assert psi[1] == pytest.approx(1 - lam / (n * eff.lambda_star), abs=1e-12)
             assert psi[3] / psi[2] == pytest.approx((eff.mu_star / n) ** 2, rel=1e-12)
@@ -377,7 +395,7 @@ class TestDeterministicFunctionals:
         s = Spectrum.from_blocks([(1.0, 10)])
         with pytest.raises(FixedPointError, match="degenerate denominator"):
             deterministic_equivalents(ModelSpec(n=10, lam=1e-25, spectrum=s, alignment=Alignment(np.zeros(1))))
-        for a in (IdentityMatrix(10), RiskMatrix(np.ones(10)), np.eye(10)):
+        for a in (IdentityMatrix(10), RiskMatrix(np.ones(10))):
             with pytest.raises(FixedPointError, match="degenerate denominator"):
                 deterministic_functionals(s, 10, 1e-25, a)
 
@@ -399,7 +417,7 @@ class TestNonFinite:
             empirical_functionals(sample, 1e-300, IdentityMatrix(50))
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
-    @pytest.mark.parametrize("kind", ["identity", "risk", "dense"])
+    @pytest.mark.parametrize("kind", ["identity", "risk"])
     @pytest.mark.parametrize(("n", "name"), [(10, "X X^T"), (60, "X^T X")], ids=["dual", "primal"])
     def test_non_finite_features(self, n, name, kind, value):
         """A NaN or inf in X, or an entry whose square overflows, makes the Gram that is factored non-finite:
@@ -407,7 +425,7 @@ class TestNonFinite:
         s = Spectrum.power_law(2.0, 50)
         x = sample_gaussian_features(s, n, 0).matrix
         x[3, 7] = value
-        a = {"identity": IdentityMatrix(50), "risk": RiskMatrix(np.ones(50)), "dense": np.eye(50)}[kind]
+        a = {"identity": IdentityMatrix(50), "risk": RiskMatrix(np.ones(50))}[kind]
         with pytest.raises(SpectrumError, match=f"^{re.escape(name + ' + lambda is not finite')}$"):
             empirical_functionals(FeatureSample(matrix=x, covariance=s), 0.3, a)
 
