@@ -301,12 +301,14 @@ def effective_rank(spectrum: Spectrum, m: int, n: int) -> float:
 def nu_diagnostic(spectrum: Spectrum, m: int, n: int, lam: float) -> float:
     """Conditioning diagnostic 1 + xi_(eta n) * r_eff * sqrt(log r_eff) / lambda_tail.
 
-    ``lambda_tail = lam + sum_{j>m} xi_j`` must be positive, and eta is
-    NU_ETA.  The eigenvalue factor is xi at expanded index floor(eta*n) when
-    that index is <= m and 0 otherwise; an index below 1 is clamped to the
-    top eigenvalue.  The diagnostic is reported only, never used in
+    lam must be finite and nonnegative, ``lambda_tail = lam + sum_{j>m} xi_j``
+    positive, and eta is NU_ETA.  The eigenvalue factor is xi at expanded
+    index floor(eta*n) when that index is <= m and 0 otherwise; an index below
+    1 is clamped to the top eigenvalue.  The diagnostic is reported only, never used in
     predictions.
     """
+    if lam < 0 or not math.isfinite(lam):
+        raise SpectrumError("regularization must be finite and nonnegative")
     if not 1 <= m <= spectrum.total_rank:
         raise SpectrumError(f"m = {m} outside [1, total rank = {spectrum.total_rank}]")
     lam_tail = lam + spectrum.tail_trace(m)

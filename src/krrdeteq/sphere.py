@@ -235,7 +235,7 @@ def kernel_from_gaps(d: int, levels: int, gap: float) -> SphereKernel:
     """Kernel with geometrically decaying level eigenvalues gap^-(k-1), k = 1..levels."""
     if levels < 1:
         raise SphereError("levels must be >= 1")
-    if gap <= 0:
+    if not gap > 0:  # NaN fails too
         raise SphereError("gap must be positive")
     coeffs = np.zeros(levels + 1)
     coeffs[1:] = float(gap) ** -(np.arange(1, levels + 1, dtype=float) - 1.0)

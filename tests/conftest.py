@@ -1,10 +1,16 @@
 import math
+import sys
+import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import roots_jacobi
 
+import krrdeteq
 from krrdeteq.spectrum import Spectrum, trace_resolvents
+
+SRC = Path(krrdeteq.__file__).parent
 
 
 def random_spectrum(rng, max_blocks=50, lo=1e-6, hi=1.0):
@@ -64,6 +70,31 @@ def gegenbauer(basis, k, t):
 def h_values(kernel, t):
     """The kernel function h(t) = sum_k coeffs[k] sqrt(B_{d,k}) Q_k(t) of a SphereKernel."""
     return kernel.basis.series(kernel.coeffs * np.sqrt(kernel.multiplicities().astype(float)), t)
+
+
+def executed_lines(*calls):
+    """Run each call under ``sys.settrace``, threads it starts too, and return the (file, line) pairs
+    executed in src/krrdeteq/*.py; the previous tracers are restored, also when a call raises."""
+    seen, root = set(), str(SRC)
+
+    def lines(frame, event, arg):
+        if event == "line":
+            seen.add((frame.f_code.co_filename, frame.f_lineno))
+        return lines
+
+    def tracer(frame, event, arg):
+        return lines if frame.f_code.co_filename.startswith(root) else None
+
+    previous = sys.gettrace(), threading.gettrace()
+    sys.settrace(tracer)
+    threading.settrace(tracer)
+    try:
+        for call in calls:
+            call()
+    finally:
+        sys.settrace(previous[0])
+        threading.settrace(previous[1])
+    return seen
 
 
 @pytest.fixture

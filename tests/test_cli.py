@@ -132,12 +132,25 @@ CONTRACT = {
     "simulate-n-grid-0": (("simulate",), {**SIMULATE, "n_grid": [0, 10]}, "n_grid"),
     "simulate-n-grid-decreasing": (("simulate",), {**SIMULATE, "n_grid": [20, 10]}, "n_grid must be nonempty and strictly increasing"),
     "simulate-n-grid-empty": (("simulate",), {**SIMULATE, "n_grid": []}, "n_grid must be nonempty and strictly increasing"),
+    "simulate-n-grid-fraction": (("simulate",), {**SIMULATE, "n_grid": [1.5]}, "n_grid must be a list of JSON integers"),
+    "gcv-n-0": (("gcv-sweep",), {**GCV, "n": 0}, "gcv_sweep requires a positive n"),
+    "gcv-lambda-grid-empty": (("gcv-sweep",), {**GCV, "lambda_grid": []}, "lambda_grid must be nonempty and sorted"),
+    "gcv-lambda-grid-decreasing": (("gcv-sweep",), {**GCV, "lambda_grid": [1.0, 0.1]}, "lambda_grid must be nonempty and sorted"),
+    "estimate-holdout-1": (("estimate",), {**ESTIMATE, "holdout": 1}, "estimate_and_predict requires holdout >= 2"),
+    "simulate-no-spectrum": (("simulate",), without(SIMULATE, "spectrum"), "experiment requires a 'spectrum' entry"),
+    "simulate-power-law-no-exponent": (("simulate",), {**SIMULATE, "spectrum": without(POWER_LAW, "exponent")}, "needs a number 'exponent'"),
     "probe-n-grid-0": (("probe-functionals",), {**PROBE, "n_grid": [0, 10]}, "n_grid"),
     "estimate-truncation-past-holdout": (("estimate",), {**ESTIMATE, "truncation": 500, "holdout": 20}, "truncation"),
     "estimate-truncation-0": (("estimate",), {**ESTIMATE, "truncation": 0}, "truncation"),
     "estimate-truncation-holdout-plus-1": (
         ("estimate",), {**ESTIMATE, "truncation": 21, "holdout": 20}, "truncation must be in [1, holdout = 20]"
     ),
+    "simulate-energies-per-block": (
+        ("simulate",), {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 2], [0.5, 2]]}, "target": {"kind": "energies", "values": [1.0]}},
+        "target energies must have one entry per spectrum block",
+    ),
+    # one block: the rank check comes before any array of that size
+    "simulate-rank-past-2e6": (("simulate",), {**SIMULATE, "spectrum": {"kind": "blocks", "blocks": [[1.0, 2000001]]}}, "rank too large"),
     # an 800 TB request fails at once, before any memory is touched
     "simulate-huge-size": (("simulate",), {**SIMULATE, "spectrum": {**POWER_LAW, "size": 10**14}}, "error: Unable to allocate"),
     # sub-documents reject keys their kind does not read, as top-level configs do
@@ -209,17 +222,24 @@ CONTRACT = {
 }
 
 
-@pytest.mark.parametrize("case", sorted(CONTRACT))
-def test_error_contract(tmp_path, monkeypatch, case):
-    """Each hand-picked bad or extreme input keeps the CLI's error contract."""
+def run_contract_row(directory, case):
+    """Run ``CONTRACT[case]`` through ``check_contract`` in ``directory``, with its environment words set
+    and then restored, and check its needle."""
     args, doc, needle = CONTRACT[case]
-    monkeypatch.chdir(tmp_path)
-    monkeypatch.delenv("KRRDETEQ_THREADS", raising=False)
     env = list(itertools.takewhile(lambda arg: "=" in arg, args))
-    for word in env:
-        monkeypatch.setenv(*word.split("=", 1))
-    code, err = check_contract(tmp_path, args[len(env):], doc)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.chdir(directory)
+        patch.delenv("KRRDETEQ_THREADS", raising=False)
+        for word in env:
+            patch.setenv(*word.split("=", 1))
+        code, err = check_contract(directory, args[len(env):], doc)
     assert needle is None or (code == 1 and needle in err), err
+
+
+@pytest.mark.parametrize("case", sorted(CONTRACT))
+def test_error_contract(tmp_path, case):
+    """Each hand-picked bad or extreme input keeps the CLI's error contract."""
+    run_contract_row(tmp_path, case)
 
 
 @pytest.mark.parametrize("args", [["-h"], ["simulate", "--help"]])

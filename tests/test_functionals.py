@@ -1,5 +1,4 @@
 import math
-import re
 import sys
 import tracemalloc
 from collections import Counter
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from krrdeteq import functionals
-from krrdeteq.deteq import FixedPointError, deterministic_equivalents, solve_effective_reg
+from krrdeteq.deteq import solve_effective_reg
 from krrdeteq.functionals import (
     FeatureSample,
     IdentityMatrix,
@@ -24,7 +23,9 @@ from krrdeteq.functionals import (
     sample_gaussian_features,
 )
 from krrdeteq.seeds import derive_rng
-from krrdeteq.spectrum import Alignment, ModelSpec, Spectrum, SpectrumError
+from krrdeteq.spectrum import Spectrum, SpectrumError
+
+from test_errors import NON_FINITE_FEATURES, check_rows
 
 
 def reference_functionals(x, sigma_diag, lam, *a_dense):
@@ -293,34 +294,6 @@ class TestEmpiricalFunctionals:
         phi = empirical_functionals(sample, 0.1, RiskMatrix(beta))
         np.testing.assert_allclose(phi, svd_functionals(sample.matrix, sigma, 0.1, beta / np.sqrt(sigma)), rtol=1e-13, atol=0)
 
-    def test_rejects_bad_inputs(self, rng):
-        s = Spectrum.power_law(1.0, 4)
-        sample = sample_gaussian_features(s, 3, rng)
-        # lam = 0 on the dual route (3 rows) and on the primal one (6 rows): at the primal route's lam = 0
-        # X^T X alone factors and every functional is finite, so only the lam check can raise there
-        for rows in (sample, sample_gaussian_features(s, 6, rng)):
-            for a in (IdentityMatrix(4), RiskMatrix(np.ones(4))):
-                with pytest.raises(SpectrumError, match="^empirical functionals require lambda > 0$"):
-                    empirical_functionals(rows, 0.0, a)
-        with pytest.raises(SpectrumError):
-            FeatureSample(matrix=np.zeros((2, 3)), covariance=Spectrum.power_law(1.0, 4))
-        for a in (IdentityMatrix(5), RiskMatrix(np.ones(5))):
-            with pytest.raises(SpectrumError, match="dimension mismatch"):
-                empirical_functionals(sample, 1.0, a)
-        for a in (np.eye(4), [[1.0]]):
-            with pytest.raises(SpectrumError, match=f"^test matrix must be an IdentityMatrix or a RiskMatrix, not {type(a).__name__}$"):
-                empirical_functionals(sample, 1.0, a)
-        # X^T X + lam (three equal columns, primal) and X X^T + lam (three equal rows, dual) fail their Cholesky
-        sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 60, 0)
-        x = sample.matrix.copy()
-        x[:, 1:3] = x[:, :1]
-        with pytest.raises(SpectrumError, match=r"^X\^T X \+ lambda is not numerically positive definite"):
-            empirical_functionals(FeatureSample(matrix=x, covariance=sample.covariance), 1e-300, IdentityMatrix(50))
-        sample = FeatureSample(matrix=np.repeat(sample.matrix[:1], 3, axis=0), covariance=sample.covariance)
-        for a in (IdentityMatrix(50), RiskMatrix(np.ones(50))):
-            with pytest.raises(SpectrumError, match=r"^X X\^T \+ lambda is not numerically positive definite"):
-                empirical_functionals(sample, 1e-300, a)
-
 
 class TestDeterministicFunctionals:
     def test_identity_matrix_psi2_isotropic(self):
@@ -390,15 +363,6 @@ class TestDeterministicFunctionals:
             assert psi[1] == pytest.approx(1 - lam / (n * eff.lambda_star), abs=1e-12)
             assert psi[3] / psi[2] == pytest.approx((eff.mu_star / n) ** 2, rel=1e-12)
 
-    def test_degenerate_denominator_raises_as_the_risk_does(self):
-        """At rank = n and lam = 1e-25, 1 - Upsilon2 = 1.9e-13 is below the risk's floor; psi4 was 4 % high there."""
-        s = Spectrum.from_blocks([(1.0, 10)])
-        with pytest.raises(FixedPointError, match="degenerate denominator"):
-            deterministic_equivalents(ModelSpec(n=10, lam=1e-25, spectrum=s, alignment=Alignment(np.zeros(1))))
-        for a in (IdentityMatrix(10), RiskMatrix(np.ones(10))):
-            with pytest.raises(FixedPointError, match="degenerate denominator"):
-                deterministic_functionals(s, 10, 1e-25, a)
-
     def test_rank_one_energy_contraction(self):
         # Tr(A Sigma^2) = ||beta||^2 stays finite however small the tail gets
         s = Spectrum.power_law(4.0, 50)
@@ -409,41 +373,13 @@ class TestDeterministicFunctionals:
 
 
 class TestNonFinite:
-    """A functional that overflows raises SpectrumError, and numpy prints no warning."""
-
-    def test_empirical(self):
-        sample = sample_gaussian_features(Spectrum.power_law(2.0, 50), 10, 0)
-        with pytest.raises(SpectrumError, match="phi3 is not finite"):
-            empirical_functionals(sample, 1e-300, IdentityMatrix(50))
-
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 1e200], ids=["nan", "inf", "overflow"])
-    @pytest.mark.parametrize("kind", ["identity", "risk"])
-    @pytest.mark.parametrize(("n", "name"), [(10, "X X^T"), (60, "X^T X")], ids=["dual", "primal"])
-    def test_non_finite_features(self, n, name, kind, value):
-        """A NaN or inf in X, or an entry whose square overflows, makes the Gram that is factored non-finite:
-        SpectrumError names it, from the factor's own finite check."""
-        s = Spectrum.power_law(2.0, 50)
-        x = sample_gaussian_features(s, n, 0).matrix
-        x[3, 7] = value
-        a = {"identity": IdentityMatrix(50), "risk": RiskMatrix(np.ones(50))}[kind]
-        with pytest.raises(SpectrumError, match=f"^{re.escape(name + ' + lambda is not finite')}$"):
-            empirical_functionals(FeatureSample(matrix=x, covariance=s), 0.3, a)
-
-    def test_deterministic(self):
-        s = Spectrum.power_law(2.0, 50)
-        with pytest.raises(SpectrumError, match="psi1 is not finite"):
-            deterministic_functionals(s, 10, 0.1, RiskMatrix(np.full(50, 1e200)))
+    @pytest.mark.parametrize("case", NON_FINITE_FEATURES)
+    def test_non_finite_features(self, case):
+        """A NaN or inf in X, or an entry whose square overflows: SpectrumError names the Gram that is factored."""
+        check_rows(NON_FINITE_FEATURES[case])
 
 
 class TestConvergenceProbe:
-    def test_rejects_zero_reps(self):
-        with pytest.raises(SpectrumError):
-            convergence_probe(Spectrum.power_law(2.0, 10), [4, 8], 0.5, reps=0)
-
-    def test_rejects_decreasing_grid(self):
-        with pytest.raises(SpectrumError):
-            convergence_probe(Spectrum.power_law(2.0, 10), [8, 4], 0.5, reps=2)
-
     def test_rows_and_determinism(self):
         s = Spectrum.power_law(2.0, 30)
         rows1 = convergence_probe(s, [5, 10], 0.5, a_choice="identity", reps=3, seed=11)
@@ -538,10 +474,3 @@ class TestConvergenceProbe:
         assert draws == []
         assert capfd.readouterr().err == ""
 
-    def test_failed_replication_raises_before_any_row(self):
-        """The first failed replication names the probe's one error: a non-finite phi, or a zero psi."""
-        with pytest.raises(SpectrumError, match=r"^functional probe failed at n = 10: SpectrumError: phi3 is not finite$"):
-            convergence_probe(Spectrum.power_law(2.0, 50), [10, 20], 1e-300, reps=2)
-        tiny = Spectrum.from_blocks([(1e-300, 50)])
-        with pytest.raises(SpectrumError, match=r"^functional probe failed at n = 10: ZeroDivisionError"):
-            convergence_probe(tiny, [10, 20], 1.0, reps=2)

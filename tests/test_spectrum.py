@@ -11,7 +11,6 @@ from krrdeteq.spectrum import (
     ModelSpec,
     NoiseModel,
     Spectrum,
-    SpectrumError,
     effective_rank,
     model_from_json,
     model_to_json,
@@ -23,6 +22,7 @@ from krrdeteq.spectrum import (
 from krrdeteq import deteq
 
 from conftest import random_spectrum
+from test_errors import BOOLEAN_BLOCKS, NOISE_VARIANCE, NON_INTEGRAL_MULTIPLICITY, TRACE_OVERFLOW, check_rows
 
 
 def reference_trace_resolvents(spectrum, s):
@@ -49,44 +49,20 @@ def oracle_spectrum(size, mults, seed=0):
 
 
 class TestSpectrumType:
-    def test_rejects_increasing_values(self):
-        with pytest.raises(SpectrumError):
-            Spectrum(np.array([0.5, 1.0]), np.array([1, 1]))
-
-    def test_rejects_nonpositive_values(self):
-        with pytest.raises(SpectrumError):
-            Spectrum(np.array([1.0, 0.0]), np.array([1, 1]))
-        with pytest.raises(SpectrumError):
-            Spectrum(np.array([1.0, -1e-3]), np.array([1, 1]))
-
-    def test_rejects_empty_and_bad_multiplicity(self):
-        with pytest.raises(SpectrumError):
-            Spectrum.from_blocks([])
-        with pytest.raises(SpectrumError):
-            Spectrum(np.array([1.0]), np.array([0]))
-
-    @pytest.mark.parametrize("mult", [2.7, 0.5, math.nan, math.inf, 1e30])
-    def test_rejects_non_integral_multiplicity(self, mult):
-        with pytest.raises(SpectrumError, match="integers"):
-            Spectrum.from_blocks([(2.0, 3), (1.0, mult)])
-        with pytest.raises(SpectrumError, match="integers"):
-            Spectrum(np.array([1.0]), np.array([mult]))
-
     def test_total_rank_past_int64_rejected(self):
-        # the int64 running sum would wrap to -2**63 + 5
-        with pytest.raises(SpectrumError, match=r"2\*\*63"):
-            Spectrum.from_blocks([(1.0, 2**62), (0.5, 2**62 + 5)])
         assert Spectrum.from_blocks([(1.0, 2**62), (0.5, 2**62 - 1)]).total_rank == 2**63 - 1
 
-    @pytest.mark.parametrize("blocks", [[(1e300, 10**12)], [(1e308, 1), (1e308, 1)]])
-    def test_total_trace_overflow_rejected(self, blocks):
-        with pytest.raises(SpectrumError, match="total trace"):
-            Spectrum.from_blocks(blocks)
+    @pytest.mark.parametrize("case", NON_INTEGRAL_MULTIPLICITY)
+    def test_rejects_non_integral_multiplicity(self, case):
+        check_rows(NON_INTEGRAL_MULTIPLICITY[case])
 
-    @pytest.mark.parametrize("block", [(1.0, True), (True, 2), (1.0, np.bool_(True)), (False, 1)])
-    def test_rejects_boolean_block_entries(self, block):
-        with pytest.raises(SpectrumError, match="booleans"):
-            Spectrum.from_blocks([(2.0, 3), block])
+    @pytest.mark.parametrize("case", TRACE_OVERFLOW)
+    def test_total_trace_overflow_rejected(self, case):
+        check_rows(TRACE_OVERFLOW[case])
+
+    @pytest.mark.parametrize("case", BOOLEAN_BLOCKS)
+    def test_rejects_boolean_block_entries(self, case):
+        check_rows(BOOLEAN_BLOCKS[case])
 
     def test_integral_float_multiplicity_accepted(self):
         s = Spectrum.from_blocks([(2.0, 3.0), (1.0, 2)])
@@ -107,23 +83,10 @@ class TestSpectrumType:
             expanded = s.expand()
             for m in range(1, s.total_rank + 1):
                 np.testing.assert_array_equal(s.head(m).expand(), expanded[:m])
-            for m in (0, s.total_rank + 1):
-                with pytest.raises(SpectrumError, match="outside"):
-                    s.head(m)
-
-    def test_cumulative_sums_are_not_constructor_arguments(self):
-        with pytest.raises(TypeError):
-            Spectrum(np.array([1.0]), np.array([2]), _cum_mult=np.array([5]))
-        with pytest.raises(TypeError):
-            Spectrum(np.array([1.0]), np.array([2]), _cum_trace=np.array([5.0]))
-        with pytest.raises(TypeError):
-            Spectrum(np.array([1.0]), np.array([2]), _weights=np.array([5.0]))
 
     def test_eigenvalue_at(self):
         s = Spectrum.from_blocks([(2.0, 3), (1.0, 1)])
         assert [s.eigenvalue_at(j) for j in range(1, 5)] == [2.0, 2.0, 2.0, 1.0]
-        with pytest.raises(SpectrumError):
-            s.eigenvalue_at(5)
 
 
 class TestTraceResolvents:
@@ -143,12 +106,6 @@ class TestTraceResolvents:
         s = random_spectrum(rng)
         t1, t2, slope = trace_resolvents(s, 1e12)
         assert t1 < 1e-9 and t2 < 1e-9 and slope < 1e-9
-
-    def test_rejects_nonpositive_shift(self):
-        s = Spectrum.from_blocks([(1.0, 1)])
-        for bad in (0.0, -1.0, math.nan):
-            with pytest.raises(SpectrumError):
-                trace_resolvents(s, bad)
 
     def test_decreasing_in_shift_and_t2_below_t1(self, rng):
         for _ in range(20):
@@ -196,10 +153,6 @@ class TestTailRank:
 
     def test_full_rank_convention(self):
         assert tail_rank(Spectrum.from_blocks([(1.0, 4)]), 4, 0.0) == math.inf
-
-    def test_out_of_range(self):
-        with pytest.raises(SpectrumError):
-            tail_rank(Spectrum.from_blocks([(1.0, 4)]), 5, 0.0)
 
     def test_monotone_in_lambda(self, rng):
         s = random_spectrum(rng)
@@ -266,11 +219,6 @@ class TestNuDiagnostic:
         s = Spectrum.from_blocks([(1.0, 100)])
         assert nu_diagnostic(s, 100, 8, 1e12) == pytest.approx(1.0, abs=1e-6)
 
-    def test_requires_positive_tail_regularization(self):
-        s = Spectrum.from_blocks([(1.0, 4)])
-        with pytest.raises(SpectrumError):
-            nu_diagnostic(s, 4, 4, 0.0)  # m = rank and lam = 0
-
 
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(
@@ -294,31 +242,17 @@ def test_resolvent_traces_monotone_property(data, shifts):
 
 
 class TestAlignmentAndModel:
-    def test_alignment_validation(self):
-        with pytest.raises(SpectrumError):
-            Alignment(np.array([-0.1]))
-        with pytest.raises(SpectrumError):
-            Alignment(np.array([0.1]), residual_energy=-1.0)
-
     def test_total_energy(self):
         a = Alignment(np.array([0.5, 0.25]), residual_energy=0.25)
         assert a.total_energy == pytest.approx(1.0)
 
-    @pytest.mark.parametrize("variance", [-1e-300, -1.0, math.nan, math.inf, -math.inf])
-    def test_noise_model_rejects_bad_variance(self, variance):
-        with pytest.raises(SpectrumError, match="noise variance"):
-            NoiseModel(variance=variance)
+    @pytest.mark.parametrize("case", NOISE_VARIANCE)
+    def test_noise_model_rejects_bad_variance(self, case):
+        check_rows(NOISE_VARIANCE[case])
 
     def test_ridgeless_needs_excess_rank(self):
         s = Spectrum.from_blocks([(2.0, 50)])
-        with pytest.raises(SpectrumError):
-            ModelSpec(n=100, lam=0.0, spectrum=s, alignment=Alignment(np.zeros(1)))
-        ModelSpec(n=30, lam=0.0, spectrum=s, alignment=Alignment(np.zeros(1)))  # fine
-
-    def test_alignment_length_checked(self):
-        s = Spectrum.from_blocks([(1.0, 2), (0.5, 2)])
-        with pytest.raises(SpectrumError):
-            ModelSpec(n=2, lam=0.1, spectrum=s, alignment=Alignment(np.array([1.0])))
+        ModelSpec(n=30, lam=0.0, spectrum=s, alignment=Alignment(np.zeros(1)))  # fine; n = 100 raises
 
 
 class TestJsonRoundTrip:
@@ -340,12 +274,3 @@ class TestJsonRoundTrip:
         doc = json.loads(model_to_json(s, Alignment(np.array([1.0])), NoiseModel(0.0)))
         assert set(doc) == {"blocks", "alignment", "residual_energy", "noise_variance"}
 
-    def test_boolean_alignment_rejected(self):
-        doc = {"blocks": [[1.0, 2]], "alignment": [True], "residual_energy": 0.0, "noise_variance": 0.0}
-        with pytest.raises(SpectrumError, match="booleans"):
-            model_from_json(doc)
-
-    def test_mismatched_alignment_rejected(self):
-        bad = {"blocks": [[1.0, 2], [0.5, 1]], "alignment": [1.0], "residual_energy": 0.0, "noise_variance": 0.0}
-        with pytest.raises(SpectrumError):
-            model_from_json(bad)
