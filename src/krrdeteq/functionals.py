@@ -30,7 +30,7 @@ from scipy.linalg.lapack import dpotri
 
 from .deteq import _risk_denominator, solve_effective_reg
 from .seeds import replicate
-from .spectrum import Spectrum, SpectrumError
+from .spectrum import Spectrum, SpectrumError, _integer
 
 __all__ = [
     "FeatureSample",
@@ -89,7 +89,9 @@ class IdentityMatrix:
 
 
 def sample_gaussian_features(spectrum: Spectrum, n: int, seed) -> FeatureSample:
-    """x = Sigma^{1/2} z with z ~ N(0, I_p); p = expanded rank of the spectrum."""
+    """x = Sigma^{1/2} z with z ~ N(0, I_p); p = expanded rank of the spectrum, n >= 0 an integer."""
+    if not _integer(n) or n < 0:
+        raise SpectrumError(f"sample count n must be a nonnegative integer, not {n!r}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     sqrt_sigma = np.sqrt(spectrum.expand())
     z = rng.standard_normal((n, sqrt_sigma.size))

@@ -21,7 +21,7 @@ from . import estimation, functionals, krr, sphere
 from .config import ConfigError, ExperimentConfig
 from .deteq import deterministic_equivalents
 from .seeds import _error, _outcome, derive_rng, map_tasks, replicate
-from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, SpectrumError, nu_diagnostic
+from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, nu_diagnostic
 
 __all__ = ["ExperimentResult", "run_experiment", "emit_results", "CURVE_COLUMNS"]
 
@@ -87,19 +87,16 @@ def _block_energies(spectrum: Spectrum, beta: np.ndarray) -> np.ndarray:
 def _diagnostic_nu(spectrum: Spectrum, n: int, lam: float) -> float:
     """Conditioning diagnostic carried on curve rows (never emitted to files).
 
-    Evaluated at the full spectrum when lam > 0; in the ridgeless case the
-    final degenerate block is treated as the tail so the required positive
-    tail trace exists.
+    Evaluated at the full spectrum when lam > 0.  In the ridgeless case the
+    final block is the tail, whose trace ``tail_trace`` sums from the block
+    itself, so it is positive; nu is NaN when no head is left.
     """
     m = spectrum.total_rank
     if lam == 0:
         m -= int(spectrum.multiplicities[-1])
         if m < 1:
             return math.nan
-    try:
-        return nu_diagnostic(spectrum, m, n, lam)
-    except SpectrumError:
-        return math.nan
+    return nu_diagnostic(spectrum, m, n, lam)
 
 
 def _prediction_rows(kind, reps, seed, points, model_at, outcomes) -> ExperimentResult:

@@ -44,6 +44,11 @@ def _numbers(entries, what: str):
     return entries
 
 
+def _integer(value) -> bool:
+    """Whether ``value`` is a Python or numpy integer; a boolean is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 @dataclass(frozen=True, eq=False)
 class Spectrum:
     """Eigenvalue blocks ``(value, multiplicity)``, nonincreasing in value.
@@ -55,10 +60,10 @@ class Spectrum:
 
     values: np.ndarray
     multiplicities: np.ndarray
-    # cumulative expanded counts / traces and float64 multiplicities for the
-    # resolvent sums, filled in __post_init__
+    # cumulative expanded counts, tail traces (_tails[k]: blocks k.. summed from the
+    # smallest up, then a closing 0) and float64 multiplicities, filled in __post_init__
     _cum_mult: np.ndarray = field(init=False, repr=False, default=None)
-    _cum_trace: np.ndarray = field(init=False, repr=False, default=None)
+    _tails: np.ndarray = field(init=False, repr=False, default=None)
     _weights: np.ndarray = field(init=False, repr=False, default=None)
 
     def __post_init__(self):
@@ -81,14 +86,15 @@ class Spectrum:
         cum_mult = np.cumsum(mults)
         if np.any(cum_mult[1:] <= cum_mult[:-1]):  # the int64 running sum wrapped
             raise SpectrumError("total multiplicity must be below 2**63")
+        tails = np.zeros(values.size + 1)
         with np.errstate(over="ignore"):  # the positive running sum is inf at its end iff it overflowed
-            cum_trace = np.cumsum(values * mults)
-        if not math.isfinite(cum_trace[-1]):
+            np.cumsum((values * mults)[::-1], out=tails[-2::-1])
+        if not math.isfinite(tails[0]):
             raise SpectrumError("total trace must be below the float limit")
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "multiplicities", mults)
         object.__setattr__(self, "_cum_mult", cum_mult)
-        object.__setattr__(self, "_cum_trace", cum_trace)
+        object.__setattr__(self, "_tails", tails)
         object.__setattr__(self, "_weights", mults.astype(float))
 
     @classmethod
@@ -103,7 +109,9 @@ class Spectrum:
 
     @classmethod
     def power_law(cls, exponent: float, size: int) -> "Spectrum":
-        """Unit-multiplicity spectrum xi_j = j^(-exponent), j = 1..size."""
+        """Unit-multiplicity spectrum xi_j = j^(-exponent), j = 1..size, for an integer size >= 1."""
+        if not _integer(size) or size < 1:
+            raise SpectrumError(f"power-law size must be a positive integer, not {size!r}")
         j = np.arange(1, size + 1, dtype=float)
         return cls(values=j ** (-float(exponent)), multiplicities=np.ones(size, dtype=np.int64))
 
@@ -117,10 +125,10 @@ class Spectrum:
 
     @property
     def trace(self) -> float:
-        return float(self._cum_trace[-1])
+        return float(self._tails[0])
 
     def _cut(self, m: int) -> tuple[int, int]:
-        """(block, keep): the block holding expanded index 1 <= m <= rank and its count among the top m."""
+        """(block, keep): the block holding expanded index 1 <= m <= rank (block 0 at m = 0) and its count among the top m."""
         block = int(np.searchsorted(self._cum_mult, m))
         return block, m - (int(self._cum_mult[block - 1]) if block > 0 else 0)
 
@@ -130,19 +138,12 @@ class Spectrum:
             raise SpectrumError(f"expanded index {j} outside [1, {self.total_rank}]")
         return float(self.values[self._cut(j)[0]])
 
-    def head_trace(self, m: int) -> float:
-        """Sum of the m largest eigenvalues (blocks expanded)."""
+    def tail_trace(self, m: int) -> float:
+        """Sum of eigenvalues past the m largest (blocks expanded), from its own blocks: it never cancels."""
         if not 0 <= m <= self.total_rank:
             raise SpectrumError(f"expanded index {m} outside [0, {self.total_rank}]")
-        if m == 0:
-            return 0.0
         block, keep = self._cut(m)
-        prev_trace = float(self._cum_trace[block - 1]) if block > 0 else 0.0
-        return prev_trace + keep * float(self.values[block])
-
-    def tail_trace(self, m: int) -> float:
-        """Sum of eigenvalues past the m largest (blocks expanded)."""
-        return self.trace - self.head_trace(m)
+        return (int(self.multiplicities[block]) - keep) * float(self.values[block]) + float(self._tails[block + 1])
 
     def head(self, m: int) -> "Spectrum":
         """The m largest eigenvalues, 1 <= m <= rank; the cut may divide a block."""
@@ -291,11 +292,9 @@ def effective_rank(spectrum: Spectrum, m: int, n: int) -> float:
         raise SpectrumError("n must be a positive integer")
     if not 1 <= m <= spectrum.total_rank:
         raise SpectrumError(f"m = {m} outside [1, total rank = {spectrum.total_rank}]")
-    head = spectrum.head_trace(m)
-    starts = np.concatenate(([0], spectrum._cum_mult[:-1]))
-    before = np.concatenate(([0.0], spectrum._cum_trace[:-1]))  # head_trace at each block start
-    live = starts <= min(n, m) - 1
-    return max(float(n), float(np.max((head - before[live]) / spectrum.values[live])))
+    head = spectrum.head(m)  # the sum from block k's start to m is the head's tail at k: no difference of sums
+    live = head._cum_mult - head.multiplicities <= min(n, m) - 1
+    return max(float(n), float(np.max(head._tails[:-1][live] / head.values[live])))
 
 
 def nu_diagnostic(spectrum: Spectrum, m: int, n: int, lam: float) -> float:

@@ -29,7 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum
+from .spectrum import Alignment, ModelSpec, NoiseModel, Spectrum, _integer
 
 __all__ = [
     "SphereError",
@@ -244,6 +244,8 @@ def kernel_from_gaps(d: int, levels: int, gap: float) -> SphereKernel:
 
 def sample_sphere(d: int, n: int, seed) -> np.ndarray:
     """n i.i.d. points uniform on the radius-sqrt(d) sphere; seeded, bit-stable."""
+    if not (_integer(d) and _integer(n)):
+        raise SphereError(f"d and n must be integers, not {d!r} and {n!r}")
     if d < 1 or n < 1:
         raise SphereError("d and n must be positive")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)

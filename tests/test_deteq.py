@@ -305,6 +305,13 @@ class TestDeterministicEquivalents:
         expected = (ls / (1 + ls)) ** 2 / (1 - u2)
         assert de.risk == pytest.approx(expected, rel=1e-10)
         assert de.bias == pytest.approx(expected, rel=1e-10)
+        # ridgeless below p: bias = |theta|^2 (1 - n/p), variance = sigma^2 n / (p - n)
+        for n, p, sigma2 in ((50, 200, 0.25), (190, 200, 1.0), (1, 2, 0.5), (100, 101, 0.3)):
+            spec = ModelSpec(n, 0.0, Spectrum.from_blocks([(1.0, p)]), Alignment(np.array([1.0])), NoiseModel(sigma2))
+            de = deterministic_equivalents(spec)
+            bias, variance = 1 - n / p, sigma2 * n / (p - n)
+            for got, want in ((de.bias, bias), (de.variance, variance), (de.risk, bias + variance + sigma2)):
+                assert got == pytest.approx(want, rel=1e-13), (n, p, sigma2)
 
     def test_no_learning_limit(self):
         s = Spectrum.from_blocks([(1.0, 5), (0.5, 5)])

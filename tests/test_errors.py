@@ -125,12 +125,12 @@ ERRORS = {
             "no eigenvalues above the numerical-rank floor",
         ),
     }),
-    # a forged cache would skip the p.s.d. check; the cumulative sums are filled from the blocks
+    # a forged cache would skip the p.s.d. check; the cumulative and tail sums are filled from the blocks
     **rows(TypeError, {
         "krr-gram-eig-argument": (lambda: GramMatrix(INDEFINITE, _eig=(np.ones(2), np.eye(2))), "keyword argument '_eig'"),
         **{
             f"spectrum-{name}-argument": (lambda name=name: Spectrum([1.0], [2], **{name: np.ones(1)}), f"argument '{name}'")
-            for name in ("_cum_mult", "_cum_trace", "_weights")
+            for name in ("_cum_mult", "_tails", "_weights")
         },
     }),
     **rows(SpectrumError, {
@@ -142,8 +142,12 @@ ERRORS = {
         # the int64 running sum would wrap to -2**63 + 5
         "spectrum-rank-past-2**63": (partial(Spectrum.from_blocks, [(1.0, 2**62), (0.5, 2**62 + 5)]), "multiplicity must be below 2**63"),
         "spectrum-block-not-a-pair": (partial(Spectrum.from_blocks, [1.0]), "blocks must be (eigenvalue, multiplicity) pairs"),
+        **{
+            f"spectrum-power-law-size-{size}": (partial(Spectrum.power_law, 2.0, size), "power-law size must be a positive integer")
+            for size in (2.5, True, -3, 0)
+        },
         "spectrum-eigenvalue-at-5": (partial(TWO.eigenvalue_at, 5), "expanded index 5 outside [1, 4]"),
-        "spectrum-head-trace--1": (partial(TWO.head_trace, -1), "expanded index -1 outside [0, 4]"),
+        "spectrum-tail-trace--1": (partial(TWO.tail_trace, -1), "expanded index -1 outside [0, 4]"),
         **{f"spectrum-head-{m}": (partial(TWO.head, m), f"expanded index {m} outside [1, 4]") for m in (0, 5)},
         **{f"spectrum-shift-{s}": (partial(trace_resolvents, S4, s), "resolvent shift s must be positive") for s in (0.0, -1.0, NAN)},
         "spectrum-tail-rank-m-5": (partial(tail_rank, S4, 5, 0.0), "m = 5 outside [0, total rank = 4]"),
@@ -184,6 +188,10 @@ ERRORS = {
         },
         "functionals-sample-1d": (partial(FeatureSample, np.zeros(3), P4), "feature matrix must be 2-d"),
         "functionals-sample-width": (partial(FeatureSample, np.zeros((2, 3)), P4), "feature dimension 3 != expanded covariance rank 4"),
+        **{
+            f"functionals-sample-count-{n}": (partial(sample_gaussian_features, S3, n, 0), "sample count n must be a nonnegative integer")
+            for n in (-1, 2.5, True)
+        },
         "functionals-no-rows": (partial(empirical_functionals, FeatureSample(np.zeros((0, 4)), P4), 1.0, IdentityMatrix(4)), "at least one row"),
         **{f"functionals-{kind}-size": (partial(empirical_functionals, X3, 1.0, make(5)), "dimension mismatch") for kind, make in MATRICES.items()},
         **{
@@ -250,7 +258,13 @@ ERRORS = {
             f"sphere-gaps-{levels}-levels-{gap}": (partial(kernel_from_gaps, 24, levels, gap), "gap must be positive")
             for levels, gap in ((1, NAN), (3, NAN), (2, 0.0))
         },
-        "sphere-sample-d-0": (partial(sample_sphere, 0, 3, 0), "d and n must be positive"),
+        **{
+            f"sphere-sample-{name}": (partial(sample_sphere, d, n, 0), f"d and n must be {needle}")
+            for name, d, n, needle in (
+                ("d-0", 0, 3, "positive"), ("n-0", 10, 0, "positive"),
+                ("n-2.5", 10, 2.5, "integers"), ("n-True", 10, True, "integers"), ("d-2.5", 2.5, 3, "integers"),
+            )
+        },
         "sphere-target-d-2": (partial(SphereTarget, 2, {}), "ambient dimension must be >= 3"),
         "sphere-target-negative": (partial(SphereTarget, 10, {1: -1.0}), "level energies " + NONNEGATIVE),
         **{f"sphere-target-level-{k}": (partial(SphereTarget, 5, {k: 1.0}), f"level {k} outside [1, d-1]") for k in (5, 6, 0)},

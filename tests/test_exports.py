@@ -1,4 +1,4 @@
-"""Each public name is declared once, in its module's ``__all__``, resolves from the package root, and has a reader in ``src/`` or is contract; each private module-level name has a reader in ``src/``."""
+"""Each public name is declared once, in its module's ``__all__``, resolves from the package root, and has a reader in ``src/`` or is contract; each private module-level name and class member has a reader in ``src/``."""
 
 import ast
 import importlib
@@ -80,8 +80,8 @@ def _is_dataclass(node: ast.ClassDef) -> bool:
     return any(isinstance(dec, ast.Name) and dec.id == "dataclass" for dec in decorators)
 
 
-def _public_members(node: ast.ClassDef):
-    """The public methods, properties and (for a dataclass) fields of a class body."""
+def _members(node: ast.ClassDef):
+    """The methods, properties and (for a dataclass) fields of a class body."""
     for item in node.body:
         if isinstance(item, ast.FunctionDef):
             yield item.name
@@ -113,7 +113,7 @@ def test_every_public_name_has_a_program_reader():
         unread += [attr for attr in module(name).__all__ if attr not in names]
         for node in trees[name].body:
             if isinstance(node, ast.ClassDef) and not node.name.startswith("_"):
-                members = [m for m in _public_members(node) if not m.startswith("_")]
+                members = [m for m in _members(node) if not m.startswith("_")]
                 unread += [f"{node.name}.{m}" for m in members if m not in attrs]
     extra = sorted(set(unread) - CONTRACT)
     assert not extra, f"public names with no reader in src/: {extra}"
@@ -129,27 +129,39 @@ def _module_level_names(tree: ast.Module):
             yield from (n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
 
 
+def _private(name: str) -> bool:
+    return name.startswith("_") and not name.startswith("__")
+
+
 def test_every_private_name_has_a_program_reader():
     """Each private module-level name of ``src/`` is read in ``src/``: as a Name in its own module, through
-    ``from .<module> import``, or as an attribute of its module (``functionals._BLOCK``).  A docstring or
-    comment that mentions it does not count, so a helper that only the tests call has no place in ``src/``.
+    ``from .<module> import``, or as an attribute of its module (``functionals._BLOCK``).  Each private method
+    and dataclass field of a top-level class is read as an attribute (``self._cut``, ``spectrum._tails``);
+    assigning it does not count.  A docstring or comment that mentions a name does not count either, so a helper
+    or a cache that only the tests read has no place in ``src/``.
     """
     trees = {path.stem: ast.parse(path.read_text()) for path in SRC.glob("*.py")}
-    reads = set()  # (module, name) pairs
+    reads, attrs = set(), set()  # (module, name) pairs; attribute names read anywhere
     for name, tree in trees.items():
         for node in ast.walk(tree):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
                 reads.add((name, node.id))
             elif isinstance(node, ast.ImportFrom) and node.level == 1 and node.module in trees:
                 reads.update((node.module, alias.name) for alias in node.names)
-            elif isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in trees:
-                reads.add((node.value.id, node.attr))
-    private = [
-        (name, attr)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                attrs.add(node.attr)
+                if isinstance(node.value, ast.Name) and node.value.id in trees:
+                    reads.add((node.value.id, node.attr))
+    private = [(name, attr) for name, tree in trees.items() for attr in _module_level_names(tree) if _private(attr)]
+    members = [
+        (name, node.name, member)
         for name, tree in trees.items()
-        for attr in _module_level_names(tree)
-        if attr.startswith("_") and not attr.startswith("__")
+        for node in tree.body
+        if isinstance(node, ast.ClassDef)
+        for member in _members(node)
+        if _private(member)
     ]
-    assert private, "no private module-level names found"
+    assert private and members, "no private module-level names or class members found"
     unread = sorted(f"{name}.{attr}" for name, attr in private if (name, attr) not in reads)
+    unread += sorted(f"{name}.{cls}.{member}" for name, cls, member in members if member not in attrs)
     assert not unread, f"private names with no reader in src/: {unread}"

@@ -165,8 +165,10 @@ class TestEmpiricalFunctionals:
 
     @pytest.mark.parametrize("a", [IdentityMatrix(5), RiskMatrix(np.ones(5))], ids=["identity", "risk"])
     def test_sample_without_rows_raises_before_blas(self, capfd, a):
-        """A 0 x p sample raises SpectrumError before any BLAS call, so no BLAS error reaches stderr."""
-        sample = FeatureSample(matrix=np.zeros((0, 5)), covariance=Spectrum.power_law(2.0, 5))
+        """A 0 x p sample, which the sampler draws at n = 0, raises SpectrumError before any BLAS call, so no BLAS error
+        reaches stderr."""
+        sample = sample_gaussian_features(Spectrum.power_law(2.0, 5), 0, 0)
+        assert sample.matrix.shape == (0, 5)
         with pytest.raises(SpectrumError, match="at least one row"):
             empirical_functionals(sample, 0.5, a)
         assert capfd.readouterr().err == ""

@@ -193,15 +193,16 @@ class TestSphereCurve:
         assert all(row["status"] == "ok" for row in empty)
         assert empty == zero != default
 
-    @pytest.mark.parametrize("doc", [
-        {"kind": "sphere_curve", "d": 10, "gap": 8.0, "levels": 1, "n_grid": [4]},  # one level: no head is left
-        {"kind": "gaussian_curve", "spectrum": {"kind": "blocks", "blocks": [[1.0, 1], [1e-20, 1]]}, "n_grid": [1]},  # tail trace 0
-    ], ids=["no-head", "tail-rounds-to-0"])
-    def test_ridgeless_nu_without_head_or_tail_is_nan(self, doc):
-        """At lam = 0 the last block is nu's tail; where no head is left, or the tail's trace rounds to 0, nu is NaN
-        and the row is ok."""
+    @pytest.mark.parametrize("doc, nu", [
+        ({"kind": "sphere_curve", "d": 10, "gap": 8.0, "levels": 1, "n_grid": [4]}, math.nan),  # one level: no head is left
+        # a tail far below one ulp of the trace: r_eff = n = 1, so nu = 1 + 0 / 1e-20
+        ({"kind": "gaussian_curve", "spectrum": {"kind": "blocks", "blocks": [[1.0, 1], [1e-20, 1]]}, "n_grid": [1]}, 1.0),
+    ], ids=["no-head", "tail-below-trace-ulp"])
+    def test_ridgeless_nu_without_head_or_tail_is_nan(self, doc, nu):
+        """At lam = 0 the last block is nu's tail.  Where no head is left nu is NaN; a tail that a difference from the
+        trace would round to 0 is summed from its block, so nu is finite.  The row is ok."""
         (row,) = run_experiment(ExperimentConfig.from_dict({**doc, "lambda": 0.0})).rows
-        assert row["status"] == "ok" and math.isnan(row["nu"])
+        assert row["status"] == "ok" and row["nu"] == pytest.approx(nu, nan_ok=True)
 
 
 GCV_DOC = {

@@ -69,12 +69,19 @@ class TestSpectrumType:
         assert s.multiplicities.dtype == np.int64
         assert s.multiplicities.tolist() == [3, 2]
 
-    def test_head_tail_traces_match_expanded(self, rng):
-        s = random_spectrum(rng)
-        expanded = s.expand()
-        for m in [0, 1, s.total_rank // 2, s.total_rank]:
-            np.testing.assert_allclose(s.head_trace(m), expanded[:m].sum(), rtol=1e-12)
-            np.testing.assert_allclose(s.tail_trace(m), expanded[m:].sum(), rtol=1e-12, atol=1e-300)
+    def test_tail_traces_match_expanded(self, rng):
+        """tail_trace(m) is within 1e-14 of the correctly rounded sum of the expanded tail at every cut, also where
+        the tail is far below one ulp of the trace: power_law(8, 2000) and ``tiny``."""
+        tiny = Spectrum.from_blocks([(1.0, 1), (1e-20, 3)])
+        for s in [random_spectrum(rng), *(Spectrum.power_law(e, 2000) for e in (2, 4, 8)), tiny]:
+            expanded = s.expand()
+            for m in range(s.total_rank + 1):
+                np.testing.assert_allclose(s.tail_trace(m), math.fsum(expanded[m:]), rtol=1e-14, atol=0)
+        # the tail that the trace rounds away still sets the tail rank, effective rank, nu and truncated ridge
+        assert tail_rank(tiny, 1, 0.0) == pytest.approx(3.0, rel=1e-14)
+        assert effective_rank(tiny, 4, 2) == pytest.approx(3.0, rel=1e-14)
+        assert nu_diagnostic(tiny, 1, 4, 0.0) == pytest.approx(1 + 4 * math.sqrt(math.log(4)) / 3e-20, rel=1e-14)
+        assert ModelSpec(2, 0.0, tiny, Alignment(np.ones(2))).truncated(1).lam == pytest.approx(3e-20, rel=1e-14)
 
     def test_split_preserves_expansion(self, rng):
         """head(m) is the top m of the expansion, dividing the block the cut passes through."""
@@ -164,6 +171,8 @@ class TestTailRank:
 class TestEffectiveRank:
     def test_isotropic(self):
         assert effective_rank(Spectrum.from_blocks([(1.0, 10)]), 10, 3) == pytest.approx(10.0)
+        # a tail past m whose ulp exceeds the head's sum does not enter it
+        assert effective_rank(Spectrum.from_blocks([(1.0, 10), (0.5, 4 * 10**18)]), 10, 3) == 10.0
 
     def test_n_dominates(self):
         assert effective_rank(Spectrum.from_blocks([(1.0, 1)]), 1, 5) == pytest.approx(5.0)
@@ -186,15 +195,15 @@ class TestEffectiveRank:
             assert effective_rank(s, m, n) >= n
 
     def test_matches_block_loop_exactly(self, rng):
-        # oracle: the per-block scan, with the prefix mass taken from head_trace
+        # oracle: the per-block scan, with the segment mass taken from the head's tail_trace
         def block_loop(s, m, n):
-            head = s.head_trace(m)
+            head = s.head(m)
             best = float(n)
             starts = np.concatenate(([0], s._cum_mult[:-1]))
             for start, value in zip(starts, s.values):
                 if int(start) > min(n, m) - 1:
                     break
-                best = max(best, (head - s.head_trace(int(start))) / float(value))
+                best = max(best, head.tail_trace(int(start)) / float(value))
             return best
 
         for _ in range(300):
