@@ -124,33 +124,34 @@ class ExperimentConfig:
         check_nonnegative("lambda", self.lam)
         for lam in self.lambda_grid:
             check_nonnegative("every lambda_grid entry", lam)
-        if self.kind in ("gaussian_curve", "sphere_curve", "functional_probe", "estimate_and_predict"):
+        reads = KIND_FIELDS[self.kind]
+        if "n_grid" in reads:
             grid = list(self.n_grid)
             if not grid or sorted(grid) != grid or len(set(grid)) != len(grid):
                 raise ConfigError("n_grid must be nonempty and strictly increasing")
             if grid[0] < 1:
                 raise ConfigError("every n_grid entry must be >= 1")
-        if self.kind == "gcv_sweep":
-            if self.n < 1:
-                raise ConfigError("gcv_sweep requires a positive n")
+        if "n" in reads and self.n < 1:
+            raise ConfigError("gcv_sweep requires a positive n")
+        if "lambda_grid" in reads:
             grid = list(self.lambda_grid)
             if not grid or sorted(grid) != grid:
                 raise ConfigError("lambda_grid must be nonempty and sorted")
-        if self.kind == "estimate_and_predict" and self.holdout < 2:
+        if "holdout" in reads and self.holdout < 2:
             raise ConfigError("estimate_and_predict requires holdout >= 2")
         if self.truncation is not None and not 1 <= self.truncation <= self.holdout:
             raise ConfigError(f"truncation must be in [1, holdout = {self.holdout}]")
-        if "spectrum" in KIND_FIELDS[self.kind]:
+        if "spectrum" in reads:
             if not self.spectrum:
                 raise ConfigError("experiment requires a 'spectrum' entry")
             power_law = _sub_kind(self.spectrum, SPECTRUM_FIELDS, "power_law", "spectrum") == "power_law"
             if power_law and not {"exponent", "size"} <= self.spectrum.keys():  # types: checked with the keys
                 raise ConfigError("a power_law spectrum needs a number 'exponent' and an integer 'size'")
-        if "target" in KIND_FIELDS[self.kind] and self.target:  # an absent or empty target is random_unit
+        if "target" in reads and self.target:  # an absent or empty target is random_unit
             if _sub_kind(self.target, TARGET_FIELDS, "random_unit", "target") == "energies":
                 for value in check_entries(self.target.get("values", ()), _NUMBER, "target values"):
                     check_nonnegative("target values", value)
-        if self.kind == "sphere_curve" and (self.d < 3 or self.levels < 1 or not self.gap > 0):  # NaN fails too
+        if "d" in reads and (self.d < 3 or self.levels < 1 or not self.gap > 0):  # NaN fails too
             raise ConfigError("sphere_curve requires d >= 3, levels >= 1, gap > 0")
 
     @classmethod

@@ -354,14 +354,15 @@ def convergence_probe(
     n, functional_index, median_rel_err, q25, q75, reps, seed; the table has no status column, so a
     failed replication raises SpectrumError.
     """
-    n_grid = [int(v) for v in n_grid]
-    if sorted(n_grid) != n_grid or not n_grid:
-        raise SpectrumError("n grid must be nonempty and increasing")
-    if n_grid[0] < 1:
+    n_grid = list(n_grid)
+    if not all(_integer(n) and n >= 1 for n in n_grid):
         raise SpectrumError("n grid entries must be positive integers")
-    if reps < 1:
+    n_grid = [int(n) for n in n_grid]
+    if not n_grid or any(b <= a for a, b in zip(n_grid, n_grid[1:])):  # ExperimentConfig's rule for n_grid
+        raise SpectrumError("n grid must be nonempty and strictly increasing")
+    if not _integer(reps) or reps < 1:
         raise SpectrumError("reps must be a positive integer")
-    if threads < 1:
+    if not _integer(threads) or threads < 1:
         raise SpectrumError("threads must be a positive integer")
     p = spectrum.total_rank
     # isinstance first: ``ndarray == "identity"`` compares elementwise

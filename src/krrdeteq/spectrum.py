@@ -69,6 +69,14 @@ class Spectrum:
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)
         raw = np.asarray(self.multiplicities)
+        # numpy holds an integer of 2**63 or more as uint64, and one outside [-2**63, 2**64) as a Python object; the
+        # int64 cast would wrap the first and raise OverflowError on the second
+        if raw.dtype.kind in "uO":
+            outside = [m for m in raw.ravel() if _integer(m) and not -(2**63) <= m < 2**63]
+            if outside and max(outside) > 0:
+                raise SpectrumError("total multiplicity must be below 2**63")
+            if outside:
+                raise SpectrumError("multiplicities must be positive integers")
         with np.errstate(invalid="ignore"):  # nan, inf and huge floats cast to garbage, rejected below
             mults = raw.astype(np.int64, copy=False)
         if values.ndim != 1 or mults.ndim != 1 or values.size != mults.size:

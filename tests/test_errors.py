@@ -142,6 +142,19 @@ ERRORS = {
         # the int64 running sum would wrap to -2**63 + 5
         "spectrum-rank-past-2**63": (partial(Spectrum.from_blocks, [(1.0, 2**62), (0.5, 2**62 + 5)]), "multiplicity must be below 2**63"),
         "spectrum-block-not-a-pair": (partial(Spectrum.from_blocks, [1.0]), "blocks must be (eigenvalue, multiplicity) pairs"),
+        # numpy holds 2**63 as uint64, which the int64 cast wraps, and 10**27 as a Python object, which it cannot cast
+        **{
+            f"spectrum-multiplicity-{name}": (call, whole("total multiplicity must be below 2**63"))
+            for name, call in (
+                ("10**27", partial(Spectrum.from_blocks, [(1.0, 10), (1e-10, 10**27)])),
+                ("2**63-block", partial(Spectrum.from_blocks, [(1.0, 2**63)])),
+                ("2**63", partial(Spectrum, [1.0], [2**63])),
+            )
+        },
+        **{
+            f"spectrum-multiplicity-{name}": (call, whole("multiplicities must be positive integers"))
+            for name, call in (("-10**27-block", partial(Spectrum.from_blocks, [(1.0, -(10**27))])), ("-10**27", partial(Spectrum, [1.0], [-(10**27)])))
+        },
         **{
             f"spectrum-power-law-size-{size}": (partial(Spectrum.power_law, 2.0, size), "power-law size must be a positive integer")
             for size in (2.5, True, -3, 0)
@@ -214,7 +227,19 @@ ERRORS = {
         },
         "functionals-phi3-overflow": (partial(empirical_functionals, FeatureSample(X10, P50), 1e-300, IdentityMatrix(50)), "phi3 is not finite"),
         "functionals-probe-reps-0": (partial(convergence_probe, P4, [4, 8], 0.5, reps=0), "reps must be a positive integer"),
-        "functionals-probe-decreasing-grid": (partial(convergence_probe, P4, [8, 4], 0.5, reps=2), "nonempty and increasing"),
+        "functionals-probe-decreasing-grid": (partial(convergence_probe, P4, [8, 4], 0.5, reps=2), "nonempty and strictly increasing"),
+        **{
+            f"functionals-probe-grid-{grid}": (partial(convergence_probe, P4, grid, 0.5, reps=2), "nonempty and strictly increasing")
+            for grid in ([10, 10], [])
+        },
+        **{
+            f"functionals-probe-grid-{grid}": (partial(convergence_probe, P4, grid, 0.5, reps=2), "n grid entries must be positive integers")
+            for grid in ([10.7], [True], ["10"], [4, 8.5])
+        },
+        **{
+            f"functionals-probe-{name}-{value}": (partial(convergence_probe, P4, [4], 0.5, **{name: value}), f"{name} must be a positive integer")
+            for name in ("reps", "threads") for value in (True, 2.5)
+        },
         "functionals-probe-n-0": (partial(convergence_probe, P4, [0, 4], 0.5), "n grid entries must be positive integers"),
         "functionals-probe-threads-0": (partial(convergence_probe, P4, [4], 0.5, threads=0), "threads must be a positive integer"),
         "functionals-probe-choice": (partial(convergence_probe, P4, [4], 0.5, "bogus"), "unknown test-matrix choice 'bogus'"),
@@ -266,6 +291,21 @@ ERRORS = {
             )
         },
         "sphere-target-d-2": (partial(SphereTarget, 2, {}), "ambient dimension must be >= 3"),
+        **{
+            f"sphere-{name}": (call, f"{what} must be an integer, not")
+            for name, call, what in (
+                ("dimension-d-10.0", partial(dim_spherical, 10.0, 2), "ambient dimension"),
+                ("dimension-degree-2.0", partial(dim_spherical, 10, 2.0), "degree"),
+                ("moment-order-1.5", partial(sphere_moment, 10, 1.5), "moment order"),
+                ("basis-kmax-2.5", partial(GegenbauerBasis, 10, 2.5), "kmax"),
+                ("basis-d-True", partial(GegenbauerBasis, True, 2), "ambient dimension"),
+                ("kernel-d-10.5", partial(SphereKernel, 10.5, np.ones(2)), "ambient dimension"),
+                ("gaps-d-10.5", partial(kernel_from_gaps, 10.5, 2, 4.0), "ambient dimension"),
+                ("gaps-levels-2.5", partial(kernel_from_gaps, 10, 2.5, 4.0), "levels"),
+                ("target-d-10.5", partial(SphereTarget, 10.5, {1: 1.0}), "ambient dimension"),
+                *((f"target-level-{k!r}", partial(SphereTarget, 10, {k: 1.0}), "level") for k in (1.5, True, "1")),
+            )
+        },
         "sphere-target-negative": (partial(SphereTarget, 10, {1: -1.0}), "level energies " + NONNEGATIVE),
         **{f"sphere-target-level-{k}": (partial(SphereTarget, 5, {k: 1.0}), f"level {k} outside [1, d-1]") for k in (5, 6, 0)},
         "sphere-target-point-dimension": (partial(TARGET10.level_values, 1, np.ones((2, 5))), "point dimension must match the target's d"),

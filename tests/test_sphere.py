@@ -24,8 +24,155 @@ from krrdeteq.spectrum import NoiseModel
 
 from conftest import gegenbauer, h_values, sphere_quadrature
 
+# rows (d, levels, gap, n, lam, energies), grouped by the test that runs them, each through every oracle of
+# check_sphere_oracles: the kernel kernel_from_gaps(d, levels, gap), the target SphereTarget(d, energies), and
+# a fit at lam to the target's values at the n points sample_sphere(d, n, 5)
+SPHERE_CASES = {
+    "large degree": [(64, 10, 2.0, 16, 0.1, {1: 1.0, 10: 0.5})],
+    "constant and linear": [(24, 6, 8.0, 40, 0.5, {k: k**-2.0 for k in range(1, 7)})],
+    "orthonormality": [(3, 10, 4.0, 23, 0.0, {1: 1.0, 2: 0.25}), (10, 10, 4.0, 23, 0.1, {2: 1.0, 9: 0.5})],
+    "value at one": [(24, 10, 2.0, 64, 0.1, {3: 1.0, 9: 0.5})],
+    "clamped": [(10, 3, 4.0, 9, 0.0, {1: 1.0, 3: 0.5})],
+    "series bitwise": [(24, 7, 8.0, 17, 0.1, {1: 1.0, 7: 0.1})],
+    "series terms": [(12, 8, 3.0, 48, 0.1, {k: 1.0 / k for k in range(1, 9)})],
+    "one level": [(24, 1, 8.0, 16, 0.0, {1: 1.0, 2: 0.5})],
+    "trace at one": [(24, 7, 8.0, 64, 0.5, {7: 1.0})],
+    "cross gram": [(10, 3, 4.0, 23, 0.1, {1: 1.0, 2: 0.25})],
+    "symmetric gram": [(24, 3, 4.0, 515, 0.1, {1: 1.0, 3: 0.2})],
+    "eigencoefficients": [(24, 3, 8.0, 40, 0.5, {2: 1.0})],
+    "sorted blocks": [(24, 3, 8.0, 16, 0.0, {1: 1.0, 2: 0.25, 3: 1 / 9})],
+    "residual": [(24, 2, 8.0, 8, 0.1, {1: 1.0, 5: 0.3})],
+    "level sum": [(24, 7, 8.0, 128, 0.0, {k: k**-2.0 for k in range(1, 8)})],
+    "blocked risk": [(10, 3, 4.0, n, 0.1, {1: 1.0, 2: 0.25}) for n in (296, 300)],
+    "series entries": [(10, 3, 4.0, 300, 0.1, {1: 1.0})],
+}
+
+
+def check_sphere_oracles(monkeypatch, rows):
+    """Every oracle on every row of ``rows``, the blocked ones at block budgets 7 (8-row blocks), the default and
+    one block for the whole Gram.  A bound reads |got - want| <= bound * max(|want|, floor), so floor 1 on a
+    reference of at most 1 makes it absolute; a zero reference must be met exactly.
+    - harmonic dimensions: B_{d,k} = C(d+k-1, k) - C(d+k-3, k-2), exact Python ints;
+    - basis: Q_0 = 1 exactly and Q_1 = sqrt(d) t 1e-12; orthonormal under sphere_quadrature, absolute 1e-8;
+      Q_k(1) > 0 with Q_k(1)^2 = B_{d,k} 1e-8; ``series`` bitwise the out-of-place recurrence, at the clamped
+      points 1 + 1e-13 and -1 - 1e-13 too and also into ``out``, and against the sum of its terms 1e-10;
+    - kernel: its eigencoefficients recovered by quadrature, absolute 1e-8; h(1) = sum_k xi_k B_{d,k} 1e-10;
+      h = d t on one-level rows, 1e-10 floored at 1e-2; cross_gram(u, b) against h(<u, b>/d) 1e-12, within
+      1e-15 of one block and bitwise equal to it where no block has a single row; gram exactly symmetric, and
+      against cross_gram(u, u) 1e-12 floored at 0.1 (within rtol 1e-12, atol 1e-13);
+    - exact risk: each budget's against one block's 1e-12, evaluating as many ``series`` entries as the Gram,
+      one series per upper-triangle row block of the most rows, a multiple of 8, that fit the budget (at n = 300
+      and the default budget 104, 104 and 92 rows: 60 048 entries, not 90 000); one block's against the dense
+      ||f||^2 - 2 alpha^T v + alpha^T H2 alpha + sigma^2 1e-14, of the risk at lam > 0 and, at lam = 0, where
+      the four terms cancel (their magnitudes sum to 40 times the risk at d = 3, n = 23), of that sum;
+    - model: sphere_spectrum's blocks are (xi_k, B_{d,k}) by decreasing xi_k with the target's level
+      energies, levels past kmax go to the residual, and its risk matches a brentq level sum 1e-12.
+    ``pytest -s`` prints each oracle's worst error.
+    """
+    default, whole, worst, entries, series = sphere._BLOCK_ELEMENTS, 2**62, {}, [], GegenbauerBasis.series
+
+    def counted(self, coeffs, t, out=None):
+        entries.append(np.size(t))
+        return series(self, coeffs, t, out)
+
+    def walked(call, *args):  # the call's result and the size of each series it evaluates
+        entries.clear()
+        return call(*args), entries.copy()
+
+    def check(oracle, where, got, want, bound, floor=0.0):
+        err = float(np.max(np.abs(np.subtract(got, want)) / np.maximum(np.abs(want), floor or np.finfo(float).tiny)))
+        worst[oracle] = max(worst.get(oracle, 0.0), err)
+        assert err <= bound, f"{oracle} at (d, levels, gap, n, lam) = {where}: relative error {err:.2e} > {bound:.0e}"
+
+    monkeypatch.setattr(GegenbauerBasis, "series", counted)
+    for d, levels, gap, n, lam, energies in rows:
+        where, s2, degrees = (d, levels, gap, n, lam), 0.1, range(levels + 1)
+        kern, target = kernel_from_gaps(d, levels, gap), SphereTarget(d, energies)
+        basis, mults, dims = kern.basis, kern.multiplicities(), [dim_spherical(d, k) for k in degrees]
+        assert all(type(b) is int for b in dims), where
+        binomials = [math.comb(d + k - 1, k) - (k >= 2 and math.comb(d + k - 3, k - 2)) for k in degrees]
+        assert dims == mults.tolist() == binomials, where
+
+        x, w = sphere_quadrature(d)
+        q = np.array([gegenbauer(basis, k, x) for k in degrees])
+        assert np.array_equal(q[0], np.ones_like(x)), where
+        check("Q_1 = sqrt(d) t", where, q[1], math.sqrt(d) * x, 1e-12)
+        check("orthonormality", where, (q * w) @ q.T - np.eye(levels + 1), 0.0, 1e-8, 1.0)
+        at_one = np.array([gegenbauer(basis, k, 1.0)[0] for k in degrees])
+        assert np.all(at_one > 0), where
+        check("Q_k(1)^2 = B_k", where, at_one**2, mults, 1e-8)
+        rng = np.random.default_rng(d)
+        coeffs = rng.uniform(0, 1, size=levels + 1)
+        t = np.append(rng.uniform(-1, 1, size=200), [1.0 + 1e-13, -1.0 - 1e-13])
+        # the recurrence as plain array expressions, with a fresh array per operation
+        alpha, tc = (d - 2) / 2.0, np.clip(t, -1.0, 1.0)
+        prev, cur = np.ones_like(tc), 2.0 * alpha * tc
+        acc = coeffs[0] / basis.norms[0] * prev
+        acc = acc + coeffs[1] / basis.norms[1] * cur
+        for k in range(2, levels + 1):
+            prev, cur = cur, (2.0 * (k + alpha - 1) * tc * cur - (k + 2 * alpha - 2) * prev) / k
+            acc = acc + coeffs[k] / basis.norms[k] * cur
+        assert np.array_equal(basis.series(coeffs, t), acc), where
+        out = np.empty_like(t)
+        assert basis.series(coeffs, t, out=out) is out and np.array_equal(out, acc), where
+        check("series vs terms", where, acc, sum(c * gegenbauer(basis, k, t) for k, c in enumerate(coeffs)), 1e-10)
+
+        h = h_values(kern, x)
+        xi = [float(w @ (h * q[k])) / math.sqrt(dims[k]) for k in degrees]
+        check("eigencoefficients", where, np.subtract(xi, kern.coeffs), 0.0, 1e-8, 1.0)
+        check("h(1) = sum xi_k B_k", where, h_values(kern, np.ones(1)), kern.coeffs @ mults, 1e-10)
+        if levels == 1:
+            t5 = np.linspace(-1, 1, 5)
+            check("h = d t", where, h_values(kern, t5), d * t5, 1e-10, 1e-2)
+
+        u, b = sample_sphere(d, n, 5), sample_sphere(d, 9, 6)
+        crosses, risks = {}, {}
+        for budget in (whole, default, 7):
+            monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", budget)
+            gram, gram_entries = walked(kern.gram, u)
+            assert np.array_equal(gram, gram.T), where
+            check("gram vs cross_gram", where, gram, kern.cross_gram(u, u), 1e-12, 0.1)
+            if budget == whole:
+                fit = fit_krr(GramMatrix(gram), target(u), lam)
+                h2 = SphereKernel(d, kern.coeffs**2).cross_gram(u, u)
+            risks[budget], risk_entries = walked(exact_sphere_risk, fit, kern, target, s2, u)
+            step = max(8, budget // n // 8 * 8)  # the most rows, a multiple of 8, whose products fit the budget
+            upper = [min(step, n - start) * (n - start) for start in range(0, n, step)]
+            assert risk_entries == gram_entries == upper, (where, budget)
+            crosses[budget] = kern.cross_gram(u, b)
+            check("cross_gram vs h", where, crosses[budget], h_values(kern, np.clip(u @ b.T / d, -1, 1)), 1e-12)
+            one_row = any(r.stop - r.start == 1 for r in sphere._row_blocks(n, len(b)))
+            assert one_row or np.array_equal(crosses[budget], crosses[whole]), (where, budget)
+        check("cross_gram across budgets", where, [crosses[default], crosses[7]], crosses[whole], 1e-15)
+        check("risk across budgets", where, [risks[default], risks[7]], risks[whole], 1e-12)
+        a = np.asarray(fit.alpha).ravel()
+        v = sum(kern.coeffs[k] * target.level_values(k, u) for k in target.energies if k <= levels)
+        terms = [target.total_energy, -2 * a @ v, a @ (h2 @ a), s2]
+        check("risk vs dense H2", where, risks[whole], sum(terms), 1e-14, 0.0 if lam else float(np.sum(np.abs(terms))))
+
+        model = sphere_spectrum(kern, target, NoiseModel(s2), n, lam)
+        assert np.array_equal(model.spectrum.values, kern.coeffs[1:]), where
+        assert np.array_equal(model.spectrum.multiplicities, mults[1:]), where
+        assert np.array_equal(model.alignment.energies, [energies.get(k, 0.0) for k in degrees[1:]]), where
+        residual = sum(e for k, e in energies.items() if k > levels)
+        check("residual", where, model.alignment.residual_energy, residual, 1e-12)
+        xis, bk, e = kern.coeffs[1:], mults[1:].astype(float), model.alignment.energies
+        defect = lambda ls: n - lam / ls - float(np.sum(bk * xis / (xis + ls)))
+        ls = brentq(defect, 1e-12, (lam + bk @ xis) / n, xtol=1e-15, rtol=1e-15)
+        u2 = float(np.sum(bk * xis**2 / (xis + ls) ** 2)) / n
+        direct = (float(np.sum(e * ls**2 / (xis + ls) ** 2)) + residual + s2) / (1 - u2)
+        check("model risk vs level sum", where, deterministic_equivalents(model).risk, direct, 1e-12)
+    print("worst relative error: " + ", ".join(f"{name} {err:.1e}" for name, err in worst.items()))
+
+
+def family(name):
+    """A test method that runs the rows of SPHERE_CASES[name] through check_sphere_oracles."""
+    return lambda self, monkeypatch: check_sphere_oracles(monkeypatch, SPHERE_CASES[name])
+
 
 class TestHarmonicDimensions:
+    test_large_case_exact_integer = family("large degree")
+
     def test_low_degrees(self):
         for d in (3, 10, 24, 64):
             assert dim_spherical(d, 0) == 1
@@ -34,13 +181,6 @@ class TestHarmonicDimensions:
     def test_hand_values(self):
         assert dim_spherical(24, 2) == 299
         assert dim_spherical(24, 3) == 2576
-
-    def test_large_case_exact_integer(self):
-        value = dim_spherical(64, 10)
-        assert isinstance(value, int)
-        # cross-check with the alternative binomial identity
-        alt = math.comb(64 + 10 - 1, 10) - math.comb(64 + 10 - 3, 8)
-        assert value == alt
 
     def test_kernel_multiplicities_exact_past_int64_products(self):
         # (d + 2k - 2) * C(d + k - 3, k - 1) passes 2**63 at d = 185, k = 12, while B_{d,k} fits
@@ -56,100 +196,28 @@ class TestHarmonicDimensions:
 
 
 class TestGegenbauerBasis:
-    def test_constant_and_linear(self):
-        basis = GegenbauerBasis(24, 6)
-        t = np.linspace(-1, 1, 7)
-        np.testing.assert_allclose(gegenbauer(basis, 0, t), np.ones(7))
-        np.testing.assert_allclose(gegenbauer(basis, 1, t), math.sqrt(24) * t, rtol=1e-12)
-
-    def test_orthonormality(self):
-        for d in (3, 10, 24):
-            basis = GegenbauerBasis(d, 10)
-            x, w = sphere_quadrature(d)
-            vals = np.vstack([gegenbauer(basis, k, x) for k in range(11)])
-            gram = (vals * w) @ vals.T
-            assert np.abs(gram - np.eye(11)).max() <= 1e-8
-
-    def test_value_at_one_squares_to_dimension(self):
-        basis = GegenbauerBasis(24, 10)
-        for k in range(11):
-            q1 = float(gegenbauer(basis, k, 1.0)[0])
-            assert q1**2 == pytest.approx(dim_spherical(24, k), rel=1e-8)
-            assert q1 > 0
-
-    def test_clamps_near_boundary_and_rejects_outside(self):
-        basis = GegenbauerBasis(10, 3)
-        gegenbauer(basis, 2, 1.0 + 1e-13)  # clamped; 1.1 raises
-
-    def test_series_bitwise_matches_out_of_place_recurrence(self, rng):
-        basis = GegenbauerBasis(24, 7)
-        coeffs = rng.uniform(0, 1, size=8)
-        t = np.append(rng.uniform(-1, 1, size=200), [1.0 + 1e-13, -1.0 - 1e-13])
-        # the recurrence as plain array expressions, with a fresh array per operation
-        alpha = (basis.d - 2) / 2.0
-        tc = np.clip(t, -1.0, 1.0)
-        prev = np.ones_like(tc)
-        acc = coeffs[0] / basis.norms[0] * prev
-        cur = 2.0 * alpha * tc
-        acc = acc + coeffs[1] / basis.norms[1] * cur
-        for k in range(2, 8):
-            prev, cur = cur, (2.0 * (k + alpha - 1) * tc * cur - (k + 2 * alpha - 2) * prev) / k
-            acc = acc + coeffs[k] / basis.norms[k] * cur
-        np.testing.assert_array_equal(basis.series(coeffs, t), acc)
-        out = np.empty_like(t)
-        assert basis.series(coeffs, t, out=out) is out
-        np.testing.assert_array_equal(out, acc)
-
-    def test_series_matches_term_sum(self, rng):
-        basis = GegenbauerBasis(12, 8)
-        coeffs = rng.uniform(0, 1, size=9)
-        t = rng.uniform(-1, 1, size=20)
-        direct = sum(c * gegenbauer(basis, k, t) for k, c in enumerate(coeffs))
-        np.testing.assert_allclose(basis.series(coeffs, t), direct, rtol=1e-10)
+    test_constant_and_linear = family("constant and linear")
+    test_orthonormality = family("orthonormality")
+    test_value_at_one_squares_to_dimension = family("value at one")
+    test_clamps_near_boundary_and_rejects_outside = family("clamped")
+    test_series_bitwise_matches_out_of_place_recurrence = family("series bitwise")
+    test_series_matches_term_sum = family("series terms")
 
 
 class TestSphereKernel:
+    test_single_level_is_linear = family("one level")
+    test_trace_identity_at_one = family("trace at one")
+    test_cross_gram_streaming_matches_direct = family("cross gram")
+    test_gram_exactly_symmetric = family("symmetric gram")
+
     def test_gap_coefficients(self):
         kern = kernel_from_gaps(24, 7, 8.0)
         np.testing.assert_allclose(kern.coeffs[1:], 8.0 ** -(np.arange(7)), rtol=1e-15)
         assert kern.coeffs[0] == 0.0
 
-    def test_single_level_is_linear(self):
-        kern = kernel_from_gaps(24, 1, 8.0)
-        t = np.linspace(-1, 1, 5)
-        np.testing.assert_allclose(h_values(kern, t), 24 * t, rtol=1e-10, atol=1e-12)
-
-    def test_trace_identity_at_one(self):
-        kern = kernel_from_gaps(24, 7, 8.0)
-        mults = kern.multiplicities()
-        expected = float(np.dot(kern.coeffs, mults))
-        assert float(h_values(kern, np.array([1.0]))[0]) == pytest.approx(expected, rel=1e-10)
-
     def test_huge_gap_suppresses_higher_levels(self):
         kern = kernel_from_gaps(24, 3, 1e12)
         assert kern.coeffs[2] <= 1e-12 and kern.coeffs[3] <= 1e-24
-
-    def test_cross_gram_streaming_matches_direct(self, rng, monkeypatch):
-        kern = kernel_from_gaps(10, 3, 4.0)
-        a = sample_sphere(10, 23, rng)
-        b = sample_sphere(10, 9, rng)
-        full = kern.cross_gram(a, b)
-        monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", 7)
-        blocked = kern.cross_gram(a, b)
-        np.testing.assert_array_equal(full, blocked)
-        t = np.clip(a @ b.T / 10, -1, 1)
-        np.testing.assert_allclose(full, h_values(kern, t), rtol=1e-12)
-
-    @pytest.mark.parametrize("budget", [7, 2**15])
-    def test_gram_exactly_symmetric(self, rng, monkeypatch, budget):
-        # at n = 515 row blocks of a @ a.T need not be symmetric in the last bit
-        # (gemm edge tiles), so only mirroring makes the Gram symmetric
-        monkeypatch.setattr(sphere, "_BLOCK_ELEMENTS", budget)
-        kern = kernel_from_gaps(24, 3, 4.0)
-        u = sample_sphere(24, 515, rng)
-        g = kern.gram(u)
-        np.testing.assert_array_equal(g, g.T)
-        np.testing.assert_allclose(g, kern.cross_gram(u, u), rtol=1e-12, atol=1e-13)
 
     def test_gram_peak_memory_is_output_plus_blocks(self):
         kern = kernel_from_gaps(24, 7, 8.0)
@@ -164,16 +232,7 @@ class TestSphereKernel:
 
 
 class TestEigencoeffs:
-    def test_round_trip_gap_kernel(self):
-        # xi_k = int h Q_k d(tau) / sqrt(B_{d,k}), by an independent Gauss-Jacobi rule
-        d = 24
-        kern = kernel_from_gaps(d, 3, 8.0)
-        x, w = sphere_quadrature(d)
-        coeffs = [
-            float(np.dot(w, h_values(kern, x) * gegenbauer(kern.basis, k, x))) / math.sqrt(dim_spherical(d, k))
-            for k in range(4)
-        ]
-        np.testing.assert_allclose(coeffs, kern.coeffs, atol=1e-8)
+    test_round_trip_gap_kernel = family("eigencoefficients")
 
 
 class TestSampling:
@@ -233,46 +292,15 @@ class TestCyclicTarget:
 
 
 class TestSphereSpectrum:
-    def test_blocks_sorted_with_alignment(self):
-        kern = kernel_from_gaps(24, 3, 8.0)
-        target = SphereTarget(24, {1: 1.0, 2: 0.25, 3: 1 / 9})
-        model = sphere_spectrum(kern, target, NoiseModel(0.1), 16, 0.0)
-        np.testing.assert_allclose(model.spectrum.values, [1.0, 1 / 8, 1 / 64], rtol=1e-15)
-        np.testing.assert_array_equal(model.spectrum.multiplicities,
-                                      [24, dim_spherical(24, 2), dim_spherical(24, 3)])
-        np.testing.assert_allclose(model.alignment.energies, [1.0, 0.25, 1 / 9], rtol=1e-12)
-        assert model.alignment.residual_energy == 0.0
-
-    def test_unlearnable_level_goes_to_residual(self):
-        kern = kernel_from_gaps(24, 2, 8.0)
-        target = SphereTarget(24, {1: 1.0, 5: 0.3})
-        model = sphere_spectrum(kern, target, NoiseModel(0.0), 8, 0.1)
-        assert model.alignment.residual_energy == pytest.approx(0.3, rel=1e-12)
-
-    def test_risk_matches_independent_level_sum(self):
-        # independent oracle: solve the level-sum fixed point with brentq and
-        # evaluate the closed-form risk directly over levels
-        d, gap, levels, s2, n, lam = 24, 8.0, 7, 0.1, 128, 0.0
-        kern = kernel_from_gaps(d, levels, gap)
-        energies = {k: k**-2.0 for k in range(1, levels + 1)}
-        target = SphereTarget(d, energies)
-        model = sphere_spectrum(kern, target, NoiseModel(s2), n, lam)
-        risk = deterministic_equivalents(model).risk
-
-        xis = kern.coeffs[1:]
-        mults = np.array([dim_spherical(d, k) for k in range(1, levels + 1)], dtype=float)
-
-        def defect(ls):
-            return n - lam / ls - float(np.sum(mults * xis / (xis + ls)))
-
-        ls = brentq(defect, 1e-12, (lam + float(np.sum(mults * xis))) / n, xtol=1e-15, rtol=1e-15)
-        e = np.array([energies[k] for k in range(1, levels + 1)])
-        u2 = float(np.sum(mults * xis**2 / (xis + ls) ** 2)) / n
-        direct = (float(np.sum(e * ls**2 / (xis + ls) ** 2)) + s2) / (1 - u2)
-        assert risk == pytest.approx(direct, rel=1e-12)
+    test_blocks_sorted_with_alignment = family("sorted blocks")
+    test_unlearnable_level_goes_to_residual = family("residual")
+    test_risk_matches_independent_level_sum = family("level sum")
 
 
 class TestExactRisk:
+    test_streaming_matches_one_block = family("blocked risk")
+    test_evaluates_as_many_series_entries_as_the_gram = family("series entries")
+
     def test_zero_coefficients(self):
         kern = kernel_from_gaps(10, 2, 4.0)
         target = SphereTarget(10, {1: 0.5})
@@ -288,47 +316,6 @@ class TestExactRisk:
         fit = fit_krr(GramMatrix(np.eye(4)), np.zeros(4), 1.0)
         assert exact_sphere_risk(fit, kern, target, 0.0, u) == pytest.approx(0.0, abs=1e-15)
 
-    def test_streaming_matches_one_block(self, monkeypatch):
-        """The default budget (3 row blocks at n = 296 and 300) and 8-row blocks match one block,
-        and one block matches the dense H2, the Gram of the squared coefficients."""
-        d, s2 = 10, 0.1
-        kern = kernel_from_gaps(d, 3, 4.0)
-        target = SphereTarget(d, {1: 1.0, 2: 0.25})
-        for n in (23, 296, 300):
-            u = sample_sphere(d, n, 5)
-            fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
-            default = exact_sphere_risk(fit, kern, target, s2, u)
-            with monkeypatch.context() as m:
-                m.setattr(sphere, "_BLOCK_ELEMENTS", (n + 8) * n)
-                assert len(list(sphere._row_blocks(n, n))) == 1
-                whole = exact_sphere_risk(fit, kern, target, s2, u)
-                m.setattr(sphere, "_BLOCK_ELEMENTS", 7)
-                assert exact_sphere_risk(fit, kern, target, s2, u) == pytest.approx(whole, rel=1e-12)
-            assert default == pytest.approx(whole, rel=1e-12)
-            alpha = np.asarray(fit.alpha).ravel()
-            v = sum(kern.coeffs[k] * target.level_values(k, u) for k in target.energies)
-            h2 = SphereKernel(d, kern.coeffs**2).cross_gram(u, u)
-            assert whole == pytest.approx(target.total_energy - 2 * alpha @ v + alpha @ (h2 @ alpha) + s2, rel=1e-14)
-
-    def test_evaluates_as_many_series_entries_as_the_gram(self, monkeypatch):
-        d, n = 10, 300
-        kern = kernel_from_gaps(d, 3, 4.0)
-        target = SphereTarget(d, {1: 1.0})
-        u = sample_sphere(d, n, 1)
-        entries, series = [], GegenbauerBasis.series
-
-        def counted(self, coeffs, t, out=None):
-            entries.append(np.size(t))
-            return series(self, coeffs, t, out)
-
-        monkeypatch.setattr(GegenbauerBasis, "series", counted)
-        fit = fit_krr(GramMatrix(kern.gram(u)), target(u), 0.1)
-        gram_entries = sum(entries)
-        entries.clear()
-        exact_sphere_risk(fit, kern, target, 0.0, u)
-        # three row blocks of 104, 104 and 92 rows: 104 * 300 + 104 * 196 + 92 * 92 entries, not 300 * 300
-        assert len(entries) == 3 and sum(entries) == gram_entries == 60_048
-
     def test_peak_memory_is_blocks_not_n_squared(self):
         d, n = 24, 1024
         kern = kernel_from_gaps(d, 7, 8.0)
@@ -342,4 +329,3 @@ class TestExactRisk:
         finally:
             tracemalloc.stop()
         assert peak < 2 * 2**20  # an n x n array would be 8 MB
-
