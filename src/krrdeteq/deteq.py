@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spectrum import ModelSpec, Spectrum, SpectrumError, trace_resolvents
+from .spectrum import ModelSpec, Spectrum, SpectrumError, _integer, trace_resolvents
 
 __all__ = [
     "FixedPointError",
@@ -100,7 +100,7 @@ def solve_effective_reg(spectrum: Spectrum, n: int, lam: float) -> EffectiveReg:
     """
     if not (math.isfinite(lam) and lam >= 0):
         raise SpectrumError("regularization must be finite and nonnegative")
-    if n < 1:
+    if not _integer(n) or n < 1:
         raise SpectrumError("n must be a positive integer")
     if lam == 0 and spectrum.total_rank <= n:
         raise FixedPointError(
@@ -157,6 +157,9 @@ def deterministic_equivalents(spec: ModelSpec) -> DetEquivalents:
     risk = bias + variance + sigma^2
     train = (lam * stieltjes)^2 * risk,   stieltjes = 1/(n*ls).
     1 - U2 <= DENOM_FLOOR raises FixedPointError; a risk that is not finite raises SpectrumError.
+    Scaling the eigenvalues and lam by c = 2^k scales lambda_star by c and stieltjes by 1/c and keeps mu_star,
+    bias, variance, risk and train, all bit for bit, wherever c xi_k and the solver's start (c lam/n, or
+    c 1e-300 trace/n at lam = 0) stay normal floats: every step of the solve then scales exactly.
     """
     eff = solve_effective_reg(spec.spectrum, spec.n, spec.lam)
     denom = _risk_denominator(eff)

@@ -364,6 +364,8 @@ def convergence_probe(
         raise SpectrumError("reps must be a positive integer")
     if not _integer(threads) or threads < 1:
         raise SpectrumError("threads must be a positive integer")
+    if isinstance(lam, (bool, np.bool_)) or not (math.isfinite(lam) and lam > 0):  # before any draw
+        raise SpectrumError("empirical functionals require lambda > 0")
     p = spectrum.total_rank
     # isinstance first: ``ndarray == "identity"`` compares elementwise
     if not isinstance(a_choice, str) or a_choice not in ("identity", "rank_one"):

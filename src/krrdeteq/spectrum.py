@@ -135,6 +135,11 @@ class Spectrum:
     def trace(self) -> float:
         return float(self._tails[0])
 
+    def _check_index(self, m, low: int) -> None:
+        """SpectrumError unless ``m`` is an integer expanded index in [low, total rank]; a boolean is not one."""
+        if not (_integer(m) and low <= m <= self.total_rank):
+            raise SpectrumError(f"expanded index must be an integer in [{low}, {self.total_rank}], not {m!r}")
+
     def _cut(self, m: int) -> tuple[int, int]:
         """(block, keep): the block holding expanded index 1 <= m <= rank (block 0 at m = 0) and its count among the top m."""
         block = int(np.searchsorted(self._cum_mult, m))
@@ -142,21 +147,18 @@ class Spectrum:
 
     def eigenvalue_at(self, j: int) -> float:
         """The j-th largest eigenvalue (1-based, blocks expanded)."""
-        if not 1 <= j <= self.total_rank:
-            raise SpectrumError(f"expanded index {j} outside [1, {self.total_rank}]")
+        self._check_index(j, 1)
         return float(self.values[self._cut(j)[0]])
 
     def tail_trace(self, m: int) -> float:
         """Sum of eigenvalues past the m largest (blocks expanded), from its own blocks: it never cancels."""
-        if not 0 <= m <= self.total_rank:
-            raise SpectrumError(f"expanded index {m} outside [0, {self.total_rank}]")
+        self._check_index(m, 0)
         block, keep = self._cut(m)
         return (int(self.multiplicities[block]) - keep) * float(self.values[block]) + float(self._tails[block + 1])
 
     def head(self, m: int) -> "Spectrum":
         """The m largest eigenvalues, 1 <= m <= rank; the cut may divide a block."""
-        if not 1 <= m <= self.total_rank:
-            raise SpectrumError(f"expanded index {m} outside [1, {self.total_rank}]")
+        self._check_index(m, 1)
         block, keep = self._cut(m)
         return Spectrum(self.values[: block + 1], np.append(self.multiplicities[:block], keep))
 
@@ -220,7 +222,7 @@ class ModelSpec:
     noise: NoiseModel = NoiseModel(0.0)
 
     def __post_init__(self):
-        if self.n < 1:
+        if not _integer(self.n) or self.n < 1:
             raise SpectrumError("sample count n must be a positive integer")
         if not (math.isfinite(self.lam) and self.lam >= 0):
             raise SpectrumError("ridge parameter must be finite and nonnegative")
@@ -282,8 +284,7 @@ def tail_rank(spectrum: Spectrum, m: int, lam: float) -> float:
     """
     if lam < 0 or not math.isfinite(lam):
         raise SpectrumError("regularization must be finite and nonnegative")
-    if not 0 <= m <= spectrum.total_rank:
-        raise SpectrumError(f"m = {m} outside [0, total rank = {spectrum.total_rank}]")
+    spectrum._check_index(m, 0)
     if m == spectrum.total_rank:
         return math.inf
     return (lam + spectrum.tail_trace(m)) / spectrum.eigenvalue_at(m + 1)
@@ -296,10 +297,9 @@ def effective_rank(spectrum: Spectrum, m: int, n: int) -> float:
     Within a constant-eigenvalue block the ratio is largest at the block
     start, so only block boundaries need scanning.
     """
-    if n < 1:
+    if not _integer(n) or n < 1:
         raise SpectrumError("n must be a positive integer")
-    if not 1 <= m <= spectrum.total_rank:
-        raise SpectrumError(f"m = {m} outside [1, total rank = {spectrum.total_rank}]")
+    spectrum._check_index(m, 1)
     head = spectrum.head(m)  # the sum from block k's start to m is the head's tail at k: no difference of sums
     live = head._cum_mult - head.multiplicities <= min(n, m) - 1
     return max(float(n), float(np.max(head._tails[:-1][live] / head.values[live])))
@@ -316,8 +316,7 @@ def nu_diagnostic(spectrum: Spectrum, m: int, n: int, lam: float) -> float:
     """
     if lam < 0 or not math.isfinite(lam):
         raise SpectrumError("regularization must be finite and nonnegative")
-    if not 1 <= m <= spectrum.total_rank:
-        raise SpectrumError(f"m = {m} outside [1, total rank = {spectrum.total_rank}]")
+    spectrum._check_index(m, 1)
     lam_tail = lam + spectrum.tail_trace(m)
     if lam_tail <= 0:
         raise SpectrumError("lambda + tail trace must be positive")

@@ -3,8 +3,8 @@
 Everything here runs in the standard library's ``decimal`` at ``DIGITS``
 significant digits, with no numpy and no code shared with ``krrdeteq``.  Each
 float input converts to a Decimal exactly, so the reference differs from the
-true values only by the bisection width (``RTOL``) and 80-digit rounding, both
-far below double precision.
+true values only by the width of the root's bracket (``RTOL``) and 80-digit
+rounding, both far below double precision.
 
     fixed_point(blocks, n, lam) -> FixedPoint(lambda_star, upsilon1, upsilon2, scaled_slope)
     closed_forms(point, blocks, energies, residual_energy, noise_variance, n, lam)
@@ -14,7 +14,11 @@ far below double precision.
 
 ``blocks`` is a sequence of ``(eigenvalue, multiplicity)`` pairs.  The root s of
 the defect g(s) = n - lam/s - sum_k m_k xi_k/(xi_k + s) is found by bisection
-in log s; Upsilon_1 = T1/n, Upsilon_2 = T2/n and s g'(s) are evaluated there.
+in log s to a relative width of ``NEWTON_FROM``, then by Newton's method from the
+bracket's left end: on the increasing, concave defect each step lands at or left
+of the root.  After the first step below ``RTOL`` relative, g(s (1 + RTOL)) >= 0
+is asserted, so the root lies in [s, s (1 + RTOL)].  Upsilon_1 = T1/n,
+Upsilon_2 = T2/n and s g'(s) are evaluated at s.
 The last is the root's conditioning: a defect d at a nearby point moves it by
 about d / g'(s), so by d / (s g'(s)) relative.
 ``closed_forms`` evaluates the risk predictions at that root, with
@@ -27,11 +31,13 @@ eigenbasis.
 
 from __future__ import annotations
 
+import math
 from decimal import Decimal, localcontext
 from typing import NamedTuple
 
 DIGITS = 80
-RTOL = Decimal("1e-40")  # bisection stops once hi/lo - 1 is below this
+RTOL = Decimal("1e-40")  # the root lies in [s, s (1 + RTOL)]
+NEWTON_FROM = Decimal("1e-3")  # bisection hands over to Newton once hi/lo - 1 is below this
 
 
 class FixedPoint(NamedTuple):
@@ -54,19 +60,26 @@ def fixed_point(blocks, n: int, lam: float) -> FixedPoint:
         def defect(s):
             return size - ridge / s - sum(m * v / (v + s) for v, m in terms)
 
+        def slope(s):
+            return ridge / (s * s) + sum(m * v / (v + s) ** 2 for v, m in terms)
+
         # at hi = 2 (lam + trace)/n, lam/s + T1 <= (lam + trace)/s = n/2, so the defect is >= n/2;
         # at lam/n it is -T1 < 0, and at lam = 0 it tends to n - rank < 0 as s -> 0
         hi = 2 * (ridge + sum(m * v for v, m in terms)) / size
         lo = ridge / size if ridge > 0 else hi
         while defect(lo) >= 0:
             lo /= Decimal(10) ** 10
-        while hi / lo - 1 > RTOL:
+        while hi / lo - 1 > NEWTON_FROM:
             mid = (lo * hi).sqrt()
             if defect(mid) < 0:
                 lo = mid
             else:
                 hi = mid
-        s = (lo + hi) / 2
+        s, step = lo, lo
+        while step > RTOL * s:
+            step = -defect(s) / slope(s)
+            s += step
+        assert defect(s * (1 + RTOL)) >= 0, "the root is not bracketed"
         ratios = [(m, v / (v + s)) for v, m in terms]
         t1 = sum(m * r for m, r in ratios)
         t2 = sum(m * r * r for m, r in ratios)
@@ -123,12 +136,24 @@ def functionals(point: FixedPoint, blocks, n: int, lam: float, beta=None) -> Fun
         mu = ridge / s
         if beta is None:
             return Functionals(n * u1 / mu, u1, n * u2 / (mu * mu * denom), u2 / (n * denom))
-        sigma = [Decimal(float(value)) for value, mult in blocks for _ in range(int(mult))]
-        squares = [Decimal(float(b)) ** 2 for b in beta]
-        psi1 = sum(b2 / (v * (mu * v + ridge)) for v, b2 in zip(sigma, squares))
-        psi3 = sum(b2 / (mu * v + ridge) ** 2 for v, b2 in zip(sigma, squares)) / denom
-        psi4 = sum(b2 / (v + s) ** 2 for v, b2 in zip(sigma, squares)) / (n * n * denom)
+        # the directions of a block share its eigenvalue: sum their beta_i^2 per block
+        beta, start, weights = [float(b) for b in beta], 0, []
+        for value, mult in blocks:
+            weights.append((Decimal(float(value)), _square_sum(beta[start : start + int(mult)])))
+            start += int(mult)
+        psi1 = sum(b2 / (v * (mu * v + ridge)) for v, b2 in weights)
+        psi3 = sum(b2 / (mu * v + ridge) ** 2 for v, b2 in weights) / denom
+        psi4 = sum(b2 / (v + s) ** 2 for v, b2 in weights) / (n * n * denom)
         return Functionals(psi1, u1, psi3, psi4)
+
+
+def _square_sum(values) -> Decimal:
+    """The sum of the squares of the floats ``values``, exact in integers and then rounded once to ``DIGITS`` digits."""
+    low = math.frexp(min(map(abs, values), default=1.0) or 5e-324)[1]  # no value has a smaller exponent
+    # v = f 2^e with f 2^53 an integer
+    total = sum(int(f * 2**53) ** 2 << 2 * (e - low) for f, e in map(math.frexp, values))
+    shift = 2 * low - 106
+    return Decimal(total << shift) if shift >= 0 else Decimal(total) / Decimal(2**-shift)
 
 
 class SpectralGcv(NamedTuple):

@@ -1,5 +1,6 @@
 import json
 import math
+import sys
 from decimal import Decimal
 from pathlib import Path
 
@@ -100,53 +101,229 @@ def check_oracles(family, cases, monkeypatch):
         assert family != "tiny_block" or eff.lambda_star == pytest.approx(4.0, rel=1e-10), case
 
 
-def truncated_solve(s, m, n, lam):
-    """Fixed point of the truncated model at cut m: (n, top-m spectrum, lam + tail trace)."""
-    t = ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment(np.zeros(s.n_blocks))).truncated(m)
-    return solve_effective_reg(t.spectrum, t.n, t.lam)
-
-
 def split_alignment(spec, m):
-    """Reference top-m per-block energies and tail energy (incl. residual), block by block.
+    """Reference top-m per-block energies and tail energy (residual included), block by block: a block that the cut
+    divides splits its energy in proportion to the eigenvalues kept."""
+    head, tail, taken = [], spec.alignment.residual_energy, 0
+    for t, mult in zip(spec.alignment.energies.tolist(), spec.spectrum.multiplicities.tolist()):
+        frac = min(max(m - taken, 0), mult) / mult
+        head += [t * frac] if frac else []
+        tail, taken = tail + t * (1.0 - frac), taken + mult
+    return np.array(head), tail
 
-    Energy inside a block cut by m is divided in proportion to the number of
-    eigenvalues kept.
+
+def drawn(count, draw, *seeds):
+    """``count`` rows ``draw(rng, *others)``: ``rng`` seeded as the ``rng`` fixture, the others with ``seeds``."""
+    rngs = [np.random.default_rng(seed) for seed in (20240911, *seeds)]
+    return [draw(*rngs) for _ in range(count)]
+
+
+def random_rows(count, tail):
+    """``count`` rows (random_spectrum(rng), *tail(rng, spectrum)), ``rng`` seeded as the ``rng`` fixture."""
+    rng = np.random.default_rng(20240911)
+    return [(s, *tail(rng, s)) for s in (random_spectrum(rng) for _ in range(count))]
+
+
+def identities_row(rng, s):
+    energies, residual = rng.uniform(0, 1, size=s.n_blocks), float(rng.uniform(0, 0.5))
+    n, lam = int(rng.integers(1, 300)), float(rng.uniform(1e-3, 5.0))
+    return energies, residual, float(rng.uniform(0, 1)), [n], [lam]
+
+
+def exact_row(rng, targets):
+    """Up to 60 blocks spanning ten decades; the target from ``targets``, so that ``rng`` draws only the spectra."""
+    k = int(rng.integers(1, 61))
+    values, mults = np.sort(10.0 ** rng.uniform(-8, 2, k))[::-1], rng.integers(1, 5, k)
+    n, lam = int(rng.integers(1, 2 * int(mults.sum()) + 1)), float(10.0 ** rng.uniform(-12, 1))
+    return Spectrum(values, mults), 10.0 ** targets.uniform(-6, 2, k), *targets.uniform(0.0, 1.0, 2).tolist(), [n], [lam]
+
+
+def bias_rows(rng):
+    """Three (n, lam) points on each of three spectra, of 3, 8193 and 50 000 blocks."""
+    spectra = [(Spectrum(np.sort(10.0 ** rng.uniform(-6, 0, k))[::-1], rng.integers(1, 50, k)), rng.uniform(0, 1, k)) for k in (3, 8193, 50_000)]
+    return [(s, energies, 0.125, 0.5, [n], [lam]) for s, energies in spectra for n, lam in ((5, 1e-3), (10**6, 1e-300), (40, 1e3))]
+
+
+def golden_row(doc):
+    """A golden ``deteq`` document, parsed as the CLI parses it."""
+    (n_grid, lam, _), (spectrum, alignment, noise) = deteq_settings(doc), model_from_json(doc)
+    return spectrum, alignment.energies, alignment.residual_energy, noise.variance, n_grid, [lam]
+
+
+GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
+GOLDEN_DETEQ = sorted(name for name, case in GOLDEN_CASES.items() if case["command"] == "deteq")
+# check_prediction_oracles: rows (a Spectrum or its blocks, energies, residual energy, sigma^2, n grid, lam grid[, cut m])
+PREDICTION_CASES = {
+    **{case: [golden_row(GOLDEN_CASES[case]["config"])] for case in GOLDEN_DETEQ},
+    "random spectra": drawn(30, exact_row, 1),
+    "isotropic draws": drawn(100, lambda rng: ([(float(rng.uniform(0.01, 2.0)), int(rng.integers(1, 3000)))], [1.0], 0.0, 0.25,
+                                               [int(rng.integers(1, 1500))], [float(rng.uniform(1e-6, 10.0))])),
+    "isotropic closed form": [([(1.0, 200)], [1.0], 0.0, 0.0, [100], [1.0])],
+    "isotropic ridgeless": [([(1.0, p)], [1.0], 0.0, s2, [n], [0.0]) for n, p, s2 in ((50, 200, 0.25), (190, 200, 1.0), (1, 2, 0.5), (100, 101, 0.3))],
+    "ridgeless above rank": [([(1.0, 250)], [1.0], 0.0, 0.0, [100], [0.0])],
+    "large lambda": [([(1.0, 10)], [1.0], 0.0, 0.0, [10], [1e6])],
+    "no learning": [([(1.0, 5), (0.5, 5)], [0.6, 0.4], 0.0, 0.0, [3], [1e9])],
+    "monotone": [(Spectrum.power_law(1.5, 400), np.arange(1.0, 401.0) ** -1.5, 0.0, 0.1, [50], np.geomspace(1e-4, 1e2, 25))],
+    "upsilon1": random_rows(20, lambda rng, s: (np.zeros(s.n_blocks), 0.0, 0.0, [int(rng.integers(1, 300))], [float(rng.uniform(1e-3, 5.0))])),
+    "identities": random_rows(25, identities_row),
+    "scale": random_rows(1, lambda rng, s: (rng.uniform(0, 1, size=s.n_blocks), 0.2, 0.4, [40], [0.7])),
+    "bias bitwise": bias_rows(np.random.default_rng(20240911)),
+    "zero target": [([(1.0, 200)], [0.0], 0.0, 0.3, [100], [1.0])],
+    "residual": [([(1.0, 50)], [0.0], 0.3, 0.0, [20], [0.5])],
+    "full cut": random_rows(1, lambda rng, s: (np.zeros(s.n_blocks), 0.0, 0.0, [30], [0.4])),
+    "full cut ridgeless": [([(1.0, 7), (0.25, 3)], [0.0, 0.0], 0.0, 0.0, [4, 10], [0.0])],
+    "full cut risk": random_rows(1, lambda rng, s: (rng.uniform(0, 1, size=s.n_blocks), 0.0, 0.1, [25], [0.3])),
+    "two scale": [([(1.0, 50), (0.01, 10000)], [0.0, 0.0], 0.0, 0.0, [100], [0.0], 50)],
+    "two scale risk": [([(1.0, 50), (0.01, 10000)], [0.9, 0.1], 0.0, 0.05, [100], [0.0], 50)],
+    "block split": [([(1.0, 4), (0.5, 2)], [0.8, 0.2], 0.0, 0.0, [3], [0.2], 2)],
+    "blockwise split": random_rows(200, lambda rng, s: (
+        rng.uniform(0, 1, size=s.n_blocks), float(rng.uniform(0, 0.5)), 0.3,
+        [int(rng.integers(1, 100))], [float(rng.uniform(0.01, 2))], int(rng.integers(1, s.total_rank + 1)),
+    )),
+}
+
+
+def check_prediction_oracles(rows, exact=True, inside=0):
+    """Every oracle at every (n, lam) point of every row, on the model and, at a cut m, on its truncation but for those
+    that solve further models (solves).  A bound reads |got - want| <= bound * max(|want|, floor), 0 is bitwise.
+    - existence: at lam = 0 and rank <= n, ModelSpec raises SpectrumError;
+    - identities, bitwise: risk = bias + variance + sigma^2, variance = sigma^2 U2/(1 - U2), train = (lam S)^2 risk,
+      S = 1/(n ls), mu = lam/ls, bias = the out-of-place shrink^2 einsum (0 for a zero target); U1 = 1 - lam/(n ls)
+      to the certificate's 1e-12 absolute; no output is negative;
+    - scale (solves): (c spectrum, c lam) gives ls/c, mu, c S, risk, bias, variance and train bitwise at c = 2^-7, 2^5
+      where c xi and the solver's start c lam/n (c 1e-300 trace/n at lam = 0) stay normal, and 1e-13 at c = 0.03, 7.5;
+    - truncation: truncated(rank) is the model bitwise (solves).  At the cut the head is head(m) bitwise, energies,
+      residual and total energy are split_alignment's 1e-14 and the ridge is lam + tail_trace(m); with r =
+      tail_rank(m), 0 <= (ls_m - ls)/ls_m <= n/r and the risk moves by at most 4 n/r;
+    - exact (rows of at most 64 blocks, if ``exact``), against tests/exact.py and relative to the least normal float
+      at least: with b = 2e-12 n/(s g'(s)), how far the certificate |g| <= 1e-12 n moves a root of the concave defect,
+      twice for the rounding of g, and c = 1/(1 - U2), ls and S within b, U1 and U2 1e-13, bias, variance and risk
+      2b + 1e-13 c (a shrink factor (s/(xi + s))^2 moves by 2b) and train 4b + 1e-13 c, each capped at 1e-13; at
+      lam > 0, where the exact psi are floats, deterministic_functionals at A = I and a RiskMatrix: psi2 = U1 1e-13,
+      psi1 b + 1e-13, psi3 and psi4 2b + 2e-13 c;
+    - isotropic (one block): ls against isotropic_effective_reg 1e-12; at unit energy and lam > 0, bias and risk
+      from that root 1e-12; at lam = 0, bias E (1 - n/p) + r p/(p - n) and variance sigma^2 n/(p - n) 1e-13;
+    - residual energy r over a zero target gives bias r/(1 - U2), 1e-12; along a lam grid ls and mu increase strictly;
+    - large lam, b = n trace/lam <= 1e-3: ls = lam/n within b (lam/n <= ls <= (lam + trace)/n), risk = energy + sigma^2 2b.
+    At least ``inside`` cuts fall inside a block.  ``pytest -s`` prints each oracle's worst error.
     """
-    head_energies = []
-    tail_energy = spec.alignment.residual_energy
-    taken = 0
-    for t, mult in zip(spec.alignment.energies, spec.spectrum.multiplicities):
-        mult = int(mult)
-        if taken >= m:
-            tail_energy += float(t)
-        elif taken + mult <= m:
-            head_energies.append(float(t))
-        else:
-            frac = (m - taken) / mult
-            head_energies.append(float(t) * frac)
-            tail_energy += float(t) * (1.0 - frac)
-        taken += mult
-    return np.asarray(head_energies, dtype=float), tail_energy
+    worst, betas, cuts, tiny = {}, np.random.default_rng(2), [], np.finfo(float).tiny
+
+    def check(oracle, where, got, want, bound, floor=0.0):
+        pairs = zip(got, want) if isinstance(got, (tuple, np.ndarray)) else [(got, want)]
+        relative = lambda g, w: float(abs(Decimal(g) - Decimal(w)) / max(abs(Decimal(w)), Decimal(floor))) if w or floor else math.inf
+        err = max(0.0 if g == w else relative(g, w) for g, w in pairs)
+        top = worst.setdefault(oracle, [0.0, 0.0])  # the worst error, and its worst share of the bound
+        top[:] = max(top[0], err), max(top[1], err / bound if bound else 0.0)
+        assert err <= bound, f"{oracle} at (blocks, rank, n, lam, cut, ...) = {where}: error {err:.2e} > {bound:.1e}"
+
+    def model_oracles(spec, where, resolve=True):
+        s, n, lam, s2, alignment = spec.spectrum, spec.n, spec.lam, spec.noise.variance, spec.alignment
+        energies, residual = alignment.energies, alignment.residual_energy
+        det = deterministic_equivalents(spec)
+        eff = det.effective
+        ls, u2 = eff.lambda_star, eff.upsilon2
+        shrink = ls / (s.values + ls)
+        for name, got, want in (
+            ("risk = bias + variance + sigma^2", det.risk, det.bias + det.variance + s2),
+            ("variance = sigma^2 U2/(1 - U2)", det.variance, s2 * u2 / (1 - u2)),
+            ("train = (lam S)^2 risk", det.train, (lam * det.stieltjes) ** 2 * det.risk),
+            ("S = 1/(n ls)", det.stieltjes, 1 / (n * ls)),
+            ("mu = lam/ls", eff.mu_star, lam / ls),
+            ("bias = shrink^2 einsum", det.bias, (float(np.einsum("i,i->", energies, shrink * shrink)) + residual) / (1 - u2)),
+            ("zero target bias", 0.0 if residual or energies.any() else det.bias, 0.0),
+        ):
+            check(name, where, got, want, 0)
+        check("U1 = 1 - lam/(n ls)", where, eff.upsilon1, 1 - lam / (n * ls), 1e-12, 1.0)
+        assert min(det.bias, det.variance, det.risk, det.train, det.stieltjes, eff.upsilon1, u2, eff.mu_star) >= 0, where
+        quantities = lambda d, c=1.0: (d.effective.lambda_star / c, d.effective.mu_star, d.stieltjes * c, d.risk, d.bias, d.variance, d.train)
+        start = (lam or 1e-300 * s.trace) / n
+        for c, oracle, bound in ((2.0**-7, "scale 2^k", 0), (2.0**5, "scale 2^k", 0), (0.03, "scale c", 1e-13), (7.5, "scale c", 1e-13)):
+            if resolve and (bound or min(c * s.values[-1], c * start) >= tiny):
+                scaled = deterministic_equivalents(ModelSpec(n, c * lam, Spectrum(c * s.values, s.multiplicities), alignment, spec.noise))
+                check(oracle, (*where, c), quantities(scaled, c), quantities(det), bound)
+        if resolve:
+            check("truncated(rank)", where, quantities(deterministic_equivalents(spec.truncated(s.total_rank))), quantities(det), 0)
+        if residual and not energies.any():
+            check("residual r gives bias r/(1 - U2)", where, det.bias, residual / (1 - u2), 1e-12)
+        if exact and s.n_blocks <= 64:
+            blocks = list(zip(s.values.tolist(), s.multiplicities.tolist()))
+            point = fixed_point(blocks, n, lam)
+            want = point._asdict() | closed_forms(point, blocks, energies.tolist(), residual, s2, n, lam)._asdict()
+            b, c = 2e-12 * n / float(point.scaled_slope), 1.0 / float(1 - point.upsilon2)
+            bounds = dict(lambda_star=b, upsilon1=1e-13, upsilon2=1e-13, stieltjes=b, train=4 * b + 1e-13 * c)
+            bounds |= dict.fromkeys(("bias", "variance", "risk"), 2 * b + 1e-13 * c)
+            for name, bound in bounds.items():
+                check(f"exact {name}", where, (vars(eff) | vars(det))[name], want[name], min(bound, 1e-13), tiny)
+            beta, bounds = betas.standard_normal(s.total_rank), (b + 1e-13, 1e-13, 2 * b + 2e-13 * c, 2 * b + 2e-13 * c)
+            for kind, a, exact_beta in (("I", IdentityMatrix(beta.size), None), ("RiskMatrix", RiskMatrix(beta), beta)):
+                exact_psis = functionals(point, blocks, n, lam, exact_beta) if lam > 0 else ()
+                if exact_psis and max(exact_psis) <= sys.float_info.max:  # else deterministic_functionals raises
+                    for j, got, want, bound in zip(range(1, 5), deterministic_functionals(s, n, lam, a), exact_psis, bounds):
+                        check(f"psi{j}", (*where, kind), got, want, bound)
+        if s.n_blocks == 1:
+            xi, p = float(s.values[0]), s.total_rank
+            root = isotropic_effective_reg(xi, p, n, lam)
+            check("isotropic root", where, ls, root, 1e-12)
+            if lam > 0 and energies[0] == 1.0 and not residual:
+                kept, u = (root / (xi + root)) ** 2, p / n * (xi / (xi + root)) ** 2
+                check("isotropic bias and risk", where, (det.bias, det.risk), (kept / (1 - u), (kept + s2) / (1 - u)), 1e-12)
+            if lam == 0:
+                bias, variance = energies[0] * (1 - n / p) + residual * p / (p - n), s2 * n / (p - n)
+                check("ridgeless isotropic", where, (det.bias, det.variance, det.risk), (bias, variance, bias + variance + s2), 1e-13)
+        limit = n * s.trace / lam if lam else math.inf
+        if limit <= 1e-3:
+            check("large lambda", where, (ls, det.risk), (lam / n, alignment.total_energy + s2), 2 * limit)
+        return det
+
+    for blocks, energies, residual, s2, n_grid, lams, *cut in rows:
+        spectrum = blocks if isinstance(blocks, Spectrum) else Spectrum.from_blocks(blocks)
+        alignment, noise = Alignment(np.array(energies, dtype=float), residual), NoiseModel(s2)
+        for n in n_grid:
+            stars = []
+            for lam in lams:
+                where = (spectrum.n_blocks, spectrum.total_rank, n, lam, *cut)
+                if lam == 0 and spectrum.total_rank <= n:
+                    with pytest.raises(SpectrumError, match="requires spectrum rank > n"):
+                        ModelSpec(n, lam, spectrum, alignment, noise)
+                    continue
+                spec = ModelSpec(n, lam, spectrum, alignment, noise)
+                det = model_oracles(spec, where)
+                stars.append(det.effective)
+                for m in cut:
+                    trunc, head = spec.truncated(m), spectrum.head(m)
+                    assert np.array_equal(trunc.spectrum.values, head.values), where
+                    assert np.array_equal(trunc.spectrum.multiplicities, head.multiplicities), where
+                    got, (head_energies, tail) = trunc.alignment, split_alignment(spec, m)
+                    want = (*head_energies, tail, alignment.total_energy)
+                    check("cut energies", where, (*got.energies, got.residual_energy, got.total_energy), want, 1e-14)
+                    assert (trunc.n, trunc.noise, trunc.lam) == (n, noise, lam + spectrum.tail_trace(m)), where
+                    cuts.append(m not in spectrum._cum_mult)
+                    reduced, ratio = model_oracles(trunc, (*where, "truncated"), False), n / tail_rank(spectrum, m, lam)
+                    gap = 1 - det.effective.lambda_star / reduced.effective.lambda_star
+                    assert 0 <= gap <= ratio, (where, gap, ratio)
+                    check("truncated risk", where, reduced.risk, det.risk, 4 * ratio)
+            assert all(a.lambda_star < b.lambda_star and a.mu_star < b.mu_star for a, b in zip(stars, stars[1:])), (n, lams)
+    assert sum(cuts) >= inside, f"{sum(cuts)} of {len(cuts)} cuts inside a block"
+    print("worst error: " + ", ".join(f"{name} {err:.1e}" + (f" ({share:.2f} of the bound)" if share else "") for name, (err, share) in worst.items()))
+
+
+def family(name, exact=True, inside=0):
+    """A test method that runs the rows of PREDICTION_CASES[name] through check_prediction_oracles."""
+    return lambda self: check_prediction_oracles(PREDICTION_CASES[name], exact, inside)
 
 
 class TestFixedPoint:
-    def test_isotropic_closed_form(self):
-        s = Spectrum.from_blocks([(1.0, 200)])
-        eff = solve_effective_reg(s, 100, 1.0)
-        assert eff.lambda_star == pytest.approx((101 + math.sqrt(10601)) / 200, rel=1e-12)
+    # one test per family of PREDICTION_CASES; each applies every oracle through check_prediction_oracles
+    test_isotropic_closed_form = family("isotropic closed form")
+    test_isotropic_oracle_random_draws = family("isotropic draws")
+    test_exact_oracle_random_spectra = family("random spectra")
+    test_ridgeless_solves_above_rank = family("ridgeless above rank")
+    test_large_lambda_limit = family("large lambda")
+    test_monotone_in_lambda = family("monotone")
+    test_upsilon1_identity = family("upsilon1", exact=False)
 
-    def test_isotropic_oracle_random_draws(self, rng):
-        for _ in range(100):
-            xi = float(rng.uniform(0.01, 2.0))
-            p = int(rng.integers(1, 3000))
-            n = int(rng.integers(1, 1500))
-            lam = float(rng.uniform(1e-6, 10.0))
-            eff = solve_effective_reg(Spectrum.from_blocks([(xi, p)]), n, lam)
-            assert eff.lambda_star == pytest.approx(
-                isotropic_effective_reg(xi, p, n, lam), rel=1e-10
-            )
-
-    # one test per family of the case table; each applies every oracle through check_oracles
+    # one test per family of the solver's case table; each applies every oracle through check_oracles
     def test_certificate_and_bracket_random(self, monkeypatch):
         check_oracles("random", random_cases(False), monkeypatch)
 
@@ -180,275 +357,26 @@ class TestFixedPoint:
         assert np.mean(per_solve) <= 6
         assert max(per_solve) <= 8
 
-    def test_exact_oracle_random_spectra(self, rng):
-        """deterministic_equivalents against the 80-digit ``decimal`` oracle on 30 random spectra spanning ten decades.
-
-        lambda_star is within b = 2e-12 * n / (s g'(s)) relative: the certificate |g| <= 1e-12 * n
-        moves a root of the concave defect by at most |g| / g', and the factor 2 covers the
-        rounding of g itself.  Upsilon_1 and Upsilon_2 are within 1e-13 relative.  Stieltjes
-        1/(n s) is within b.  1 - Upsilon_2 then moves by 1e-13 c relative, c = 1/(1 - Upsilon_2),
-        and a shrink factor (s/(xi + s))^2 by at most 2b, so bias, variance and risk are within
-        2b + 1e-13 c, and train = (lam Stieltjes)^2 risk within 4b + 1e-13 c.
-        deterministic_functionals at A = I and at a RiskMatrix: psi2 = Upsilon_1 is within 1e-13; psi1
-        (n Upsilon_1 s / lam, or the sum of beta^2 s / (lam xi (xi + s))) moves with s/(xi + s) by at most b,
-        so it is within b + 1e-13; psi3 and psi4 carry (s/(xi + s))^2 or Upsilon_2 and 1/(1 - Upsilon_2),
-        so they are within 2b + 2e-13 c.
-        """
-        targets = np.random.default_rng(1)  # targets from a second stream, so ``rng`` draws only the spectra
-        betas = np.random.default_rng(2)  # RiskMatrix beta from a third, so neither the spectra nor the targets move
-        outputs = ("lambda_star", "upsilon1", "upsilon2", "stieltjes", "bias", "variance", "risk", "train")
-        outputs += tuple(f"{kind} psi{j}" for kind in ("I", "RiskMatrix") for j in range(1, 5))
-        worst, worst_ratio = dict.fromkeys(outputs, 0.0), 0.0
-        for _ in range(30):
-            k = int(rng.integers(1, 61))
-            values = np.sort(10.0 ** rng.uniform(-8, 2, k))[::-1]
-            mults = rng.integers(1, 5, k)
-            n = int(rng.integers(1, 2 * int(mults.sum()) + 1))
-            lam = float(10.0 ** rng.uniform(-12, 1))
-            energies = 10.0 ** targets.uniform(-6, 2, k)
-            residual, noise = (float(v) for v in targets.uniform(0.0, 1.0, 2))
-            model = ModelSpec(n, lam, Spectrum(values, mults), Alignment(energies, residual), NoiseModel(noise))
-            det = deterministic_equivalents(model)
-            blocks = list(zip(values.tolist(), mults.tolist()))
-            point = fixed_point(blocks, n, lam)
-            exact = point._asdict() | closed_forms(point, blocks, energies.tolist(), residual, noise, n, lam)._asdict()
-            got = vars(det.effective) | vars(det)
-            b, c = 2e-12 * n / float(point.scaled_slope), 1.0 / float(1 - point.upsilon2)
-            bounds = dict(lambda_star=b, upsilon1=1e-13, upsilon2=1e-13, stieltjes=b, train=4 * b + 1e-13 * c)
-            bounds |= dict.fromkeys(("bias", "variance", "risk"), 2 * b + 1e-13 * c)
-            beta = betas.standard_normal(int(mults.sum()))
-            for kind, a, exact_beta in (("I", IdentityMatrix(beta.size), None), ("RiskMatrix", RiskMatrix(beta), beta)):
-                names = [f"{kind} psi{j}" for j in range(1, 5)]
-                got |= zip(names, deterministic_functionals(model.spectrum, n, lam, a))
-                exact |= zip(names, functionals(point, blocks, n, lam, exact_beta))
-                bounds |= zip(names, (b + 1e-13, 1e-13, 2 * b + 2e-13 * c, 2 * b + 2e-13 * c))
-            err = {name: float(abs(Decimal(got[name]) - exact[name]) / exact[name]) for name in outputs}
-            assert all(err[name] <= bounds[name] for name in outputs), (n, lam, err, bounds)
-            worst = {name: max(value, err[name]) for name, value in worst.items()}
-            worst_ratio = max([worst_ratio] + [err[name] / bounds[name] for name in outputs])
-        print("worst relative error against decimal: " + ", ".join(f"{k} {v:.2e}" for k, v in worst.items()))
-        print(f"worst error / bound: {worst_ratio:.2e}")
-
-    def test_ridgeless_solves_above_rank(self):
-        s = Spectrum.from_blocks([(1.0, 250)])
-        eff = solve_effective_reg(s, 100, 0.0)
-        # n = p xi / (xi + ls)  =>  ls = xi (p - n) / n
-        assert eff.lambda_star == pytest.approx(1.5, rel=1e-10)
-        assert eff.mu_star == 0.0
-
-    def test_large_lambda_limit(self):
-        eff = solve_effective_reg(Spectrum.from_blocks([(1.0, 10)]), 10, 1e6)
-        assert eff.lambda_star == pytest.approx(1e5, rel=1e-4)
-
-    def test_monotone_in_lambda(self):
-        s = Spectrum.power_law(1.5, 400)
-        lams = np.geomspace(1e-4, 1e2, 25)
-        stars = [solve_effective_reg(s, 50, lam) for lam in lams]
-        ls = [e.lambda_star for e in stars]
-        mu = [e.mu_star for e in stars]
-        assert all(a < b for a, b in zip(ls, ls[1:]))
-        assert all(a < b for a, b in zip(mu, mu[1:]))
-
-    def test_upsilon1_identity(self, rng):
-        for _ in range(20):
-            s = random_spectrum(rng)
-            n = int(rng.integers(1, 300))
-            lam = float(rng.uniform(1e-3, 5.0))
-            eff = solve_effective_reg(s, n, lam)
-            assert eff.upsilon1 == pytest.approx(1 - lam / (n * eff.lambda_star), abs=1e-12)
-
-
-GOLDEN_CASES = json.loads((Path(__file__).parent / "golden" / "cases.json").read_text())
-
 
 class TestDeterministicEquivalents:
-    @pytest.mark.parametrize("case", sorted(name for name, case in GOLDEN_CASES.items() if case["command"] == "deteq"))
+    @pytest.mark.parametrize("case", GOLDEN_DETEQ)
     def test_golden_documents_match_exact_oracle(self, case):
-        """Each golden ``deteq`` document, parsed as the CLI parses it, against the 80-digit ``decimal`` oracle:
-        at every n with a fixed point, lambda_star, Upsilon_2, risk, train, bias and variance are within 1e-13
-        relative (train is exactly 0 at lam = 0).  At lam = 0 and n >= rank there is none: SpectrumError."""
-        doc = GOLDEN_CASES[case]["config"]
-        n_grid, lam, _ = deteq_settings(doc)
-        spectrum, alignment, noise = model_from_json(doc)
-        blocks, energies = doc["blocks"], doc["alignment"]
-        residual, noise_variance = doc.get("residual_energy", 0.0), doc.get("noise_variance", 0.0)
-        for n in n_grid:
-            if lam == 0 and spectrum.total_rank <= n:
-                with pytest.raises(SpectrumError, match="requires spectrum rank > n"):
-                    deterministic_equivalents(ModelSpec(n, lam, spectrum, alignment, noise))
-                continue
-            det = deterministic_equivalents(ModelSpec(n, lam, spectrum, alignment, noise))
-            point = fixed_point(blocks, n, lam)
-            exact = point._asdict() | closed_forms(point, blocks, energies, residual, noise_variance, n, lam)._asdict()
-            got = vars(det.effective) | vars(det)
-            for name in ("lambda_star", "upsilon2", "risk", "train", "bias", "variance"):
-                err = abs(Decimal(got[name]) - exact[name])
-                assert err <= Decimal("1e-13") * abs(exact[name]), (case, n, name, got[name], float(exact[name]))
+        check_prediction_oracles(PREDICTION_CASES[case])
 
-    def test_zero_target_variance_formula(self):
-        # any spectrum; with all-zero alignment the bias vanishes and
-        # V = sigma^2 * U2 / (1 - U2)
-        s = Spectrum.from_blocks([(1.0, 200)])
-        spec = ModelSpec(n=100, lam=1.0, spectrum=s, alignment=Alignment(np.zeros(1)), noise=NoiseModel(0.3))
-        de = deterministic_equivalents(spec)
-        u2 = de.effective.upsilon2
-        assert de.bias == 0.0
-        assert de.variance == pytest.approx(0.3 * u2 / (1 - u2), rel=1e-12)
-        assert de.risk == pytest.approx(de.variance + 0.3, rel=1e-12)
-
-    def test_isotropic_unit_energy(self):
-        s = Spectrum.from_blocks([(1.0, 200)])
-        spec = ModelSpec(n=100, lam=1.0, spectrum=s, alignment=Alignment(np.array([1.0])))
-        de = deterministic_equivalents(spec)
-        ls = (101 + math.sqrt(10601)) / 200
-        u2 = 2.0 / (1 + ls) ** 2
-        expected = (ls / (1 + ls)) ** 2 / (1 - u2)
-        assert de.risk == pytest.approx(expected, rel=1e-10)
-        assert de.bias == pytest.approx(expected, rel=1e-10)
-        # ridgeless below p: bias = |theta|^2 (1 - n/p), variance = sigma^2 n / (p - n)
-        for n, p, sigma2 in ((50, 200, 0.25), (190, 200, 1.0), (1, 2, 0.5), (100, 101, 0.3)):
-            spec = ModelSpec(n, 0.0, Spectrum.from_blocks([(1.0, p)]), Alignment(np.array([1.0])), NoiseModel(sigma2))
-            de = deterministic_equivalents(spec)
-            bias, variance = 1 - n / p, sigma2 * n / (p - n)
-            for got, want in ((de.bias, bias), (de.variance, variance), (de.risk, bias + variance + sigma2)):
-                assert got == pytest.approx(want, rel=1e-13), (n, p, sigma2)
-
-    def test_no_learning_limit(self):
-        s = Spectrum.from_blocks([(1.0, 5), (0.5, 5)])
-        al = Alignment(np.array([0.6, 0.4]))
-        spec = ModelSpec(n=3, lam=1e9, spectrum=s, alignment=al)
-        de = deterministic_equivalents(spec)
-        assert de.risk == pytest.approx(1.0, rel=1e-6)  # total target energy
-
-    def test_identities(self, rng):
-        for _ in range(25):
-            s = random_spectrum(rng)
-            al = Alignment(rng.uniform(0, 1, size=s.n_blocks), residual_energy=float(rng.uniform(0, 0.5)))
-            n = int(rng.integers(1, 300))
-            lam = float(rng.uniform(1e-3, 5.0))
-            s2 = float(rng.uniform(0, 1))
-            de = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(s2)))
-            assert de.risk == pytest.approx(de.bias + de.variance + s2, rel=1e-12)
-            assert de.train == pytest.approx(lam**2 * de.stieltjes**2 * de.risk, rel=1e-12)
-            assert de.stieltjes == pytest.approx(1 / (n * de.effective.lambda_star), rel=1e-12)
-            assert min(de.bias, de.variance, de.risk, de.train) >= 0
-
-    def test_scale_covariance(self, rng):
-        s = random_spectrum(rng)
-        al = Alignment(rng.uniform(0, 1, size=s.n_blocks), residual_energy=0.2)
-        n, lam, s2 = 40, 0.7, 0.4
-        base = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(s2)))
-        for c in (0.03, 7.5):
-            scaled = deterministic_equivalents(
-                ModelSpec(n=n, lam=c * lam, spectrum=Spectrum(c * s.values, s.multiplicities), alignment=al, noise=NoiseModel(s2))
-            )
-            assert scaled.effective.lambda_star == pytest.approx(c * base.effective.lambda_star, rel=1e-10)
-            assert scaled.effective.mu_star == pytest.approx(base.effective.mu_star, rel=1e-10)
-            assert scaled.risk == pytest.approx(base.risk, rel=1e-10)
-            assert scaled.bias == pytest.approx(base.bias, rel=1e-10)
-            assert scaled.variance == pytest.approx(base.variance, rel=1e-10)
-            # dimensionless training/stieltjes forms
-            assert scaled.train == pytest.approx(base.train, rel=1e-10)
-            assert scaled.stieltjes * n * c * lam == pytest.approx(base.stieltjes * n * lam, rel=1e-10)
-
-    def test_bias_bitwise_equal_to_out_of_place_shrink(self, rng):
-        """The one-buffer shrink**2 gives the bias of the out-of-place formula bit for bit."""
-        for size in (3, 8193, 50_000):
-            values = np.sort(10.0 ** rng.uniform(-6, 0, size))[::-1]
-            s = Spectrum(values, rng.integers(1, 50, size))
-            al = Alignment(rng.uniform(0, 1, size), residual_energy=0.125)
-            for n, lam in ((5, 1e-3), (10**6, 1e-300), (40, 1e3)):
-                de = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(0.5)))
-                ls = de.effective.lambda_star
-                shrink = ls / (values + ls)
-                bias_num = float(np.einsum("i,i->", al.energies, shrink * shrink))
-                assert de.bias == (bias_num + 0.125) / (1.0 - de.effective.upsilon2)
-
-    def test_residual_energy_enters_unshrunk(self):
-        s = Spectrum.from_blocks([(1.0, 50)])
-        n, lam = 20, 0.5
-        plain = deterministic_equivalents(ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment(np.zeros(1))))
-        with_res = deterministic_equivalents(
-            ModelSpec(n=n, lam=lam, spectrum=s, alignment=Alignment(np.zeros(1), residual_energy=0.3))
-        )
-        u2 = plain.effective.upsilon2
-        assert with_res.bias == pytest.approx(0.3 / (1 - u2), rel=1e-12)
+    test_zero_target_variance_formula = family("zero target")
+    test_isotropic_unit_energy = family("isotropic ridgeless")
+    test_no_learning_limit = family("no learning")
+    test_identities = family("identities", exact=False)
+    test_scale_covariance = family("scale")
+    test_bias_bitwise_equal_to_out_of_place_shrink = family("bias bitwise")
+    test_residual_energy_enters_unshrunk = family("residual")
 
 
 class TestTruncatedModel:
-    def test_full_cut_matches_plain_solve(self, rng):
-        s = random_spectrum(rng)
-        n, lam = 30, 0.4
-        full = solve_effective_reg(s, n, lam)
-        trunc = truncated_solve(s, s.total_rank, n, lam)
-        assert trunc.lambda_star == pytest.approx(full.lambda_star, rel=1e-12)
-
-    def test_full_cut_ridgeless_rank_check(self):
-        s = Spectrum.from_blocks([(1.0, 7), (0.25, 3)])
-        with pytest.raises(SpectrumError, match="requires spectrum rank > n"):
-            truncated_solve(s, s.total_rank, 10, 0.0)
-        eff = truncated_solve(s, s.total_rank, 4, 0.0)
-        assert eff.lambda_star == solve_effective_reg(s, 4, 0.0).lambda_star
-
-    def test_two_scale_instance_and_bound(self):
-        s = Spectrum.from_blocks([(1.0, 50), (0.01, 10000)])
-        n, m = 100, 50
-        trunc = truncated_solve(s, m, n, 0.0)
-        # top-50 isotropic with lam+ = 100: 100 - 100/ls = 50/(1+ls)
-        assert trunc.lambda_star == pytest.approx((1 + math.sqrt(17)) / 4, rel=1e-12)
-        full = solve_effective_reg(s, n, 0.0)
-        gap = (trunc.lambda_star - full.lambda_star) / trunc.lambda_star
-        assert 0.0 <= gap <= 100 * 0.01 / 100.0  # n * xi_tail / lam_tail
-
-    def test_truncated_risk_full_cut(self, rng):
-        s = random_spectrum(rng)
-        al = Alignment(rng.uniform(0, 1, size=s.n_blocks))
-        spec = ModelSpec(n=25, lam=0.3, spectrum=s, alignment=al, noise=NoiseModel(0.1))
-        assert deterministic_equivalents(spec.truncated(s.total_rank)).risk == pytest.approx(
-            deterministic_equivalents(spec).risk, rel=1e-12
-        )
-
-    def test_truncated_risk_near_full_risk(self):
-        s = Spectrum.from_blocks([(1.0, 50), (0.01, 10000)])
-        al = Alignment(np.array([0.9, 0.1]))
-        spec = ModelSpec(n=100, lam=0.0, spectrum=s, alignment=al, noise=NoiseModel(0.05))
-        m = 50
-        full = deterministic_equivalents(spec).risk
-        reduced = deterministic_equivalents(spec.truncated(m)).risk
-        slack = 100 / tail_rank(s, m, 0.0)  # n / r_lambda(m)
-        assert abs(full - reduced) <= 4 * slack * full
-
-    def test_block_splitting_cut(self):
-        # cut inside the first block: energy splits proportionally
-        s = Spectrum.from_blocks([(1.0, 4), (0.5, 2)])
-        al = Alignment(np.array([0.8, 0.2]))
-        spec = ModelSpec(n=3, lam=0.2, spectrum=s, alignment=al)
-        r = deterministic_equivalents(spec.truncated(2)).risk
-        eff = truncated_solve(s, 2, 3, 0.2)
-        ls = eff.lambda_star
-        head_energy = 0.8 * 2 / 4
-        tail_energy = 0.8 * 2 / 4 + 0.2
-        expected = ((ls / (1 + ls)) ** 2 * head_energy + tail_energy) / (1 - eff.upsilon2)
-        assert r == pytest.approx(expected, rel=1e-12)
-
-    def test_truncated_model_matches_blockwise_split(self, rng):
-        inside = 0
-        for _ in range(200):
-            s = random_spectrum(rng)
-            al = Alignment(rng.uniform(0, 1, size=s.n_blocks), residual_energy=float(rng.uniform(0, 0.5)))
-            n, lam = int(rng.integers(1, 100)), float(rng.uniform(0.01, 2))
-            spec = ModelSpec(n=n, lam=lam, spectrum=s, alignment=al, noise=NoiseModel(0.3))
-            m = int(rng.integers(1, s.total_rank + 1))
-            inside += m not in s._cum_mult
-            trunc = spec.truncated(m)
-            head = s.head(m)
-            head_energies, tail_energy = split_alignment(spec, m)
-            np.testing.assert_array_equal(trunc.spectrum.values, head.values)
-            np.testing.assert_array_equal(trunc.spectrum.multiplicities, head.multiplicities)
-            np.testing.assert_allclose(trunc.alignment.energies, head_energies, rtol=1e-14, atol=0)
-            assert trunc.alignment.residual_energy == pytest.approx(tail_energy, rel=1e-14)
-            assert trunc.alignment.total_energy == pytest.approx(al.total_energy, rel=1e-14)
-            assert (trunc.n, trunc.noise) == (spec.n, spec.noise)
-            assert trunc.lam == spec.lam + s.tail_trace(m)
-        assert inside >= 50  # most cuts fall inside a block
-
+    test_full_cut_matches_plain_solve = family("full cut")
+    test_full_cut_ridgeless_rank_check = family("full cut ridgeless")
+    test_two_scale_instance_and_bound = family("two scale")
+    test_truncated_risk_full_cut = family("full cut risk")
+    test_truncated_risk_near_full_risk = family("two scale risk")
+    test_block_splitting_cut = family("block split")
+    test_truncated_model_matches_blockwise_split = family("blockwise split", exact=False, inside=50)

@@ -159,34 +159,42 @@ ERRORS = {
             f"spectrum-power-law-size-{size}": (partial(Spectrum.power_law, 2.0, size), "power-law size must be a positive integer")
             for size in (2.5, True, -3, 0)
         },
-        "spectrum-eigenvalue-at-5": (partial(TWO.eigenvalue_at, 5), "expanded index 5 outside [1, 4]"),
-        "spectrum-tail-trace--1": (partial(TWO.tail_trace, -1), "expanded index -1 outside [0, 4]"),
-        **{f"spectrum-head-{m}": (partial(TWO.head, m), f"expanded index {m} outside [1, 4]") for m in (0, 5)},
+        # one message for every expanded index; a fraction or a boolean is no index, though 2.5 lies inside [0, 4]
+        **{
+            f"spectrum-{name}-{m}": (partial(call, m), whole(f"expanded index must be an integer in [{low}, 4], not {m!r}"))
+            for name, call, low, cases in (
+                ("eigenvalue-at", TWO.eigenvalue_at, 1, (5, True, 2.5)),
+                ("tail-trace", TWO.tail_trace, 0, (-1, 2.5, False)),
+                ("head", TWO.head, 1, (0, 5, 2.5)),
+                ("tail-rank-m", partial(tail_rank, TWO, lam=0.0), 0, (5, 2.5, True)),
+                ("effective-rank-m", partial(effective_rank, TWO, n=4), 1, (0, 5, 2.5)),
+                ("nu-m", partial(nu_diagnostic, TWO, n=4, lam=0.1), 1, (0, 5, 2.5)),
+            )
+            for m in cases
+        },
         **{f"spectrum-shift-{s}": (partial(trace_resolvents, S4, s), "resolvent shift s must be positive") for s in (0.0, -1.0, NAN)},
-        "spectrum-tail-rank-m-5": (partial(tail_rank, S4, 5, 0.0), "m = 5 outside [0, total rank = 4]"),
         **{f"spectrum-tail-rank-lambda-{lam}": (partial(tail_rank, S4, 2, lam), "regularization " + NONNEGATIVE) for lam in (NAN, -1.0)},
         **{f"spectrum-nu-lambda-{lam}": (partial(nu_diagnostic, HALVES, 5, 8, lam), "regularization " + NONNEGATIVE) for lam in (NAN, -1.0)},
-        "spectrum-effective-rank-n-0": (partial(effective_rank, S4, 2, 0), "n must be a positive integer"),
-        **{
-            f"spectrum-{name}-m-{m}": (partial(call, S4, m, 4, *lam), f"m = {m} outside [1, total rank = 4]")
-            for m in (0, 5) for name, call, lam in (("effective-rank", effective_rank, ()), ("nu", nu_diagnostic, (0.1,)))
-        },
+        **{f"spectrum-effective-rank-n-{n}": (partial(effective_rank, S4, 2, n), whole("n must be a positive integer")) for n in (0, 2.5, True)},
         "spectrum-nu-no-tail": (partial(nu_diagnostic, S4, 4, 4, 0.0), "lambda + tail trace must be positive"),
         "spectrum-alignment-2d": (lambda: Alignment(np.zeros((1, 1))), "alignment energies must be a 1-d sequence"),
         "spectrum-alignment-negative": (lambda: Alignment(np.array([-0.1])), "alignment energies " + NONNEGATIVE),
         "spectrum-alignment-residual": (lambda: Alignment(np.ones(1), -1.0), "residual_energy " + NONNEGATIVE),
-        "spectrum-model-n-0": (partial(model, 0, 0.1, S3), "sample count n must be a positive integer"),
+        **{f"spectrum-model-n-{n}": (partial(model, n, 0.1, S3), whole("sample count n must be a positive integer")) for n in (0, 3.5, True)},
         "spectrum-model-nan-lambda": (partial(model, 2, NAN, S3), "ridge parameter " + NONNEGATIVE),
         "spectrum-model-ridgeless-rank": (partial(model, 100, 0.0, RANK50), "lambda = 0 requires spectrum rank > n"),
         "spectrum-model-alignment-length": (partial(model, 2, 0.1, Spectrum.from_blocks([(1, 2), (0.5, 2)]), [1.0]), "alignment length must equal"),
-        **{f"spectrum-truncated-{m}": (partial(model(2, 0.5, S3).truncated, m), f"expanded index {m} outside [1, 3]") for m in (0, -1, 4)},
+        **{
+            f"spectrum-truncated-{m}": (partial(model(2, 0.5, S3).truncated, m), f"expanded index must be an integer in [1, 3], not {m}")
+            for m in (0, -1, 4, 1.5)
+        },
         "spectrum-json-boolean-alignment": (partial(model_from_json, {**DOC, "alignment": [True]}), "alignment must hold numbers, not booleans"),
         "spectrum-json-alignment-not-a-list": (partial(model_from_json, {**DOC, "alignment": 1.0}), "alignment must be a list of numbers"),
         "spectrum-json-alignment-length": (
             partial(model_from_json, {**DOC, "blocks": [[1.0, 2], [0.5, 1]], "alignment": [1.0]}), "alignment length must equal the number"
         ),
         "deteq-nan-lambda": (partial(solve_effective_reg, S10, 10, NAN), "regularization " + NONNEGATIVE),
-        "deteq-n-0": (partial(solve_effective_reg, S10, 0, 1.0), "n must be a positive integer"),
+        **{f"deteq-n-{n}": (partial(solve_effective_reg, S10, n, 1.0), whole("n must be a positive integer")) for n in (0, 2.5, True)},
         "deteq-risk-overflow": (
             lambda: deterministic_equivalents(model(1, 0.1, Spectrum.from_blocks([(1.0, 1), (0.5, 1)]), [1e308, 1e308], 1e308)),
             "is not finite: alignment or noise energy too large",
@@ -243,6 +251,11 @@ ERRORS = {
         "functionals-probe-n-0": (partial(convergence_probe, P4, [0, 4], 0.5), "n grid entries must be positive integers"),
         "functionals-probe-threads-0": (partial(convergence_probe, P4, [4], 0.5, threads=0), "threads must be a positive integer"),
         "functionals-probe-choice": (partial(convergence_probe, P4, [4], 0.5, "bogus"), "unknown test-matrix choice 'bogus'"),
+        # checked before the first draw, so the message is the check's own, not a failed replication's
+        **{
+            f"functionals-probe-lambda-{lam}": (partial(convergence_probe, P4, [4], lam, reps=1), whole("empirical functionals require lambda > 0"))
+            for lam in (NAN, INF, 0.0, -1.0, True)
+        },
         # the first failed replication names the probe's one error: a non-finite phi, or a zero psi
         "functionals-probe-phi3-overflow": (
             partial(convergence_probe, P50, [10, 20], 1e-300, reps=2),
